@@ -428,46 +428,72 @@ let sim_throughput () =
   section
     (Printf.sprintf "Simulator throughput — simulated cycles per host second (SPEC-BFS, %s)"
        scale_name);
-  let run_once engine =
+  let run_once () =
     let app = Workloads.spec_bfs scale ~seed:42 in
     let run = app.Agp_apps.App_instance.fresh () in
-    Agp_hw.Accelerator.run ~engine ~spec:app.Agp_apps.App_instance.spec
+    Agp_hw.Accelerator.run ~spec:app.Agp_apps.App_instance.spec
       ~bindings:run.Agp_apps.App_instance.bindings ~state:run.Agp_apps.App_instance.state
       ~initial:run.Agp_apps.App_instance.initial ()
   in
   (* best of 5: the ratchet gate wants the machine's capability, not its
      scheduler noise *)
-  let best_of n engine =
-    let best = ref (run_once engine) in
-    for _ = 1 to n - 1 do
-      let r = run_once engine in
-      if r.Agp_hw.Accelerator.sim_cycles_per_sec > !best.Agp_hw.Accelerator.sim_cycles_per_sec
-      then best := r
-    done;
-    !best
-  in
-  let r = best_of 5 Agp_hw.Accelerator.Compiled in
-  let legacy = best_of 2 Agp_hw.Accelerator.Legacy in
-  Printf.printf "%d cycles in %.4f s -> %.3g simulated cycles/sec (best of 5, compiled)\n"
+  let best = ref (run_once ()) in
+  for _ = 1 to 4 do
+    let r = run_once () in
+    if r.Agp_hw.Accelerator.sim_cycles_per_sec > !best.Agp_hw.Accelerator.sim_cycles_per_sec then
+      best := r
+  done;
+  let r = !best in
+  Printf.printf "%d cycles in %.4f s -> %.3g simulated cycles/sec (best of 5)\n"
     r.Agp_hw.Accelerator.cycles r.Agp_hw.Accelerator.wall_seconds
     r.Agp_hw.Accelerator.sim_cycles_per_sec;
-  Printf.printf "legacy engine: %.3g cycles/sec -> compiled speedup %.1fx\n"
-    legacy.Agp_hw.Accelerator.sim_cycles_per_sec
-    (r.Agp_hw.Accelerator.sim_cycles_per_sec
-    /. Float.max 1e-9 legacy.Agp_hw.Accelerator.sim_cycles_per_sec);
-  Printf.printf "minor heap: %.1f words/cycle (compiled), %.1f words/cycle (legacy)\n"
-    r.Agp_hw.Accelerator.minor_words_per_cycle
-    legacy.Agp_hw.Accelerator.minor_words_per_cycle;
+  Printf.printf "minor heap: %.1f words/cycle\n" r.Agp_hw.Accelerator.minor_words_per_cycle;
   add_section "sim_throughput"
     (Json.Obj
        [
          ("cycles", Json.Int r.Agp_hw.Accelerator.cycles);
          ("sim_cycles_per_sec", Json.Float r.Agp_hw.Accelerator.sim_cycles_per_sec);
          ("minor_words_per_cycle", Json.Float r.Agp_hw.Accelerator.minor_words_per_cycle);
-         ( "legacy_sim_cycles_per_sec",
-           Json.Float legacy.Agp_hw.Accelerator.sim_cycles_per_sec );
-         ( "legacy_minor_words_per_cycle",
-           Json.Float legacy.Agp_hw.Accelerator.minor_words_per_cycle );
+       ])
+
+(* --- software runtime throughput (the steps/sec ratchet) --- *)
+
+let runtime_throughput () =
+  section
+    (Printf.sprintf
+       "Software runtime throughput — scheduler steps per host second (SPEC-SSSP, %s, 8 workers)"
+       scale_name);
+  let app = Workloads.spec_sssp scale ~seed:42 in
+  let run_once () =
+    let run = app.Agp_apps.App_instance.fresh () in
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Agp_core.Semantics.run ~initial:run.Agp_apps.App_instance.initial
+        (Agp_core.Semantics.pipelined ()) app.Agp_apps.App_instance.spec
+        run.Agp_apps.App_instance.bindings run.Agp_apps.App_instance.state
+    in
+    (r, Float.max 1e-9 (Unix.gettimeofday () -. t0))
+  in
+  (* best of 5, as the simulator ratchet *)
+  let best = ref (run_once ()) in
+  for _ = 1 to 4 do
+    let ((_, s) as x) = run_once () in
+    if s < snd !best then best := x
+  done;
+  let r, seconds = !best in
+  let steps = r.Agp_core.Semantics.steps in
+  let ops = r.Agp_core.Semantics.stats.Agp_core.Engine.ops_executed in
+  let steps_per_sec = float_of_int steps /. seconds in
+  Printf.printf "%d steps (%d ops) in %.4f s -> %.3g steps/sec, %.3g ops/sec (best of 5)\n" steps
+    ops seconds steps_per_sec
+    (float_of_int ops /. seconds);
+  add_section "runtime_throughput"
+    (Json.Obj
+       [
+         ("steps", Json.Int steps);
+         ("ops", Json.Int ops);
+         ("runtime_steps_per_sec", Json.Float steps_per_sec);
+         ("ops_per_sec", Json.Float (float_of_int ops /. seconds));
        ])
 
 (* --- serving saturation (the Agp_serve daemon under offered load) --- *)
@@ -523,6 +549,7 @@ let () =
   ablations ();
   substrates ();
   sim_throughput ();
+  runtime_throughput ();
   serve_saturation ();
   run_microbenches ();
   write_json_report ();

@@ -297,12 +297,12 @@ let run_cmd =
             | exception Backend.Unsupported { backend; app; reason } ->
                 Printf.eprintf "%s is unsupported on backend %s: %s\n" app backend reason;
                 exit 1
-            | exception Agp_core.Runtime.Deadlock msg ->
-                Printf.eprintf "liveness failure: %s\n" msg;
-                exit liveness_exit
-            | exception Agp_core.Runtime.Step_limit_exceeded n ->
-                Printf.eprintf "liveness failure: step limit %d exceeded without quiescing\n" n;
-                exit liveness_exit
+            | exception exn -> (
+                match Backend.liveness_failure exn with
+                | Some msg ->
+                    Printf.eprintf "liveness failure: %s\n" msg;
+                    exit liveness_exit
+                | None -> raise exn)
             | res ->
                 Printf.printf "%s on %s — %s\n" res.Backend.app_name b.Backend.name
                   b.Backend.summary;

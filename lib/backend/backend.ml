@@ -48,6 +48,12 @@ let () =
         Some (Printf.sprintf "Agp_backend.Backend.Unsupported(%s on %s: %s)" app backend reason)
     | _ -> None)
 
+let liveness_failure = function
+  | Semantics.Deadlock msg -> Some msg
+  | Semantics.Step_limit_exceeded n ->
+      Some (Printf.sprintf "step limit %d exceeded without quiescing" n)
+  | _ -> None
+
 let run ?(obs = false) ?request_id b (app : App_instance.t) =
   match b.supports app with
   | Error reason ->
@@ -169,23 +175,10 @@ let derive_config (app : App_instance.t) (base : Config.t) =
    event stream; lifecycle summaries tolerate a truncated prefix. *)
 let obs_ring_capacity = 262_144
 
-let simulator ?(engine = Accelerator.Compiled) ?(config = Config.default) ?(auto_size = true) ()
-    =
-  let name =
-    match engine with
-    | Accelerator.Compiled -> "simulator"
-    | Accelerator.Legacy -> "simulator:classic"
-  in
-  let summary =
-    match engine with
-    | Accelerator.Compiled ->
-        "cycle-level model of the synthesized accelerator (Fig. 7), compiled op-array engine"
-    | Accelerator.Legacy ->
-        "cycle-level model of the synthesized accelerator, legacy tree-walking engine"
-  in
+let simulator ?(config = Config.default) ?(auto_size = true) () =
   {
-    name;
-    summary;
+    name = "simulator";
+    summary = "cycle-level model of the synthesized accelerator (Fig. 7)";
     capabilities = { timed = true; parallel = true; obs_report = true; validates = true };
     supports = supports_all;
     interp = None;
@@ -198,7 +191,7 @@ let simulator ?(engine = Accelerator.Compiled) ?(config = Config.default) ?(auto
         in
         let timeline = if obs then Some (Agp_obs.Timeline.create ~interval:256 ()) else None in
         let report =
-          Accelerator.run ~engine ~config ~auto_size ~sink ?timeline
+          Accelerator.run ~config ~auto_size ~sink ?timeline
             ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
             ~state:r.App_instance.state ~initial:r.App_instance.initial ()
         in
@@ -211,7 +204,7 @@ let simulator ?(engine = Accelerator.Compiled) ?(config = Config.default) ?(auto
           else None
         in
         {
-          backend_name = name;
+          backend_name = "simulator";
           app_name = app.App_instance.app_name;
           check = r.App_instance.check ();
           seconds = Some report.Accelerator.seconds;
@@ -222,9 +215,6 @@ let simulator ?(engine = Accelerator.Compiled) ?(config = Config.default) ?(auto
           final = Some r;
         });
   }
-
-let simulator_classic ?config ?auto_size () =
-  simulator ~engine:Accelerator.Legacy ?config ?auto_size ()
 
 let cpu_backend which =
   let name, summary, is_parallel =
@@ -307,17 +297,7 @@ let opencl =
 
 (* --- registry --- *)
 
-(* The legacy tree-walking cycle engine is retired from the default
-   registry: the compiled engine is cross-checked against the unified
-   stepper oracle by the conformance matrix, and the engine-equivalence
-   tests still drive [Accelerator.Legacy] directly.  One release of
-   escape hatch: AGP_CLASSIC=1 puts [simulator:classic] back. *)
-let classic_enabled = Sys.getenv_opt "AGP_CLASSIC" = Some "1"
-
-let all =
-  [ sequential; runtime (); parallel (); simulator () ]
-  @ (if classic_enabled then [ simulator_classic () ] else [])
-  @ [ cpu_1core; cpu_10core; opencl ]
+let all = [ sequential; runtime (); parallel (); simulator (); cpu_1core; cpu_10core; opencl ]
 
 let names = List.map (fun b -> b.name) all
 
@@ -388,14 +368,7 @@ let find name =
   | [ "runtime"; n ] -> Result.map (fun workers -> runtime ~workers ()) (count "runtime" n)
   | [ "parallel" ] -> Ok (parallel ())
   | [ "parallel"; n ] -> Result.map (fun domains -> parallel ~domains ()) (count "parallel" n)
-  | [ "simulator" ] | [ "fpga" ] | [ "simulator"; "compiled" ] -> Ok (simulator ())
-  | [ "simulator"; "classic" ] ->
-      if classic_enabled then Ok (simulator_classic ())
-      else
-        Error
-          "simulator:classic is retired from the default registry (the compiled engine is \
-           cross-checked against the sequential oracle by the conformance matrix).\n\
-           Set AGP_CLASSIC=1 to re-enable it for one more release."
+  | [ "simulator" ] | [ "fpga" ] -> Ok (simulator ())
   | [ "cpu-1core" ] -> Ok cpu_1core
   | [ "cpu-10core" ] -> Ok cpu_10core
   | [ "opencl" ] -> Ok opencl

@@ -79,6 +79,13 @@ type t = {
 
 exception Unsupported of { backend : string; app : string; reason : string }
 
+val liveness_failure : exn -> string option
+(** The description of a liveness failure — a [Semantics.Deadlock] or
+    [Semantics.Step_limit_exceeded] from any stepper — or [None] for
+    any other exception.  [agp run] maps [Some] to exit code 3, the
+    serve daemon to a [liveness] verdict, the conformance harness to a
+    [Liveness] failure. *)
+
 val run : ?obs:bool -> ?request_id:string -> t -> Agp_apps.App_instance.t -> run_result
 (** The single entry point: execute [app] on the backend, on a fresh
     instance.  [obs] (default false) asks obs-capable backends to
@@ -127,24 +134,10 @@ val with_max_steps : t -> int -> (t, string) result
     CLI's [--max-steps]); [Error] for backends whose policy has no
     budget (the oracle, domains, the simulator, timing models). *)
 
-val simulator :
-  ?engine:Agp_hw.Accelerator.engine ->
-  ?config:Agp_hw.Config.t ->
-  ?auto_size:bool ->
-  unit ->
-  t
+val simulator : ?config:Agp_hw.Config.t -> ?auto_size:bool -> unit -> t
 (** The cycle-level accelerator model (Fig. 7) on [config] (default
     {!Agp_hw.Config.default}), with {!derive_config} applied per app.
-    [engine] (default [Compiled]) selects the cycle engine and the
-    backend name: ["simulator"] for the compiled op-array engine,
-    ["simulator:classic"] for the legacy tree-walking loop.
     [auto_size] as in {!Agp_hw.Accelerator.run}. *)
-
-val simulator_classic : ?config:Agp_hw.Config.t -> ?auto_size:bool -> unit -> t
-(** {!simulator} pinned to the legacy tree-walking engine.  Retired
-    from the default registry (the compiled engine is cross-checked
-    against the unified stepper oracle instead); [AGP_CLASSIC=1] in the
-    environment re-registers it for one more release. *)
 
 val cpu_1core : t
 val cpu_10core : t
@@ -159,12 +152,7 @@ val opencl : t
 val all : t list
 (** Default instances of every registered backend, in presentation
     order: sequential, runtime, parallel, simulator, cpu-1core,
-    cpu-10core, opencl — plus simulator:classic when [AGP_CLASSIC=1]
-    is set. *)
-
-val classic_enabled : bool
-(** Whether the [AGP_CLASSIC=1] escape hatch is active (read once at
-    startup). *)
+    cpu-10core, opencl. *)
 
 val names : string list
 

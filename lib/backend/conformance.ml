@@ -1,6 +1,5 @@
 module App_instance = Agp_apps.App_instance
 module State = Agp_core.State
-module Runtime = Agp_core.Runtime
 
 type failure =
   | Unsupported of string
@@ -37,10 +36,10 @@ let check ?(state_equiv = false) (b : Backend.t) (app : App_instance.t) =
       | Ok () -> begin
           match Backend.run b app with
           | exception Backend.Unsupported { reason; _ } -> Error (Unsupported reason)
-          | exception Runtime.Deadlock msg -> Error (Liveness msg)
-          | exception Runtime.Step_limit_exceeded n ->
-              Error (Liveness (Printf.sprintf "step limit %d exceeded" n))
-          | exception e -> Error (Crash (Printexc.to_string e))
+          | exception e -> (
+              match Backend.liveness_failure e with
+              | Some msg -> Error (Liveness msg)
+              | None -> Error (Crash (Printexc.to_string e)))
           | res -> begin
               match res.Backend.check with
               | Error e -> Error (Check_failed e)

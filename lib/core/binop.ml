@@ -1,23 +1,17 @@
-(* The single binary-operator semantics table, shared by every
-   evaluator in the repo.
+(* The single binary-operator semantics table.
 
-   Both the tree-walking interpreter ({!Interp.eval_binop}) and the
-   compiled cycle engine's postfix bytecode evaluator
-   (Agp_hw.Engine_compiled) execute binops through {!exec}, so the
-   numeric-promotion rules, the comparison total order, the
-   short-circuit boolean connectives and every error string are defined
-   exactly once.  Conformance between the substrates is therefore
-   structural, not a property the differential harness has to re-check
-   per operator.
+   The ECA core's postfix bytecode evaluator ({!Engine}) and the
+   test suite's tree-walking reference evaluator both execute binops
+   through {!exec}, so the numeric-promotion rules, the comparison total
+   order, the short-circuit boolean connectives and every error string
+   are defined exactly once.
 
-   The representation is the compiled engine's: a value is a (tag,
-   int-slot, float-slot) triple spread across three parallel scratch
-   arrays.  This keeps the hot path allocation-free — the arrays are
-   passed by reference and floats never cross a function boundary as
-   arguments (OCaml boxes float arguments of non-inlined calls), which
-   is what the compiled engine's minor-words-per-cycle gate measures.
-   The tree-walker pays a tiny per-call scratch to adapt [Value.t]s;
-   that path was never allocation-sensitive. *)
+   The representation is the core's: a value is a (tag, int-slot,
+   float-slot) triple spread across three parallel scratch arrays.  This
+   keeps the hot path allocation-free — the arrays are passed by
+   reference and floats never cross a function boundary as arguments
+   (OCaml boxes float arguments of non-inlined calls).  The reference
+   evaluator pays a tiny per-call scratch to adapt [Value.t]s. *)
 
 (* value tags on the scratch stacks / frames *)
 let tg_int = 0

@@ -1,16 +1,16 @@
 (** The single binary-operator semantics table.
 
-    Every evaluator — the tree-walking {!Interp}, and the compiled
-    cycle engine's postfix bytecode — executes {!Spec.binop}s through
-    {!exec}, so numeric promotion, the comparison total order, the
-    short-circuit boolean connectives and every error string are
-    defined exactly once and cannot drift between substrates.
+    Every evaluator — the compiled core's postfix bytecode ({!Engine})
+    and the test suite's tree-walking reference evaluator — executes
+    {!Spec.binop}s through {!exec}, so numeric promotion, the comparison
+    total order, the short-circuit boolean connectives and every error
+    string are defined exactly once.
 
-    Values are represented as the compiled engine represents them: a
-    tag ({!tg_int} / {!tg_float} / {!tg_bool}) plus an int slot and a
-    float slot in parallel scratch arrays, which keeps {!exec}
-    allocation-free (floats never cross a call boundary as arguments,
-    so nothing is boxed on the hot path). *)
+    Values are represented as the core represents them: a tag
+    ({!tg_int} / {!tg_float} / {!tg_bool}) plus an int slot and a float
+    slot in parallel scratch arrays, which keeps {!exec} allocation-free
+    (floats never cross a call boundary as arguments, so nothing is
+    boxed on the hot path). *)
 
 val tg_int : int
 val tg_float : int
@@ -18,7 +18,7 @@ val tg_bool : int
 
 val tg_unbound : int
 (** Not a value tag: marks an unwritten register/frame slot in the
-    compiled engine.  {!exec} never sees it. *)
+    core.  {!exec} never sees it. *)
 
 val exec : int array -> float array -> int array -> Spec.binop -> int -> int -> unit
 (** [exec st_i st_f st_tg op a b] combines slot [a] and slot [b] of the

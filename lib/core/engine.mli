@@ -1,51 +1,38 @@
-(** Shared execution machinery for specifications: task instances and
-    their well-order indices, task queues, rule instances (lanes),
-    event broadcast, and minimum-task tracking.
+(** The ECA core: task instances and their well-order indices, task
+    queues, rule instances (lanes), event broadcast, counted-rule
+    replay and minimum-task tracking, executed over an
+    {!Opcode.program}.
 
-    The {!Sequential} oracle and the aggressive {!Runtime} drive this
-    engine with different scheduling policies; the hardware model wraps
-    the same transitions in cycle timing.  All semantics of §4 live
-    here so the three interpreters cannot drift apart. *)
+    Every interpreter of a specification runs on this one core: the
+    {!Semantics} policies (sequential oracle, worker-pool runtime,
+    domains) schedule its tasks, and the cycle simulator in [agp_hw]
+    wraps its transitions in timing.  All semantics of §4 live here so
+    the interpreters cannot drift apart.
 
-type task = private {
-  tid : int;  (** unique per activation (a retry gets a fresh tid) *)
-  set_slot : int;
-  index : Index.t;
-  payload : Value.t array;
-  env : Interp.env;
-  mutable cont : Spec.op list;  (** remaining operations *)
-  mutable status : status;
-  mutable awaiting : (string * rule_instance) option;
-      (** destination variable and rule blocked on *)
-  mutable broadcast_committed : bool;
-      (** the task fired its commit broadcast (first [Emit]): it is
-          retired for well-order purposes while its tail pipelines out *)
-}
+    Tasks and rule instances are pooled: a {!task} handle is valid from
+    the pop that returns it until the step that finishes it.  Functions
+    that may have no task to return give {!nil_task} instead of an
+    option, so the hot loops allocate nothing. *)
 
-and status =
-  | Pending  (** in a task queue *)
-  | Running
-  | Waiting  (** stalled at a rendezvous *)
-  | Committed
-  | Squashed  (** aborted or retried *)
+exception Deadlock of string
+(** No task can make progress while tasks are still parked.  Rebound
+    as [Semantics.Deadlock] / [Runtime.Deadlock]. *)
 
-and rule_instance = private {
-  rule : Spec.rule;
-  params : Value.t array;
-  parent : task;
-  mutable counter : int;  (** meaningful only for counted rules *)
-  mutable resolved : bool option;
-}
+exception Step_limit_exceeded of int
+(** A scheduling budget ran out; carries the budget.  Rebound as
+    [Semantics.Step_limit_exceeded] / [Runtime.Step_limit_exceeded]. *)
+
+type task
+
+val nil_task : task
+(** The "no task" sentinel. *)
+
+val is_nil : task -> bool
 
 type outcome =
   | Committed_task
   | Aborted_task
   | Retried_task
-
-type step_result =
-  | Stepped  (** one operation executed *)
-  | Blocked  (** task is now waiting at a rendezvous *)
-  | Finished of outcome
 
 type stats = {
   mutable activated : int;
@@ -62,12 +49,12 @@ type stats = {
 type t
 
 val create : Spec.t -> Spec.bindings -> State.t -> t
-(** @raise Invalid_argument when the specification fails
+(** Compile the specification ({!Opcode.compile}) and bind its state
+    arrays, prims and counted-rule expectations.
+    @raise Invalid_argument when the specification fails
     {!Spec.validate}. *)
 
-val spec : t -> Spec.t
-
-val state : t -> State.t
+val program : t -> Opcode.program
 
 val stats : t -> stats
 
@@ -75,37 +62,87 @@ val push_initial : t -> string -> Value.t list -> unit
 (** Host-side activation into a task set (index stamped as a normal
     push from the root index). *)
 
-val pop_task : t -> string -> task option
-(** Dequeue the oldest pending task of a set and mark it running. *)
+(** {1 Queues} *)
 
-val pop_any : t -> task option
+val pop_task : t -> int -> task
+(** Dequeue the oldest pending task of a set slot and mark it running;
+    {!nil_task} when that queue is empty. *)
+
+val pop_any : t -> task
 (** Dequeue round-robin across sets. *)
 
-val pop_min : t -> task option
+val pop_min : t -> task
 (** Dequeue the globally minimum pending task (per-set queue heads are
     per-set minima because for-each stamps are monotone). *)
 
 val pending_count : t -> int
 (** Tasks sitting in queues. *)
 
-val min_pending_head : t -> task option
+val min_pending_head : t -> task
 (** The smallest-index task among the queue heads, without popping. *)
 
-val waiting_tasks : t -> task list
-(** Tasks stalled at rendezvous. *)
+val min_uncommitted : t -> task
+(** The minimum task that is pending, running or waiting and has not
+    fired its commit broadcast. *)
 
 val uncommitted_remaining : t -> bool
 (** True while any task is pending, running or waiting. *)
 
-val step : t -> task -> step_result
-(** Execute exactly one operation of a running task.  All events,
-    pushes and rule transitions implied by the operation happen
-    inside. *)
+val waiting_count : t -> int
+(** Tasks stalled at a rendezvous. *)
 
-val run_to_completion : t -> task -> outcome
-(** Step a task until it finishes, resolving its own rendezvous via
-    the minimum rule (used by the sequential oracle, where the running
-    task is always minimal). *)
+val waiting_get : t -> int -> task
+(** [waiting_get t i], [0 <= i < waiting_count t], oldest-parked first. *)
+
+val live_rule_count : t -> int
+(** Unresolved rule instances — occupied rule-engine lanes. *)
+
+(** {1 Stepping}
+
+    [step] returns the latency class of the operation it executed —
+    the contract between the core and a timing shell.  The stepped
+    classes are below {!lc_blocked}; the finished classes are above. *)
+
+val lc_unit : int
+(** one-cycle operation (let, push, alloc, resolved await, emit, if) *)
+
+val lc_load : int
+(** a load of element {!touched_index} of state array {!touched_array}
+    (an index into [(program t).array_names]) *)
+
+val lc_store : int
+(** a store, with the same touched fields as {!lc_load} *)
+
+val lc_push_iter : int
+(** a data-dependent spawner; {!touched_index} is the number of
+    activations it emitted *)
+
+val lc_prim : int
+(** a prim kernel; {!touched_array} is its index into
+    [(program t).prim_names].  Its memory accesses are in the state's
+    access trace when tracing was on during the step. *)
+
+val lc_blocked : int
+(** the task parked at a rendezvous *)
+
+val lc_committed : int
+
+val lc_aborted : int
+
+val lc_retried : int
+
+val outcome_of_class : int -> outcome
+(** For a finished class ([> lc_blocked]). *)
+
+val step : t -> task -> int
+(** Execute exactly one operation of a running task and return its
+    latency class.  All events, pushes and rule transitions implied by
+    the operation happen inside.  Loads and stores also record into the
+    state's access trace while it is tracing. *)
+
+val touched_array : t -> int
+
+val touched_index : t -> int
 
 val resolve_pending : t -> unit
 (** Re-evaluate minimum-task conditions: fire [On_min_changed] events
@@ -113,21 +150,39 @@ val resolve_pending : t -> unit
     [otherwise] clause of rules whose waiting parent is minimal in the
     rule's scope.  Call after any commit, squash or block. *)
 
-val resume_ready : t -> task list
-(** Waiting tasks whose rendezvous has resolved; they are returned in
-    index order, marked running, and their await binding is applied. *)
+val resume_ready : t -> unit
+(** Wake the waiting tasks whose rendezvous has resolved: they are
+    marked running, their await binding is applied, and they are left,
+    in index order, for {!resumed_count}/{!resumed_get}. *)
 
-val live_rule_count : t -> int
-(** Unresolved rule instances — occupied rule-engine lanes. *)
+val resumed_count : t -> int
 
-val prim_counts : t -> (string * int) list
-(** Invocations per [Prim] kernel so far. *)
-
-val min_uncommitted_index : t -> Index.t option
-
-val min_waiting_index : t -> Index.t option
+val resumed_get : t -> int -> task
 
 val deadlocked : t -> bool
 (** No task is running or resumable, queues are empty, but waiting
     tasks remain — indicates a specification whose rules lack a viable
     exit path. *)
+
+val prim_counts : t -> (string * int) list
+(** Invocations per [Prim] kernel so far (kernels never invoked are
+    omitted). *)
+
+(** {1 Task views} *)
+
+val task_tid : task -> int
+(** Unique per activation (a retry gets a fresh tid). *)
+
+val task_set : task -> int
+(** Task-set slot. *)
+
+val task_pc : task -> int
+(** Program counter into [(program t).code]. *)
+
+val task_index : task -> Index.t
+
+val compare_index : task -> task -> int
+(** Well-order comparison of two tasks' indices. *)
+
+val task_var : task -> string -> Value.t option
+(** Current value of a task-local variable, [None] while unbound. *)

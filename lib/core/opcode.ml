@@ -1,4 +1,4 @@
-(* Spec -> flat op-array compiler for the compiled cycle engine.
+(* Spec -> flat op-array compiler for the ECA core ({!Engine}).
 
    Task-set bodies become one shared instruction array indexed by pc;
    every instruction carries the pc of its continuation, so executing a
@@ -8,10 +8,9 @@
    stacks (the bytecode-interpreter idiom: op arrays + mutable frames,
    no tree-walking).
 
-   The compiler only restructures data — all evaluation semantics
-   (numeric promotion, error strings, out-of-range clause probes) are
-   replicated exactly by the engine so that the compiled engine is
-   cycle- and state-equivalent to the tree-walking one. *)
+   The compiler only restructures data: evaluation semantics (numeric
+   promotion, error strings, out-of-range clause probes) are those of
+   the spec language, as the reference evaluator {!Interp} states them. *)
 
 (* Postfix expression bytecode.  E_param/E_reg appear only in task-body
    expressions; E_cparam/E_cfield/E_earlier/E_later/E_overlap only in
@@ -44,7 +43,7 @@ type inst =
       args : eop array array;
       next : int;
     }
-  | I_alloc of { site : int; handle : int; rule : int; args : eop array array; next : int }
+  | I_alloc of { handle : int; rule : int; args : eop array array; next : int }
   | I_await of { dst : int; handle : int; handle_name : string; next : int }
   | I_emit of { label : int; args : eop array array; next : int }
   | I_if of { c : eop array; then_pc : int; else_pc : int }
@@ -64,25 +63,23 @@ type cclause = {
 
 type crule = {
   r_name : string;
-  r_nparams : int;
   r_clauses : cclause array;
   r_otherwise : bool;
   r_min_waiting : bool; (* otherwise scope *)
   r_counted : bool;
-  r_has_decrement : bool;
 }
 
 type program = {
   code : inst array;
+  source : Spec.op option array; (* the spec op each pc came from; None at the commit pc *)
   entry : int array; (* per task-set slot *)
   n_sets : int;
   set_names : string array;
   set_for_each : bool array;
-  set_arity : int array;
   max_arity : int;
   max_regs : int;
+  set_regs : string array array; (* per set: register slot -> variable name *)
   max_handles : int;
-  n_sites : int; (* static Alloc sites across all sets *)
   rules : crule array;
   labels : string array;
   array_names : string array; (* state arrays referenced by Load/Store *)
@@ -92,7 +89,19 @@ type program = {
   max_rule_params : int; (* widest Alloc argument list *)
   max_event_fields : int; (* widest event field vector (payloads + emits) *)
   has_counted : bool;
+  listeners : bool array; (* per event slot: can any rule clause match it *)
 }
+
+(* Event slots: activated(set), then reached(set, label), then
+   min_changed. *)
+let event_slot ~n_sets ~n_labels ~kind ~set ~label =
+  match kind with
+  | 0 -> set
+  | 1 -> n_sets + (set * n_labels) + label
+  | _ -> n_sets * (1 + n_labels)
+
+let listener_slot p ~kind ~set ~label =
+  event_slot ~n_sets:p.n_sets ~n_labels:(Array.length p.labels) ~kind ~set ~label
 
 (* --- interning --- *)
 
@@ -124,18 +133,19 @@ let compile (spec : Spec.t) : program =
   let labels = interner () in
   let prims = interner () in
   let code = ref [] in
+  let source = ref [] in
   let n_code = ref 0 in
-  let emit inst =
+  let emit_src src inst =
     code := inst :: !code;
+    source := src :: !source;
     incr n_code;
     !n_code - 1
   in
-  let commit_pc = emit I_commit in
+  let commit_pc = emit_src None I_commit in
   assert (commit_pc = 0);
   let max_stack = ref 1 in
   let max_push_args = ref 0 in
   let max_rule_params = ref 0 in
-  let n_sites = ref 0 in
   (* expression -> postfix, tracking stack depth *)
   let compile_expr regs e =
     let out = ref [] in
@@ -185,6 +195,7 @@ let compile (spec : Spec.t) : program =
   (* per-set register and handle allocation happens while compiling the
      body: first occurrence (read or write) claims the slot *)
   let max_regs = ref 0 and max_handles = ref 0 in
+  let set_regs = Array.make n_sets [||] in
   let compile_body (ts : Spec.task_set) =
     let regs = interner () in
     let handles = interner () in
@@ -193,6 +204,7 @@ let compile (spec : Spec.t) : program =
       | [] -> next
       | op :: rest ->
           let next = seq rest ~next in
+          let emit = emit_src (Some op) in
           let pc =
             match (op : Spec.op) with
             | Spec.Let (v, e) ->
@@ -222,14 +234,11 @@ let compile (spec : Spec.t) : program =
                   in
                   find 0 spec.Spec.rules
                 in
-                let site = !n_sites in
-                incr n_sites;
                 if List.length params > !max_rule_params then
                   max_rule_params := List.length params;
                 emit
                   (I_alloc
                      {
-                       site;
                        handle = intern handles handle;
                        rule;
                        args = compile_exprs regs params;
@@ -262,6 +271,7 @@ let compile (spec : Spec.t) : program =
           pc
     in
     let entry = seq ts.Spec.body ~next:commit_pc in
+    set_regs.(set_slot ts.Spec.ts_name) <- interned regs;
     if Hashtbl.length regs.tbl > !max_regs then max_regs := Hashtbl.length regs.tbl;
     if Hashtbl.length handles.tbl > !max_handles then max_handles := Hashtbl.length handles.tbl;
     entry
@@ -335,18 +345,14 @@ let compile (spec : Spec.t) : program =
            in
            {
              r_name = r.Spec.rule_name;
-             r_nparams = r.Spec.n_params;
              r_clauses = clauses;
              r_otherwise = r.Spec.otherwise;
              r_min_waiting = (r.Spec.scope = Spec.Min_waiting);
              r_counted = r.Spec.counted;
-             r_has_decrement =
-               Array.exists (fun c -> c.c_return = None) clauses;
            })
          spec.Spec.rules)
   in
-  let set_arity = Array.map (fun ts -> ts.Spec.arity) sets in
-  let max_arity = Array.fold_left max 1 set_arity in
+  let max_arity = Array.fold_left (fun m ts -> max m ts.Spec.arity) 1 sets in
   let max_event_fields =
     let m = ref max_arity in
     Array.iter
@@ -356,19 +362,30 @@ let compile (spec : Spec.t) : program =
       (Array.of_list !code);
     !m
   in
+  let labels = interned labels in
+  let n_labels = Array.length labels in
+  let listeners = Array.make ((n_sets * (1 + n_labels)) + 1) false in
+  Array.iter
+    (fun r ->
+      Array.iter
+        (fun c ->
+          listeners.(event_slot ~n_sets ~n_labels ~kind:c.c_kind ~set:c.c_set ~label:c.c_label) <-
+            true)
+        r.r_clauses)
+    rules;
   {
     code = Array.of_list (List.rev !code);
+    source = Array.of_list (List.rev !source);
     entry;
     n_sets;
     set_names = Array.map (fun ts -> ts.Spec.ts_name) sets;
     set_for_each = Array.map (fun ts -> ts.Spec.ts_order = Spec.For_each) sets;
-    set_arity;
     max_arity;
     max_regs = max 1 !max_regs;
+    set_regs;
     max_handles = max 1 !max_handles;
-    n_sites = !n_sites;
     rules;
-    labels = interned labels;
+    labels;
     array_names = interned arrays;
     prim_names = interned prims;
     max_stack = !max_stack + 1;
@@ -376,4 +393,5 @@ let compile (spec : Spec.t) : program =
     max_rule_params = max 1 !max_rule_params;
     max_event_fields = max 1 max_event_fields;
     has_counted = List.exists (fun (r : Spec.rule) -> r.Spec.counted) spec.Spec.rules;
+    listeners;
   }

@@ -1,4 +1,4 @@
-(** Spec → flat op-array compiler for the compiled cycle engine.
+(** Spec → flat op-array compiler for the ECA core ({!Engine}).
 
     Task-set bodies compile into one shared instruction array indexed
     by pc; every instruction embeds the pc of its continuation, so
@@ -10,8 +10,12 @@
 
     The compiler changes representation only: evaluation semantics
     (numeric promotion, division checks, error strings, out-of-range
-    clause probes) are replicated by the engine so that compiled
-    execution is cycle- and state-equivalent to {!Engine}. *)
+    clause probes) are those of the reference evaluator {!Interp}.
+
+    It also precomputes a listener table: for every event the core can
+    fire (activated(set), reached(set, label), min_changed), whether
+    any rule clause can match it.  The core skips delivering an event
+    nobody listens to. *)
 
 type eop =
   | E_int of int
@@ -41,7 +45,7 @@ type inst =
       args : eop array array;
       next : int;
     }
-  | I_alloc of { site : int; handle : int; rule : int; args : eop array array; next : int }
+  | I_alloc of { handle : int; rule : int; args : eop array array; next : int }
   | I_await of { dst : int; handle : int; handle_name : string; next : int }
   | I_emit of { label : int; args : eop array array; next : int }
   | I_if of { c : eop array; then_pc : int; else_pc : int }
@@ -60,25 +64,25 @@ type cclause = {
 
 type crule = {
   r_name : string;
-  r_nparams : int;
   r_clauses : cclause array;
   r_otherwise : bool;
   r_min_waiting : bool;  (** otherwise scope is [Min_waiting] *)
   r_counted : bool;
-  r_has_decrement : bool;
 }
 
 type program = {
   code : inst array;
+  source : Spec.op option array;
+      (** the spec operation each pc was compiled from ([None] at the
+          shared commit pc) — what effect hooks report *)
   entry : int array;  (** per task-set slot *)
   n_sets : int;
   set_names : string array;
   set_for_each : bool array;
-  set_arity : int array;
   max_arity : int;
   max_regs : int;
+  set_regs : string array array;  (** per set: register slot -> variable name *)
   max_handles : int;
-  n_sites : int;  (** static Alloc sites across all sets *)
   rules : crule array;
   labels : string array;
   array_names : string array;  (** state arrays referenced by Load/Store *)
@@ -88,7 +92,13 @@ type program = {
   max_rule_params : int;  (** widest Alloc argument list *)
   max_event_fields : int;  (** widest event field vector (payloads + emits) *)
   has_counted : bool;
+  listeners : bool array;  (** indexed by {!listener_slot} *)
 }
+
+val listener_slot : program -> kind:int -> set:int -> label:int -> int
+(** Slot of an event in [listeners]: [kind] 0 = activated([set]),
+    1 = reached([set], [label]), 2 = min_changed (set and label
+    ignored). *)
 
 val compile : Spec.t -> program
 (** Compile a validated spec.  @raise Invalid_argument on an Alloc of a

@@ -11,14 +11,12 @@
    and a new backend (tracing, profiling, counting, future cost-model
    evaluators) is an interpretation record away. *)
 
-(* Typed liveness failures.  Historically these were born in [Runtime]
-   and the whole repo matches on [Runtime.Deadlock] /
-   [Runtime.Step_limit_exceeded]; [Runtime] now re-exports these very
-   constructors (OCaml exception rebinding), so both names are the same
-   exception and every existing handler keeps working. *)
-exception Deadlock of string
+(* Typed liveness failures, raised by the core itself.  [Runtime]
+   re-exports the same constructors (OCaml exception rebinding), so
+   handlers matching any of the three names keep working. *)
+exception Deadlock = Engine.Deadlock
 
-exception Step_limit_exceeded of int
+exception Step_limit_exceeded = Engine.Step_limit_exceeded
 
 let () =
   Printexc.register_printer (function
@@ -72,61 +70,61 @@ let with_hooks interp hooks = { interp with hooks }
 
 let with_descr interp descr = { interp with descr }
 
-let head_op (task : Engine.task) =
-  match task.Engine.cont with
-  | op :: _ -> Some op
-  | [] -> None
+(* Effect hooks fire only when the interpretation has some: with the
+   null hooks the loops build no [Executed] block and make no call. *)
+let hooked hooks = hooks != null_hooks
 
-let blocked_handle head =
-  match head with
-  | Some (Spec.Await (_, h)) -> h
-  | _ -> ""
+(* What a step's latency class means to the hooks; [pc] is the task's
+   program counter before the step. *)
+let step_event eng pc rc =
+  let prog = Engine.program eng in
+  match prog.Opcode.source.(pc), prog.Opcode.code.(pc) with
+  | Some op, _ when rc < Engine.lc_blocked -> Executed op
+  | _, Opcode.I_await { handle_name; _ } when rc = Engine.lc_blocked -> Blocked_on handle_name
+  | _ -> Finished (Engine.outcome_of_class rc)
 
-(* --- Min_first: Definition 4.3, always run the minimum active task.
-   Structurally Engine.run_to_completion + the legacy Sequential loop,
-   with hooks at every transition. *)
-let run_min_first ~descr ~max_tasks ~hooks eng =
+let imax (a : int) b = if a >= b then a else b
+
+(* --- Min_first: Definition 4.3, always run the minimum active task to
+   completion, with hooks at every transition. *)
+let run_min_first ~max_tasks ~hooks eng =
+  let hooked = hooked hooks in
   let tasks_run = ref 0 in
   let op_count = ref 0 in
   let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
-  let drive (task : Engine.task) =
-    let rec go () =
-      let head = head_op task in
-      match Engine.step eng task with
-      | Engine.Stepped ->
-          incr op_count;
-          (match head with Some op -> fire task (Executed op) | None -> ());
-          go ()
-      | Engine.Finished outcome ->
-          incr op_count;
-          fire task (Finished outcome);
-          Engine.resolve_pending eng
-      | Engine.Blocked -> begin
-          incr op_count;
-          fire task (Blocked_on (blocked_handle head));
-          Engine.resolve_pending eng;
-          match Engine.resume_ready eng with
-          | [] ->
-              failwith
-                (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
-                   (Index.to_string task.Engine.index) task.Engine.set_slot)
-          | woke ->
-              (* the running task is minimal, so it is what wakes *)
-              List.iter (fun t -> fire t Resumed) woke;
-              go ()
-        end
-    in
-    go ()
+  let rec drive task =
+    let pc = Engine.task_pc task in
+    let rc = Engine.step eng task in
+    incr op_count;
+    if hooked then fire task (step_event eng pc rc);
+    if rc < Engine.lc_blocked then drive task
+    else if rc > Engine.lc_blocked then Engine.resolve_pending eng
+    else begin
+      Engine.resolve_pending eng;
+      Engine.resume_ready eng;
+      if Engine.resumed_count eng = 0 then
+        raise
+          (Deadlock
+             (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
+                (Index.to_string (Engine.task_index task))
+                (Engine.task_set task)));
+      (* the running task is minimal, so it is what wakes *)
+      if hooked then
+        for i = 0 to Engine.resumed_count eng - 1 do
+          fire (Engine.resumed_get eng i) Resumed
+        done;
+      drive task
+    end
   in
   let rec loop () =
-    if !tasks_run > max_tasks then failwith (descr ^ ": task budget exceeded");
-    match Engine.pop_min eng with
-    | None -> ()
-    | Some task ->
-        incr tasks_run;
-        fire task Acquired;
-        drive task;
-        loop ()
+    if !tasks_run > max_tasks then raise (Step_limit_exceeded max_tasks);
+    let task = Engine.pop_min eng in
+    if not (Engine.is_nil task) then begin
+      incr tasks_run;
+      if hooked then fire task Acquired;
+      drive task;
+      loop ()
+    end
   in
   loop ();
   {
@@ -140,15 +138,22 @@ let run_min_first ~descr ~max_tasks ~hooks eng =
     prim_counts = Engine.prim_counts eng;
   }
 
+(* queue the tasks [Engine.resume_ready] just woke *)
+let take_woken q eng =
+  for i = 0 to Engine.resumed_count eng - 1 do
+    Queue.push (Engine.resumed_get eng i) q
+  done
+
 (* --- Workers: the aggressive software runtime of §4.4.  A fixed pool
    of abstract workers, deterministic op-by-op interleaving; resumed
    tasks take slot priority over fresh pops (they are already deep in
    the pipeline).  Trace capture is this policy plus recording hooks —
-   the hooks fire at exactly the points the legacy tracer recorded, so
-   a traced run keeps the same schedule as an untraced one. *)
+   the hooks observe and never steer, so a traced run keeps the same
+   schedule as an untraced one. *)
 let run_workers ~descr ~workers ~max_steps ~hooks eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
-  let slots : Engine.task option array = Array.make workers None in
+  let hooked = hooked hooks in
+  let slots = Array.make workers Engine.nil_task in
   let resumable = Queue.create () in
   let tasks_run = ref 0 in
   let steps = ref 0 in
@@ -156,63 +161,57 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
   let total_busy = ref 0 in
   let max_waiting = ref 0 in
   let fire w task ev = hooks.on_event ~tick:!steps ~worker:w task ev in
-  let occupied () = Array.fold_left (fun n s -> if s = None then n else n + 1) 0 slots in
   while Engine.uncommitted_remaining eng do
     incr steps;
     if !steps > max_steps then raise (Step_limit_exceeded max_steps);
     let progressed = ref false in
+    let busy_now = ref 0 in
     for w = 0 to workers - 1 do
-      if slots.(w) = None then begin
+      if Engine.is_nil slots.(w) then begin
         if not (Queue.is_empty resumable) then begin
           let task = Queue.pop resumable in
-          fire w task Resumed;
-          slots.(w) <- Some task
+          if hooked then fire w task Resumed;
+          slots.(w) <- task
         end
-        else
-          match Engine.pop_any eng with
-          | Some task ->
-              fire w task Acquired;
-              slots.(w) <- Some task
-          | None -> ()
-      end
+        else begin
+          let task = Engine.pop_any eng in
+          if not (Engine.is_nil task) then begin
+            if hooked then fire w task Acquired;
+            slots.(w) <- task
+          end
+        end
+      end;
+      if not (Engine.is_nil slots.(w)) then incr busy_now
     done;
-    let busy_now = occupied () in
-    total_busy := !total_busy + busy_now;
-    max_concurrency := max !max_concurrency busy_now;
+    total_busy := !total_busy + !busy_now;
+    max_concurrency := imax !max_concurrency !busy_now;
     (* One operation per busy worker per tick. *)
     for w = 0 to workers - 1 do
-      match slots.(w) with
-      | None -> ()
-      | Some task -> begin
-          let head = head_op task in
-          match Engine.step eng task with
-          | Engine.Stepped ->
-              progressed := true;
-              (match head with Some op -> fire w task (Executed op) | None -> ())
-          | Engine.Blocked ->
-              progressed := true;
-              fire w task (Blocked_on (blocked_handle head));
-              slots.(w) <- None;
-              Engine.resolve_pending eng
-          | Engine.Finished outcome ->
-              progressed := true;
-              incr tasks_run;
-              fire w task (Finished outcome);
-              slots.(w) <- None;
-              Engine.resolve_pending eng
+      let task = slots.(w) in
+      if not (Engine.is_nil task) then begin
+        let pc = Engine.task_pc task in
+        let rc = Engine.step eng task in
+        progressed := true;
+        if hooked then fire w task (step_event eng pc rc);
+        if rc >= Engine.lc_blocked then begin
+          if rc > Engine.lc_blocked then incr tasks_run;
+          slots.(w) <- Engine.nil_task;
+          Engine.resolve_pending eng
         end
+      end
     done;
-    max_waiting := max !max_waiting (List.length (Engine.waiting_tasks eng));
+    max_waiting := imax !max_waiting (Engine.waiting_count eng);
     (* Wake tasks whose rendezvous resolved. *)
-    List.iter (fun task -> Queue.push task resumable) (Engine.resume_ready eng);
+    Engine.resume_ready eng;
+    take_woken resumable eng;
     if (not !progressed) && Queue.is_empty resumable then begin
       (* Nothing ran and nothing woke: either only parked tasks remain
          (give the minimum-task machinery a chance) or the spec is
          deadlocked. *)
       Engine.resolve_pending eng;
-      let woke = Engine.resume_ready eng in
-      List.iter (fun task -> Queue.push task resumable) woke;
-      if woke = [] && Engine.deadlocked eng then
+      Engine.resume_ready eng;
+      take_woken resumable eng;
+      if Engine.resumed_count eng = 0 && Engine.deadlocked eng then
         raise (Deadlock (descr ^ ": deadlock — a rule lacks a viable exit path"))
     end
   done;
@@ -245,66 +244,52 @@ let run_domains ~descr ~domains ~hooks eng =
     | Some n -> max 1 n
     | None -> min 4 (Domain.recommended_domain_count ())
   in
+  let hooked = hooked hooks in
   let lock = Mutex.create () in
-  let resumable : Engine.task Queue.t = Queue.create () in
+  let resumable = Queue.create () in
   let tasks_run = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let ticks = ref 0 (* mutated under the lock only *) in
   let worker wid () =
-    let fire task ev =
-      incr ticks;
-      hooks.on_event ~tick:!ticks ~worker:wid task ev
-    in
+    let fire task ev = hooks.on_event ~tick:!ticks ~worker:wid task ev in
     let idle_spins = ref 0 in
     let running = ref true in
     while !running && Atomic.get failure = None do
       Mutex.lock lock;
-      let task =
-        if not (Queue.is_empty resumable) then Some (Queue.pop resumable, true)
-        else
-          match Engine.pop_any eng with
-          | Some t -> Some (t, false)
-          | None -> None
-      in
-      begin
-        match task with
-        | Some (task, resumed) -> begin
-            idle_spins := 0;
-            fire task (if resumed then Resumed else Acquired);
-            let rec slice () =
-              let head = head_op task in
-              match Engine.step eng task with
-              | Engine.Stepped ->
-                  (match head with Some op -> fire task (Executed op) | None -> ());
-                  slice ()
-              | Engine.Blocked ->
-                  fire task (Blocked_on (blocked_handle head));
-                  Engine.resolve_pending eng;
-                  List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng)
-              | Engine.Finished outcome ->
-                  fire task (Finished outcome);
-                  Atomic.incr tasks_run;
-                  Engine.resolve_pending eng;
-                  List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng)
-            in
-            (try slice () with e -> Atomic.set failure (Some e))
+      let resumed = not (Queue.is_empty resumable) in
+      let task = if resumed then Queue.pop resumable else Engine.pop_any eng in
+      if not (Engine.is_nil task) then begin
+        idle_spins := 0;
+        incr ticks;
+        if hooked then fire task (if resumed then Resumed else Acquired);
+        let rec slice () =
+          let pc = Engine.task_pc task in
+          let rc = Engine.step eng task in
+          incr ticks;
+          if hooked then fire task (step_event eng pc rc);
+          if rc < Engine.lc_blocked then slice ()
+          else begin
+            if rc > Engine.lc_blocked then Atomic.incr tasks_run;
+            Engine.resolve_pending eng;
+            Engine.resume_ready eng;
+            take_woken resumable eng
           end
-        | None ->
-            if not (Engine.uncommitted_remaining eng) then running := false
-            else begin
-              (* nothing runnable here: give the minimum-task machinery
-                 a chance, then back off *)
-              Engine.resolve_pending eng;
-              List.iter (fun t -> Queue.push t resumable) (Engine.resume_ready eng);
-              incr idle_spins;
-              if !idle_spins > 1_000_000 then begin
-                if Engine.deadlocked eng then
-                  Atomic.set failure (Some (Deadlock (descr ^ ": deadlock in rule resolution")))
-              end
-            end
+        in
+        try slice () with e -> Atomic.set failure (Some e)
+      end
+      else if not (Engine.uncommitted_remaining eng) then running := false
+      else begin
+        (* nothing runnable here: give the minimum-task machinery a
+           chance, then back off *)
+        Engine.resolve_pending eng;
+        Engine.resume_ready eng;
+        take_woken resumable eng;
+        incr idle_spins;
+        if !idle_spins > 1_000_000 && Engine.deadlocked eng then
+          Atomic.set failure (Some (Deadlock (descr ^ ": deadlock in rule resolution")))
       end;
       Mutex.unlock lock;
-      if task = None then Domain.cpu_relax ()
+      if Engine.is_nil task then Domain.cpu_relax ()
     done
   in
   let spawned = List.init (n_domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
@@ -330,8 +315,7 @@ let run ?(initial = []) interp sp bindings st =
   let eng = Engine.create sp bindings st in
   List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
   match interp.policy with
-  | Min_first { max_tasks } ->
-      run_min_first ~descr:interp.descr ~max_tasks ~hooks:interp.hooks eng
+  | Min_first { max_tasks } -> run_min_first ~max_tasks ~hooks:interp.hooks eng
   | Workers { workers; max_steps } ->
       run_workers ~descr:interp.descr ~workers ~max_steps ~hooks:interp.hooks eng
   | Domains { domains } -> run_domains ~descr:interp.descr ~domains ~hooks:interp.hooks eng

@@ -1,8 +1,8 @@
 (** One semantics, many interpretations.
 
-    The small-step ECA-rule stepper lives in {!Engine}; this module is
-    the {e single} driver loop around it, parameterized over an
-    {!interpretation} record.  What used to be five hand-written
+    The small-step ECA-rule stepper is the compiled core {!Engine}; this
+    module is the {e single} driver loop around it, parameterized over
+    an {!interpretation} record.  What used to be five hand-written
     substrate loops — [Sequential], [Runtime], [Parallel_runtime],
     [Trace] capture, [Cpu_model] instrumentation — are now one of three
     scheduling {!policy}s plus optional effect {!hooks}:
@@ -18,10 +18,10 @@
     [oracle]/[pipelined] plus counting hooks, and a test-only
     interpretation is a few lines (see the conformance suite). *)
 
-(** Typed liveness failures.  These are the {e same} exception
-    constructors as [Runtime.Deadlock] / [Runtime.Step_limit_exceeded]
-    (rebound there), so existing handlers and the CLI's exit-code
-    mapping work unchanged whichever name they match on. *)
+(** Typed liveness failures, raised by {!Engine} itself.  These are the
+    {e same} exception constructors as [Engine.Deadlock] /
+    [Runtime.Deadlock] (rebound), so existing handlers and the CLI's
+    exit-code mapping work unchanged whichever name they match on. *)
 
 exception Deadlock of string
 
@@ -42,7 +42,11 @@ type hooks = {
       (** [tick] is the policy's time unit (scheduler tick for
           {!pipelined}, global transition count otherwise); [worker]
           the abstract worker / domain id.  Under {!multicore} hooks
-          fire holding the engine lock — keep them short. *)
+          fire holding the engine lock — keep them short.  The task
+          handle is valid only during the call (tasks are pooled); read
+          it through [Engine.task_tid] and friends.  Interpretations
+          with {!null_hooks} (compared physically) build no events at
+          all. *)
 }
 
 val null_hooks : hooks
@@ -77,7 +81,8 @@ type report = {
 
 val oracle : ?max_tasks:int -> unit -> interpretation
 (** Sequential minimum-first reference. Default budget 10_000_000
-    tasks; exceeding it raises [Failure]. *)
+    tasks; exceeding it raises {!Step_limit_exceeded}, and a task that
+    parks with nothing to wake it raises {!Deadlock}. *)
 
 val pipelined : ?workers:int -> ?max_steps:int -> unit -> interpretation
 (** Worker-pool runtime. Defaults: 8 workers, 100_000_000 steps.

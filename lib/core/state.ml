@@ -93,10 +93,6 @@ let drain_trace t =
   Vec.clear t.trace;
   out
 
-let iter_trace t f = Vec.iter f t.trace
-
-let clear_trace t = Vec.clear t.trace
-
 let address_of t name index =
   (* Arrays occupy consecutive 8-byte-per-element ranges in
      registration order. *)

@@ -49,13 +49,6 @@ val set_tracing : t -> bool -> unit
 val drain_trace : t -> access list
 (** Return and clear accumulated accesses (oldest first). *)
 
-val iter_trace : t -> (access -> unit) -> unit
-(** Visit accumulated accesses oldest-first without draining or
-    allocating; pair with {!clear_trace}. *)
-
-val clear_trace : t -> unit
-(** Drop accumulated accesses. *)
-
 val address_of : t -> string -> int -> int
 (** Flat byte address of an element: arrays are laid out consecutively
     in registration order, 8 bytes per element. *)

@@ -51,9 +51,9 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
         {
           tick;
           worker;
-          tid = task.Engine.tid;
-          set_name = set_name task.Engine.set_slot;
-          index = Index.to_string task.Engine.index;
+          tid = Engine.task_tid task;
+          set_name = set_name (Engine.task_set task);
+          index = Index.to_string (Engine.task_index task);
           kind;
         }
         :: !entries
@@ -68,7 +68,7 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
           | Semantics.Resumed ->
               (* the rendezvous verdict the wake bound into the frame *)
               let verdict =
-                match Hashtbl.find_opt task.Engine.env "ok" with
+                match Engine.task_var task "ok" with
                 | Some (Value.Bool b) -> b
                 | Some _ | None -> true
               in

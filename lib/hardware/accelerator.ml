@@ -1,7 +1,19 @@
+(* The cycle simulator: a timing shell around the ECA core
+   ({!Agp_core.Engine}).  The core executes operations and reports each
+   one's latency class; the shell owns everything that is time —
+   replicated pipelines with bounded windows, queue-bank issue, the
+   memory model, the rule-lane allocator stall, the event wheel that
+   skips idle cycles, and per-cycle stall attribution.
+
+   Pipeline windows, the squash log and the attribution matrix are flat
+   preallocated arrays, so the steady-state loop allocates nothing. *)
+
 module Engine = Agp_core.Engine
 module Spec = Agp_core.Spec
 module State = Agp_core.State
+module Opcode = Agp_core.Opcode
 module Bdfg = Agp_dataflow.Bdfg
+module Vec = Agp_util.Vec
 module Sink = Agp_obs.Sink
 module Event = Agp_obs.Event
 module Attribution = Agp_obs.Attribution
@@ -10,25 +22,6 @@ module Lifecycle = Agp_obs.Lifecycle
 module Metrics = Agp_obs.Metrics
 module Json = Agp_obs.Json
 module Report = Agp_obs.Report
-
-type in_flight = {
-  mutable ready : int;
-  mutable ops_done : int; (* stage occupancies consumed by this activation *)
-  tsk : Engine.task;
-}
-
-type pipeline = {
-  set_name : string;
-  pipe_id : int; (* global row id, for event identity *)
-  capacity : int;
-  stage_ops : int;
-  mutable window : in_flight list;
-  mutable stepped : bool; (* advanced at least one op this cycle *)
-}
-
-type engine =
-  | Legacy
-  | Compiled
 
 type report = {
   cycles : int;
@@ -47,427 +40,476 @@ type report = {
   attribution : Attribution.t;
 }
 
-let prim_compute_latency (cfg : Config.t) name =
-  match List.assoc_opt name cfg.Config.prim_latency with
-  | Some l -> l
-  | None -> 4
+(* One replicated pipeline.  The window holds the in-flight tasks in
+   parallel arrays: the task, the cycle it is ready for its next op,
+   and the stage occupancies it has consumed. *)
+type pipe = {
+  set : int;
+  set_name : string;
+  id : int;
+  capacity : int;
+  stage_ops : int;
+  mutable win : Engine.task array;
+  mutable rdy : int array;
+  mutable ops : int array;
+  mutable n : int;
+  mutable stepped : bool; (* advanced at least one op this cycle *)
+}
 
-(* Latency of the op the engine just executed, judged from its kind and
-   the addresses it touched. *)
-let op_latency cfg mem state ~now ~op ~activated_delta =
-  let trace = State.drain_trace state in
-  let addrs =
-    List.map
-      (fun a -> (State.address_of state a.State.array_name a.State.index, a.State.is_write))
-      trace
+let imax (a : int) b = if a >= b then a else b
+
+let imin (a : int) b = if a <= b then a else b
+
+(* admit a task at the head of the window *)
+let pipe_prepend p tk ~ready =
+  if p.n = Array.length p.win then begin
+    let cap = imax 8 (2 * p.n) in
+    let grow a x =
+      let b = Array.make cap x in
+      Array.blit a 0 b 0 p.n;
+      b
+    in
+    p.win <- grow p.win Engine.nil_task;
+    p.rdy <- grow p.rdy 0;
+    p.ops <- grow p.ops 0
+  end;
+  Array.blit p.win 0 p.win 1 p.n;
+  Array.blit p.rdy 0 p.rdy 1 p.n;
+  Array.blit p.ops 0 p.ops 1 p.n;
+  p.win.(0) <- tk;
+  p.rdy.(0) <- ready;
+  p.ops.(0) <- 0;
+  p.n <- p.n + 1
+
+(* attribution bucket codes inside the flat matrix, in
+   [Attribution.buckets] order *)
+let b_busy = 0
+
+let b_mem = 1
+
+let b_rdv = 2
+
+let b_queue = 3
+
+let b_squash = 4
+
+let b_idle = 5
+
+let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?timeline ~spec
+    ~bindings ~state ~initial () =
+  let cfg =
+    if config.Config.pipelines = [] && auto_size then
+      Config.with_pipelines config (Resource.heuristic_pipelines spec ~max_per_set:8)
+    else config
   in
-  match (op : Spec.op) with
-  | Spec.Let _ | Spec.Emit _ | Spec.If _ | Spec.Push _ | Spec.Alloc _ | Spec.Await _
-  | Spec.Abort | Spec.Retry ->
-      1
-  | Spec.Push_iter _ -> max 1 activated_delta
-  | Spec.Store _ ->
-      (* posted write: the task proceeds next cycle while the line
-         transfer still occupies cache and link (deep write buffer) *)
-      ignore (Memory.access_burst mem ~now ~addrs ~dependent:true);
-      1
-  | Spec.Load _ ->
-      let completion = Memory.access_burst mem ~now ~addrs ~dependent:true in
-      max 1 (completion - now)
-  | Spec.Prim (_, name, _) ->
-      let compute = prim_compute_latency cfg name in
-      let completion = Memory.access_burst mem ~now ~addrs ~dependent:false in
-      max compute (completion - now)
-
-let event_outcome = function
-  | Engine.Committed_task -> Event.Commit
-  | Engine.Aborted_task -> Event.Abort
-  | Engine.Retried_task -> Event.Retry
-
-let run_legacy ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial () =
   let wall_start = Unix.gettimeofday () in
   let graph = Bdfg.of_spec spec in
-  let eng = Engine.create spec bindings state in
-  (* set_slot -> name once, instead of List.nth per cycle *)
-  let set_names =
-    Array.of_list (List.map (fun ts -> ts.Spec.ts_name) spec.Spec.task_sets)
-  in
+  (* the shell turns state tracing on only around prim steps, to
+     collect the accesses a prim kernel makes *)
+  State.set_tracing state false;
+  let en = Engine.create spec bindings state in
+  let prog = Engine.program en in
+  let n_sets = prog.Opcode.n_sets in
   let mem = Memory.create ~sink cfg in
-  State.set_tracing state true;
-  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
-  (* initial pushes may touch no memory but could fire events; clear any
-     stray trace *)
-  ignore (State.drain_trace state);
+  let arr_base =
+    Array.map
+      (fun name -> if State.has_array state name then State.address_of state name 0 else 0)
+      prog.Opcode.array_names
+  in
+  let base_memo = Hashtbl.create 16 in
+  let base_of name =
+    match Hashtbl.find_opt base_memo name with
+    | Some b -> b
+    | None ->
+        let b = State.address_of state name 0 in
+        Hashtbl.add base_memo name b;
+        b
+  in
+  let prim_lat =
+    Array.map
+      (fun name -> Option.value ~default:4 (List.assoc_opt name cfg.Config.prim_latency))
+      prog.Opcode.prim_names
+  in
+  List.iter (fun (set, payload) -> Engine.push_initial en set payload) initial;
   let next_pipe = ref 0 in
   let pipes =
     List.concat_map
-      (fun ts ->
-        let set = ts.Spec.ts_name in
-        let stage_ops = Bdfg.stage_count graph set in
-        List.init (Config.pipeline_count cfg set) (fun _ ->
-            let pipe_id = !next_pipe in
+      (fun (ts : Spec.task_set) ->
+        let set_name = ts.Spec.ts_name in
+        let stage_ops = Bdfg.stage_count graph set_name in
+        let capacity = imax 4 (stage_ops * cfg.Config.window_factor) in
+        List.init (Config.pipeline_count cfg set_name) (fun _ ->
+            let id = !next_pipe in
             incr next_pipe;
             {
-              set_name = set;
-              pipe_id;
-              capacity = max 4 (stage_ops * cfg.Config.window_factor);
+              set = Spec.task_set_slot spec set_name;
+              set_name;
+              id;
+              capacity;
               stage_ops;
-              window = [];
+              win = Array.make (capacity + 4) Engine.nil_task;
+              rdy = Array.make (capacity + 4) 0;
+              ops = Array.make (capacity + 4) 0;
+              n = 0;
               stepped = false;
             }))
       spec.Spec.task_sets
     |> Array.of_list
   in
+  let n_pipes = Array.length pipes in
+  let first_pipe = Array.make (imax n_sets 1) (-1) in
+  Array.iter (fun p -> if first_pipe.(p.set) < 0 then first_pipe.(p.set) <- p.id) pipes;
   let total_stage_ops = Array.fold_left (fun acc p -> acc + p.stage_ops) 0 pipes in
   begin
     match timeline with
-    | Some tl ->
-        Timeline.start tl ~total_stage_ops ~bytes_per_cycle:(Config.bytes_per_cycle cfg)
+    | Some tl -> Timeline.start tl ~total_stage_ops ~bytes_per_cycle:(Config.bytes_per_cycle cfg)
     | None -> ()
   end;
-  let attr = Attribution.create () in
   let instrumented = Sink.enabled sink in
-  let squashes = ref [] in
+  let matrix = Array.make (imax 1 (n_sets * 6)) 0 in
+  let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
+  let sq_set = Vec.create () and sq_ops = Vec.create () in
+  let pops_left = Array.make (imax n_sets 1) 0 in
+  let waiting_sets = Array.make (imax n_sets 1) false in
+  (* survivors kept so far in the window being stepped; slot !kept is
+     never ahead of the slot being read *)
+  let kept = ref 0 in
+  let keep p f ~ready ~ops =
+    let j = !kept in
+    p.win.(j) <- f;
+    p.rdy.(j) <- ready;
+    p.ops.(j) <- ops;
+    kept := j + 1
+  in
   let cycle = ref 0 in
   let active_op_cycles = ref 0 in
   let peak_in_flight = ref 0 in
-  let in_flight_count () = Array.fold_left (fun acc p -> acc + List.length p.window) 0 pipes in
-  (* The allocator reserves a priority lane for the minimum uncommitted
-     task: it can always enter a rule engine, reach its rendezvous and
-     fire its otherwise clause — the liveness argument of §4.2.1 under
-     finite lanes. *)
-  let must_stall_alloc tsk =
-    Engine.live_rule_count eng >= cfg.Config.rule_lanes
+  let in_flight_count () = Array.fold_left (fun acc p -> acc + p.n) 0 pipes in
+  let sample () =
+    let mst = Memory.stats mem in
+    {
+      Timeline.in_flight = in_flight_count ();
+      pending = Engine.pending_count en;
+      active_ops = !active_op_cycles;
+      mem_hits = mst.Memory.hits;
+      mem_misses = mst.Memory.misses;
+      link_bytes = mst.Memory.bytes_over_link;
+    }
+  in
+  let dispatch p tk ~now =
+    if instrumented then
+      Sink.emit sink ~ts:now
+        (Event.Task_dispatch { set = p.set_name; pipe = p.id; tid = Engine.task_tid tk })
+  in
+  (* the allocator reserves a priority lane for the minimum uncommitted
+     task (the liveness argument of §4.2.1 under finite rule lanes) *)
+  let must_stall_alloc tk =
+    Engine.live_rule_count en >= cfg.Config.rule_lanes
     &&
-    match Engine.min_uncommitted_index eng with
-    | Some m -> Agp_core.Index.compare tsk.Engine.index m <> 0
-    | None -> false
+    let mu = Engine.min_uncommitted en in
+    (not (Engine.is_nil mu)) && Engine.compare_index tk mu <> 0
+  in
+  let place_resumed ~now =
+    for i = 0 to Engine.resumed_count en - 1 do
+      let w = Engine.resumed_get en i in
+      let set = Engine.task_set w in
+      let best = ref (-1) in
+      for pi = 0 to n_pipes - 1 do
+        let p = pipes.(pi) in
+        if p.set = set && (!best < 0 || p.n < pipes.(!best).n) then best := pi
+      done;
+      if !best < 0 then failwith "Accelerator.run: no pipeline for resumed task";
+      let p = pipes.(!best) in
+      if instrumented then
+        Sink.emit sink ~ts:now
+          (Event.Rendezvous_resume { set = p.set_name; tid = Engine.task_tid w });
+      dispatch p w ~now:(now + 1);
+      pipe_prepend p w ~ready:(now + 1)
+    done
+  in
+  (* cycles until the task that just stepped is ready again, from the
+     op's latency class *)
+  let latency rc ~now =
+    if rc = Engine.lc_unit then 1
+    else if rc = Engine.lc_load then
+      let addr = arr_base.(Engine.touched_array en) + (8 * Engine.touched_index en) in
+      imax 1 (Memory.access mem ~now ~addr ~is_write:false - now)
+    else if rc = Engine.lc_store then begin
+      (* posted write: the task proceeds next cycle while the line
+         transfer still occupies cache and link *)
+      let addr = arr_base.(Engine.touched_array en) + (8 * Engine.touched_index en) in
+      ignore (Memory.access mem ~now ~addr ~is_write:true);
+      1
+    end
+    else if rc = Engine.lc_push_iter then imax 1 (Engine.touched_index en)
+    else begin
+      (* the prim's traced accesses, issued as one independent burst *)
+      let addrs =
+        List.map
+          (fun a -> (base_of a.State.array_name + (8 * a.State.index), a.State.is_write))
+          (State.drain_trace state)
+      in
+      let completion = Memory.access_burst mem ~now ~addrs ~dependent:false in
+      imax prim_lat.(Engine.touched_array en) (completion - now)
+    end
   in
   let guard = ref 0 in
+  (* hoisted per-cycle scratch: a [ref] inside the loop body would
+     allocate every iteration *)
+  let any_finish = ref false in
+  let next_ready = ref max_int in
+  let in_window = ref false in
   let minor_start = Gc.minor_words () in
-  while Engine.uncommitted_remaining eng do
+  while Engine.uncommitted_remaining en do
     incr guard;
     if !guard > 50_000_000 then failwith "Accelerator.run: cycle budget exceeded";
     let now = !cycle in
     (* 1. issue: each pipeline may accept one task per cycle, capped by
        queue bank bandwidth per set *)
-    let pops_left = Hashtbl.create 4 in
-    Array.iter
-      (fun p ->
-        if not (Hashtbl.mem pops_left p.set_name) then
-          Hashtbl.add pops_left p.set_name cfg.Config.queue_banks)
-      pipes;
-    Array.iter
-      (fun p ->
-        let left = Hashtbl.find pops_left p.set_name in
-        if List.length p.window >= p.capacity then begin
-          if instrumented && Engine.pending_count eng > 0 then
-            Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.pipe_id })
+    Array.fill pops_left 0 (Array.length pops_left) cfg.Config.queue_banks;
+    for pi = 0 to n_pipes - 1 do
+      let p = pipes.(pi) in
+      let left = pops_left.(p.set) in
+      if p.n >= p.capacity then begin
+        if instrumented && Engine.pending_count en > 0 then
+          Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.id })
+      end
+      else if left > 0 then begin
+        let tk = Engine.pop_task en p.set in
+        if not (Engine.is_nil tk) then begin
+          pops_left.(p.set) <- left - 1;
+          dispatch p tk ~now;
+          pipe_prepend p tk ~ready:now
         end
-        else if left > 0 then begin
-          match Engine.pop_task eng p.set_name with
-          | Some tsk ->
-              Hashtbl.replace pops_left p.set_name (left - 1);
-              if instrumented then
-                Sink.emit sink ~ts:now
-                  (Event.Task_dispatch
-                     { set = p.set_name; pipe = p.pipe_id; tid = tsk.Engine.tid });
-              p.window <- { ready = now; ops_done = 0; tsk } :: p.window
-          | None -> ()
-        end)
-      pipes;
+      end
+    done;
     (* priority admission: the globally minimum task must always reach
-       the rule engines, or lane exhaustion can starve the otherwise
-       paths — admit it even into a full window (the squash/re-execute
-       slot of a TLS pipeline) *)
+       the rule engines, even through a full window *)
     begin
-      match (Engine.min_pending_head eng, Engine.min_uncommitted_index eng) with
-      | Some head, Some m when Agp_core.Index.compare head.Engine.index m = 0 ->
-          let set = set_names.(head.Engine.set_slot) in
-          let in_window =
-            Array.exists
-              (fun p -> List.exists (fun f -> f.tsk.Engine.tid = head.Engine.tid) p.window)
-              pipes
-          in
-          if not in_window then begin
-            match Engine.pop_task eng set with
-            | Some tsk ->
-                let p = Array.to_list pipes |> List.find (fun p -> p.set_name = set) in
+      let head = Engine.min_pending_head en in
+      let mu = Engine.min_uncommitted en in
+      if
+        (not (Engine.is_nil head))
+        && (not (Engine.is_nil mu))
+        && Engine.compare_index head mu = 0
+      then begin
+        in_window := false;
+        for pi = 0 to n_pipes - 1 do
+          let p = pipes.(pi) in
+          for i = 0 to p.n - 1 do
+            if p.win.(i) == head then in_window := true
+          done
+        done;
+        if not !in_window then begin
+          let tk = Engine.pop_task en (Engine.task_set head) in
+          if not (Engine.is_nil tk) then begin
+            let p = pipes.(first_pipe.(Engine.task_set tk)) in
+            dispatch p tk ~now;
+            pipe_prepend p tk ~ready:now
+          end
+        end
+      end
+    end;
+    peak_in_flight := imax !peak_in_flight (in_flight_count ());
+    (* 2. execute one op for every ready in-flight task *)
+    any_finish := false;
+    for pi = 0 to n_pipes - 1 do
+      let p = pipes.(pi) in
+      (* survivors are compacted in place in visit order, then the kept
+         prefix is reversed: the newest-visited survivor heads the
+         window *)
+      let old_n = p.n in
+      kept := 0;
+      for i = 0 to old_n - 1 do
+        let f = p.win.(i) in
+        if p.rdy.(i) > now then keep p f ~ready:p.rdy.(i) ~ops:p.ops.(i)
+        else begin
+          match prog.Opcode.code.(Engine.task_pc f) with
+          | Opcode.I_alloc _ when must_stall_alloc f ->
+              (* stall at the rule-engine allocator *)
+              keep p f ~ready:(now + 1) ~ops:p.ops.(i)
+          | op -> begin
+              let tid = if instrumented then Engine.task_tid f else 0 in
+              let rc =
+                match op with
+                | Opcode.I_prim _ ->
+                    State.set_tracing state true;
+                    let rc = Engine.step en f in
+                    State.set_tracing state false;
+                    rc
+                | _ -> Engine.step en f
+              in
+              incr active_op_cycles;
+              p.stepped <- true;
+              if rc < Engine.lc_blocked then
+                keep p f ~ready:(now + latency rc ~now) ~ops:(p.ops.(i) + 1)
+              else if rc = Engine.lc_blocked then begin
                 if instrumented then
                   Sink.emit sink ~ts:now
-                    (Event.Task_dispatch { set; pipe = p.pipe_id; tid = tsk.Engine.tid });
-                p.window <- { ready = now; ops_done = 0; tsk } :: p.window
-            | None -> ()
-          end
-      | (Some _ | None), (Some _ | None) -> ()
-    end;
-    peak_in_flight := max !peak_in_flight (in_flight_count ());
-    (* 2. execute one op for every ready in-flight task *)
-    let any_finish = ref false in
-    Array.iter
-      (fun p ->
-        let survivors = ref [] in
-        List.iter
-          (fun f ->
-            if f.ready > now then survivors := f :: !survivors
-            else begin
-              match f.tsk.Engine.cont with
-              | Spec.Alloc _ :: _ when must_stall_alloc f.tsk ->
-                  (* stall at the rule-engine allocator *)
-                  f.ready <- now + 1;
-                  survivors := f :: !survivors
-              | ops -> begin
-                  let op = List.nth_opt ops 0 in
-                  let activated_before = (Engine.stats eng).Engine.activated in
-                  match Engine.step eng f.tsk with
-                  | Engine.Stepped ->
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      let delta = (Engine.stats eng).Engine.activated - activated_before in
-                      let lat =
-                        match op with
-                        | Some op ->
-                            op_latency cfg mem state ~now ~op ~activated_delta:delta
-                        | None -> 1
-                      in
-                      f.ready <- now + lat;
-                      survivors := f :: !survivors
-                  | Engine.Blocked ->
-                      (* parked in a rule lane at the rendezvous *)
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      if instrumented then
-                        Sink.emit sink ~ts:now
-                          (Event.Rendezvous_park
-                             { set = p.set_name; pipe = p.pipe_id; tid = f.tsk.Engine.tid });
-                      any_finish := true
-                  | Engine.Finished outcome ->
-                      incr active_op_cycles;
-                      p.stepped <- true;
-                      f.ops_done <- f.ops_done + 1;
-                      begin
-                        match outcome with
-                        | Engine.Aborted_task | Engine.Retried_task ->
-                            squashes := (p.set_name, f.ops_done) :: !squashes
-                        | Engine.Committed_task -> ()
-                      end;
-                      if instrumented then
-                        Sink.emit sink ~ts:now
-                          (Event.Task_finish
-                             {
-                               set = p.set_name;
-                               pipe = p.pipe_id;
-                               tid = f.tsk.Engine.tid;
-                               outcome = event_outcome outcome;
-                             });
-                      any_finish := true
-                end
-            end)
-          p.window;
-        p.window <- !survivors)
-      pipes;
-    if !any_finish then Engine.resolve_pending eng;
+                    (Event.Rendezvous_park { set = p.set_name; pipe = p.id; tid });
+                any_finish := true
+              end
+              else begin
+                if rc <> Engine.lc_committed then begin
+                  Vec.push sq_set p.set;
+                  Vec.push sq_ops (p.ops.(i) + 1)
+                end;
+                if instrumented then
+                  Sink.emit sink ~ts:now
+                    (Event.Task_finish
+                       {
+                         set = p.set_name;
+                         pipe = p.id;
+                         tid;
+                         outcome =
+                           (if rc = Engine.lc_committed then Event.Commit
+                            else if rc = Engine.lc_aborted then Event.Abort
+                            else Event.Retry);
+                       });
+                any_finish := true
+              end
+            end
+        end
+      done;
+      let ns = !kept in
+      for i = 0 to (ns / 2) - 1 do
+        let k = ns - 1 - i in
+        let f = p.win.(i) and r = p.rdy.(i) and o = p.ops.(i) in
+        p.win.(i) <- p.win.(k);
+        p.rdy.(i) <- p.rdy.(k);
+        p.ops.(i) <- p.ops.(k);
+        p.win.(k) <- f;
+        p.rdy.(k) <- r;
+        p.ops.(k) <- o
+      done;
+      for i = ns to old_n - 1 do
+        p.win.(i) <- Engine.nil_task
+      done;
+      p.n <- ns
+    done;
+    if !any_finish then Engine.resolve_pending en;
     (* 3. wake resolved rendezvous back into their pipelines *)
-    let place_resumed tasks =
-      List.iter
-        (fun tsk ->
-          let set = set_names.(tsk.Engine.set_slot) in
-          let best = ref None in
-          Array.iter
-            (fun p ->
-              if p.set_name = set then
-                match !best with
-                | None -> best := Some p
-                | Some b -> if List.length p.window < List.length b.window then best := Some p)
-            pipes;
-          match !best with
-          | Some p ->
-              if instrumented then begin
-                Sink.emit sink ~ts:now (Event.Rendezvous_resume { set; tid = tsk.Engine.tid });
-                Sink.emit sink ~ts:(now + 1)
-                  (Event.Task_dispatch { set; pipe = p.pipe_id; tid = tsk.Engine.tid })
-              end;
-              p.window <- { ready = now + 1; ops_done = 0; tsk } :: p.window
-          | None -> failwith "Accelerator.run: no pipeline for resumed task")
-        tasks
-    in
-    let resumed = Engine.resume_ready eng in
-    place_resumed resumed;
-    (* 4. advance time: fast-forward to the next event when everything
-       in flight is waiting on latency *)
-    let next_ready =
-      Array.fold_left
-        (fun acc p -> List.fold_left (fun acc f -> min acc f.ready) acc p.window)
-        max_int pipes
-    in
-    let can_issue =
-      Engine.pending_count eng > 0
-      && Array.exists (fun p -> List.length p.window < p.capacity) pipes
-    in
+    Engine.resume_ready en;
+    let n_resumed = Engine.resumed_count en in
+    place_resumed ~now;
+    (* 4. advance time: fast-forward to the next ready timestamp when
+       everything in flight is waiting out latency (the event wheel) *)
+    next_ready := max_int;
+    for pi = 0 to n_pipes - 1 do
+      let p = pipes.(pi) in
+      for i = 0 to p.n - 1 do
+        if p.rdy.(i) < !next_ready then next_ready := p.rdy.(i)
+      done
+    done;
+    (* manual loop: [Array.exists] allocates a closure per call *)
+    let have_room = ref false in
+    for pi = 0 to n_pipes - 1 do
+      if pipes.(pi).n < pipes.(pi).capacity then have_room := true
+    done;
+    let can_issue = Engine.pending_count en > 0 && !have_room in
     let next =
-      if can_issue || resumed <> [] then now + 1
-      else if next_ready < max_int then max (now + 1) next_ready
+      if can_issue || n_resumed > 0 then now + 1
+      else if !next_ready < max_int then imax (now + 1) !next_ready
       else now + 1
     in
     (* stall attribution: charge each pipeline exactly (next - now)
-       cycles, so the buckets always decompose cycles x pipelines *)
+       cycles so the buckets decompose cycles x pipelines *)
     let dt = next - now in
-    let waiting_sets =
-      lazy
-        (let tbl = Hashtbl.create 4 in
-         List.iter
-           (fun (w : Engine.task) -> Hashtbl.replace tbl set_names.(w.Engine.set_slot) ())
-           (Engine.waiting_tasks eng);
-         tbl)
-    in
-    let set_waiting s = Hashtbl.mem (Lazy.force waiting_sets) s in
-    let pending_now = Engine.pending_count eng in
-    Array.iter
-      (fun p ->
-        let cls =
-          if p.stepped then Attribution.Busy
-          else if p.window <> [] then Attribution.Mem_stall
-          else if set_waiting p.set_name then Attribution.Rendezvous_stall
-          else if pending_now > 0 && Hashtbl.find pops_left p.set_name = 0 then
-            Attribution.Queue_full
-          else Attribution.Idle
-        in
-        Attribution.charge attr ~set:p.set_name cls 1;
-        if dt > 1 then begin
-          (* fast-forwarded cycles: nothing issues or executes *)
-          let wait_cls =
-            if p.window <> [] then Attribution.Mem_stall
-            else if set_waiting p.set_name then Attribution.Rendezvous_stall
-            else Attribution.Idle
-          in
-          Attribution.charge attr ~set:p.set_name wait_cls (dt - 1)
-        end;
-        p.stepped <- false)
-      pipes;
-    List.iter
-      (fun (set, ops) ->
-        ignore
-          (Attribution.reclassify attr ~set ~src:Attribution.Busy ~dst:Attribution.Squash_waste
-             ops))
-      !squashes;
-    squashes := [];
-    (* deadlock detection: nothing in flight, nothing pending, only
-       waiting tasks whose rules cannot resolve *)
-    if
-      (not can_issue)
-      && next_ready = max_int
-      && resumed = []
-      && Engine.uncommitted_remaining eng
+    Array.fill waiting_sets 0 (Array.length waiting_sets) false;
+    for i = 0 to Engine.waiting_count en - 1 do
+      waiting_sets.(Engine.task_set (Engine.waiting_get en i)) <- true
+    done;
+    let pending_now = Engine.pending_count en in
+    for pi = 0 to n_pipes - 1 do
+      let p = pipes.(pi) in
+      let cls =
+        if p.stepped then b_busy
+        else if p.n > 0 then b_mem
+        else if waiting_sets.(p.set) then b_rdv
+        else if pending_now > 0 && pops_left.(p.set) = 0 then b_queue
+        else b_idle
+      in
+      charge p.set cls 1;
+      if dt > 1 then begin
+        let wait_cls = if p.n > 0 then b_mem else if waiting_sets.(p.set) then b_rdv else b_idle in
+        charge p.set wait_cls (dt - 1)
+      end;
+      p.stepped <- false
+    done;
+    (* squash reclassification, newest first; clamp to the busy balance
+       accrued so far *)
+    for i = Vec.length sq_set - 1 downto 0 do
+      let set = Vec.get sq_set i and ops = Vec.get sq_ops i in
+      let moved = imin ops matrix.((set * 6) + b_busy) in
+      matrix.((set * 6) + b_busy) <- matrix.((set * 6) + b_busy) - moved;
+      matrix.((set * 6) + b_squash) <- matrix.((set * 6) + b_squash) + moved
+    done;
+    Vec.clear sq_set;
+    Vec.clear sq_ops;
+    (* deadlock detection *)
+    if (not can_issue) && !next_ready = max_int && n_resumed = 0 && Engine.uncommitted_remaining en
     then begin
-      Engine.resolve_pending eng;
-      match Engine.resume_ready eng with
-      | [] ->
-          if Engine.deadlocked eng then failwith "Accelerator.run: deadlock in rule resolution"
-      | woken -> place_resumed woken
+      Engine.resolve_pending en;
+      Engine.resume_ready en;
+      if Engine.resumed_count en = 0 then begin
+        if Engine.deadlocked en then failwith "Accelerator.run: deadlock in rule resolution"
+      end
+      else place_resumed ~now
     end;
     begin
       match timeline with
       | Some tl when Timeline.due tl ~upto:next ->
-          let mst = Memory.stats mem in
-          Timeline.tick tl ~upto:next
-            {
-              Timeline.in_flight = in_flight_count ();
-              pending = Engine.pending_count eng;
-              active_ops = !active_op_cycles;
-              mem_hits = mst.Memory.hits;
-              mem_misses = mst.Memory.misses;
-              link_bytes = mst.Memory.bytes_over_link;
-            }
+          Timeline.tick tl ~upto:next (sample ())
       | Some _ | None -> ()
     end;
     cycle := next
   done;
   let minor_words = Gc.minor_words () -. minor_start in
-  State.set_tracing state false;
   begin
     match timeline with
     | Some tl ->
-        let mst = Memory.stats mem in
-        Timeline.finish tl ~cycles:!cycle
-          {
-            Timeline.in_flight = in_flight_count ();
-            pending = Engine.pending_count eng;
-            active_ops = !active_op_cycles;
-            mem_hits = mst.Memory.hits;
-            mem_misses = mst.Memory.misses;
-            link_bytes = mst.Memory.bytes_over_link;
-          }
+        Timeline.finish tl ~cycles:!cycle (sample ())
     | None -> ()
   end;
-  let st = Memory.stats mem in
+  (* replay the flat attribution matrix into an Attribution.t (sets in
+     pipeline order) *)
+  let attr = Attribution.create () in
+  let seen = Array.make (imax n_sets 1) false in
+  Array.iter
+    (fun p ->
+      if not seen.(p.set) then begin
+        seen.(p.set) <- true;
+        List.iteri
+          (fun b bucket -> Attribution.charge attr ~set:p.set_name bucket matrix.((p.set * 6) + b))
+          Attribution.buckets
+      end)
+    pipes;
   (* simulator throughput: host wall clock, not simulated time — the
      signal the CI ratchet and the cost-model calibration consume *)
   let wall_seconds = Float.max 1e-9 (Unix.gettimeofday () -. wall_start) in
+  let cycles = !cycle in
+  let st = Memory.stats mem in
   {
-    cycles = !cycle;
-    seconds = Config.cycles_to_seconds cfg !cycle;
+    cycles;
+    seconds = Config.cycles_to_seconds cfg cycles;
     wall_seconds;
-    sim_cycles_per_sec = float_of_int !cycle /. wall_seconds;
-    minor_words_per_cycle =
-      (if !cycle = 0 then 0.0 else minor_words /. float_of_int !cycle);
+    sim_cycles_per_sec = float_of_int cycles /. wall_seconds;
+    minor_words_per_cycle = (if cycles = 0 then 0.0 else minor_words /. float_of_int cycles);
     utilization =
-      (if !cycle = 0 || total_stage_ops = 0 then 0.0
-       else float_of_int !active_op_cycles /. float_of_int (!cycle * total_stage_ops));
-    engine_stats = Engine.stats eng;
+      (if cycles = 0 || total_stage_ops = 0 then 0.0
+       else float_of_int !active_op_cycles /. float_of_int (cycles * total_stage_ops));
+    engine_stats = Engine.stats en;
     mem_reads = st.Memory.reads;
     mem_writes = st.Memory.writes;
     mem_hit_rate = Memory.hit_rate mem;
     bytes_over_link = st.Memory.bytes_over_link;
     peak_in_flight = !peak_in_flight;
     pipelines =
-      List.map (fun ts -> (ts.Spec.ts_name, Config.pipeline_count cfg ts.Spec.ts_name))
+      List.map
+        (fun ts -> (ts.Spec.ts_name, Config.pipeline_count cfg ts.Spec.ts_name))
         spec.Spec.task_sets;
     attribution = attr;
   }
-
-let run_compiled ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial () =
-  let wall_start = Unix.gettimeofday () in
-  let r = Engine_compiled.run ?timeline ~cfg ~sink ~spec ~bindings ~state ~initial () in
-  let wall_seconds = Float.max 1e-9 (Unix.gettimeofday () -. wall_start) in
-  let st = Memory.stats r.Engine_compiled.r_mem in
-  let cycles = r.Engine_compiled.r_cycles in
-  {
-    cycles;
-    seconds = Config.cycles_to_seconds cfg cycles;
-    wall_seconds;
-    sim_cycles_per_sec = float_of_int cycles /. wall_seconds;
-    minor_words_per_cycle =
-      (if cycles = 0 then 0.0
-       else r.Engine_compiled.r_minor_words /. float_of_int cycles);
-    utilization =
-      (if cycles = 0 || r.Engine_compiled.r_total_stage_ops = 0 then 0.0
-       else
-         float_of_int r.Engine_compiled.r_active_op_cycles
-         /. float_of_int (cycles * r.Engine_compiled.r_total_stage_ops));
-    engine_stats = r.Engine_compiled.r_stats;
-    mem_reads = st.Memory.reads;
-    mem_writes = st.Memory.writes;
-    mem_hit_rate = Memory.hit_rate r.Engine_compiled.r_mem;
-    bytes_over_link = st.Memory.bytes_over_link;
-    peak_in_flight = r.Engine_compiled.r_peak_in_flight;
-    pipelines =
-      List.map (fun ts -> (ts.Spec.ts_name, Config.pipeline_count cfg ts.Spec.ts_name))
-        spec.Spec.task_sets;
-    attribution = r.Engine_compiled.r_attr;
-  }
-
-let run ?(engine = Compiled) ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null)
-    ?timeline ~spec ~bindings ~state ~initial () =
-  let cfg =
-    if config.Config.pipelines = [] && auto_size then
-      Config.with_pipelines config (Resource.heuristic_pipelines spec ~max_per_set:8)
-    else config
-  in
-  match engine with
-  | Legacy -> run_legacy ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial ()
-  | Compiled -> run_compiled ~cfg ~sink ?timeline ~spec ~bindings ~state ~initial ()
 
 let config_json (cfg : Config.t) =
   [

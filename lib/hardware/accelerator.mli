@@ -2,15 +2,16 @@
     (Fig. 7): replicated task pipelines per task set, multi-bank task
     queues, shared rule engines, and the cache/QPI memory subsystem.
 
-    The simulator wraps the semantic {!Agp_core.Engine} — the very same
-    transition system the software runtimes use — and charges time
-    around each operation: loads and stores travel through
-    {!Memory}, data-dependent spawners occupy their stage once per
-    emitted token, prims occupy their stage for a configured kernel
-    latency plus their access burst, rendezvous park the task in a rule
-    lane until resolution.  Because semantics and timing are strictly
-    separated, every accelerated run is validated with the same checks
-    as the software runs.
+    The simulator is a timing shell around the ECA core
+    {!Agp_core.Engine} — the very same transition system the software
+    runtimes use.  The core executes each operation and reports its
+    latency class; the shell charges time for it: loads and stores
+    travel through {!Memory}, data-dependent spawners occupy their
+    stage once per emitted token, prims occupy their stage for a
+    configured kernel latency plus their access burst, rendezvous park
+    the task in a rule lane until resolution.  Because semantics and
+    timing are strictly separated, every accelerated run is validated
+    with the same checks as the software runs.
 
     The simulator is observable: pass a {!Agp_obs.Sink} to capture the
     structured event stream (task dispatch/finish, rendezvous
@@ -20,10 +21,6 @@
     the instrumentation reduces to predicted-false branches, and the
     simulated timing is identical either way (the observer never
     perturbs the model). *)
-
-type engine =
-  | Legacy  (** tree-walking {!Agp_core.Engine} stepped per cycle *)
-  | Compiled  (** {!Engine_compiled}: op-array dispatch, pooled frames *)
 
 type report = {
   cycles : int;
@@ -37,8 +34,8 @@ type report = {
           higher-is-better signal the CI ratchet gates on *)
   minor_words_per_cycle : float;
       (** minor-heap words allocated per simulated cycle inside the
-          cycle loop — the lower-is-better gate on the compiled
-          engine's zero-allocation claim *)
+          cycle loop — the lower-is-better gate on the simulator's
+          zero-allocation claim *)
   engine_stats : Agp_core.Engine.stats;
   mem_reads : int;
   mem_writes : int;
@@ -52,7 +49,6 @@ type report = {
 }
 
 val run :
-  ?engine:engine ->
   ?config:Config.t ->
   ?auto_size:bool ->
   ?sink:Agp_obs.Sink.t ->
@@ -64,18 +60,14 @@ val run :
   unit ->
   report
 (** Simulate to quiescence, mutating [state] exactly as the software
-    runtimes would.  [engine] (default {!Compiled}) picks the cycle
-    engine; both produce identical cycles, state, statistics,
-    attribution and event streams (asserted by the conformance
-    harness), differing only in wall-clock speed.  With [auto_size]
-    (default true) the pipeline replication is chosen by
-    {!Resource.heuristic_pipelines} when the configuration leaves it
-    empty.  [sink] (default {!Agp_obs.Sink.null}) captures the event
-    stream; it is also threaded into the internal {!Memory}.
-    [timeline] (default absent) receives interval samples of
-    utilization / occupancy / cache / link activity; the sampler only
-    reads counters, so a sampled run's report is identical to an
-    unsampled one.
+    runtimes would.  With [auto_size] (default true) the pipeline
+    replication is chosen by {!Resource.heuristic_pipelines} when the
+    configuration leaves it empty.  [sink] (default
+    {!Agp_obs.Sink.null}) captures the event stream; it is also
+    threaded into the internal {!Memory}.  [timeline] (default absent)
+    receives interval samples of utilization / occupancy / cache / link
+    activity; the sampler only reads counters, so a sampled run's
+    report is identical to an unsampled one.
     @raise Failure on deadlock or divergence. *)
 
 val metrics_registry :

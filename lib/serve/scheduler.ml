@@ -62,24 +62,21 @@ let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
       match Backend.run ~obs:want_obs ~request_id:req.Protocol.id b app with
       | exception Backend.Unsupported { reason; _ } ->
           finish (Protocol.Unsupported reason) None
-      | exception Agp_core.Runtime.Deadlock msg -> finish (Protocol.Liveness msg) None
-      | exception Agp_core.Runtime.Step_limit_exceeded n ->
-          finish
-            (Protocol.Liveness
-               (Printf.sprintf "step limit %d exceeded without quiescing" n))
-            None
-      | exception exn ->
-          Log.error log ~req:req.Protocol.id
-            ~fields:[ ("backend", Agp_obs.Json.String b.Backend.name) ]
-            (Printf.sprintf "substrate crashed: %s" (Printexc.to_string exn));
-          Protocol.Error_reply
-            {
-              id = Some req.Protocol.id;
-              kind = Protocol.Internal;
-              message = Printexc.to_string exn;
-              line = None;
-              col = None;
-            }
+      | exception exn -> (
+          match Backend.liveness_failure exn with
+          | Some msg -> finish (Protocol.Liveness msg) None
+          | None ->
+              Log.error log ~req:req.Protocol.id
+                ~fields:[ ("backend", Agp_obs.Json.String b.Backend.name) ]
+                (Printf.sprintf "substrate crashed: %s" (Printexc.to_string exn));
+              Protocol.Error_reply
+                {
+                  id = Some req.Protocol.id;
+                  kind = Protocol.Internal;
+                  message = Printexc.to_string exn;
+                  line = None;
+                  col = None;
+                })
       | res ->
           let verdict =
             if not b.Backend.capabilities.Backend.validates then Protocol.Valid

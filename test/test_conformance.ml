@@ -117,9 +117,7 @@ let test_registry_find () =
   check
     Alcotest.(list string)
     "registry order"
-    ([ "sequential"; "runtime"; "parallel"; "simulator" ]
-    @ (if Backend.classic_enabled then [ "simulator:classic" ] else [])
-    @ [ "cpu-1core"; "cpu-10core"; "opencl" ])
+    [ "sequential"; "runtime"; "parallel"; "simulator"; "cpu-1core"; "cpu-10core"; "opencl" ]
     Backend.names;
   let name s =
     match Backend.find s with
@@ -128,19 +126,15 @@ let test_registry_find () =
   in
   check Alcotest.string "plain name" "runtime" (name "runtime");
   check Alcotest.string "fpga aliases simulator" "simulator" (name "fpga");
-  check Alcotest.string "compiled engine is the default simulator" "simulator"
-    (name "simulator:compiled");
-  (* satellite: simulator:classic is retired from the default registry;
-     AGP_CLASSIC=1 is the one-release escape hatch *)
-  (if Backend.classic_enabled then
-     check Alcotest.string "escape hatch re-registers the legacy engine" "simulator:classic"
-       (name "simulator:classic")
-   else
-     match Backend.find "simulator:classic" with
-     | Ok _ -> Alcotest.fail "simulator:classic resolved without AGP_CLASSIC=1"
-     | Error e ->
-         check Alcotest.bool "retirement message names the escape hatch" true
-           (Astring.String.is_infix ~affix:"AGP_CLASSIC=1" e));
+  (* one cycle engine: the retired engine names are unknown backends *)
+  List.iter
+    (fun gone ->
+      match Backend.find gone with
+      | Ok _ -> Alcotest.failf "%s still resolves" gone
+      | Error e ->
+          check Alcotest.bool (gone ^ " is an unknown backend") true
+            (Astring.String.is_prefix ~affix:"unknown backend" e))
+    [ "simulator:classic"; "simulator:compiled" ];
   check Alcotest.string "parameterized workers" "runtime:3" (name "runtime:3");
   check Alcotest.string "parameterized domains" "parallel:2" (name "parallel:2");
   List.iter
@@ -149,86 +143,94 @@ let test_registry_find () =
         (Result.is_error (Backend.find bad)))
     [ "nosuch"; "runtime:0"; "runtime:-1"; "runtime:x"; "parallel:"; "simulator:4"; "" ]
 
-(* --- cycle equivalence: the compiled op-array engine must be
-   indistinguishable from the legacy tree-walking engine — same final
-   state, same cycle count, same engine statistics, same stall
-   attribution, same event stream --- *)
+(* --- pinned fingerprints: every app x seed on the oracle, the
+   worker-pool runtime and the cycle simulator must reproduce the
+   scheduling and timing figures recorded in golden/fingerprints.txt —
+   steps, tasks, parked peak, every engine counter, and for the
+   simulator cycles, memory traffic and the stall-attribution totals.
+   The oracle for the ECA core is this table, not a second engine. --- *)
 
 module Accelerator = Agp_hw.Accelerator
+module Engine = Agp_core.Engine
+module Attribution = Agp_obs.Attribution
 
-let run_cycle_engine engine (app : App_instance.t) =
-  let r = app.App_instance.fresh () in
-  let config = Backend.derive_config app Agp_hw.Config.default in
-  let sink = Agp_obs.Sink.collect () in
-  let report =
-    Accelerator.run ~engine ~config ~sink ~spec:app.App_instance.spec
-      ~bindings:r.App_instance.bindings ~state:r.App_instance.state
-      ~initial:r.App_instance.initial ()
-  in
-  (report, Agp_obs.Sink.events sink, r.App_instance.state)
+let stats_fp (s : Engine.stats) =
+  Printf.sprintf "act=%d com=%d abo=%d ret=%d ev=%d cls=%d oth=%d ops=%d allocs=%d"
+    s.Engine.activated s.Engine.committed s.Engine.aborted s.Engine.retried
+    s.Engine.events_fired s.Engine.clause_resolutions s.Engine.otherwise_fired
+    s.Engine.ops_executed s.Engine.rule_allocs
 
-let engines_agree (app : App_instance.t) =
-  let lr, lev, lst = run_cycle_engine Accelerator.Legacy app in
-  let cr, cev, cst = run_cycle_engine Accelerator.Compiled app in
-  let faults = ref [] in
-  let fault fmt = Printf.ksprintf (fun s -> faults := s :: !faults) fmt in
-  if lr.Accelerator.cycles <> cr.Accelerator.cycles then
-    fault "cycles: legacy %d vs compiled %d" lr.Accelerator.cycles cr.Accelerator.cycles;
-  if lr.Accelerator.engine_stats <> cr.Accelerator.engine_stats then
-    fault "engine stats differ";
-  if lr.Accelerator.peak_in_flight <> cr.Accelerator.peak_in_flight then
-    fault "peak_in_flight: %d vs %d" lr.Accelerator.peak_in_flight cr.Accelerator.peak_in_flight;
-  if lr.Accelerator.mem_reads <> cr.Accelerator.mem_reads then
-    fault "mem_reads: %d vs %d" lr.Accelerator.mem_reads cr.Accelerator.mem_reads;
-  if lr.Accelerator.mem_writes <> cr.Accelerator.mem_writes then
-    fault "mem_writes: %d vs %d" lr.Accelerator.mem_writes cr.Accelerator.mem_writes;
-  if lr.Accelerator.bytes_over_link <> cr.Accelerator.bytes_over_link then
-    fault "bytes_over_link: %d vs %d" lr.Accelerator.bytes_over_link
-      cr.Accelerator.bytes_over_link;
-  if not (Agp_obs.Attribution.equal lr.Accelerator.attribution cr.Accelerator.attribution) then
-    fault "attribution differs:\nlegacy:\n%s\ncompiled:\n%s"
-      (Agp_obs.Attribution.render lr.Accelerator.attribution)
-      (Agp_obs.Attribution.render cr.Accelerator.attribution);
-  (match Agp_core.State.diff lst cst with
-  | [] -> ()
-  | ds -> fault "final state differs: %s" (String.concat "; " (List.filteri (fun i _ -> i < 5) ds)));
-  if lev <> cev then begin
-    let n = List.length lev and m = List.length cev in
-    if n <> m then fault "event count: %d vs %d" n m
-    else begin
-      List.iteri
-        (fun i ((lt, le), (ct, ce)) ->
-          if !faults = [] && (lt <> ct || le <> ce) then
-            fault "event %d: (%d, %s) vs (%d, %s)" i lt (Agp_obs.Event.kind le) ct
-              (Agp_obs.Event.kind ce))
-        (List.combine lev cev)
-    end
-  end;
-  match !faults with
-  | [] -> Ok ()
-  | fs -> Error (String.concat "\n" (List.rev fs))
+let attribution_totals attr =
+  let sets = List.map fst (Attribution.per_set attr) in
+  List.map
+    (fun b ->
+      Printf.sprintf "%s=%d" (Attribution.bucket_name b)
+        (List.fold_left (fun acc set -> acc + Attribution.get attr ~set b) 0 sets))
+    Attribution.buckets
 
-let test_engine_equivalence () =
+let fingerprint (res : Backend.run_result) =
+  match res.Backend.native with
+  | Backend.Stepper r ->
+      Printf.sprintf "steps=%d tasks=%d max_waiting=%d %s" r.Semantics.steps
+        r.Semantics.tasks_run r.Semantics.max_waiting (stats_fp r.Semantics.stats)
+  | Backend.Simulated r ->
+      Printf.sprintf "cycles=%d %s reads=%d writes=%d link=%d peak=%d %s"
+        r.Accelerator.cycles (stats_fp r.Accelerator.engine_stats) r.Accelerator.mem_reads
+        r.Accelerator.mem_writes r.Accelerator.bytes_over_link r.Accelerator.peak_in_flight
+        (String.concat " " (attribution_totals r.Accelerator.attribution))
+  | Backend.Cpu _ | Backend.Opencl _ -> "n/a"
+
+(* cwd is _build/default/test under dune runtest; the repo root when
+   launched by hand *)
+let golden_file name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat (Filename.concat "test" "golden") name ]
+
+let pinned () =
+  match golden_file "fingerprints.txt" with
+  | None -> Alcotest.fail "golden/fingerprints.txt not found"
+  | Some path ->
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.map (fun l ->
+             match String.split_on_char ' ' l with
+             | app :: seed :: backend :: fp ->
+                 ((app, int_of_string seed, backend), String.concat " " fp)
+             | _ -> Alcotest.failf "malformed fingerprint line %S" l)
+
+let test_pinned_fingerprints () =
+  let table = pinned () in
+  let seeds = List.sort_uniq compare (List.map (fun ((_, s, _), _) -> s) table) in
+  let backends = [ Backend.sequential; Backend.runtime (); Backend.simulator () ] in
+  let checked = ref 0 in
   List.iter
-    (fun (app : App_instance.t) ->
-      match engines_agree app with
-      | Ok () -> ()
-      | Error msg ->
-          Alcotest.failf "compiled engine diverges from legacy on %s:\n%s"
-            app.App_instance.app_name msg)
-    (Workloads.all Workloads.Small ~seed:7)
-
-let test_engine_equivalence_random =
-  QCheck.Test.make ~name:"compiled engine cycle-equivalent on random seeds" ~count:4
-    QCheck.(int_range 0 1000)
     (fun seed ->
-      List.for_all
+      List.iter
         (fun (app : App_instance.t) ->
-          match engines_agree app with
-          | Ok () -> true
-          | Error msg ->
-              QCheck.Test.fail_reportf "seed %d, %s:\n%s" seed app.App_instance.app_name msg)
+          List.iter
+            (fun (b : Backend.t) ->
+              let key = (app.App_instance.app_name, seed, b.Backend.name) in
+              match List.assoc_opt key table with
+              | None ->
+                  Alcotest.failf "no pinned fingerprint for %s seed %d on %s"
+                    app.App_instance.app_name seed b.Backend.name
+              | Some want ->
+                  let res = Backend.run b app in
+                  (match res.Backend.check with
+                  | Ok () -> ()
+                  | Error e ->
+                      Alcotest.failf "%s seed %d on %s: invalid result: %s"
+                        app.App_instance.app_name seed b.Backend.name e);
+                  incr checked;
+                  check Alcotest.string
+                    (Printf.sprintf "%s seed %d on %s" app.App_instance.app_name seed
+                       b.Backend.name)
+                    want (fingerprint res))
+            backends)
         (Workloads.all Workloads.Small ~seed))
+    seeds;
+  check Alcotest.int "every pinned row checked" (List.length table) !checked
 
 (* --- one binop table (satellite): random expressions must evaluate
    bit-for-bit identically under the tree-walking interpreter and the
@@ -324,20 +326,24 @@ let expr_spec e : Spec.t =
   }
 
 (* The out cell is a float array: Int stores widen (identically in both
-   engines), Bool stores raise State's type mismatch, and float results
-   land with their exact bits. *)
-let eval_tree sp payload =
+   evaluators), Bool stores raise State's type mismatch, and float
+   results land with their exact bits.  The tree-walking side is the
+   reference evaluator [Interp] writing through [State.write]; the
+   compiled side is the ECA core under the cycle simulator. *)
+let eval_tree e payload =
   let st = State.create () in
   State.add_float_array st "out" [| 0.0 |];
-  match Agp_core.Sequential.run ~initial:[ ("t", payload) ] sp Spec.no_bindings st with
-  | _ -> Ok (Int64.bits_of_float (State.float_array st "out").(0))
+  match
+    State.write st "out" 0 (Interp.eval_expr (Hashtbl.create 1) (Array.of_list payload) e)
+  with
+  | () -> Ok (Int64.bits_of_float (State.float_array st "out").(0))
   | exception e -> Error (Printexc.to_string e)
 
 let eval_compiled sp payload =
   let st = State.create () in
   State.add_float_array st "out" [| 0.0 |];
   match
-    Accelerator.run ~engine:Accelerator.Compiled ~spec:sp ~bindings:Spec.no_bindings
+    Accelerator.run ~spec:sp ~bindings:Spec.no_bindings
       ~state:st ~initial:[ ("t", payload) ] ()
   with
   | _ -> Ok (Int64.bits_of_float (State.float_array st "out").(0))
@@ -351,16 +357,14 @@ let test_binop_engines_agree =
   QCheck.Test.make ~name:"tree-walk and compiled binop semantics agree bit-for-bit"
     ~count:150 expr_case
     (fun (e, payload) ->
-      let sp = expr_spec e in
-      let t = eval_tree sp payload in
-      let c = eval_compiled sp payload in
+      let t = eval_tree e payload in
+      let c = eval_compiled (expr_spec e) payload in
       if t = c then true
       else
         QCheck.Test.fail_reportf "tree-walk %s\nvs compiled %s" (outcome_str t)
           (outcome_str c))
 
 let test_binop_error_cases () =
-  let module Interp = Agp_core.Interp in
   Alcotest.check_raises "division by zero" (Invalid_argument "Interp: division by zero")
     (fun () -> ignore (Interp.eval_binop Spec.Div (Value.Int 1) (Value.Int 0)));
   Alcotest.check_raises "modulo by zero" (Invalid_argument "Interp: modulo by zero")
@@ -374,12 +378,11 @@ let test_binop_error_cases () =
   Alcotest.check_raises "non-bool connective operand"
     (Invalid_argument "Value.to_bool: 1") (fun () ->
       ignore (Interp.eval_binop Spec.And (Value.Int 1) (Value.Bool true)));
-  (* the compiled engine must surface the very same messages end-to-end *)
+  (* the compiled core must surface the very same messages end-to-end *)
   List.iter
     (fun e ->
-      let sp = expr_spec e in
       let payload = [ Value.Int 0; Value.Int 0; Value.Int 0; Value.Int 0 ] in
-      let t = eval_tree sp payload and c = eval_compiled sp payload in
+      let t = eval_tree e payload and c = eval_compiled (expr_spec e) payload in
       check Alcotest.bool (Printf.sprintf "engines agree on %s" (expr_str e)) true
         (t = c && Result.is_error t))
     Spec.
@@ -536,6 +539,66 @@ let test_step_limit_typed () =
   | exception e -> Alcotest.failf "expected Step_limit_exceeded, got %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "a 1-step budget cannot complete SPEC-BFS"
 
+(* The oracle is typed too: a rendezvous cycle under the sequential
+   backend is a liveness failure, which [agp run] reports as exit 3
+   through [Backend.liveness_failure]; an exhausted task budget is
+   [Step_limit_exceeded]. *)
+let deadlock_app : App_instance.t =
+  {
+    App_instance.app_name = "RENDEZVOUS-CYCLE";
+    spec = deadlock_spec;
+    fresh =
+      (fun () ->
+        {
+          App_instance.state = State.create ();
+          bindings = Spec.no_bindings;
+          initial = deadlock_initial 2;
+          check = (fun () -> Ok ());
+        });
+    kernel_flops = [];
+    fpga_ilp = 1;
+    sw_task_overhead = 0;
+    cpu_flops_per_cycle = 1.0;
+    fpga_mlp = 1;
+    graph_source = None;
+  }
+
+let test_sequential_liveness_typed () =
+  (match Backend.run Backend.sequential deadlock_app with
+  | exception (Semantics.Deadlock _ as e) ->
+      check Alcotest.bool "CLI maps it to the liveness exit" true
+        (Backend.liveness_failure e <> None)
+  | exception e -> Alcotest.failf "expected Deadlock, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a rendezvous cycle cannot quiesce under the oracle");
+  let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
+  let r = app.App_instance.fresh () in
+  match
+    Semantics.run ~initial:r.App_instance.initial (Semantics.oracle ~max_tasks:3 ())
+      app.App_instance.spec r.App_instance.bindings r.App_instance.state
+  with
+  | exception Semantics.Step_limit_exceeded n -> check Alcotest.int "carries the task budget" 3 n
+  | exception e -> Alcotest.failf "expected Step_limit_exceeded, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a 3-task budget cannot complete SPEC-BFS"
+
+(* The software path allocates only for what the spec itself boxes
+   (prim arguments, counted-rule event logs) and pool growth: an
+   untraced pipelined run stays under a fixed words-per-op ceiling.
+   Measured at 2.97 words/op; the ceiling leaves 2x headroom. *)
+let test_pipelined_allocation_ceiling () =
+  let app = Workloads.spec_sssp Workloads.Small ~seed:42 in
+  let r = app.App_instance.fresh () in
+  let interp = Semantics.pipelined () in
+  let w0 = Gc.minor_words () in
+  let rep =
+    Semantics.run ~initial:r.App_instance.initial interp app.App_instance.spec
+      r.App_instance.bindings r.App_instance.state
+  in
+  let words = Gc.minor_words () -. w0 in
+  let ops = rep.Semantics.stats.Agp_core.Engine.ops_executed in
+  let per_op = words /. float_of_int (max 1 ops) in
+  check Alcotest.bool (Printf.sprintf "%.2f minor words/op under the ceiling" per_op) true
+    (per_op < 6.0)
+
 let test_conformance_classifies_liveness () =
   (* a backend that diverges must be classified Liveness, not Crash *)
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
@@ -591,15 +654,7 @@ let test_cli_run_backend_and_golden_diff () =
     check Alcotest.int "agp backends exits 0" 0 (sh "%s backends" cli_exe);
     check Alcotest.int "agp run --backend simulator --report exits 0" 0
       (sh "%s run spec-bfs --scale small --backend simulator --report %s" cli_exe tmp);
-    (* cwd is _build/default/test under dune runtest; test/golden/ when
-       launched from the repo root by hand *)
-    let golden =
-      List.find_opt Sys.file_exists
-        [
-          Filename.concat "golden" "spec-bfs-small.report.json";
-          Filename.concat (Filename.concat "test" "golden") "spec-bfs-small.report.json";
-        ]
-    in
+    let golden = golden_file "spec-bfs-small.report.json" in
     (match golden with
     | Some golden ->
         check Alcotest.int "report accepted by the golden diff gate" 0
@@ -614,11 +669,8 @@ let test_cli_run_backend_and_golden_diff () =
       (sh "%s run spec-bfs --scale small --backend runtime --max-steps 1" cli_exe);
     check Alcotest.int "--max-steps on a budgetless backend exits 1" 1
       (sh "%s run spec-bfs --scale small --backend sequential --max-steps 1" cli_exe);
-    (* simulator:classic is retired by default; AGP_CLASSIC=1 re-enables it *)
-    check Alcotest.int "retired simulator:classic exits 1" 1
+    check Alcotest.int "retired simulator:classic is an unknown backend" 1
       (sh "%s run spec-bfs --scale small --backend simulator:classic" cli_exe);
-    check Alcotest.int "AGP_CLASSIC=1 escape hatch exits 0" 0
-      (sh "AGP_CLASSIC=1 %s run spec-bfs --scale small --backend simulator:classic" cli_exe);
     check Alcotest.int "report on non-obs backend exits 1" 1
       (sh "%s run spec-bfs --scale small --backend sequential --report %s" cli_exe tmp);
     check Alcotest.int "unsupported app/backend pair exits 1" 1
@@ -635,9 +687,8 @@ let () =
           qtest test_matrix_random_seeds;
           Alcotest.test_case "liveness classified, not crashed" `Quick
             test_conformance_classifies_liveness;
-          Alcotest.test_case "compiled engine == legacy engine (cycles, state, events)" `Quick
-            test_engine_equivalence;
-          qtest test_engine_equivalence_random;
+          Alcotest.test_case "pinned fingerprints (sequential, runtime, simulator)" `Quick
+            test_pinned_fingerprints;
         ] );
       ( "semantics",
         [
@@ -649,6 +700,10 @@ let () =
           qtest test_step_limit_random_budgets;
           Alcotest.test_case "Runtime exceptions are the Semantics exceptions" `Quick
             test_exceptions_shared_with_semantics;
+          Alcotest.test_case "oracle liveness failures are typed" `Quick
+            test_sequential_liveness_typed;
+          Alcotest.test_case "pipelined run allocation ceiling" `Quick
+            test_pipelined_allocation_ceiling;
         ] );
       ( "registry",
         [

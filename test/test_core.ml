@@ -580,12 +580,29 @@ let test_engine_pop_min_order () =
   let eng = Engine.create counter_spec Spec.no_bindings (counter_state ()) in
   Engine.push_initial eng "inc" [ Value.Int 1 ];
   Engine.push_initial eng "inc" [ Value.Int 1 ];
-  (match Engine.min_pending_head eng with
-  | Some t -> check Alcotest.int "head is first pushed" 0 (Index.to_array t.Engine.index).(0)
-  | None -> Alcotest.fail "expected a pending head");
-  match Engine.pop_min eng with
-  | Some t -> check Alcotest.int "pop_min returns it" 0 (Index.to_array t.Engine.index).(0)
-  | None -> Alcotest.fail "expected a task"
+  let head = Engine.min_pending_head eng in
+  if Engine.is_nil head then Alcotest.fail "expected a pending head";
+  check Alcotest.int "head is first pushed" 0 (Index.to_array (Engine.task_index head)).(0);
+  let t = Engine.pop_min eng in
+  if Engine.is_nil t then Alcotest.fail "expected a task";
+  check Alcotest.int "pop_min returns it" 0 (Index.to_array (Engine.task_index t)).(0)
+
+(* The listener table names exactly the events some clause can match:
+   SPEC-SSSP's only rule listens to reached(relax, commit_dist), so
+   activations and min_changed broadcasts reach no rule instance. *)
+let test_opcode_listeners () =
+  let p = Opcode.compile Agp_apps.Sssp_app.spec_speculative in
+  let set name = Spec.task_set_slot Agp_apps.Sssp_app.spec_speculative name in
+  let label name =
+    let rec find i = if p.Opcode.labels.(i) = name then i else find (i + 1) in
+    find 0
+  in
+  let listens ~kind ~set ~label = p.Opcode.listeners.(Opcode.listener_slot p ~kind ~set ~label) in
+  check Alcotest.bool "reached(relax, commit_dist)" true
+    (listens ~kind:1 ~set:(set "relax") ~label:(label "commit_dist"));
+  check Alcotest.int "nothing else listens" 1
+    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 p.Opcode.listeners);
+  check Alcotest.bool "min_changed" false (listens ~kind:2 ~set:0 ~label:0)
 
 let test_engine_unbound_prim () =
   let sp : Spec.t =
@@ -744,6 +761,7 @@ let () =
           Alcotest.test_case "on_activated rule" `Quick test_on_activated_rule;
           Alcotest.test_case "float memory" `Quick test_float_memory_in_spec;
           Alcotest.test_case "pop_min order" `Quick test_engine_pop_min_order;
+          Alcotest.test_case "opcode listener table" `Quick test_opcode_listeners;
           Alcotest.test_case "unbound prim" `Quick test_engine_unbound_prim;
           Alcotest.test_case "prim counts" `Quick test_prim_counts_exposed;
         ] );
