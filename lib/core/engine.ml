@@ -11,8 +11,13 @@
    - tasks, rule instances, queues and the uncommitted-order heap are
      pooled flat structures recycled through free lists, so the
      steady-state loop allocates nothing;
-   - an event is delivered to live rule instances only when some rule
-     clause listens to it (the {!Opcode} listener table).
+   - an event reaches only the rules that listen to it (the {!Opcode}
+     listener table), and a keyed rule's instances hash by key, so an
+     event visits only the instances its key field can match;
+   - parked tasks sit in an indexed min-heap on their well-order index
+     and a resolution queues its waiter on a wake list, so the
+     minimum-task broadcast and the wake-up cost what changed, not
+     what is parked.
 
    The core knows nothing about time.  [step] reports the latency class
    of the operation it executed and leaves the touched array and index
@@ -64,6 +69,8 @@ type task = {
   mutable await_dst : int;
   mutable await_inst : rinst; (* nil_inst = not awaiting *)
   mutable bcast : bool; (* fired its commit broadcast (first Emit) *)
+  mutable wpos : int; (* slot in the waiting heap, -1 = not parked *)
+  mutable wseq : int; (* park sequence number: larger = parked later *)
 }
 
 and rinst = {
@@ -75,7 +82,11 @@ and rinst = {
   mutable ri_np : int;
   mutable ri_counter : int;
   mutable ri_resolved : int; (* 0 = unresolved, 1 = false, 2 = true *)
-  mutable ri_pos : int; (* slot in the live vec, -1 = not live *)
+  (* intrusive live chain: -2 = not live, -1 = its rule's unkeyed
+     chain, b >= 0 = bucket b of its rule's key table *)
+  mutable ri_chain : int;
+  mutable ri_next : rinst;
+  mutable ri_prev : rinst;
 }
 
 let rec nil_task =
@@ -98,6 +109,8 @@ let rec nil_task =
     await_dst = -1;
     await_inst = nil_inst;
     bcast = false;
+    wpos = -1;
+    wseq = 0;
   }
 
 and nil_inst =
@@ -110,7 +123,9 @@ and nil_inst =
     ri_np = 0;
     ri_counter = 0;
     ri_resolved = 0;
-    ri_pos = -1;
+    ri_chain = -2;
+    ri_next = nil_inst;
+    ri_prev = nil_inst;
   }
 
 let is_nil tk = tk == nil_task
@@ -200,14 +215,24 @@ type t = {
   mutable rr : int; (* round-robin pointer for pop_any *)
   mutable next_tid : int;
   mutable running : int;
-  waiting : task Vec.t; (* append order = oldest first *)
+  (* parked tasks: binary min-heap on the index row; [wpos] is each
+     task's slot *)
+  mutable wh : task array;
+  mutable wh_len : int;
+  w_per_set : int array; (* parked tasks per set *)
+  mutable wseq_next : int;
+  wake : task Vec.t; (* the wake list: parked tasks whose instance resolved *)
   (* binary min-heap over (index row, task, tid); lazy deletion *)
   mutable h_idx : int array; (* flattened rows, width stride *)
   mutable h_task : task array;
   mutable h_tid : int array;
   mutable h_len : int;
-  live : rinst Vec.t;
-  snap : rinst Vec.t; (* iteration snapshot for event firing *)
+  (* live (unresolved) rule instances, chained per rule: keyed rules
+     hash by key into [kb], the rest sit on [ch_head] *)
+  ch_head : rinst array;
+  kb : rinst array array; (* per rule; [||] for an unkeyed rule *)
+  kcount : int array; (* per rule: instances in [kb] *)
+  mutable live_n : int;
   free_tasks : task Vec.t;
   free_insts : rinst Vec.t;
   mutable last_min_broadcast : int;
@@ -238,6 +263,7 @@ type t = {
   (* what the last [step] touched, for the timing shell *)
   mutable touched_arr : int;
   mutable touched_idx : int;
+  checked : bool; (* shells call [check_invariants] as they go *)
 }
 
 (* --- index rows --- *)
@@ -433,6 +459,8 @@ let new_task en ~set ~n_pay =
         await_dst = -1;
         await_inst = nil_inst;
         bcast = false;
+        wpos = -1;
+        wseq = 0;
       }
     end
   in
@@ -464,7 +492,9 @@ let new_inst en =
       ri_np = 0;
       ri_counter = 0;
       ri_resolved = 0;
-      ri_pos = -1;
+      ri_chain = -2;
+      ri_next = nil_inst;
+      ri_prev = nil_inst;
     }
 
 (* --- uncommitted-order heap (Agp_util.Heap's sifts, flattened) --- *)
@@ -560,23 +590,94 @@ let rec min_uncommitted en =
     end
   end
 
-(* --- rule resolution --- *)
+(* --- live rule instances: per-rule chains, keyed rules hashed --- *)
 
-(* swap-remove an instance from the live set *)
-let unlive en inst =
-  if inst.ri_pos >= 0 then begin
-    let last = Vec.pop en.live in
-    if last != inst then begin
-      Vec.set en.live inst.ri_pos last;
-      last.ri_pos <- inst.ri_pos
-    end;
-    inst.ri_pos <- -1
+(* bucket of an int key in a table of [mask + 1] buckets *)
+let key_bucket v mask =
+  let h = v * 0x19E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land mask
+
+(* no index of [reads] names an in-range bool slot of [tg] (length [n]) *)
+let rec no_bool_reads (reads : int array) (tg : int array) n k =
+  if k >= Array.length reads then true
+  else begin
+    let i = reads.(k) in
+    (i < 0 || i >= n || tg.(i) <> tg_bool) && no_bool_reads reads tg n (k + 1)
   end
 
+(* an instance of a keyed rule goes in a key bucket when its key param
+   is an int and no param the clauses read is a bool (Opcode's
+   exactness rule); otherwise on the rule's unkeyed chain *)
+let inst_keyed (r : Opcode.crule) inst =
+  let p = r.Opcode.r_key_param in
+  r.Opcode.r_key_field >= 0
+  && p < inst.ri_np
+  && inst.ri_ptg.(p) = tg_int
+  && no_bool_reads r.Opcode.r_reads_p inst.ri_ptg inst.ri_np 0
+
+let chain_push_head en inst chain =
+  let r = inst.ri_rule in
+  let head = if chain < 0 then en.ch_head.(r) else en.kb.(r).(chain) in
+  inst.ri_next <- head;
+  inst.ri_prev <- nil_inst;
+  if head != nil_inst then head.ri_prev <- inst;
+  if chain < 0 then en.ch_head.(r) <- inst else en.kb.(r).(chain) <- inst;
+  inst.ri_chain <- chain
+
+let rec rehash en inst p mask =
+  if inst != nil_inst then begin
+    let next = inst.ri_next in
+    chain_push_head en inst (key_bucket inst.ri_pi.(p) mask);
+    rehash en next p mask
+  end
+
+(* double a rule's key table and rehash its instances *)
+let grow_buckets en r =
+  let old = en.kb.(r) in
+  let mask = (2 * Array.length old) - 1 in
+  en.kb.(r) <- Array.make (mask + 1) nil_inst;
+  let p = en.prog.Opcode.rules.(r).Opcode.r_key_param in
+  Array.iter (fun head -> rehash en head p mask) old
+
+let link en inst =
+  let r = inst.ri_rule in
+  let rule = en.prog.Opcode.rules.(r) in
+  if inst_keyed rule inst then begin
+    en.kcount.(r) <- en.kcount.(r) + 1;
+    if en.kcount.(r) > Array.length en.kb.(r) then grow_buckets en r;
+    chain_push_head en inst
+      (key_bucket inst.ri_pi.(rule.Opcode.r_key_param) (Array.length en.kb.(r) - 1))
+  end
+  else chain_push_head en inst (-1);
+  en.live_n <- en.live_n + 1
+
+let unlink en inst =
+  let chain = inst.ri_chain in
+  if chain <> -2 then begin
+    let r = inst.ri_rule in
+    let next = inst.ri_next and prev = inst.ri_prev in
+    if prev != nil_inst then prev.ri_next <- next
+    else if chain < 0 then en.ch_head.(r) <- next
+    else en.kb.(r).(chain) <- next;
+    if next != nil_inst then next.ri_prev <- prev;
+    if chain >= 0 then en.kcount.(r) <- en.kcount.(r) - 1;
+    inst.ri_next <- nil_inst;
+    inst.ri_prev <- nil_inst;
+    inst.ri_chain <- -2;
+    en.live_n <- en.live_n - 1
+  end
+
+(* --- rule resolution --- *)
+
+(* resolving the instance a parked task awaits puts the task on the
+   wake list: the list holds exactly the parked tasks whose instance
+   has resolved *)
 let resolve en inst b =
   if inst.ri_resolved = 0 then begin
     inst.ri_resolved <- (if b then 2 else 1);
-    unlive en inst
+    unlink en inst;
+    let w = inst.ri_parent in
+    if w.await_inst == inst && w.wpos >= 0 then Vec.push en.wake w
   end
 
 let clause_matches (c : Opcode.cclause) ~kind ~set ~label =
@@ -609,16 +710,12 @@ let apply_clause en inst (c : Opcode.cclause) =
         end
   end
 
-(* Deliver the current event to every live rule instance: [kind] 0 =
-   activated, 1 = reached, 2 = min_changed.  Resolution swap-removes
-   from [live], so delivery walks a snapshot. *)
-let deliver en ~kind ~set ~label ~(index : int array) ~source_tid =
-  Vec.clear en.snap;
-  for i = 0 to Vec.length en.live - 1 do
-    Vec.push en.snap (Vec.get en.live i)
-  done;
-  for i = 0 to Vec.length en.snap - 1 do
-    let inst = Vec.get en.snap i in
+(* Deliver the current event to one chain: [kind] 0 = activated,
+   1 = reached, 2 = min_changed.  Resolution unlinks the instance being
+   visited, so the walk reads [next] first. *)
+let rec deliver_chain en inst kind set label (index : int array) source_tid =
+  if inst != nil_inst then begin
+    let next = inst.ri_next in
     if inst.ri_resolved = 0 && inst.ri_parent.tid <> source_tid then begin
       let cmp = idx_cmp index inst.ri_parent.idx in
       en.cx_earlier <- cmp < 0;
@@ -630,6 +727,30 @@ let deliver en ~kind ~set ~label ~(index : int array) ~source_tid =
           && (if kind = 2 then cls.(k).Opcode.c_kind = 2 else clause_matches cls.(k) ~kind ~set ~label)
         then apply_clause en inst cls.(k)
       done
+    end;
+    deliver_chain en next kind set label index source_tid
+  end
+
+(* Deliver the current event to the instances of the listening
+   [rules].  A keyed rule's bucketed instances are visited only in the
+   event's key bucket when the event's key field is an int and no field
+   the rule reads is a bool; any other event visits every bucket. *)
+let deliver en (rules : int array) ~kind ~set ~label ~index ~source_tid =
+  for j = 0 to Array.length rules - 1 do
+    let r = rules.(j) in
+    deliver_chain en en.ch_head.(r) kind set label index source_tid;
+    let kb = en.kb.(r) in
+    if en.kcount.(r) > 0 then begin
+      let rule = en.prog.Opcode.rules.(r) in
+      let f = rule.Opcode.r_key_field in
+      if f < en.ev_n && en.ev_tg.(f) = tg_int && no_bool_reads rule.Opcode.r_reads_f en.ev_tg en.ev_n 0
+      then
+        deliver_chain en kb.(key_bucket en.ev_i.(f) (Array.length kb - 1)) kind set label index
+          source_tid
+      else
+        for b = 0 to Array.length kb - 1 do
+          deliver_chain en kb.(b) kind set label index source_tid
+        done
     end
   done
 
@@ -640,7 +761,7 @@ let set_event en ia fa ta n =
   en.ev_tg <- ta;
   en.ev_n <- n
 
-let listened en ~kind ~set ~label =
+let listeners en ~kind ~set ~label =
   en.prog.Opcode.listeners.(Opcode.listener_slot en.prog ~kind ~set ~label)
 
 (* an activated (kind 0) or reached (kind 1) event; the event-field
@@ -660,12 +781,15 @@ let fire_event en ~kind ~set ~label ~(index : int array) ~source_tid =
         le_tg = Array.sub en.ev_tg 0 n;
       }
   end;
-  if listened en ~kind ~set ~label then deliver en ~kind ~set ~label ~index ~source_tid
+  let rules = listeners en ~kind ~set ~label in
+  if Array.length rules > 0 && en.live_n > 0 then
+    deliver en rules ~kind ~set ~label ~index ~source_tid
 
 let fire_min_changed en ~(index : int array) ~source_tid =
   en.stats.events_fired <- en.stats.events_fired + 1;
-  if listened en ~kind:2 ~set:0 ~label:0 then
-    deliver en ~kind:2 ~set:(-1) ~label:(-1) ~index ~source_tid
+  let rules = listeners en ~kind:2 ~set:0 ~label:0 in
+  if Array.length rules > 0 && en.live_n > 0 then
+    deliver en rules ~kind:2 ~set:(-1) ~label:(-1) ~index ~source_tid
 
 (* --- counted-rule allocation: replay the event log --- *)
 
@@ -702,7 +826,6 @@ let alloc_rule en (tk : task) ~rule_id ~nargs =
   Array.blit en.ar_tg 0 inst.ri_ptg 0 nargs;
   inst.ri_np <- nargs;
   inst.ri_resolved <- 0;
-  inst.ri_pos <- -1;
   inst.ri_counter <-
     (if r.Opcode.r_counted then begin
        let expected =
@@ -716,11 +839,7 @@ let alloc_rule en (tk : task) ~rule_id ~nargs =
      end
      else 0);
   en.stats.rule_allocs <- en.stats.rule_allocs + 1;
-  if r.Opcode.r_counted && inst.ri_counter <= 0 then inst.ri_resolved <- 2
-  else begin
-    inst.ri_pos <- Vec.length en.live;
-    Vec.push en.live inst
-  end;
+  if r.Opcode.r_counted && inst.ri_counter <= 0 then inst.ri_resolved <- 2 else link en inst;
   Vec.push tk.insts inst;
   inst
 
@@ -826,32 +945,71 @@ let pending_count en =
   done;
   !n
 
-let uncommitted_remaining en =
-  en.running > 0 || Vec.length en.waiting > 0 || pending_count en > 0
+let uncommitted_remaining en = en.running > 0 || en.wh_len > 0 || pending_count en > 0
+
+(* --- the waiting heap: parked tasks ordered by index --- *)
+
+let wh_put en i tk =
+  en.wh.(i) <- tk;
+  tk.wpos <- i
+
+let rec wh_sift_up en i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    let tk = en.wh.(i) in
+    if idx_cmp tk.idx en.wh.(parent).idx < 0 then begin
+      wh_put en i en.wh.(parent);
+      wh_put en parent tk;
+      wh_sift_up en parent
+    end
+  end
+
+let rec wh_sift_down en i =
+  let n = en.wh_len in
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let s = if l < n && idx_cmp en.wh.(l).idx en.wh.(i).idx < 0 then l else i in
+  let s = if r < n && idx_cmp en.wh.(r).idx en.wh.(s).idx < 0 then r else s in
+  if s <> i then begin
+    let tk = en.wh.(i) in
+    wh_put en i en.wh.(s);
+    wh_put en s tk;
+    wh_sift_down en s
+  end
+
+let park en tk =
+  if en.wh_len = Array.length en.wh then begin
+    let nw = Array.make (2 * Array.length en.wh) nil_task in
+    Array.blit en.wh 0 nw 0 en.wh_len;
+    en.wh <- nw
+  end;
+  let i = en.wh_len in
+  en.wh_len <- i + 1;
+  wh_put en i tk;
+  tk.wseq <- en.wseq_next;
+  en.wseq_next <- en.wseq_next + 1;
+  en.w_per_set.(tk.set) <- en.w_per_set.(tk.set) + 1;
+  wh_sift_up en i
+
+let unpark en tk =
+  let i = tk.wpos and last = en.wh_len - 1 in
+  en.wh_len <- last;
+  if i < last then begin
+    let moved = en.wh.(last) in
+    wh_put en i moved;
+    en.wh.(last) <- nil_task;
+    wh_sift_down en i;
+    wh_sift_up en moved.wpos
+  end
+  else en.wh.(last) <- nil_task;
+  tk.wpos <- -1;
+  en.w_per_set.(tk.set) <- en.w_per_set.(tk.set) - 1
 
 (* --- finishing --- *)
-
-let vec_truncate v n =
-  while Vec.length v > n do
-    ignore (Vec.pop v)
-  done
-
-let waiting_remove en tk =
-  let n = Vec.length en.waiting in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    let w = Vec.get en.waiting i in
-    if w != tk then begin
-      Vec.set en.waiting !j w;
-      incr j
-    end
-  done;
-  vec_truncate en.waiting !j
 
 let release_task_rules en tk =
   for i = 0 to Vec.length tk.insts - 1 do
     let inst = Vec.get tk.insts i in
-    unlive en inst;
+    unlink en inst;
     inst.ri_parent <- nil_task;
     Vec.push en.free_insts inst
   done;
@@ -882,8 +1040,9 @@ let outcome_of_class rc =
   else Retried_task
 
 let finish en (tk : task) rc =
-  if tk.status = s_running then en.running <- en.running - 1
-  else if tk.status = s_waiting then waiting_remove en tk;
+  (* a parked task's pc is its Await until [resume_ready] moves it, so
+     only a running task reaches a finishing op *)
+  if tk.status = s_running then en.running <- en.running - 1;
   release_task_rules en tk;
   if rc = lc_committed then begin
     tk.status <- s_committed;
@@ -1047,7 +1206,7 @@ let step en (tk : task) =
             tk.await_dst <- dst;
             tk.await_inst <- inst;
             en.running <- en.running - 1;
-            Vec.push en.waiting tk;
+            park en tk;
             lc_blocked
           end
         end
@@ -1093,6 +1252,35 @@ let step en (tk : task) =
 
 (* --- minimum resolution --- *)
 
+(* fire the otherwise clause of a parked task's rule when the task is
+   minimal in the rule's scope: [top] is the smallest parked index,
+   [mu] the minimum uncommitted task *)
+let otherwise_if_minimal en w (top : int array) mu =
+  let inst = w.await_inst in
+  if inst.ri_resolved = 0 then begin
+    let rule = en.prog.Opcode.rules.(inst.ri_rule) in
+    let minimal =
+      if rule.Opcode.r_min_waiting then idx_cmp w.idx top = 0
+      else mu == nil_task || idx_cmp w.idx mu.idx = 0
+    in
+    if minimal then begin
+      en.stats.otherwise_fired <- en.stats.otherwise_fired + 1;
+      resolve en inst rule.Opcode.r_otherwise
+    end
+  end
+
+(* visit the heap entries whose index is at most [bound]: heap order
+   prunes every subtree whose root is above it *)
+let rec otherwise_below en i (bound : int array) top mu =
+  if i < en.wh_len then begin
+    let w = en.wh.(i) in
+    if idx_cmp w.idx bound <= 0 then begin
+      otherwise_if_minimal en w top mu;
+      otherwise_below en ((2 * i) + 1) bound top mu;
+      otherwise_below en ((2 * i) + 2) bound top mu
+    end
+  end
+
 let resolve_pending en =
   (* 1. broadcast a change of the minimum uncommitted task *)
   let mu0 = min_uncommitted en in
@@ -1101,57 +1289,43 @@ let resolve_pending en =
     set_event en mu0.pay_i mu0.pay_f mu0.pay_tg mu0.n_pay;
     fire_min_changed en ~index:mu0.idx ~source_tid:mu0.tid
   end;
-  (* 2. fire otherwise clauses for minimal waiting parents *)
-  let mu = min_uncommitted en in
-  let mw = ref nil_task in
-  for i = 0 to Vec.length en.waiting - 1 do
-    let w = Vec.get en.waiting i in
-    if !mw == nil_task || idx_cmp w.idx !mw.idx < 0 then mw := w
-  done;
-  for i = 0 to Vec.length en.waiting - 1 do
-    let w = Vec.get en.waiting i in
-    let inst = w.await_inst in
-    if inst != nil_inst && inst.ri_resolved = 0 then begin
-      let rule = en.prog.Opcode.rules.(inst.ri_rule) in
-      let minimal =
-        if rule.Opcode.r_min_waiting then !mw == nil_task || idx_cmp w.idx !mw.idx = 0
-        else mu == nil_task || idx_cmp w.idx mu.idx = 0
-      in
-      if minimal then begin
-        en.stats.otherwise_fired <- en.stats.otherwise_fired + 1;
-        resolve en inst rule.Opcode.r_otherwise
-      end
-    end
-  done
+  (* 2. fire otherwise clauses for minimal parked tasks.  A minimal task
+     has the smallest parked index or the minimum uncommitted one, so
+     only entries up to the larger of the two can qualify — unless
+     there is no minimum uncommitted task, when every Min_uncommitted
+     waiter does.  Resolution only queues wake-ups; the heap stays put
+     while it is walked. *)
+  if en.wh_len > 0 then begin
+    let mu = min_uncommitted en in
+    let top = en.wh.(0).idx in
+    if mu == nil_task then
+      for i = 0 to en.wh_len - 1 do
+        otherwise_if_minimal en en.wh.(i) top mu
+      done
+    else otherwise_below en 0 (if idx_cmp mu.idx top > 0 then mu.idx else top) top mu
+  end
 
-(* wake every waiting task whose rule resolved, in ascending index
-   order (ties newest-parked first); the woken tasks are left in
-   [en.resumed], marked running, with their await verdict bound *)
+(* wake order: ascending index, ties newest-parked first *)
+let wakes_before a b =
+  let c = idx_cmp a.idx b.idx in
+  c < 0 || (c = 0 && a.wseq > b.wseq)
+
+(* wake every task on the wake list in wake order; the woken tasks are
+   left in [en.resumed], marked running, with their await verdict
+   bound *)
 let resume_ready en =
   Vec.clear en.resumed;
-  let n = Vec.length en.waiting in
-  for i = n - 1 downto 0 do
-    let w = Vec.get en.waiting i in
-    let inst = w.await_inst in
-    if inst == nil_inst || inst.ri_resolved <> 0 then Vec.push en.resumed w
+  for i = 0 to Vec.length en.wake - 1 do
+    let w = Vec.get en.wake i in
+    unpark en w;
+    Vec.push en.resumed w
   done;
-  if Vec.length en.resumed > 0 then begin
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let w = Vec.get en.waiting i in
-      let inst = w.await_inst in
-      if inst != nil_inst && inst.ri_resolved = 0 then begin
-        Vec.set en.waiting !j w;
-        incr j
-      end
-    done;
-    vec_truncate en.waiting !j
-  end;
+  Vec.clear en.wake;
   let m = Vec.length en.resumed in
   for i = 1 to m - 1 do
     let x = Vec.get en.resumed i in
     let k = ref (i - 1) in
-    while !k >= 0 && idx_cmp (Vec.get en.resumed !k).idx x.idx > 0 do
+    while !k >= 0 && wakes_before x (Vec.get en.resumed !k) do
       Vec.set en.resumed (!k + 1) (Vec.get en.resumed !k);
       decr k
     done;
@@ -1160,9 +1334,9 @@ let resume_ready en =
   for i = 0 to m - 1 do
     let w = Vec.get en.resumed i in
     let inst = w.await_inst in
-    if inst != nil_inst then begin
-      w.reg_i.(w.await_dst) <- (if inst.ri_resolved = 2 then 1 else 0);
-      w.reg_tg.(w.await_dst) <- tg_bool;
+    w.reg_i.(w.await_dst) <- (if inst.ri_resolved = 2 then 1 else 0);
+    w.reg_tg.(w.await_dst) <- tg_bool;
+    begin
       match en.prog.Opcode.code.(w.pc) with
       | Opcode.I_await { next; _ } -> w.pc <- next
       | _ -> assert false
@@ -1177,21 +1351,22 @@ let resumed_count en = Vec.length en.resumed
 
 let resumed_get en i = Vec.get en.resumed i
 
+(* every parked task whose instance resolved is on the wake list, so
+   after a last resolution pass an empty list means all are stuck *)
 let deadlocked en =
   en.running = 0
   && pending_count en = 0
-  && Vec.length en.waiting > 0
+  && en.wh_len > 0
   && begin
        resolve_pending en;
-       let all_stuck = ref true in
-       for i = 0 to Vec.length en.waiting - 1 do
-         let inst = (Vec.get en.waiting i).await_inst in
-         if inst == nil_inst || inst.ri_resolved <> 0 then all_stuck := false
-       done;
-       !all_stuck
+       Vec.length en.wake = 0
      end
 
 (* --- construction --- *)
+
+let check_by_default = ref (Sys.getenv_opt "AGP_CHECK" = Some "1")
+
+let set_check_invariants b = check_by_default := b
 
 let create spec bindings st =
   begin
@@ -1237,13 +1412,22 @@ let create spec bindings st =
     rr = 0;
     next_tid = 0;
     running = 0;
-    waiting = Vec.create ();
+    wh = Array.make 8 nil_task;
+    wh_len = 0;
+    w_per_set = Array.make width 0;
+    wseq_next = 0;
+    wake = Vec.create ();
     h_idx = Array.make (8 * width) 0;
     h_task = Array.make 8 nil_task;
     h_tid = Array.make 8 0;
     h_len = 0;
-    live = Vec.create ();
-    snap = Vec.create ();
+    ch_head = Array.make (Array.length prog.Opcode.rules) nil_inst;
+    kb =
+      Array.map
+        (fun (r : Opcode.crule) -> if r.Opcode.r_key_field >= 0 then Array.make 8 nil_inst else [||])
+        prog.Opcode.rules;
+    kcount = Array.make (Array.length prog.Opcode.rules) 0;
+    live_n = 0;
     free_tasks = Vec.create ();
     free_insts = Vec.create ();
     last_min_broadcast = -1;
@@ -1274,6 +1458,7 @@ let create spec bindings st =
     resumed = Vec.create ();
     touched_arr = 0;
     touched_idx = 0;
+    checked = !check_by_default;
   }
 
 (* --- views --- *)
@@ -1286,11 +1471,13 @@ let touched_array en = en.touched_arr
 
 let touched_index en = en.touched_idx
 
-let waiting_count en = Vec.length en.waiting
+let waiting_count en = en.wh_len
 
-let waiting_get en i = Vec.get en.waiting i
+let waiting_in_set en set = en.w_per_set.(set)
 
-let live_rule_count en = Vec.length en.live
+let waiting_min en = if en.wh_len = 0 then nil_task else en.wh.(0)
+
+let live_rule_count en = en.live_n
 
 let prim_counts en =
   let acc = ref [] in
@@ -1317,3 +1504,84 @@ let task_var tk name =
     else Some (box tk.reg_i tk.reg_f tk.reg_tg r)
   in
   find 0
+
+(* --- invariants --- *)
+
+let checked en = en.checked
+
+let check_invariants en =
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("Engine.check_invariants: " ^ m)) fmt in
+  (* the waiting heap *)
+  let per_set = Array.make (Array.length en.w_per_set) 0 in
+  for i = 0 to en.wh_len - 1 do
+    let w = en.wh.(i) in
+    if w.wpos <> i then fail "heap slot %d holds task %d whose wpos is %d" i w.tid w.wpos;
+    if w.status <> s_waiting then fail "heap slot %d holds task %d that is not parked" i w.tid;
+    if w.await_inst == nil_inst then fail "parked task %d awaits no instance" w.tid;
+    if i > 0 && idx_cmp en.wh.((i - 1) / 2).idx w.idx > 0 then
+      fail "heap order broken at slot %d (task %d)" i w.tid;
+    per_set.(w.set) <- per_set.(w.set) + 1
+  done;
+  for i = en.wh_len to Array.length en.wh - 1 do
+    if en.wh.(i) != nil_task then fail "heap slot %d past the end is not cleared" i
+  done;
+  Array.iteri
+    (fun s n ->
+      if en.w_per_set.(s) <> n then fail "set %d counts %d parked tasks, the heap holds %d" s
+          en.w_per_set.(s) n)
+    per_set;
+  (* the wake list: exactly the parked tasks whose instance resolved *)
+  let on_list = Hashtbl.create 16 in
+  Vec.iter
+    (fun (w : task) ->
+      if Hashtbl.mem on_list w.tid then fail "task %d is on the wake list twice" w.tid;
+      Hashtbl.add on_list w.tid ();
+      if w.wpos < 0 || w.status <> s_waiting then fail "woken task %d is not parked" w.tid;
+      if w.await_inst.ri_resolved = 0 then fail "woken task %d awaits an unresolved instance" w.tid)
+    en.wake;
+  for i = 0 to en.wh_len - 1 do
+    let w = en.wh.(i) in
+    if w.await_inst.ri_resolved <> 0 && not (Hashtbl.mem on_list w.tid) then
+      fail "parked task %d awaits a resolved instance but is not on the wake list" w.tid
+  done;
+  (* the live chains *)
+  let total = ref 0 in
+  let walk r chain head =
+    let rule = en.prog.Opcode.rules.(r) in
+    let rec go prev inst =
+      if inst != nil_inst then begin
+        incr total;
+        if inst.ri_prev != prev then fail "rule %s: broken back link" rule.Opcode.r_name;
+        if inst.ri_rule <> r then fail "rule %s chains an instance of rule %d" rule.Opcode.r_name
+            inst.ri_rule;
+        if inst.ri_chain <> chain then
+          fail "rule %s: instance on chain %d records chain %d" rule.Opcode.r_name chain
+            inst.ri_chain;
+        if inst.ri_resolved <> 0 then fail "rule %s chains a resolved instance" rule.Opcode.r_name;
+        let p = inst.ri_parent in
+        if p == nil_task || not (p.status = s_pending || p.status = s_running || p.status = s_waiting)
+        then fail "rule %s chains an instance of a finished task" rule.Opcode.r_name;
+        if chain >= 0 then begin
+          if not (inst_keyed rule inst) then
+            fail "rule %s hashes an instance it cannot key" rule.Opcode.r_name;
+          let b = key_bucket inst.ri_pi.(rule.Opcode.r_key_param) (Array.length en.kb.(r) - 1) in
+          if b <> chain then
+            fail "rule %s: instance keyed to bucket %d sits in bucket %d" rule.Opcode.r_name b chain
+        end
+        else if inst_keyed rule inst then
+          fail "rule %s leaves a keyable instance unhashed" rule.Opcode.r_name;
+        go inst inst.ri_next
+      end
+    in
+    go nil_inst head
+  in
+  Array.iteri
+    (fun r head ->
+      walk r (-1) head;
+      let before = !total in
+      Array.iteri (fun b h -> walk r b h) en.kb.(r);
+      if !total - before <> en.kcount.(r) then
+        fail "rule %s counts %d keyed instances, its buckets hold %d"
+          en.prog.Opcode.rules.(r).Opcode.r_name en.kcount.(r) (!total - before))
+    en.ch_head;
+  if !total <> en.live_n then fail "live count %d, chains hold %d" en.live_n !total

@@ -12,7 +12,16 @@
     Tasks and rule instances are pooled: a {!task} handle is valid from
     the pop that returns it until the step that finishes it.  Functions
     that may have no task to return give {!nil_task} instead of an
-    option, so the hot loops allocate nothing. *)
+    option, so the hot loops allocate nothing.
+
+    Rendezvous and event delivery cost what changed.  Parked tasks sit
+    in an indexed min-heap on their well-order index, and resolving the
+    instance a parked task awaits puts it on a wake list, so
+    {!resolve_pending} and {!resume_ready} never scan every parked
+    task.  Live rule instances are chained per rule; a keyed rule (see
+    {!Opcode}) hashes its instances by key, so an event visits only the
+    instances of the rules that listen to it, and of a keyed rule only
+    those its key field can match. *)
 
 exception Deadlock of string
 (** No task can make progress while tasks are still parked.  Rebound
@@ -89,13 +98,19 @@ val uncommitted_remaining : t -> bool
 (** True while any task is pending, running or waiting. *)
 
 val waiting_count : t -> int
-(** Tasks stalled at a rendezvous. *)
+(** Tasks stalled at a rendezvous (resolved ones count until
+    {!resume_ready} wakes them).  O(1). *)
 
-val waiting_get : t -> int -> task
-(** [waiting_get t i], [0 <= i < waiting_count t], oldest-parked first. *)
+val waiting_in_set : t -> int -> int
+(** [waiting_in_set t s]: parked tasks of set slot [s].  O(1). *)
+
+val waiting_min : t -> task
+(** The parked task with the smallest index, {!nil_task} when none is
+    parked.  O(1). *)
 
 val live_rule_count : t -> int
-(** Unresolved rule instances — occupied rule-engine lanes. *)
+(** Unresolved rule instances — occupied rule-engine lanes.  A counter,
+    O(1). *)
 
 (** {1 Stepping}
 
@@ -148,12 +163,19 @@ val resolve_pending : t -> unit
 (** Re-evaluate minimum-task conditions: fire [On_min_changed] events
     when the minimum uncommitted task changes, and fire the
     [otherwise] clause of rules whose waiting parent is minimal in the
-    rule's scope.  Call after any commit, squash or block. *)
+    rule's scope.  Call after any commit, squash or block.
+
+    Only the parked tasks whose index is at most the larger of the
+    smallest parked index and the minimum uncommitted index are
+    visited; when no task is uncommitted-and-unbroadcast, every parked
+    task is. *)
 
 val resume_ready : t -> unit
-(** Wake the waiting tasks whose rendezvous has resolved: they are
-    marked running, their await binding is applied, and they are left,
-    in index order, for {!resumed_count}/{!resumed_get}. *)
+(** Wake the parked tasks whose rendezvous has resolved since the last
+    call (the wake list, not a scan of every parked task): they are
+    marked running, their await binding is applied, and they are left
+    for {!resumed_count}/{!resumed_get} in ascending index order, ties
+    newest-parked first. *)
 
 val resumed_count : t -> int
 
@@ -163,6 +185,23 @@ val deadlocked : t -> bool
 (** No task is running or resumable, queues are empty, but waiting
     tasks remain — indicates a specification whose rules lack a viable
     exit path. *)
+
+val set_check_invariants : bool -> unit
+(** Whether engines created from now on ask their shells to call
+    {!check_invariants} as they go (the [Semantics] policies after every
+    {!step}, the cycle simulator once per cycle).  Defaults to true
+    when the environment sets [AGP_CHECK=1]. *)
+
+val checked : t -> bool
+(** The engine was created with invariant checking on. *)
+
+val check_invariants : t -> unit
+(** Check the core's indices: heap order, each parked task's heap slot,
+    the per-set parked counts, that the wake list holds exactly the
+    parked tasks whose instance resolved, that every chained rule
+    instance is live, unresolved and in its key's bucket, and that the
+    live counter equals the chain total.  O(parked + live).
+    @raise Failure describing the first violation. *)
 
 val prim_counts : t -> (string * int) list
 (** Invocations per [Prim] kernel so far (kernels never invoked are

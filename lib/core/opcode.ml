@@ -67,6 +67,10 @@ type crule = {
   r_otherwise : bool;
   r_min_waiting : bool; (* otherwise scope *)
   r_counted : bool;
+  r_key_field : int; (* keyed delivery: event field of the key conjunct, -1 = unkeyed *)
+  r_key_param : int; (* rule param of the key conjunct *)
+  r_reads_f : int array; (* every CField index the clauses read (keyed rules) *)
+  r_reads_p : int array; (* every CParam index the clauses read (keyed rules) *)
 }
 
 type program = {
@@ -89,7 +93,7 @@ type program = {
   max_rule_params : int; (* widest Alloc argument list *)
   max_event_fields : int; (* widest event field vector (payloads + emits) *)
   has_counted : bool;
-  listeners : bool array; (* per event slot: can any rule clause match it *)
+  listeners : int array array; (* per event slot: the rules with a clause on it *)
 }
 
 (* Event slots: activated(set), then reached(set, label), then
@@ -122,6 +126,73 @@ let intern t name =
       i
 
 let interned t = Array.of_list (List.rev t.names)
+
+(* --- rule keys ---
+
+   A clause condition is key-shaped when it is an And-chain whose
+   conjuncts are [CEarlier], [CLater], [CConst] or comparisons between
+   two [CField]/[CParam] leaves, and one conjunct is
+   [Eq (CField f, CParam p)].  Evaluated against an instance whose
+   param [p] is an int different from the event's int field [f], such
+   a condition is false and cannot raise, provided no leaf it compares
+   holds a bool (an out-of-range leaf aborts the clause, which is also
+   false): every conjunct is a bool or an out-of-range probe, and the
+   key conjunct is false.  The engine checks those leaf tags per
+   instance and per event, and then skips every instance whose key
+   differs — a hash lookup instead of a scan. *)
+
+let rec conjuncts (c : Spec.cond) acc =
+  match c with
+  | Spec.CBinop (Spec.And, a, b) -> conjuncts a (conjuncts b acc)
+  | c -> c :: acc
+
+let is_leaf = function
+  | Spec.CField _ | Spec.CParam _ -> true
+  | _ -> false
+
+let key_safe = function
+  | Spec.CEarlier | Spec.CLater | Spec.CConst _ -> true
+  | Spec.CBinop ((Spec.Eq | Spec.Ne | Spec.Lt | Spec.Le | Spec.Gt | Spec.Ge), a, b) ->
+      is_leaf a && is_leaf b
+  | _ -> false
+
+(* the (field, param) keys a condition admits, none when some conjunct
+   is not key-safe *)
+let clause_keys c =
+  let cs = conjuncts c [] in
+  if not (List.for_all key_safe cs) then []
+  else
+    List.filter_map
+      (function
+        | Spec.CBinop (Spec.Eq, Spec.CField f, Spec.CParam p)
+        | Spec.CBinop (Spec.Eq, Spec.CParam p, Spec.CField f)
+          when f >= 0 && p >= 0 ->
+            Some (f, p)
+        | _ -> None)
+      cs
+
+(* the key shared by every clause of a rule; counted rules and rules
+   with a min_changed clause stay unkeyed *)
+let rule_key (r : Spec.rule) =
+  let on_min (c : Spec.clause) = c.Spec.on = Spec.On_min_changed in
+  match r.Spec.clauses with
+  | [] -> None
+  | c0 :: rest ->
+      if r.Spec.counted || List.exists on_min r.Spec.clauses then None
+      else
+        let others = List.map (fun (c : Spec.clause) -> clause_keys c.Spec.condition) rest in
+        List.find_opt
+          (fun k -> List.for_all (List.mem k) others)
+          (clause_keys c0.Spec.condition)
+
+(* the CField and CParam indices a condition reads *)
+let rec cond_reads (c : Spec.cond) (fs, ps) =
+  match c with
+  | Spec.CField i -> (i :: fs, ps)
+  | Spec.CParam i -> (fs, i :: ps)
+  | Spec.CBinop (_, a, b) -> cond_reads a (cond_reads b (fs, ps))
+  | Spec.CNot c -> cond_reads c (fs, ps)
+  | Spec.CConst _ | Spec.CEarlier | Spec.CLater | Spec.COverlap _ -> (fs, ps)
 
 (* --- compilation --- *)
 
@@ -343,12 +414,28 @@ let compile (spec : Spec.t) : program =
                     })
                   r.Spec.clauses)
            in
+           let r_key_field, r_key_param, r_reads_f, r_reads_p =
+             match rule_key r with
+             | None -> (-1, -1, [||], [||])
+             | Some (f, p) ->
+                 let fs, ps =
+                   List.fold_left
+                     (fun acc (c : Spec.clause) -> cond_reads c.Spec.condition acc)
+                     ([], []) r.Spec.clauses
+                 in
+                 let uniq l = Array.of_list (List.sort_uniq compare l) in
+                 (f, p, uniq fs, uniq ps)
+           in
            {
              r_name = r.Spec.rule_name;
              r_clauses = clauses;
              r_otherwise = r.Spec.otherwise;
              r_min_waiting = (r.Spec.scope = Spec.Min_waiting);
              r_counted = r.Spec.counted;
+             r_key_field;
+             r_key_param;
+             r_reads_f;
+             r_reads_p;
            })
          spec.Spec.rules)
   in
@@ -364,15 +451,16 @@ let compile (spec : Spec.t) : program =
   in
   let labels = interned labels in
   let n_labels = Array.length labels in
-  let listeners = Array.make ((n_sets * (1 + n_labels)) + 1) false in
-  Array.iter
-    (fun r ->
+  let listeners = Array.make ((n_sets * (1 + n_labels)) + 1) [] in
+  Array.iteri
+    (fun ri r ->
       Array.iter
         (fun c ->
-          listeners.(event_slot ~n_sets ~n_labels ~kind:c.c_kind ~set:c.c_set ~label:c.c_label) <-
-            true)
+          let slot = event_slot ~n_sets ~n_labels ~kind:c.c_kind ~set:c.c_set ~label:c.c_label in
+          if not (List.mem ri listeners.(slot)) then listeners.(slot) <- ri :: listeners.(slot))
         r.r_clauses)
     rules;
+  let listeners = Array.map (fun l -> Array.of_list (List.rev l)) listeners in
   {
     code = Array.of_list (List.rev !code);
     source = Array.of_list (List.rev !source);

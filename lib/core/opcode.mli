@@ -13,9 +13,19 @@
     clause probes) are those of the reference evaluator {!Interp}.
 
     It also precomputes a listener table: for every event the core can
-    fire (activated(set), reached(set, label), min_changed), whether
-    any rule clause can match it.  The core skips delivering an event
-    nobody listens to. *)
+    fire (activated(set), reached(set, label), min_changed), the rules
+    with a clause that can match it.  The core delivers an event only
+    to those rules' instances.
+
+    Finally it gives a rule a key (f, p) when every clause condition is
+    an [And]-chain with the conjunct [Eq (CField f, CParam p)] and
+    whose other conjuncts are [CEarlier], [CLater], [CConst] or
+    comparisons between two [CField]/[CParam] leaves.  Such a condition
+    is false, without raising, for an instance whose int param [p]
+    differs from the event's int field [f], as long as no leaf it
+    compares is a bool: the core hashes those instances by key and an
+    event visits only its key's bucket.  Counted rules and rules with a
+    min_changed clause are never keyed. *)
 
 type eop =
   | E_int of int
@@ -68,6 +78,14 @@ type crule = {
   r_otherwise : bool;
   r_min_waiting : bool;  (** otherwise scope is [Min_waiting] *)
   r_counted : bool;
+  r_key_field : int;  (** event field of the key conjunct; -1 = the rule is unkeyed *)
+  r_key_param : int;  (** rule param of the key conjunct *)
+  r_reads_f : int array;
+      (** keyed rules: every [CField] index the clauses read (sorted);
+          an event delivers by key only when none of them is a bool *)
+  r_reads_p : int array;
+      (** keyed rules: every [CParam] index the clauses read (sorted);
+          an instance is hashed by key only when none of them is a bool *)
 }
 
 type program = {
@@ -92,7 +110,9 @@ type program = {
   max_rule_params : int;  (** widest Alloc argument list *)
   max_event_fields : int;  (** widest event field vector (payloads + emits) *)
   has_counted : bool;
-  listeners : bool array;  (** indexed by {!listener_slot} *)
+  listeners : int array array;
+      (** indexed by {!listener_slot}: the rules (ascending ids) with a
+          clause on that event *)
 }
 
 val listener_slot : program -> kind:int -> set:int -> label:int -> int

@@ -89,12 +89,14 @@ let imax (a : int) b = if a >= b then a else b
    completion, with hooks at every transition. *)
 let run_min_first ~max_tasks ~hooks eng =
   let hooked = hooked hooks in
+  let checked = Engine.checked eng in
   let tasks_run = ref 0 in
   let op_count = ref 0 in
   let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
   let rec drive task =
     let pc = Engine.task_pc task in
     let rc = Engine.step eng task in
+    if checked then Engine.check_invariants eng;
     incr op_count;
     if hooked then fire task (step_event eng pc rc);
     if rc < Engine.lc_blocked then drive task
@@ -153,6 +155,7 @@ let take_woken q eng =
 let run_workers ~descr ~workers ~max_steps ~hooks eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
   let hooked = hooked hooks in
+  let checked = Engine.checked eng in
   let slots = Array.make workers Engine.nil_task in
   let resumable = Queue.create () in
   let tasks_run = ref 0 in
@@ -191,6 +194,7 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
       if not (Engine.is_nil task) then begin
         let pc = Engine.task_pc task in
         let rc = Engine.step eng task in
+        if checked then Engine.check_invariants eng;
         progressed := true;
         if hooked then fire w task (step_event eng pc rc);
         if rc >= Engine.lc_blocked then begin
@@ -245,6 +249,7 @@ let run_domains ~descr ~domains ~hooks eng =
     | None -> min 4 (Domain.recommended_domain_count ())
   in
   let hooked = hooked hooks in
+  let checked = Engine.checked eng in
   let lock = Mutex.create () in
   let resumable = Queue.create () in
   let tasks_run = Atomic.make 0 in
@@ -265,6 +270,7 @@ let run_domains ~descr ~domains ~hooks eng =
         let rec slice () =
           let pc = Engine.task_pc task in
           let rc = Engine.step eng task in
+          if checked then Engine.check_invariants eng;
           incr ticks;
           if hooked then fire task (step_event eng pc rc);
           if rc < Engine.lc_blocked then slice ()

@@ -170,7 +170,6 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
   let sq_set = Vec.create () and sq_ops = Vec.create () in
   let pops_left = Array.make (imax n_sets 1) 0 in
-  let waiting_sets = Array.make (imax n_sets 1) false in
   (* survivors kept so far in the window being stepped; slot !kept is
      never ahead of the slot being read *)
   let kept = ref 0 in
@@ -254,6 +253,8 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     end
   in
   let guard = ref 0 in
+  let cycle_budget = 50_000_000 in
+  let checked = Engine.checked en in
   (* hoisted per-cycle scratch: a [ref] inside the loop body would
      allocate every iteration *)
   let any_finish = ref false in
@@ -262,7 +263,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let minor_start = Gc.minor_words () in
   while Engine.uncommitted_remaining en do
     incr guard;
-    if !guard > 50_000_000 then failwith "Accelerator.run: cycle budget exceeded";
+    if !guard > cycle_budget then raise (Engine.Step_limit_exceeded cycle_budget);
     let now = !cycle in
     (* 1. issue: each pipeline may accept one task per cycle, capped by
        queue bank bandwidth per set *)
@@ -415,23 +416,20 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     (* stall attribution: charge each pipeline exactly (next - now)
        cycles so the buckets decompose cycles x pipelines *)
     let dt = next - now in
-    Array.fill waiting_sets 0 (Array.length waiting_sets) false;
-    for i = 0 to Engine.waiting_count en - 1 do
-      waiting_sets.(Engine.task_set (Engine.waiting_get en i)) <- true
-    done;
     let pending_now = Engine.pending_count en in
     for pi = 0 to n_pipes - 1 do
       let p = pipes.(pi) in
+      let parked = Engine.waiting_in_set en p.set > 0 in
       let cls =
         if p.stepped then b_busy
         else if p.n > 0 then b_mem
-        else if waiting_sets.(p.set) then b_rdv
+        else if parked then b_rdv
         else if pending_now > 0 && pops_left.(p.set) = 0 then b_queue
         else b_idle
       in
       charge p.set cls 1;
       if dt > 1 then begin
-        let wait_cls = if p.n > 0 then b_mem else if waiting_sets.(p.set) then b_rdv else b_idle in
+        let wait_cls = if p.n > 0 then b_mem else if parked then b_rdv else b_idle in
         charge p.set wait_cls (dt - 1)
       end;
       p.stepped <- false
@@ -452,10 +450,18 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       Engine.resolve_pending en;
       Engine.resume_ready en;
       if Engine.resumed_count en = 0 then begin
-        if Engine.deadlocked en then failwith "Accelerator.run: deadlock in rule resolution"
+        if Engine.deadlocked en then
+          raise
+            (Engine.Deadlock
+               (Printf.sprintf
+                  "Accelerator.run: deadlock in rule resolution at cycle %d: %d parked tasks, \
+                   minimum waiting index %s"
+                  now (Engine.waiting_count en)
+                  (Agp_core.Index.to_string (Engine.task_index (Engine.waiting_min en)))))
       end
       else place_resumed ~now
     end;
+    if checked then Engine.check_invariants en;
     begin
       match timeline with
       | Some tl when Timeline.due tl ~upto:next ->

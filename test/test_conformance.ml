@@ -580,6 +580,56 @@ let test_sequential_liveness_typed () =
   | exception e -> Alcotest.failf "expected Step_limit_exceeded, got %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "a 3-task budget cannot complete SPEC-BFS"
 
+(* The cycle simulator is typed the same way: the rendezvous cycle
+   deadlocks it with [Engine.Deadlock] (the [Semantics] exception), whose
+   message names the parked tasks and the minimum waiting index, and
+   conformance classifies it as a liveness failure rather than a crash.
+   The oracle cannot run the cycle, so the conformance check pairs a
+   healthy app with a backend that runs the cycle on the simulator. *)
+let test_simulator_liveness_typed () =
+  let sim = Backend.simulator () in
+  (match Backend.run sim deadlock_app with
+  | exception (Semantics.Deadlock msg as e) ->
+      let has affix = Astring.String.is_infix ~affix msg in
+      check Alcotest.bool ("names the parked tasks: " ^ msg) true (has "2 parked tasks");
+      check Alcotest.bool "names the minimum waiting index" true
+        (has "minimum waiting index {0}");
+      check Alcotest.bool "CLI maps it to the liveness exit" true
+        (Backend.liveness_failure e <> None)
+  | exception e -> Alcotest.failf "expected Deadlock, got %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "a rendezvous cycle cannot quiesce on the simulator");
+  let cycle_on_sim =
+    {
+      sim with
+      Backend.name = "simulator-on-cycle";
+      Backend.exec = (fun ~obs _ -> sim.Backend.exec ~obs deadlock_app);
+    }
+  in
+  match Conformance.check cycle_on_sim (Workloads.spec_bfs Workloads.Small ~seed:7) with
+  | Error (Conformance.Liveness _) -> ()
+  | Error f -> Alcotest.failf "expected Liveness, got %s" (Conformance.failure_to_string f)
+  | Ok () -> Alcotest.fail "a deadlocked simulator cannot conform"
+
+(* The core's indices stay consistent through whole runs: with checking
+   on, the software policies call [Engine.check_invariants] after every
+   step and the simulator once per cycle, for every app at small scale. *)
+let test_engine_invariants_hold () =
+  Engine.set_check_invariants true;
+  Fun.protect
+    ~finally:(fun () -> Engine.set_check_invariants (Sys.getenv_opt "AGP_CHECK" = Some "1"))
+    (fun () ->
+      List.iter
+        (fun (app : App_instance.t) ->
+          List.iter
+            (fun (b : Backend.t) ->
+              match (Backend.run b app).Backend.check with
+              | Ok () -> ()
+              | Error e ->
+                  Alcotest.failf "%s on %s: invalid result: %s" app.App_instance.app_name
+                    b.Backend.name e)
+            [ Backend.sequential; Backend.runtime ~workers:8 (); Backend.simulator () ])
+        (Workloads.all Workloads.Small ~seed:42))
+
 (* The software path allocates only for what the spec itself boxes
    (prim arguments, counted-rule event logs) and pool growth: an
    untraced pipelined run stays under a fixed words-per-op ceiling.
@@ -704,6 +754,10 @@ let () =
             test_sequential_liveness_typed;
           Alcotest.test_case "pipelined run allocation ceiling" `Quick
             test_pipelined_allocation_ceiling;
+          Alcotest.test_case "simulator liveness failures are typed" `Quick
+            test_simulator_liveness_typed;
+          Alcotest.test_case "engine invariants hold through every app" `Quick
+            test_engine_invariants_hold;
         ] );
       ( "registry",
         [

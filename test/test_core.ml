@@ -587,9 +587,10 @@ let test_engine_pop_min_order () =
   if Engine.is_nil t then Alcotest.fail "expected a task";
   check Alcotest.int "pop_min returns it" 0 (Index.to_array (Engine.task_index t)).(0)
 
-(* The listener table names exactly the events some clause can match:
-   SPEC-SSSP's only rule listens to reached(relax, commit_dist), so
-   activations and min_changed broadcasts reach no rule instance. *)
+(* The listener table names, per event, exactly the rules with a clause
+   that can match it: SPEC-SSSP's only rule listens to
+   reached(relax, commit_dist), so activations and min_changed
+   broadcasts reach no rule instance. *)
 let test_opcode_listeners () =
   let p = Opcode.compile Agp_apps.Sssp_app.spec_speculative in
   let set name = Spec.task_set_slot Agp_apps.Sssp_app.spec_speculative name in
@@ -598,11 +599,41 @@ let test_opcode_listeners () =
     find 0
   in
   let listens ~kind ~set ~label = p.Opcode.listeners.(Opcode.listener_slot p ~kind ~set ~label) in
-  check Alcotest.bool "reached(relax, commit_dist)" true
+  check (Alcotest.array Alcotest.int) "reached(relax, commit_dist)" [| 0 |]
     (listens ~kind:1 ~set:(set "relax") ~label:(label "commit_dist"));
   check Alcotest.int "nothing else listens" 1
-    (Array.fold_left (fun n b -> if b then n + 1 else n) 0 p.Opcode.listeners);
-  check Alcotest.bool "min_changed" false (listens ~kind:2 ~set:0 ~label:0)
+    (Array.fold_left (fun n rs -> if rs <> [||] then n + 1 else n) 0 p.Opcode.listeners);
+  check (Alcotest.array Alcotest.int) "min_changed" [||] (listens ~kind:2 ~set:0 ~label:0)
+
+(* Rule keys: a rule is keyed exactly when every clause is an And-chain
+   of key-safe conjuncts sharing one Eq (CField f, CParam p). *)
+let test_opcode_rule_keys () =
+  let key (sp : Spec.t) =
+    let r = (Opcode.compile sp).Opcode.rules.(0) in
+    (r.Opcode.r_key_field, r.Opcode.r_key_param)
+  in
+  let pair = Alcotest.(pair int int) in
+  check pair "spec-sssp dist_guard" (0, 0) (key Agp_apps.Sssp_app.spec_speculative);
+  check pair "spec-bfs level_guard" (0, 0) (key Agp_apps.Bfs_app.spec_speculative);
+  check pair "coor-bfs min_changed rule" (-1, -1) (key Agp_apps.Bfs_app.spec_coordinative);
+  check pair "spec-mst Or of keys" (-1, -1) (key Agp_apps.Mst_app.spec_speculative);
+  check pair "spec-dmr overlap" (-1, -1) (key Agp_apps.Dmr_app.spec_speculative);
+  check pair "coor-lu counted" (-1, -1) (key Agp_apps.Lu_app.spec_coordinative);
+  let with_cond c =
+    let sp = Agp_apps.Sssp_app.spec_speculative in
+    match sp.Spec.rules with
+    | r :: rest ->
+        let cl = List.map (fun (cl : Spec.clause) -> { cl with Spec.condition = c }) r.Spec.clauses in
+        { sp with Spec.rules = { r with Spec.clauses = cl } :: rest }
+    | [] -> assert false
+  in
+  let open Spec in
+  check pair "param-first key, later conjuncts" (1, 0)
+    (key (with_cond (CBinop (And, CLater, CBinop (And, CBinop (Eq, CParam 0, CField 1), CConst true)))));
+  check pair "a constant operand could raise" (-1, -1)
+    (key (with_cond (CBinop (And, CBinop (Eq, CField 0, CParam 0), CBinop (Eq, CField 1, CConst true)))));
+  check pair "Not is not key-safe" (-1, -1)
+    (key (with_cond (CBinop (And, CBinop (Eq, CField 0, CParam 0), CNot CEarlier))))
 
 let test_engine_unbound_prim () =
   let sp : Spec.t =
@@ -711,6 +742,226 @@ let prop_coor_bfs_random_graphs =
       let app = Bfs_app.coordinative (Bfs_app.workload_of_graph g 0) in
       App_instance.check_both ~workers:6 app = Ok ())
 
+(* --- keyed delivery against a full-scan reference ---
+
+   Random key-shaped rules (And-chains of Eq/Le/Earlier/Later/constant
+   conjuncts over int, float and bool leaves, usually with an
+   Eq (CField f, CParam p) key), random rule instances and random
+   events, all in one for-each set: a task with role 0 allocates an
+   instance over its payload and parks, a task with role 1 emits its
+   payload.  The engine delivers by key; the reference evaluates every
+   unresolved instance with [Interp], in allocation order.  Both must
+   resolve the same instances the same way, count the same
+   clause resolutions and raise the same exception. *)
+
+(* payload columns are typed per case, as a spec's fields are, with
+   occasional values of another type: the raising cases stay rare
+   enough that most runs get past their first events.  A narrow int
+   range makes keys collide, a wide one leaves key buckets empty. *)
+let kd_value_gen ~ints column =
+  let open QCheck.Gen in
+  let int_v = map (fun n -> Value.Int n) (int_range 0 ints)
+  and float_v = map (fun x -> Value.Float x) (oneofl [ 0.0; 1.0; 2.5 ])
+  and bool_v = map (fun b -> Value.Bool b) bool in
+  let typed = match column with 0 -> int_v | 1 -> float_v | _ -> bool_v in
+  frequency [ (12, typed); (1, int_v); (1, float_v); (1, bool_v) ]
+
+(* a clause condition; [key] is the rule's key conjunct, if any *)
+let kd_cond_gen key =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (4, map (fun i -> Spec.CField i) (int_range 0 3));
+        (4, map (fun i -> Spec.CParam i) (int_range 0 3));
+        (1, map (fun b -> Spec.CConst b) bool);
+      ]
+  in
+  let conjunct =
+    frequency
+      [
+        (2, return Spec.CEarlier);
+        (1, return Spec.CLater);
+        (1, map (fun b -> Spec.CConst b) bool);
+        (3, map2 (fun a b -> Spec.CBinop (Spec.Eq, a, b)) leaf leaf);
+        (3, map2 (fun a b -> Spec.CBinop (Spec.Le, a, b)) leaf leaf);
+      ]
+  in
+  let rec chain = function
+    | [] -> return (Spec.CConst true)
+    | [ c ] -> return c
+    | cs ->
+        int_range 1 (List.length cs - 1) >>= fun k ->
+        let l = List.filteri (fun i _ -> i < k) cs and r = List.filteri (fun i _ -> i >= k) cs in
+        map2 (fun a b -> Spec.CBinop (Spec.And, a, b)) (chain l) (chain r)
+  in
+  list_size (int_range 0 3) conjunct >>= fun others ->
+  int_range 0 (List.length others) >>= fun at ->
+  let cs =
+    match key with
+    | None -> others
+    | Some k -> List.filteri (fun i _ -> i < at) others @ (k :: List.filteri (fun i _ -> i >= at) others)
+  in
+  chain cs
+
+type kd_case = {
+  kd_conds : (Spec.cond * bool) list; (* clauses: condition, returned verdict *)
+  kd_np : int; (* instance params *)
+  kd_nf : int; (* event fields *)
+  kd_tasks : (bool * Value.t list) list; (* emitter?, three payload values *)
+}
+
+let kd_case_gen =
+  let open QCheck.Gen in
+  let key =
+    map2
+      (fun f p -> Spec.CBinop (Spec.Eq, Spec.CField f, Spec.CParam p))
+      (int_range 0 2) (int_range 0 2)
+  in
+  let conds =
+    frequency [ (4, map Option.some key); (1, return None) ] >>= fun key ->
+    list_size (frequency [ (3, return 1); (1, return 2) ]) (pair (kd_cond_gen key) bool)
+  in
+  map2 (fun a b -> (a, b))
+    (triple conds (int_range 1 3) (int_range 1 3))
+    ( list_size (return 3) (frequencyl [ (6, 0); (2, 1); (1, 2) ]) >>= fun columns ->
+      oneofl [ 3; 15 ] >>= fun ints ->
+      list_size (int_range 1 40)
+        (pair
+           (frequencyl [ (3, false); (2, true) ])
+           (flatten_l (List.map (kd_value_gen ~ints) columns))) )
+  |> map (fun ((kd_conds, kd_np, kd_nf), kd_tasks) -> { kd_conds; kd_np; kd_nf; kd_tasks })
+
+let kd_spec c : Spec.t =
+  let open Spec in
+  let payload n = List.init n (fun i -> Param (i + 1)) in
+  {
+    spec_name = "keyed-delivery";
+    task_sets =
+      [
+        {
+          ts_name = "t";
+          ts_order = For_each;
+          arity = 4;
+          body =
+            [
+              If
+                ( Binop (Eq, Param 0, int 0),
+                  [ Alloc ("h", "r", payload c.kd_np); Await ("v", "h") ],
+                  [ Emit ("e", payload c.kd_nf) ] );
+            ];
+        };
+      ];
+    rules =
+      [
+        {
+          rule_name = "r";
+          n_params = c.kd_np;
+          clauses =
+            List.map
+              (fun (condition, b) ->
+                { on = On_reached ("t", "e"); condition; action = Return_bool b })
+              c.kd_conds;
+          otherwise = false;
+          scope = Min_waiting;
+          counted = false;
+        };
+      ];
+  }
+
+let kd_print c =
+  Format.asprintf "%a@.%s" Spec.pp (kd_spec c)
+    (String.concat "\n"
+       (List.map
+          (fun (emit, vs) ->
+            Printf.sprintf "%s [%s]" (if emit then "emit" else "alloc")
+              (String.concat "; " (List.map Value.to_string vs)))
+          c.kd_tasks))
+
+(* outcome: the exception the run raised, or the (stamp, verdict) of
+   every resolved instance plus the clause-resolution count *)
+type kd_outcome =
+  | Kd_raised of exn
+  | Kd_resolved of (int * bool) list * int
+
+let kd_engine c =
+  let eng = Engine.create (kd_spec c) Spec.no_bindings (State.create ()) in
+  List.iter
+    (fun (emit, vs) -> Engine.push_initial eng "t" (Value.Int (if emit then 1 else 0) :: vs))
+    c.kd_tasks;
+  let rec drive task = if Engine.step eng task < Engine.lc_blocked then drive task in
+  let rec loop () =
+    let task = Engine.pop_any eng in
+    if not (Engine.is_nil task) then begin
+      drive task;
+      Engine.check_invariants eng;
+      loop ()
+    end
+  in
+  match loop () with
+  | exception (Invalid_argument _ as e) -> Kd_raised e
+  | () ->
+      Engine.resume_ready eng;
+      let got =
+        List.init (Engine.resumed_count eng) (fun i ->
+            let tk = Engine.resumed_get eng i in
+            ( (Index.to_array (Engine.task_index tk)).(0),
+              Engine.task_var tk "v" = Some (Value.Bool true) ))
+      in
+      Kd_resolved (List.sort compare got, (Engine.stats eng).Engine.clause_resolutions)
+
+let kd_reference c =
+  let sub n vs = Array.of_list (List.filteri (fun i _ -> i < n) vs) in
+  let live = ref [] (* (stamp, params, verdict) in allocation order, reversed *) in
+  let resolutions = ref 0 in
+  match
+    List.iteri
+      (fun stamp (emit, vs) ->
+        if not emit then live := (stamp, sub c.kd_np vs, ref None) :: !live
+        else
+          let fields = sub c.kd_nf vs in
+          List.iter
+            (fun (holder, params, verdict) ->
+              List.iter
+                (fun (cond, b) ->
+                  if
+                    !verdict = None
+                    && Interp.eval_cond_strict ~params ~fields ~earlier:(stamp < holder)
+                         ~later:(stamp > holder) cond
+                  then begin
+                    incr resolutions;
+                    verdict := Some b
+                  end)
+                c.kd_conds)
+            (List.rev !live))
+      c.kd_tasks
+  with
+  | exception (Invalid_argument _ as e) -> Kd_raised e
+  | () ->
+      let got =
+        List.filter_map
+          (fun (holder, _, verdict) -> Option.map (fun b -> (holder, b)) !verdict)
+          !live
+      in
+      Kd_resolved (List.sort compare got, !resolutions)
+
+let prop_keyed_delivery_matches_full_scan =
+  QCheck.Test.make ~name:"keyed delivery matches a full-scan reference" ~count:10000
+    (QCheck.make ~print:kd_print kd_case_gen)
+    (fun c ->
+      match (kd_engine c, kd_reference c) with
+      | Kd_raised a, Kd_raised b when a = b -> true
+      | Kd_resolved (a, n), Kd_resolved (b, m) when a = b && n = m -> true
+      | got, want ->
+          let show = function
+            | Kd_raised e -> "raised " ^ Printexc.to_string e
+            | Kd_resolved (l, n) ->
+                Printf.sprintf "%d resolutions: %s" n
+                  (String.concat " "
+                     (List.map (fun (h, b) -> Printf.sprintf "%d:%b" h b) l))
+          in
+          QCheck.Test.fail_reportf "engine %s\nreference %s" (show got) (show want))
+
 let () =
   Alcotest.run "agp_core"
     [
@@ -762,6 +1013,8 @@ let () =
           Alcotest.test_case "float memory" `Quick test_float_memory_in_spec;
           Alcotest.test_case "pop_min order" `Quick test_engine_pop_min_order;
           Alcotest.test_case "opcode listener table" `Quick test_opcode_listeners;
+          Alcotest.test_case "opcode rule keys" `Quick test_opcode_rule_keys;
+          qtest prop_keyed_delivery_matches_full_scan;
           Alcotest.test_case "unbound prim" `Quick test_engine_unbound_prim;
           Alcotest.test_case "prim counts" `Quick test_prim_counts_exposed;
         ] );
