@@ -5,8 +5,10 @@
    memory model, the rule-lane allocator stall, the event wheel that
    skips idle cycles, and per-cycle stall attribution.
 
-   Pipeline windows, the squash log and the attribution matrix are flat
-   preallocated arrays, so the steady-state loop allocates nothing. *)
+   In-flight tasks wait on per-pipeline timing wheels, so a cycle
+   visits only the tasks ready in it.  The slot pool, the squash log
+   and the attribution matrix are flat preallocated arrays, so the
+   steady-state loop allocates nothing. *)
 
 module Engine = Agp_core.Engine
 module Spec = Agp_core.Spec
@@ -40,19 +42,15 @@ type report = {
   attribution : Attribution.t;
 }
 
-(* One replicated pipeline.  The window holds the in-flight tasks in
-   parallel arrays: the task, the cycle it is ready for its next op,
-   and the stage occupancies it has consumed. *)
+(* One replicated pipeline.  Its in-flight tasks live in the shared
+   calendar below; the pipeline itself keeps only its occupancy. *)
 type pipe = {
   set : int;
   set_name : string;
   id : int;
   capacity : int;
   stage_ops : int;
-  mutable win : Engine.task array;
-  mutable rdy : int array;
-  mutable ops : int array;
-  mutable n : int;
+  mutable n : int; (* tasks in flight in this pipeline *)
   mutable stepped : bool; (* advanced at least one op this cycle *)
 }
 
@@ -60,26 +58,241 @@ let imax (a : int) b = if a >= b then a else b
 
 let imin (a : int) b = if a <= b then a else b
 
-(* admit a task at the head of the window *)
-let pipe_prepend p tk ~ready =
-  if p.n = Array.length p.win then begin
-    let cap = imax 8 (2 * p.n) in
-    let grow a x =
-      let b = Array.make cap x in
-      Array.blit a 0 b 0 p.n;
-      b
-    in
-    p.win <- grow p.win Engine.nil_task;
-    p.rdy <- grow p.rdy 0;
-    p.ops <- grow p.ops 0
-  end;
-  Array.blit p.win 0 p.win 1 p.n;
-  Array.blit p.rdy 0 p.rdy 1 p.n;
-  Array.blit p.ops 0 p.ops 1 p.n;
-  p.win.(0) <- tk;
-  p.rdy.(0) <- ready;
-  p.ops.(0) <- 0;
-  p.n <- p.n + 1
+(* The in-flight calendar.  Every in-flight task holds a pooled slot:
+   parallel arrays indexed by slot id carrying the task, its pipeline,
+   its admission sequence [q] (global, +1 per admission), the scan [e]
+   at which its window first held it, the ops it has executed and the
+   cycle it is ready for its next op.  A slot due within [wheel_size]
+   cycles waits on its pipeline's timing wheel, in bucket
+   [ready land wheel_mask]; a later one waits on the far list until it
+   comes within range.  [sl_next] chains a bucket, and the free slots. *)
+let wheel_bits = 8
+
+let wheel_size = 1 lsl wheel_bits
+
+let wheel_mask = wheel_size - 1
+
+type calendar = {
+  mutable sl_task : Engine.task array; (* nil_task = free slot *)
+  mutable sl_pipe : int array;
+  mutable sl_q : int array;
+  mutable sl_e : int array;
+  mutable sl_ops : int array;
+  mutable sl_ready : int array;
+  mutable sl_next : int array;
+  mutable free : int; (* head of the free chain, -1 = pool exhausted *)
+  wheel : int array; (* (pipe lsl wheel_bits) lor bucket -> chain head, -1 = empty *)
+  due : int array; (* per bucket: slots filed there, over all pipelines *)
+  mutable far : int array;
+  mutable far_n : int;
+  mutable far_min : int; (* max_int when the far list is empty *)
+  mutable live : int;
+  mutable seq : int;
+  (* drain scratch: one bucket's slots in step order, and their keys *)
+  mutable ds : int array;
+  mutable dk : int array;
+}
+
+let grow_ints a n x =
+  let b = Array.make (imax 16 (2 * n)) x in
+  Array.blit a 0 b 0 n;
+  b
+
+let grow_pool c =
+  let n = Array.length c.sl_task in
+  let b = Array.make (imax 16 (2 * n)) Engine.nil_task in
+  Array.blit c.sl_task 0 b 0 n;
+  c.sl_task <- b;
+  c.sl_pipe <- grow_ints c.sl_pipe n 0;
+  c.sl_q <- grow_ints c.sl_q n 0;
+  c.sl_e <- grow_ints c.sl_e n 0;
+  c.sl_ops <- grow_ints c.sl_ops n 0;
+  c.sl_ready <- grow_ints c.sl_ready n 0;
+  c.sl_next <- grow_ints c.sl_next n (-1);
+  for s = Array.length c.sl_task - 1 downto n do
+    c.sl_next.(s) <- c.free;
+    c.free <- s
+  done
+
+let calendar_create ~n_pipes ~slots =
+  let c =
+    {
+      sl_task = [||];
+      sl_pipe = [||];
+      sl_q = [||];
+      sl_e = [||];
+      sl_ops = [||];
+      sl_ready = [||];
+      sl_next = [||];
+      free = -1;
+      wheel = Array.make (imax 1 n_pipes lsl wheel_bits) (-1);
+      due = Array.make wheel_size 0;
+      far = Array.make 16 0;
+      far_n = 0;
+      far_min = max_int;
+      live = 0;
+      seq = 0;
+      ds = Array.make 16 0;
+      dk = Array.make 16 0;
+    }
+  in
+  while Array.length c.sl_task < slots do
+    grow_pool c
+  done;
+  c
+
+let file_wheel c s =
+  let b = c.sl_ready.(s) land wheel_mask in
+  let h = (c.sl_pipe.(s) lsl wheel_bits) lor b in
+  c.sl_next.(s) <- c.wheel.(h);
+  c.wheel.(h) <- s;
+  c.due.(b) <- c.due.(b) + 1
+
+(* file slot [s] by its ready cycle; [now] is the current cycle *)
+let file c s ~now =
+  let r = c.sl_ready.(s) in
+  if r - now < wheel_size then file_wheel c s
+  else begin
+    if c.far_n = Array.length c.far then c.far <- grow_ints c.far c.far_n 0;
+    c.far.(c.far_n) <- s;
+    c.far_n <- c.far_n + 1;
+    if r < c.far_min then c.far_min <- r
+  end
+
+(* move the far slots due within the horizon of [now] onto the wheel *)
+let migrate c ~now =
+  let kept = ref 0 in
+  c.far_min <- max_int;
+  for i = 0 to c.far_n - 1 do
+    let s = c.far.(i) in
+    let r = c.sl_ready.(s) in
+    if r - now < wheel_size then file_wheel c s
+    else begin
+      c.far.(!kept) <- s;
+      incr kept;
+      if r < c.far_min then c.far_min <- r
+    end
+  done;
+  c.far_n <- !kept
+
+let admit c p tk ~ready ~e ~now =
+  if c.free < 0 then grow_pool c;
+  let s = c.free in
+  c.free <- c.sl_next.(s);
+  c.sl_task.(s) <- tk;
+  c.sl_pipe.(s) <- p.id;
+  c.sl_q.(s) <- c.seq;
+  c.seq <- c.seq + 1;
+  c.sl_e.(s) <- e;
+  c.sl_ops.(s) <- 0;
+  c.sl_ready.(s) <- ready;
+  p.n <- p.n + 1;
+  c.live <- c.live + 1;
+  file c s ~now
+
+let release c p s =
+  c.sl_task.(s) <- Engine.nil_task;
+  c.sl_next.(s) <- c.free;
+  c.free <- s;
+  p.n <- p.n - 1;
+  c.live <- c.live - 1
+
+(* Unchain pipeline [pi]'s bucket for cycle [now] into the drain
+   scratch, in the order its tasks step at scan [scan], and return how
+   many there are.  The order is the one a window gives when each cycle
+   it admits at its head and then visits every slot front to back,
+   keeping the survivors reversed: at scan [scan] the slots with
+   [scan - e] even come first in descending [q], then those with
+   [scan - e] odd in ascending [q].  A bucket holds a handful of slots,
+   so insertion sort on one int key suffices. *)
+let drain c pi ~now ~scan =
+  let b = now land wheel_mask in
+  let h = (pi lsl wheel_bits) lor b in
+  let n = ref 0 in
+  let s = ref c.wheel.(h) in
+  while !s >= 0 do
+    let sl = !s in
+    if !n = Array.length c.ds then begin
+      c.ds <- grow_ints c.ds !n 0;
+      c.dk <- grow_ints c.dk !n 0
+    end;
+    let q = c.sl_q.(sl) in
+    let key = if (scan - c.sl_e.(sl)) land 1 = 0 then -q - 1 else q in
+    let j = ref !n in
+    while !j > 0 && c.dk.(!j - 1) > key do
+      c.dk.(!j) <- c.dk.(!j - 1);
+      c.ds.(!j) <- c.ds.(!j - 1);
+      decr j
+    done;
+    c.dk.(!j) <- key;
+    c.ds.(!j) <- sl;
+    incr n;
+    s := c.sl_next.(sl)
+  done;
+  c.wheel.(h) <- -1;
+  c.due.(b) <- c.due.(b) - !n;
+  !n
+
+(* the first cycle after [now] at which some slot is ready; max_int
+   when nothing is in flight *)
+let next_due c ~now =
+  let t = ref c.far_min in
+  let d = ref 1 in
+  while !d < wheel_size && now + !d < !t do
+    if c.due.((now + !d) land wheel_mask) > 0 then t := now + !d;
+    incr d
+  done;
+  !t
+
+(* The calendar's invariants after a cycle's drain, for [AGP_CHECK=1]:
+   every live slot is filed exactly once — in its own pipeline's bucket
+   for its ready cycle, or on the far list — and is due after [now];
+   the bucket counts and the far minimum match what is filed; and each
+   pipeline's occupancy counts its filed slots, summing to the live
+   slots. *)
+let check_calendar c pipes ~now =
+  let fail fmt = Printf.ksprintf failwith ("Accelerator.run: cycle %d: " ^^ fmt) now in
+  let filed = Array.make (Array.length c.sl_task) false in
+  let per_pipe = Array.make (Array.length pipes) 0 in
+  let per_bucket = Array.make wheel_size 0 in
+  let visit s =
+    if Engine.is_nil c.sl_task.(s) || filed.(s) then fail "slot %d is free or filed twice" s;
+    filed.(s) <- true;
+    if c.sl_ready.(s) <= now then fail "slot %d was due at %d and not stepped" s c.sl_ready.(s);
+    per_pipe.(c.sl_pipe.(s)) <- per_pipe.(c.sl_pipe.(s)) + 1
+  in
+  Array.iter
+    (fun p ->
+      for b = 0 to wheel_size - 1 do
+        let s = ref c.wheel.((p.id lsl wheel_bits) lor b) in
+        while !s >= 0 do
+          let r = c.sl_ready.(!s) in
+          visit !s;
+          if c.sl_pipe.(!s) <> p.id || r land wheel_mask <> b || r - now >= wheel_size then
+            fail "slot %d (pipe %d, ready %d) filed in pipe %d bucket %d" !s c.sl_pipe.(!s) r
+              p.id b;
+          per_bucket.(b) <- per_bucket.(b) + 1;
+          s := c.sl_next.(!s)
+        done
+      done)
+    pipes;
+  Array.iteri
+    (fun b n -> if n <> c.due.(b) then fail "bucket %d chains %d slots, counted %d" b n c.due.(b))
+    per_bucket;
+  let far_min = ref max_int in
+  for i = 0 to c.far_n - 1 do
+    visit c.far.(i);
+    far_min := imin !far_min c.sl_ready.(c.far.(i))
+  done;
+  if !far_min <> c.far_min then fail "far list minimum %d, recorded %d" !far_min c.far_min;
+  Array.iter
+    (fun p ->
+      if per_pipe.(p.id) <> p.n then fail "pipe %d holds %d tasks, %d filed" p.id p.n per_pipe.(p.id))
+    pipes;
+  let occupancy = Array.fold_left (fun acc p -> acc + p.n) 0 pipes in
+  let occupied = Array.fold_left (fun acc tk -> if Engine.is_nil tk then acc else acc + 1) 0 c.sl_task in
+  if occupancy <> c.live || occupied <> c.live then
+    fail "pipelines hold %d tasks, %d slots are occupied, %d live" occupancy occupied c.live
 
 (* attribution bucket codes inside the flat matrix, in
    [Attribution.buckets] order *)
@@ -147,9 +360,6 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
               id;
               capacity;
               stage_ops;
-              win = Array.make (capacity + 4) Engine.nil_task;
-              rdy = Array.make (capacity + 4) 0;
-              ops = Array.make (capacity + 4) 0;
               n = 0;
               stepped = false;
             }))
@@ -170,24 +380,17 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
   let sq_set = Vec.create () and sq_ops = Vec.create () in
   let pops_left = Array.make (imax n_sets 1) 0 in
-  (* survivors kept so far in the window being stepped; slot !kept is
-     never ahead of the slot being read *)
-  let kept = ref 0 in
-  let keep p f ~ready ~ops =
-    let j = !kept in
-    p.win.(j) <- f;
-    p.rdy.(j) <- ready;
-    p.ops.(j) <- ops;
-    kept := j + 1
+  let cal =
+    calendar_create ~n_pipes
+      ~slots:(Array.fold_left (fun acc p -> acc + p.capacity + 4) 0 pipes)
   in
   let cycle = ref 0 in
   let active_op_cycles = ref 0 in
   let peak_in_flight = ref 0 in
-  let in_flight_count () = Array.fold_left (fun acc p -> acc + p.n) 0 pipes in
   let sample () =
     let mst = Memory.stats mem in
     {
-      Timeline.in_flight = in_flight_count ();
+      Timeline.in_flight = cal.live;
       pending = Engine.pending_count en;
       active_ops = !active_op_cycles;
       mem_hits = mst.Memory.hits;
@@ -208,7 +411,9 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     let mu = Engine.min_uncommitted en in
     (not (Engine.is_nil mu)) && Engine.compare_index tk mu <> 0
   in
-  let place_resumed ~now =
+  (* a resumed task re-enters the least occupied pipeline of its set at
+     the next cycle, so its window first holds it at the next scan *)
+  let place_resumed ~now ~scan =
     for i = 0 to Engine.resumed_count en - 1 do
       let w = Engine.resumed_get en i in
       let set = Engine.task_set w in
@@ -217,13 +422,16 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
         let p = pipes.(pi) in
         if p.set = set && (!best < 0 || p.n < pipes.(!best).n) then best := pi
       done;
-      if !best < 0 then failwith "Accelerator.run: no pipeline for resumed task";
+      if !best < 0 then
+        invalid_arg
+          (Printf.sprintf "Accelerator.run: no pipeline for a resumed task of set %s"
+             (List.nth spec.Spec.task_sets set).Spec.ts_name);
       let p = pipes.(!best) in
       if instrumented then
         Sink.emit sink ~ts:now
           (Event.Rendezvous_resume { set = p.set_name; tid = Engine.task_tid w });
       dispatch p w ~now:(now + 1);
-      pipe_prepend p w ~ready:(now + 1)
+      admit cal p w ~ready:(now + 1) ~e:(scan + 1) ~now
     done
   in
   (* cycles until the task that just stepped is ready again, from the
@@ -252,19 +460,71 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       imax prim_lat.(Engine.touched_array en) (completion - now)
     end
   in
-  let guard = ref 0 in
+  let any_finish = ref false in
+  (* execute one op of the in-flight task in slot [s] of pipeline [p] *)
+  let step_slot p s ~now =
+    let f = cal.sl_task.(s) in
+    match prog.Opcode.code.(Engine.task_pc f) with
+    | Opcode.I_alloc _ when must_stall_alloc f ->
+        (* stall at the rule-engine allocator *)
+        cal.sl_ready.(s) <- now + 1;
+        file cal s ~now
+    | op ->
+        let tid = if instrumented then Engine.task_tid f else 0 in
+        let rc =
+          match op with
+          | Opcode.I_prim _ ->
+              State.set_tracing state true;
+              let rc = Engine.step en f in
+              State.set_tracing state false;
+              rc
+          | _ -> Engine.step en f
+        in
+        incr active_op_cycles;
+        p.stepped <- true;
+        if rc < Engine.lc_blocked then begin
+          cal.sl_ops.(s) <- cal.sl_ops.(s) + 1;
+          cal.sl_ready.(s) <- now + latency rc ~now;
+          file cal s ~now
+        end
+        else begin
+          if rc = Engine.lc_blocked then begin
+            if instrumented then
+              Sink.emit sink ~ts:now (Event.Rendezvous_park { set = p.set_name; pipe = p.id; tid })
+          end
+          else begin
+            if rc <> Engine.lc_committed then begin
+              Vec.push sq_set p.set;
+              Vec.push sq_ops (cal.sl_ops.(s) + 1)
+            end;
+            if instrumented then
+              Sink.emit sink ~ts:now
+                (Event.Task_finish
+                   {
+                     set = p.set_name;
+                     pipe = p.id;
+                     tid;
+                     outcome =
+                       (if rc = Engine.lc_committed then Event.Commit
+                        else if rc = Engine.lc_aborted then Event.Abort
+                        else Event.Retry);
+                   })
+          end;
+          release cal p s;
+          any_finish := true
+        end
+  in
+  let scan = ref 0 in
   let cycle_budget = 50_000_000 in
   let checked = Engine.checked en in
-  (* hoisted per-cycle scratch: a [ref] inside the loop body would
-     allocate every iteration *)
-  let any_finish = ref false in
-  let next_ready = ref max_int in
-  let in_window = ref false in
   let minor_start = Gc.minor_words () in
   while Engine.uncommitted_remaining en do
-    incr guard;
-    if !guard > cycle_budget then raise (Engine.Step_limit_exceeded cycle_budget);
-    let now = !cycle in
+    (* a scan is one iteration of this loop, however many cycles the
+       event wheel then skips *)
+    incr scan;
+    if !scan > cycle_budget then raise (Engine.Step_limit_exceeded cycle_budget);
+    let now = !cycle and scan = !scan in
+    if cal.far_min - now < wheel_size then migrate cal ~now;
     (* 1. issue: each pipeline may accept one task per cycle, capped by
        queue bank bandwidth per set *)
     Array.fill pops_left 0 (Array.length pops_left) cfg.Config.queue_banks;
@@ -280,12 +540,13 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
         if not (Engine.is_nil tk) then begin
           pops_left.(p.set) <- left - 1;
           dispatch p tk ~now;
-          pipe_prepend p tk ~ready:now
+          admit cal p tk ~ready:now ~e:scan ~now
         end
       end
     done;
     (* priority admission: the globally minimum task must always reach
-       the rule engines, even through a full window *)
+       the rule engines, even through a full window.  It is the head of
+       a queue, so it is pending, never already in flight. *)
     begin
       let head = Engine.min_pending_head en in
       let mu = Engine.min_uncommitted en in
@@ -294,114 +555,36 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
         && (not (Engine.is_nil mu))
         && Engine.compare_index head mu = 0
       then begin
-        in_window := false;
-        for pi = 0 to n_pipes - 1 do
-          let p = pipes.(pi) in
-          for i = 0 to p.n - 1 do
-            if p.win.(i) == head then in_window := true
-          done
-        done;
-        if not !in_window then begin
-          let tk = Engine.pop_task en (Engine.task_set head) in
-          if not (Engine.is_nil tk) then begin
-            let p = pipes.(first_pipe.(Engine.task_set tk)) in
-            dispatch p tk ~now;
-            pipe_prepend p tk ~ready:now
-          end
+        let tk = Engine.pop_task en (Engine.task_set head) in
+        if not (Engine.is_nil tk) then begin
+          if checked && Array.exists (fun f -> f == tk) cal.sl_task then
+            failwith
+              (Printf.sprintf
+                 "Accelerator.run: cycle %d: priority admission of task %d, already in flight" now
+                 (Engine.task_tid tk));
+          let p = pipes.(first_pipe.(Engine.task_set tk)) in
+          dispatch p tk ~now;
+          admit cal p tk ~ready:now ~e:scan ~now
         end
       end
     end;
-    peak_in_flight := imax !peak_in_flight (in_flight_count ());
-    (* 2. execute one op for every ready in-flight task *)
+    peak_in_flight := imax !peak_in_flight cal.live;
+    (* 2. execute one op for every in-flight task due this cycle *)
     any_finish := false;
-    for pi = 0 to n_pipes - 1 do
-      let p = pipes.(pi) in
-      (* survivors are compacted in place in visit order, then the kept
-         prefix is reversed: the newest-visited survivor heads the
-         window *)
-      let old_n = p.n in
-      kept := 0;
-      for i = 0 to old_n - 1 do
-        let f = p.win.(i) in
-        if p.rdy.(i) > now then keep p f ~ready:p.rdy.(i) ~ops:p.ops.(i)
-        else begin
-          match prog.Opcode.code.(Engine.task_pc f) with
-          | Opcode.I_alloc _ when must_stall_alloc f ->
-              (* stall at the rule-engine allocator *)
-              keep p f ~ready:(now + 1) ~ops:p.ops.(i)
-          | op -> begin
-              let tid = if instrumented then Engine.task_tid f else 0 in
-              let rc =
-                match op with
-                | Opcode.I_prim _ ->
-                    State.set_tracing state true;
-                    let rc = Engine.step en f in
-                    State.set_tracing state false;
-                    rc
-                | _ -> Engine.step en f
-              in
-              incr active_op_cycles;
-              p.stepped <- true;
-              if rc < Engine.lc_blocked then
-                keep p f ~ready:(now + latency rc ~now) ~ops:(p.ops.(i) + 1)
-              else if rc = Engine.lc_blocked then begin
-                if instrumented then
-                  Sink.emit sink ~ts:now
-                    (Event.Rendezvous_park { set = p.set_name; pipe = p.id; tid });
-                any_finish := true
-              end
-              else begin
-                if rc <> Engine.lc_committed then begin
-                  Vec.push sq_set p.set;
-                  Vec.push sq_ops (p.ops.(i) + 1)
-                end;
-                if instrumented then
-                  Sink.emit sink ~ts:now
-                    (Event.Task_finish
-                       {
-                         set = p.set_name;
-                         pipe = p.id;
-                         tid;
-                         outcome =
-                           (if rc = Engine.lc_committed then Event.Commit
-                            else if rc = Engine.lc_aborted then Event.Abort
-                            else Event.Retry);
-                       });
-                any_finish := true
-              end
-            end
-        end
+    if cal.due.(now land wheel_mask) > 0 then
+      for pi = 0 to n_pipes - 1 do
+        let p = pipes.(pi) in
+        for i = 0 to drain cal pi ~now ~scan - 1 do
+          step_slot p cal.ds.(i) ~now
+        done
       done;
-      let ns = !kept in
-      for i = 0 to (ns / 2) - 1 do
-        let k = ns - 1 - i in
-        let f = p.win.(i) and r = p.rdy.(i) and o = p.ops.(i) in
-        p.win.(i) <- p.win.(k);
-        p.rdy.(i) <- p.rdy.(k);
-        p.ops.(i) <- p.ops.(k);
-        p.win.(k) <- f;
-        p.rdy.(k) <- r;
-        p.ops.(k) <- o
-      done;
-      for i = ns to old_n - 1 do
-        p.win.(i) <- Engine.nil_task
-      done;
-      p.n <- ns
-    done;
     if !any_finish then Engine.resolve_pending en;
     (* 3. wake resolved rendezvous back into their pipelines *)
     Engine.resume_ready en;
     let n_resumed = Engine.resumed_count en in
-    place_resumed ~now;
+    place_resumed ~now ~scan;
     (* 4. advance time: fast-forward to the next ready timestamp when
        everything in flight is waiting out latency (the event wheel) *)
-    next_ready := max_int;
-    for pi = 0 to n_pipes - 1 do
-      let p = pipes.(pi) in
-      for i = 0 to p.n - 1 do
-        if p.rdy.(i) < !next_ready then next_ready := p.rdy.(i)
-      done
-    done;
     (* manual loop: [Array.exists] allocates a closure per call *)
     let have_room = ref false in
     for pi = 0 to n_pipes - 1 do
@@ -409,9 +592,8 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     done;
     let can_issue = Engine.pending_count en > 0 && !have_room in
     let next =
-      if can_issue || n_resumed > 0 then now + 1
-      else if !next_ready < max_int then imax (now + 1) !next_ready
-      else now + 1
+      if can_issue || n_resumed > 0 || cal.live = 0 then now + 1
+      else imax (now + 1) (next_due cal ~now)
     in
     (* stall attribution: charge each pipeline exactly (next - now)
        cycles so the buckets decompose cycles x pipelines *)
@@ -445,8 +627,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     Vec.clear sq_set;
     Vec.clear sq_ops;
     (* deadlock detection *)
-    if (not can_issue) && !next_ready = max_int && n_resumed = 0 && Engine.uncommitted_remaining en
-    then begin
+    if (not can_issue) && cal.live = 0 && n_resumed = 0 && Engine.uncommitted_remaining en then begin
       Engine.resolve_pending en;
       Engine.resume_ready en;
       if Engine.resumed_count en = 0 then begin
@@ -459,9 +640,12 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
                   now (Engine.waiting_count en)
                   (Agp_core.Index.to_string (Engine.task_index (Engine.waiting_min en)))))
       end
-      else place_resumed ~now
+      else place_resumed ~now ~scan
     end;
-    if checked then Engine.check_invariants en;
+    if checked then begin
+      Engine.check_invariants en;
+      check_calendar cal pipes ~now
+    end;
     begin
       match timeline with
       | Some tl when Timeline.due tl ~upto:next ->
@@ -470,6 +654,22 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     end;
     cycle := next
   done;
+  if checked then
+    (* every pipeline is charged every cycle exactly once *)
+    Array.iter
+      (fun p ->
+        if p.id = first_pipe.(p.set) then begin
+          let charged = ref 0 in
+          for b = 0 to 5 do
+            charged := !charged + matrix.((p.set * 6) + b)
+          done;
+          let width = Config.pipeline_count cfg p.set_name in
+          if !charged <> !cycle * width then
+            failwith
+              (Printf.sprintf "Accelerator.run: set %s charged %d pipeline-cycles, not %d x %d"
+                 p.set_name !charged !cycle width)
+        end)
+      pipes;
   let minor_words = Gc.minor_words () -. minor_start in
   begin
     match timeline with

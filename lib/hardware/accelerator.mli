@@ -68,7 +68,12 @@ val run :
     receives interval samples of utilization / occupancy / cache / link
     activity; the sampler only reads counters, so a sampled run's
     report is identical to an unsampled one.
-    @raise Failure on deadlock or divergence. *)
+    @raise Agp_core.Engine.Deadlock when tasks stay parked with nothing
+    left to run or wake.
+    @raise Agp_core.Engine.Step_limit_exceeded when the run passes
+    50,000,000 iterations of the cycle loop.
+    @raise Failure naming the first broken invariant, when the engine
+    checks invariants ({!Agp_core.Engine.checked}). *)
 
 val metrics_registry :
   ?events:(int * Agp_obs.Event.t) list -> report -> Agp_obs.Metrics.registry

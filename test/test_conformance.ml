@@ -232,6 +232,82 @@ let test_pinned_fingerprints () =
     seeds;
   check Alcotest.int "every pinned row checked" (List.length table) !checked
 
+(* --- pinned event streams: the fingerprints pin what the simulator
+   counted, not the order it did things in.  Each row of
+   golden/event-digests.txt is the MD5 of a run's full sink stream
+   rendered one event per line, so a change to the order in which
+   ready tasks step, dispatch or touch memory shows up here even when
+   every counter survives.  The far-horizon row raises the miss
+   latency above the simulator's 256-cycle timing wheel. --- *)
+
+module Sink = Agp_obs.Sink
+module Event = Agp_obs.Event
+
+let render_event buf (ts, ev) =
+  let pf fmt = Printf.bprintf buf fmt in
+  match ev with
+  | Event.Task_dispatch { set; pipe; tid } -> pf "%d dispatch %s %d %d\n" ts set pipe tid
+  | Event.Task_finish { set; pipe; tid; outcome } ->
+      pf "%d finish %s %d %d %s\n" ts set pipe tid (Event.outcome_name outcome)
+  | Event.Rendezvous_park { set; pipe; tid } -> pf "%d park %s %d %d\n" ts set pipe tid
+  | Event.Rendezvous_resume { set; tid } -> pf "%d resume %s %d\n" ts set tid
+  | Event.Queue_full { set; pipe } -> pf "%d queue_full %s %d\n" ts set pipe
+  | Event.Cache_access { addr; is_write; hit } -> pf "%d cache %d %b %b\n" ts addr is_write hit
+  | Event.Link_transfer { bytes; start; finish } ->
+      pf "%d link %d %d %d\n" ts bytes start finish
+  | Event.Arb_grant { bank; port } -> pf "%d grant %d %d\n" ts bank port
+
+let event_digest ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency)
+    (app : App_instance.t) =
+  let config =
+    Backend.derive_config app { Agp_hw.Config.default with Agp_hw.Config.miss_latency }
+  in
+  let r = app.App_instance.fresh () in
+  let sink = Sink.collect () in
+  let rep =
+    Accelerator.run ~config ~sink ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
+      ~state:r.App_instance.state ~initial:r.App_instance.initial ()
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter (render_event buf) (Sink.events sink);
+  Printf.sprintf "cycles=%d events=%d md5=%s" rep.Accelerator.cycles (Sink.count sink)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_pinned_event_digests () =
+  let table =
+    match golden_file "event-digests.txt" with
+    | None -> Alcotest.fail "golden/event-digests.txt not found"
+    | Some path ->
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+        |> List.map (fun l ->
+               match String.split_on_char ' ' l with
+               | app :: seed :: miss :: fp -> ((app, int_of_string seed, miss), String.concat " " fp)
+               | _ -> Alcotest.failf "malformed event digest line %S" l)
+  in
+  List.iter
+    (fun ((app_name, seed, miss), want) ->
+      let app =
+        match
+          List.find_opt
+            (fun (a : App_instance.t) -> a.App_instance.app_name = app_name)
+            (Workloads.all Workloads.Small ~seed)
+        with
+        | Some a -> a
+        | None -> Alcotest.failf "unknown app %s in event digests" app_name
+      in
+      let got =
+        match String.split_on_char '=' miss with
+        | [ "miss_latency"; m ] -> event_digest ~miss_latency:(int_of_string m) app
+        | _ -> event_digest app
+      in
+      check Alcotest.string (Printf.sprintf "%s seed %d %s" app_name seed miss) want got)
+    table;
+  let apps = List.length (Workloads.all Workloads.Small ~seed:1) in
+  check Alcotest.bool "every app x seed 1/7/42 plus a far-horizon row" true
+    (List.length table > 3 * apps)
+
 (* --- one binop table (satellite): random expressions must evaluate
    bit-for-bit identically under the tree-walking interpreter and the
    compiled op-array engine — including the error cases, whose
@@ -612,7 +688,9 @@ let test_simulator_liveness_typed () =
 
 (* The core's indices stay consistent through whole runs: with checking
    on, the software policies call [Engine.check_invariants] after every
-   step and the simulator once per cycle, for every app at small scale. *)
+   step and the simulator once per cycle, for every app at small scale.
+   The simulator also checks its in-flight calendar every cycle and its
+   attribution totals at run end. *)
 let test_engine_invariants_hold () =
   Engine.set_check_invariants true;
   Fun.protect
@@ -739,6 +817,8 @@ let () =
             test_conformance_classifies_liveness;
           Alcotest.test_case "pinned fingerprints (sequential, runtime, simulator)" `Quick
             test_pinned_fingerprints;
+          Alcotest.test_case "pinned simulator event-stream digests" `Quick
+            test_pinned_event_digests;
         ] );
       ( "semantics",
         [
