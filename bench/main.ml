@@ -248,9 +248,9 @@ let substrates () =
       let app = Workloads.spec_bfs Workloads.Small ~seed:4 in
       let run = app.Agp_apps.App_instance.fresh () in
       ignore
-        (Agp_core.Sequential.run ~initial:run.Agp_apps.App_instance.initial
-           app.Agp_apps.App_instance.spec run.Agp_apps.App_instance.bindings
-           run.Agp_apps.App_instance.state))
+        (Agp_core.Semantics.run ~initial:run.Agp_apps.App_instance.initial
+           (Agp_core.Semantics.oracle ()) app.Agp_apps.App_instance.spec
+           run.Agp_apps.App_instance.bindings run.Agp_apps.App_instance.state))
 
 (* --- work amplification (the flooding of §6.3, quantified) --- *)
 

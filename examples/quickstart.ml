@@ -81,14 +81,16 @@ let () =
 
   (* 2. sequential oracle (Definition 4.3) *)
   let st_seq = fresh_state () in
-  let seq = Sequential.run ~initial spec Spec.no_bindings st_seq in
-  Printf.printf "sequential oracle ran %d tasks\n" seq.Sequential.tasks_run;
+  let seq = Semantics.run ~initial (Semantics.oracle ()) spec Spec.no_bindings st_seq in
+  Printf.printf "sequential oracle ran %d tasks\n" seq.Semantics.tasks_run;
 
   (* 3. aggressive software runtime, 4 workers *)
   let st_par = fresh_state () in
-  let par = Runtime.run ~initial ~workers:4 spec Spec.no_bindings st_par in
+  let par =
+    Semantics.run ~initial (Semantics.pipelined ~workers:4 ()) spec Spec.no_bindings st_par
+  in
   Printf.printf "aggressive runtime: %d tasks, %d squashed, %d scheduler ticks\n"
-    par.Runtime.tasks_run par.Runtime.stats.Engine.aborted par.Runtime.steps;
+    par.Semantics.tasks_run par.Semantics.stats.Engine.aborted par.Semantics.steps;
   assert (State.equal_content st_seq st_par);
   print_endline "parallel result equals the sequential oracle (correctness criterion of §4.1)";
 

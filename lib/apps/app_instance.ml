@@ -16,25 +16,3 @@ type t = {
   fpga_mlp : int;
   graph_source : (Agp_graph.Csr.t * int) option;
 }
-
-let run_sequential t =
-  let r = t.fresh () in
-  let report = Agp_core.Sequential.run ~initial:r.initial t.spec r.bindings r.state in
-  (report, r)
-
-let run_runtime ?workers t =
-  let r = t.fresh () in
-  let report = Agp_core.Runtime.run ~initial:r.initial ?workers t.spec r.bindings r.state in
-  (report, r)
-
-let check_both ?workers t =
-  (* Both modes always execute and both checks always run, so a double
-     fault surfaces as both failure messages rather than only the
-     first. *)
-  let label mode = Result.map_error (fun e -> mode ^ ": " ^ e) in
-  let _, seq = run_sequential t in
-  let _, par = run_runtime ?workers t in
-  match (label "sequential" (seq.check ()), label "runtime" (par.check ())) with
-  | Ok (), Ok () -> Ok ()
-  | Error a, Error b -> Error (a ^ "; " ^ b)
-  | (Error _ as e), Ok () | Ok (), (Error _ as e) -> e

@@ -1,7 +1,8 @@
 (** Uniform packaging of a benchmark application: its specification,
     plus a factory producing fresh runnable instances (program state,
     execution-time bindings, initial host-injected tasks, and a
-    correctness check against the substrate reference). *)
+    correctness check against the substrate reference).  Run one with
+    [Agp_backend.Backend.run]. *)
 
 type run = {
   state : Agp_core.State.t;
@@ -43,20 +44,3 @@ type t = {
           over a graph (the AOCL-BFS round model of Table 1) read it;
           [None] for mesh/matrix substrates *)
 }
-
-val run_sequential : t -> Agp_core.Sequential.report * run
-(** Fresh instance, sequential execution, no check.  This and
-    {!run_runtime} are the primitive per-substrate hooks; new call
-    sites should go through the uniform [Agp_backend.Backend] registry,
-    which wraps them. *)
-
-val run_runtime : ?workers:int -> t -> Agp_core.Runtime.report * run
-(** Fresh instance, aggressive runtime execution (see
-    {!run_sequential} on preferring [Agp_backend.Backend]). *)
-
-val check_both : ?workers:int -> t -> (unit, string) result
-(** Run sequentially and aggressively on fresh instances and apply both
-    checks; errors are labelled with the failing mode.  Both executions
-    and both checks always run — a double fault reports both modes,
-    joined with ["; "], instead of hiding the second behind the
-    first. *)

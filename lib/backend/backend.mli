@@ -94,8 +94,8 @@ val run : ?obs:bool -> ?request_id:string -> t -> Agp_apps.App_instance.t -> run
     report's meta as ["request_id"], correlating the archived artifact
     with the daemon's trace spans and log lines.
     @raise Unsupported when [supports] rejects the app.
-    @raise Agp_core.Runtime.Deadlock and
-    @raise Agp_core.Runtime.Step_limit_exceeded propagate from the
+    @raise Agp_core.Semantics.Deadlock and
+    @raise Agp_core.Semantics.Step_limit_exceeded propagate from the
     substrate (liveness bugs, distinguishable from crashes). *)
 
 (** {1 The registry} *)
@@ -122,7 +122,7 @@ val runtime : ?workers:int -> ?max_steps:int -> unit -> t
     workers (default 8) — the {!Agp_core.Semantics.pipelined}
     interpretation.  Named ["runtime"], or ["runtime:N"] for a
     non-default count.  [max_steps] bounds the scheduler (default 1e8
-    ticks); exceeding it raises [Agp_core.Runtime.Step_limit_exceeded]. *)
+    ticks); exceeding it raises [Agp_core.Semantics.Step_limit_exceeded]. *)
 
 val parallel : ?domains:int -> unit -> t
 (** The OCaml-5-domains runtime (§4.4's pthread option) — the

@@ -28,32 +28,29 @@ type row = {
 let check ?(state_equiv = false) (b : Backend.t) (app : App_instance.t) =
   (* The oracle runs first, on its own fresh instance; its verdict
      anchors the comparison. *)
-  match App_instance.run_sequential app with
+  match Backend.run Backend.sequential app with
   | exception e -> Error (Oracle_failed (Printexc.to_string e))
-  | _, oracle -> begin
-      match oracle.App_instance.check () with
-      | Error e -> Error (Oracle_failed e)
-      | Ok () -> begin
-          match Backend.run b app with
-          | exception Backend.Unsupported { reason; _ } -> Error (Unsupported reason)
-          | exception e -> (
-              match Backend.liveness_failure e with
-              | Some msg -> Error (Liveness msg)
-              | None -> Error (Crash (Printexc.to_string e)))
-          | res -> begin
-              match res.Backend.check with
-              | Error e -> Error (Check_failed e)
-              | Ok () ->
-                  if state_equiv then
-                    match res.Backend.final with
-                    | None -> Ok ()  (* timing model: no state to compare *)
-                    | Some r -> begin
-                        match State.diff oracle.App_instance.state r.App_instance.state with
-                        | [] -> Ok ()
-                        | ds -> Error (State_mismatch ds)
-                      end
-                  else Ok ()
-            end
+  | { Backend.check = Error e; _ } -> Error (Oracle_failed e)
+  | oracle -> begin
+      match Backend.run b app with
+      | exception Backend.Unsupported { reason; _ } -> Error (Unsupported reason)
+      | exception e -> (
+          match Backend.liveness_failure e with
+          | Some msg -> Error (Liveness msg)
+          | None -> Error (Crash (Printexc.to_string e)))
+      | res -> begin
+          match res.Backend.check with
+          | Error e -> Error (Check_failed e)
+          | Ok () ->
+              if state_equiv then
+                match (oracle.Backend.final, res.Backend.final) with
+                | Some o, Some r -> begin
+                    match State.diff o.App_instance.state r.App_instance.state with
+                    | [] -> Ok ()
+                    | ds -> Error (State_mismatch ds)
+                  end
+                | _ -> Ok ()  (* timing model: no state to compare *)
+              else Ok ()
         end
     end
 

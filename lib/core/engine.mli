@@ -25,11 +25,11 @@
 
 exception Deadlock of string
 (** No task can make progress while tasks are still parked.  Rebound
-    as [Semantics.Deadlock] / [Runtime.Deadlock]. *)
+    as [Semantics.Deadlock]. *)
 
 exception Step_limit_exceeded of int
 (** A scheduling budget ran out; carries the budget.  Rebound as
-    [Semantics.Step_limit_exceeded] / [Runtime.Step_limit_exceeded]. *)
+    [Semantics.Step_limit_exceeded]. *)
 
 type task
 

@@ -1,27 +1,24 @@
 (* One semantics, many interpretations.
 
-   The small-step ECA-rule semantics lives in {!Engine}; what used to
-   distinguish Sequential / Runtime / Parallel_runtime / Trace /
-   Cpu_model was five hand-written driver loops around it, each free to
-   drift.  This module is the single driver, parameterized over an
-   {!interpretation} record: a {!policy} (which scheduling discipline
-   feeds tasks to the stepper) plus {!hooks} (effect observers fired at
-   every lifecycle transition).  A substrate is now a record, not a
-   reimplementation — the legacy modules are thin adapters over {!run},
-   and a new backend (tracing, profiling, counting, future cost-model
-   evaluators) is an interpretation record away. *)
+   The small-step ECA-rule semantics lives in {!Engine}.  This module is
+   the single driver around it, parameterized over an {!interpretation}
+   record: a {!policy} (which scheduling discipline feeds tasks to the
+   stepper) plus {!hooks} (effect observers fired at every lifecycle
+   transition).  A substrate is a record, not a reimplementation: a new
+   backend (tracing, profiling, counting, future cost-model evaluators)
+   is an interpretation record away. *)
 
-(* Typed liveness failures, raised by the core itself.  [Runtime]
-   re-exports the same constructors (OCaml exception rebinding), so
-   handlers matching any of the three names keep working. *)
+(* Typed liveness failures, raised by the core itself and rebound here
+   (OCaml exception rebinding), so handlers matching either name keep
+   working. *)
 exception Deadlock = Engine.Deadlock
 
 exception Step_limit_exceeded = Engine.Step_limit_exceeded
 
 let () =
   Printexc.register_printer (function
-    | Deadlock msg -> Some (Printf.sprintf "Agp_core.Runtime.Deadlock(%S)" msg)
-    | Step_limit_exceeded n -> Some (Printf.sprintf "Agp_core.Runtime.Step_limit_exceeded(%d)" n)
+    | Deadlock msg -> Some (Printf.sprintf "Agp_core.Semantics.Deadlock(%S)" msg)
+    | Step_limit_exceeded n -> Some (Printf.sprintf "Agp_core.Semantics.Step_limit_exceeded(%d)" n)
     | _ -> None)
 
 type step_event =
@@ -58,13 +55,13 @@ type report = {
 }
 
 let oracle ?(max_tasks = 10_000_000) () =
-  { descr = "Sequential.run"; policy = Min_first { max_tasks }; hooks = null_hooks }
+  { descr = "Semantics.oracle"; policy = Min_first { max_tasks }; hooks = null_hooks }
 
 let pipelined ?(workers = 8) ?(max_steps = 100_000_000) () =
-  { descr = "Runtime.run"; policy = Workers { workers; max_steps }; hooks = null_hooks }
+  { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; hooks = null_hooks }
 
 let multicore ?domains () =
-  { descr = "Parallel_runtime.run"; policy = Domains { domains }; hooks = null_hooks }
+  { descr = "Semantics.multicore"; policy = Domains { domains }; hooks = null_hooks }
 
 let with_hooks interp hooks = { interp with hooks }
 

@@ -2,10 +2,8 @@
 
     The small-step ECA-rule stepper is the compiled core {!Engine}; this
     module is the {e single} driver loop around it, parameterized over
-    an {!interpretation} record.  What used to be five hand-written
-    substrate loops — [Sequential], [Runtime], [Parallel_runtime],
-    [Trace] capture, [Cpu_model] instrumentation — are now one of three
-    scheduling {!policy}s plus optional effect {!hooks}:
+    an {!interpretation} record: one of three scheduling {!policy}s
+    plus optional effect {!hooks}:
 
     - {!oracle} — always run the minimum active task to completion
       (Definition 4.3's well-order; the conformance reference).
@@ -20,8 +18,10 @@
 
 (** Typed liveness failures, raised by {!Engine} itself.  These are the
     {e same} exception constructors as [Engine.Deadlock] /
-    [Runtime.Deadlock] (rebound), so existing handlers and the CLI's
-    exit-code mapping work unchanged whichever name they match on. *)
+    [Engine.Step_limit_exceeded] (rebound), so a handler matching
+    either name catches them.  [Printexc.to_string] renders them as
+    [Agp_core.Semantics.Deadlock(...)] /
+    [Agp_core.Semantics.Step_limit_exceeded(...)]. *)
 
 exception Deadlock of string
 
@@ -63,7 +63,7 @@ type policy =
       (** OCaml 5 domains; [None] picks [min 4 recommended] *)
 
 type interpretation = {
-  descr : string;  (** prefix for error messages, e.g. ["Runtime.run"] *)
+  descr : string;  (** prefix for error messages, e.g. ["Semantics.pipelined"] *)
   policy : policy;
   hooks : hooks;
 }

@@ -4,9 +4,10 @@
 
     A specification is consumed by three interpreters that share its
     semantics exactly:
-    - {!Sequential} — Definition 4.3, the correctness oracle;
-    - {!Runtime} — the aggressive software runtime (the "pure software
-      runtime" of §4.4) with speculative/coordinative scheduling;
+    - {!Semantics.oracle} — Definition 4.3, the correctness oracle;
+    - {!Semantics.pipelined} — the aggressive software runtime (the
+      "pure software runtime" of §4.4) with speculative/coordinative
+      scheduling;
     - [Agp_hw.Accelerator] — the cycle-level FPGA model, after
       compilation to a Boolean dataflow graph ([Agp_dataflow]).
 

@@ -18,7 +18,7 @@ type entry = {
 
 type t = {
   entries : entry list;
-  report : Runtime.report;
+  report : Semantics.report;
 }
 
 let op_descriptor (op : Spec.op) =
@@ -37,9 +37,9 @@ let op_descriptor (op : Spec.op) =
   | Spec.Prim (_, name, _) -> "prim " ^ name
 
 (* Tracing is the {!Semantics.pipelined} interpretation plus recording
-   hooks: the scheduler is the very loop [Runtime.run] uses, so a
-   traced execution has the same schedule as an untraced one by
-   construction, not by keeping two copies of the loop in sync. *)
+   hooks: the scheduler is the very loop an untraced [pipelined] run
+   uses, so a traced execution has the same schedule as an untraced one
+   by construction, not by keeping two copies of the loop in sync. *)
 let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
   let entries = ref [] in
   let n_entries = ref 0 in
@@ -88,18 +88,7 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
       (Semantics.with_hooks (Semantics.pipelined ~workers ~max_steps:50_000_000 ()) hooks)
       "Trace.run"
   in
-  let r = Semantics.run ~initial interp sp bindings st in
-  let report : Runtime.report =
-    {
-      Runtime.tasks_run = r.Semantics.tasks_run;
-      steps = r.Semantics.steps;
-      max_concurrency = r.Semantics.max_concurrency;
-      max_waiting = r.Semantics.max_waiting;
-      avg_busy = r.Semantics.avg_busy;
-      stats = r.Semantics.stats;
-      prim_counts = r.Semantics.prim_counts;
-    }
-  in
+  let report = Semantics.run ~initial interp sp bindings st in
   { entries = List.rev !entries; report }
 
 let render_timeline ?(max_ticks = 60) t =

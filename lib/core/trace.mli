@@ -2,11 +2,11 @@
     support of §4.4 ("a pure software runtime is provided to help
     programmers debug applications").
 
-    Runs a specification exactly like {!Runtime} (same worker model,
-    same schedule) while recording every task lifecycle transition, and
-    renders the recording as a per-worker timeline plus a per-task-set
-    summary — making collisions, squashes and rendezvous stalls visible
-    before any hardware is generated. *)
+    Runs a specification exactly like {!Semantics.pipelined} (same
+    worker model, same schedule) while recording every task lifecycle
+    transition, and renders the recording as a per-worker timeline plus
+    a per-task-set summary — making collisions, squashes and rendezvous
+    stalls visible before any hardware is generated. *)
 
 type event_kind =
   | Started
@@ -28,7 +28,7 @@ type entry = {
 
 type t = {
   entries : entry list;  (** chronological *)
-  report : Runtime.report;
+  report : Semantics.report;
 }
 
 val run :

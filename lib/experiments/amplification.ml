@@ -1,5 +1,6 @@
 module App_instance = Agp_apps.App_instance
 module Engine = Agp_core.Engine
+module Semantics = Agp_core.Semantics
 module Table = Agp_util.Table
 
 type row = {
@@ -17,20 +18,17 @@ let validated name check =
   | Error e -> failwith (Printf.sprintf "Amplification: %s produced a wrong result: %s" name e)
 
 let measure ?(workers = 10) (app : App_instance.t) =
-  let seq = app.App_instance.fresh () in
-  let seq_report =
-    Agp_core.Sequential.run ~initial:seq.App_instance.initial app.App_instance.spec
-      seq.App_instance.bindings seq.App_instance.state
+  let run interp =
+    let r = app.App_instance.fresh () in
+    let report =
+      Semantics.run ~initial:r.App_instance.initial interp app.App_instance.spec
+        r.App_instance.bindings r.App_instance.state
+    in
+    validated app.App_instance.app_name r.App_instance.check;
+    report.Semantics.stats
   in
-  validated app.App_instance.app_name seq.App_instance.check;
-  let par = app.App_instance.fresh () in
-  let par_report =
-    Agp_core.Runtime.run ~initial:par.App_instance.initial ~workers app.App_instance.spec
-      par.App_instance.bindings par.App_instance.state
-  in
-  validated app.App_instance.app_name par.App_instance.check;
-  let s = par_report.Agp_core.Runtime.stats in
-  let necessary = seq_report.Agp_core.Sequential.stats.Engine.committed in
+  let necessary = (run (Semantics.oracle ())).Engine.committed in
+  let s = run (Semantics.pipelined ~workers ()) in
   {
     amp_app = app.App_instance.app_name;
     necessary;

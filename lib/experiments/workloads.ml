@@ -79,27 +79,26 @@ let coor_lu scale ~seed =
       Agp_apps.Lu_app.coordinative
         (Agp_apps.Lu_app.sized_workload ~seed ~nb:16 ~bs:64 ~density:0.3)
 
-let all scale ~seed =
+(* The one list of apps: [all], [app_names] and [find] derive from it,
+   so adding an app touches this table only. *)
+let registry =
   [
-    spec_bfs scale ~seed;
-    coor_bfs scale ~seed;
-    spec_sssp scale ~seed;
-    spec_mst scale ~seed;
-    spec_dmr scale ~seed;
-    coor_lu scale ~seed;
+    ("spec-bfs", spec_bfs);
+    ("coor-bfs", coor_bfs);
+    ("spec-sssp", spec_sssp);
+    ("spec-mst", spec_mst);
+    ("spec-dmr", spec_dmr);
+    ("coor-lu", coor_lu);
   ]
 
-let app_names = [ "spec-bfs"; "coor-bfs"; "spec-sssp"; "spec-mst"; "spec-dmr"; "coor-lu" ]
+let all scale ~seed = List.map (fun (_, build) -> build scale ~seed) registry
+
+let app_names = List.map fst registry
 
 let find name scale ~seed =
-  match name with
-  | "spec-bfs" -> Ok (spec_bfs scale ~seed)
-  | "coor-bfs" -> Ok (coor_bfs scale ~seed)
-  | "spec-sssp" -> Ok (spec_sssp scale ~seed)
-  | "spec-mst" -> Ok (spec_mst scale ~seed)
-  | "spec-dmr" -> Ok (spec_dmr scale ~seed)
-  | "coor-lu" -> Ok (coor_lu scale ~seed)
-  | other ->
+  match List.assoc_opt name registry with
+  | Some build -> Ok (build scale ~seed)
+  | None ->
       Error
-        (Printf.sprintf "unknown application %S (known: %s)" other
+        (Printf.sprintf "unknown application %S (known: %s)" name
            (String.concat ", " app_names))

@@ -6,8 +6,6 @@ let pid_rules = 2
 
 let pid_memory = 3
 
-let pid_arbiter = 4
-
 let to_json ?(trace_name = "agp") events =
   let events = List.stable_sort (fun (a, _) (b, _) -> compare a b) events in
   let max_ts =
@@ -24,7 +22,6 @@ let to_json ?(trace_name = "agp") events =
   (* stable thread ids: sorted component names, numbered from 1 *)
   let pipe_rows = Hashtbl.create 16 in
   let set_rows = Hashtbl.create 8 in
-  let bank_rows = Hashtbl.create 8 in
   let any_memory = ref false in
   List.iter
     (fun (_, ev) ->
@@ -36,20 +33,16 @@ let to_json ?(trace_name = "agp") events =
           Hashtbl.replace pipe_rows (set, pipe) ();
           Hashtbl.replace set_rows set ()
       | E.Rendezvous_resume { set; _ } -> Hashtbl.replace set_rows set ()
-      | E.Arb_grant { bank; _ } -> Hashtbl.replace bank_rows bank ()
       | E.Cache_access _ | E.Link_transfer _ -> any_memory := true)
     events;
   let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl []) in
   let pipe_list = sorted_keys pipe_rows in
   let set_list = sorted_keys set_rows in
-  let bank_list = sorted_keys bank_rows in
   let index_of lst = List.mapi (fun i k -> (k, i + 1)) lst in
   let pipe_tid_tbl = index_of pipe_list in
   let set_tid_tbl = index_of set_list in
-  let bank_tid_tbl = index_of bank_list in
   let pipe_tid k = List.assoc k pipe_tid_tbl in
   let set_tid k = List.assoc k set_tid_tbl in
-  let bank_tid k = List.assoc k bank_tid_tbl in
   let out = ref [] in
   let push ts json = out := (ts, json) :: !out in
   let span ~name ~ts ~dur ~pid ~tid ~args =
@@ -120,11 +113,7 @@ let to_json ?(trace_name = "agp") events =
                ~dur:(max 0 (finish - start))
                ~pid:pid_memory ~tid:1
                ~args:[ ("bytes", Json.Int bytes) ])
-      | E.Cache_access _ -> () (* folded into counter samples below *)
-      | E.Arb_grant { bank; port } ->
-          push ts
-            (instant ~name:"grant" ~ts ~pid:pid_arbiter ~tid:(bank_tid bank)
-               ~args:[ ("port", Json.Int port) ]))
+      | E.Cache_access _ -> () (* folded into counter samples below *))
     events;
   (* deterministically close whatever is still open *)
   let leftovers tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
@@ -183,13 +172,6 @@ let to_json ?(trace_name = "agp") events =
         @ [ ("args", Json.Obj [ ("name", Json.String value) ]) ])
       :: !meta
   in
-  if bank_list <> [] then begin
-    List.iter
-      (fun bank -> md ~tid:(bank_tid bank) ~pid:pid_arbiter "thread_name"
-          (Printf.sprintf "bank %d" bank))
-      (List.rev bank_list);
-    md ~pid:pid_arbiter "process_name" "wavefront arbiter"
-  end;
   if !any_memory then begin
     md ~tid:1 ~pid:pid_memory "thread_name" "qpi-link";
     md ~pid:pid_memory "process_name" "memory"

@@ -12,8 +12,7 @@
     - pid 2 "rule engines": one row per task set; ["X"] spans from
       rendezvous park to resume;
     - pid 3 "memory": QPI line transfers as ["X"] spans on the link
-      row, cumulative hit/miss totals as ["C"] counter samples;
-    - pid 4 "wavefront arbiter": instant grant marks per bank.
+      row, cumulative hit/miss totals as ["C"] counter samples.
 
     Timestamps are simulator cycles written into the [ts]/[dur] fields
     (microseconds as far as the viewer is concerned — relative shape is

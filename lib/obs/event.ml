@@ -11,7 +11,6 @@ type t =
   | Queue_full of { set : string; pipe : int }
   | Cache_access of { addr : int; is_write : bool; hit : bool }
   | Link_transfer of { bytes : int; start : int; finish : int }
-  | Arb_grant of { bank : int; port : int }
 
 let outcome_name = function
   | Commit -> "commit"
@@ -26,4 +25,3 @@ let kind = function
   | Queue_full _ -> "queue_full"
   | Cache_access _ -> "cache_access"
   | Link_transfer _ -> "link_transfer"
-  | Arb_grant _ -> "arb_grant"

@@ -29,9 +29,6 @@ type t =
   | Link_transfer of { bytes : int; start : int; finish : int }
       (** a cache line crossing the QPI link, including any wait for a
           link slot ([start] may exceed the issue cycle) *)
-  | Arb_grant of { bank : int; port : int }
-      (** wavefront allocator grant (standalone {!Agp_hw.Wavefront}
-          instrumentation) *)
 
 val outcome_name : outcome -> string
 

@@ -98,8 +98,7 @@ let spans events =
                 }
                 :: !out
         end
-      | Event.Queue_full _ | Event.Cache_access _ | Event.Link_transfer _ | Event.Arb_grant _ ->
-          ())
+      | Event.Queue_full _ | Event.Cache_access _ | Event.Link_transfer _ -> ())
     events;
   (List.rev !out, Hashtbl.length tbl)
 

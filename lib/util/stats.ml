@@ -51,24 +51,3 @@ let percentile_nearest xs p =
 let minimum xs = Array.fold_left min xs.(0) xs
 
 let maximum xs = Array.fold_left max xs.(0) xs
-
-type running = {
-  mutable count : int;
-  mutable m : float;
-  mutable s : float;
-}
-
-let running () = { count = 0; m = 0.0; s = 0.0 }
-
-let observe r x =
-  r.count <- r.count + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.count);
-  r.s <- r.s +. (delta *. (x -. r.m))
-
-let running_count r = r.count
-
-let running_mean r = r.m
-
-let running_stddev r =
-  if r.count < 2 then 0.0 else sqrt (r.s /. float_of_int r.count)

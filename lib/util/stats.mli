@@ -25,16 +25,3 @@ val minimum : float array -> float
 val maximum : float array -> float
 
 val sum : float array -> float
-
-type running
-(** Online accumulator (Welford). *)
-
-val running : unit -> running
-
-val observe : running -> float -> unit
-
-val running_count : running -> int
-
-val running_mean : running -> float
-
-val running_stddev : running -> float

@@ -8,11 +8,21 @@ module Sssp_app = Agp_apps.Sssp_app
 module Mst_app = Agp_apps.Mst_app
 module Dmr_app = Agp_apps.Dmr_app
 module Lu_app = Agp_apps.Lu_app
+module Backend = Agp_backend.Backend
+module Conformance = Agp_backend.Conformance
 open Agp_core
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let ok_result = Alcotest.result Alcotest.unit Alcotest.string
+let sequential app = Backend.run Backend.sequential app
+let runtime ~workers app = Backend.run (Backend.runtime ~workers ()) app
+let parallel ~domains app = Backend.run (Backend.parallel ~domains ()) app
+let stats (res : Backend.run_result) = Option.get res.Backend.engine_stats
+let tasks_run (res : Backend.run_result) = Option.get res.Backend.tasks_run
+
+(* Oracle and runtime on fresh instances, both substrate verdicts. *)
+let conforms ~workers app = Conformance.check (Backend.runtime ~workers ()) app = Ok ()
 
 let specs_validate () =
   List.iter
@@ -42,108 +52,103 @@ let sssp_small () =
   Sssp_app.workload_of_graph (Agp_graph.Generator.random ~seed:11 ~n:80 ~m:220) 0
 
 let test_sssp_sequential () =
-  let _, run = App_instance.run_sequential (Sssp_app.speculative (sssp_small ())) in
-  check ok_result "distances" (Ok ()) (run.App_instance.check ())
+  check ok_result "distances" (Ok ())
+    (sequential (Sssp_app.speculative (sssp_small ()))).Backend.check
 
 let test_sssp_runtime () =
   List.iter
     (fun workers ->
-      let _, run = App_instance.run_runtime ~workers (Sssp_app.speculative (sssp_small ())) in
-      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ()) (run.App_instance.check ()))
+      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ())
+        (runtime ~workers (Sssp_app.speculative (sssp_small ()))).Backend.check)
     [ 1; 4; 12 ]
 
 let test_sssp_aborts_dominated () =
-  let report, _ = App_instance.run_runtime ~workers:8 (Sssp_app.speculative (sssp_small ())) in
-  check Alcotest.bool "dominated tasks squashed" true
-    (report.Runtime.stats.Engine.aborted > 0)
+  let res = runtime ~workers:8 (Sssp_app.speculative (sssp_small ())) in
+  check Alcotest.bool "dominated tasks squashed" true ((stats res).Engine.aborted > 0)
 
 let prop_sssp_random =
   QCheck.Test.make ~name:"spec-sssp correct on random graphs" ~count:8
     QCheck.(int_range 0 1000)
     (fun seed ->
       let g = Agp_graph.Generator.random ~seed ~n:50 ~m:130 in
-      App_instance.check_both ~workers:6 (Sssp_app.speculative (Sssp_app.workload_of_graph g 0))
-      = Ok ())
+      conforms ~workers:6 (Sssp_app.speculative (Sssp_app.workload_of_graph g 0)))
 
 (* --- MST --- *)
 
 let mst_small () = Mst_app.workload_of_graph (Agp_graph.Generator.random ~seed:21 ~n:60 ~m:150)
 
 let test_mst_sequential () =
-  let _, run = App_instance.run_sequential (Mst_app.speculative (mst_small ())) in
-  check ok_result "tree" (Ok ()) (run.App_instance.check ())
+  check ok_result "tree" (Ok ())
+    (sequential (Mst_app.speculative (mst_small ()))).Backend.check
 
 let test_mst_runtime () =
   List.iter
     (fun workers ->
-      let _, run = App_instance.run_runtime ~workers (Mst_app.speculative (mst_small ())) in
-      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ()) (run.App_instance.check ()))
+      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ())
+        (runtime ~workers (Mst_app.speculative (mst_small ()))).Backend.check)
     [ 1; 4; 10 ]
 
 let test_mst_retries () =
   (* A dense-ish graph provokes endpoint conflicts between concurrent
      edges, so some tasks must squash and retry. *)
   let w = Mst_app.workload_of_graph (Agp_graph.Generator.random ~seed:5 ~n:40 ~m:200) in
-  let report, run = App_instance.run_runtime ~workers:12 (Mst_app.speculative w) in
-  check ok_result "still optimal" (Ok ()) (run.App_instance.check ());
-  check Alcotest.bool "conflicts retried" true (report.Runtime.stats.Engine.retried > 0)
+  let res = runtime ~workers:12 (Mst_app.speculative w) in
+  check ok_result "still optimal" (Ok ()) res.Backend.check;
+  check Alcotest.bool "conflicts retried" true ((stats res).Engine.retried > 0)
 
 let prop_mst_random =
   QCheck.Test.make ~name:"spec-mst correct on random graphs" ~count:8
     QCheck.(int_range 0 1000)
     (fun seed ->
       let g = Agp_graph.Generator.random ~seed ~n:40 ~m:100 in
-      App_instance.check_both ~workers:6 (Mst_app.speculative (Mst_app.workload_of_graph g))
-      = Ok ())
+      conforms ~workers:6 (Mst_app.speculative (Mst_app.workload_of_graph g)))
 
 (* --- DMR --- *)
 
 let dmr_small () = Dmr_app.workload_of_points (Agp_graph.Generator.points ~seed:31 ~n:80 ~span:100.0)
 
 let test_dmr_sequential () =
-  let _, run = App_instance.run_sequential (Dmr_app.speculative (dmr_small ())) in
-  check ok_result "refined" (Ok ()) (run.App_instance.check ())
+  check ok_result "refined" (Ok ())
+    (sequential (Dmr_app.speculative (dmr_small ()))).Backend.check
 
 let test_dmr_runtime () =
   List.iter
     (fun workers ->
-      let _, run = App_instance.run_runtime ~workers (Dmr_app.speculative (dmr_small ())) in
-      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ()) (run.App_instance.check ()))
+      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ())
+        (runtime ~workers (Dmr_app.speculative (dmr_small ()))).Backend.check)
     [ 1; 4; 10 ]
 
 let test_dmr_does_work () =
-  let report, _ = App_instance.run_runtime ~workers:8 (Dmr_app.speculative (dmr_small ())) in
-  check Alcotest.bool "many refine tasks ran" true (report.Runtime.tasks_run > 10)
+  let res = runtime ~workers:8 (Dmr_app.speculative (dmr_small ())) in
+  check Alcotest.bool "many refine tasks ran" true (tasks_run res > 10)
 
 let prop_dmr_random =
   QCheck.Test.make ~name:"spec-dmr correct on random clouds" ~count:5
     QCheck.(int_range 0 1000)
     (fun seed ->
       let w = Dmr_app.workload_of_points (Agp_graph.Generator.points ~seed ~n:60 ~span:100.0) in
-      let _, run = App_instance.run_runtime ~workers:6 (Dmr_app.speculative w) in
-      run.App_instance.check () = Ok ())
+      (runtime ~workers:6 (Dmr_app.speculative w)).Backend.check = Ok ())
 
 (* --- LU --- *)
 
 let lu_small () = Lu_app.sized_workload ~seed:41 ~nb:5 ~bs:4 ~density:0.3
 
 let test_lu_sequential () =
-  let _, run = App_instance.run_sequential (Lu_app.coordinative (lu_small ())) in
-  check ok_result "residual" (Ok ()) (run.App_instance.check ())
+  check ok_result "residual" (Ok ())
+    (sequential (Lu_app.coordinative (lu_small ()))).Backend.check
 
 let test_lu_runtime () =
   List.iter
     (fun workers ->
-      let _, run = App_instance.run_runtime ~workers (Lu_app.coordinative (lu_small ())) in
-      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ()) (run.App_instance.check ()))
+      check ok_result (Printf.sprintf "workers=%d" workers) (Ok ())
+        (runtime ~workers (Lu_app.coordinative (lu_small ()))).Backend.check)
     [ 1; 4; 10 ]
 
 let test_lu_coordination_overlaps () =
   (* With enough workers, countdown rules release independent block
      tasks out of order: clause resolutions must occur (not only
      otherwise paths). *)
-  let report, _ = App_instance.run_runtime ~workers:12 (Lu_app.coordinative (lu_small ())) in
-  let s = report.Runtime.stats in
+  let s = stats (runtime ~workers:12 (Lu_app.coordinative (lu_small ()))) in
   check Alcotest.bool "countdowns resolved" true (s.Engine.clause_resolutions > 0);
   check Alcotest.int "no squashes in coordinative mode" 0 (s.Engine.aborted + s.Engine.retried)
 
@@ -152,48 +157,32 @@ let prop_lu_random =
     QCheck.(pair (int_range 0 1000) (int_range 3 6))
     (fun (seed, nb) ->
       let w = Lu_app.sized_workload ~seed ~nb ~bs:3 ~density:0.35 in
-      App_instance.check_both ~workers:8 (Lu_app.coordinative w) = Ok ())
+      conforms ~workers:8 (Lu_app.coordinative w))
 
 (* --- multicore runtime (§4.4 pthread-style implementation) --- *)
 
 let test_parallel_runtime_bfs () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0) in
-  let run = app.App_instance.fresh () in
-  let report =
-    Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:4
-      app.App_instance.spec run.App_instance.bindings run.App_instance.state
-  in
-  Alcotest.(check bool) "did work" true (report.Agp_core.Parallel_runtime.tasks_run > 100);
-  check ok_result "levels valid" (Ok ()) (run.App_instance.check ())
+  let res = parallel ~domains:4 app in
+  Alcotest.(check bool) "did work" true (tasks_run res > 100);
+  check ok_result "levels valid" (Ok ()) res.Backend.check
 
 let test_parallel_runtime_matches_sequential () =
   (* BFS levels are unique, so even a nondeterministic schedule must
      reproduce the sequential oracle's memory exactly (§4.1) *)
   let g = Agp_graph.Generator.random ~seed:19 ~n:60 ~m:150 in
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
-  let _, seq = App_instance.run_sequential app in
-  let par = app.App_instance.fresh () in
-  ignore
-    (Agp_core.Parallel_runtime.run ~initial:par.App_instance.initial ~domains:4
-       app.App_instance.spec par.App_instance.bindings par.App_instance.state);
+  let final res = (Option.get res.Backend.final).App_instance.state in
   Alcotest.(check (list string)) "identical final state" []
-    (Agp_core.State.diff seq.App_instance.state par.App_instance.state)
+    (Agp_core.State.diff (final (sequential app)) (final (parallel ~domains:4 app)))
 
 let test_parallel_runtime_lu () =
-  let app = Lu_app.coordinative (lu_small ()) in
-  let run = app.App_instance.fresh () in
-  ignore
-    (Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:3
-       app.App_instance.spec run.App_instance.bindings run.App_instance.state);
-  check ok_result "residual" (Ok ()) (run.App_instance.check ())
+  let res = parallel ~domains:3 (Lu_app.coordinative (lu_small ())) in
+  check ok_result "residual" (Ok ()) res.Backend.check
 
 let test_parallel_runtime_single_domain () =
-  let app = Sssp_app.speculative (sssp_small ()) in
-  let run = app.App_instance.fresh () in
-  ignore
-    (Agp_core.Parallel_runtime.run ~initial:run.App_instance.initial ~domains:1
-       app.App_instance.spec run.App_instance.bindings run.App_instance.state);
-  check ok_result "distances" (Ok ()) (run.App_instance.check ())
+  let res = parallel ~domains:1 (Sssp_app.speculative (sssp_small ())) in
+  check ok_result "distances" (Ok ()) res.Backend.check
 
 let () =
   Alcotest.run "agp_apps"

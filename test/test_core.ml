@@ -5,6 +5,8 @@
 open Agp_core
 module Bfs_app = Agp_apps.Bfs_app
 module App_instance = Agp_apps.App_instance
+module Backend = Agp_backend.Backend
+module Conformance = Agp_backend.Conformance
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -250,24 +252,27 @@ let counter_state () =
   State.add_int_array st "cell" [| 0 |];
   st
 
+let oracle = Semantics.oracle ()
+
 let test_sequential_counter () =
   let st = counter_state () in
   let report =
-    Sequential.run ~initial:[ ("inc", [ Value.Int 4 ]) ] counter_spec Spec.no_bindings st
+    Semantics.run ~initial:[ ("inc", [ Value.Int 4 ]) ] oracle counter_spec Spec.no_bindings st
   in
   (* 4 + 3 + 2 + 1 *)
   check Alcotest.int "sum" 10 (State.int_array st "cell").(0);
-  check Alcotest.int "tasks" 4 report.Sequential.tasks_run;
-  check Alcotest.int "committed" 4 report.Sequential.stats.Engine.committed
+  check Alcotest.int "tasks" 4 report.Semantics.tasks_run;
+  check Alcotest.int "committed" 4 report.Semantics.stats.Engine.committed
 
 let test_runtime_counter_matches () =
   let st = counter_state () in
   let report =
-    Runtime.run ~initial:[ ("inc", [ Value.Int 6 ]) ] ~workers:4 counter_spec Spec.no_bindings st
+    Semantics.run ~initial:[ ("inc", [ Value.Int 6 ]) ] (Semantics.pipelined ~workers:4 ())
+      counter_spec Spec.no_bindings st
   in
   check Alcotest.int "sum" 21 (State.int_array st "cell").(0);
   check Alcotest.bool "avg busy in (0, workers]" true
-    (report.Runtime.avg_busy > 0.0 && report.Runtime.avg_busy <= 4.0)
+    (report.Semantics.avg_busy > 0.0 && report.Semantics.avg_busy <= 4.0)
 
 let test_engine_rejects_invalid_spec () =
   let bad : Spec.t =
@@ -275,7 +280,7 @@ let test_engine_rejects_invalid_spec () =
   in
   check Alcotest.bool "raises" true
     (try
-       ignore (Sequential.run bad Spec.no_bindings (State.create ()));
+       ignore (Semantics.run oracle bad Spec.no_bindings (State.create ()));
        false
      with Invalid_argument _ -> true)
 
@@ -327,13 +332,13 @@ let claim_spec : Spec.t =
 let test_rule_squashes_later_writer () =
   let st = counter_state () in
   let report =
-    Runtime.run
+    Semantics.run
       ~initial:[ ("writer", [ Value.Int 111 ]); ("writer", [ Value.Int 222 ]) ]
-      ~workers:2 claim_spec Spec.no_bindings st
+      (Semantics.pipelined ~workers:2 ()) claim_spec Spec.no_bindings st
   in
   check Alcotest.int "earlier writer wins" 111 (State.int_array st "cell").(0);
-  check Alcotest.int "one abort" 1 report.Runtime.stats.Engine.aborted;
-  check Alcotest.int "one commit" 1 report.Runtime.stats.Engine.committed
+  check Alcotest.int "one abort" 1 report.Semantics.stats.Engine.aborted;
+  check Alcotest.int "one commit" 1 report.Semantics.stats.Engine.committed
 
 let test_sequential_claim_overwrites () =
   (* Sequentially both writers run in order and both store (the rule
@@ -343,9 +348,9 @@ let test_sequential_claim_overwrites () =
      makes their parallel results equal to their sequential ones. *)
   let st = counter_state () in
   ignore
-    (Sequential.run
+    (Semantics.run
        ~initial:[ ("writer", [ Value.Int 111 ]); ("writer", [ Value.Int 222 ]) ]
-       claim_spec Spec.no_bindings st);
+       oracle claim_spec Spec.no_bindings st);
   check Alcotest.int "both stored in order" 222 (State.int_array st "cell").(0)
 
 (* --- Counted rule: a two-phase dependence --- *)
@@ -408,18 +413,18 @@ let test_counted_rule_orders () =
   (* Push b FIRST so it would run before the a's without the rule. *)
   let st = counted_state () in
   ignore
-    (Runtime.run
+    (Semantics.run
        ~initial:[ ("b", []); ("a", [ Value.Int 1 ]); ("a", [ Value.Int 2 ]) ]
-       ~workers:3 counted_spec counted_bindings st);
+       (Semantics.pipelined ~workers:3 ()) counted_spec counted_bindings st);
   (* (1 + 1) * 10 + 1 — b's countdown held it until both a's emitted *)
   check Alcotest.int "b waited for both" 21 (State.int_array st "cell").(0)
 
 let test_counted_rule_sequential () =
   let st = counted_state () in
   ignore
-    (Sequential.run
+    (Semantics.run
        ~initial:[ ("b", []); ("a", [ Value.Int 1 ]); ("a", [ Value.Int 2 ]) ]
-       counted_spec counted_bindings st);
+       oracle counted_spec counted_bindings st);
   (* Sequentially the well-order interleaves b between the a's (b's
      index ties the first a and precedes the second), and b's rendezvous
      degenerates to the otherwise path when b is minimal — so b computes
@@ -466,7 +471,7 @@ let test_prim_roundtrip () =
     }
   in
   let st = counter_state () in
-  ignore (Sequential.run ~initial:[ ("t", [ Value.Int 21 ]) ] sp bindings st);
+  ignore (Semantics.run ~initial:[ ("t", [ Value.Int 21 ]) ] oracle sp bindings st);
   check Alcotest.int "prim result stored" 42 (State.int_array st "cell").(0)
 
 (* --- more engine edge cases --- *)
@@ -493,8 +498,8 @@ let test_push_iter_empty_range () =
     }
   in
   let st = counter_state () in
-  let report = Sequential.run ~initial:[ ("t", [ Value.Int 5 ]) ] sp Spec.no_bindings st in
-  check Alcotest.int "only the seed task ran" 1 report.Sequential.tasks_run;
+  let report = Semantics.run ~initial:[ ("t", [ Value.Int 5 ]) ] oracle sp Spec.no_bindings st in
+  check Alcotest.int "only the seed task ran" 1 report.Semantics.tasks_run;
   check Alcotest.int "body executed" 1 (State.int_array st "cell").(0)
 
 let test_on_activated_rule () =
@@ -546,9 +551,9 @@ let test_on_activated_rule () =
   let bindings : Spec.bindings = { prims = []; expected = [ ("seen_two", fun _ -> 2) ] } in
   let st = counted_state () in
   ignore
-    (Runtime.run
+    (Semantics.run
        ~initial:[ ("barrier", []); ("worker", [ Value.Int 1 ]); ("worker", [ Value.Int 2 ]) ]
-       ~workers:3 sp bindings st);
+       (Semantics.pipelined ~workers:3 ()) sp bindings st);
   check Alcotest.int "barrier fired" 9 (State.int_array st "cell").(0)
 
 let test_float_memory_in_spec () =
@@ -573,7 +578,7 @@ let test_float_memory_in_spec () =
   in
   let st = State.create () in
   State.add_float_array st "fs" [| 1.5; 0.0 |];
-  ignore (Sequential.run ~initial:[ ("t", [ Value.Int 4 ]) ] sp Spec.no_bindings st);
+  ignore (Semantics.run ~initial:[ ("t", [ Value.Int 4 ]) ] oracle sp Spec.no_bindings st);
   check (Alcotest.float 1e-12) "float arithmetic through the IR" 6.0 (State.float_array st "fs").(1)
 
 let test_engine_pop_min_order () =
@@ -653,7 +658,7 @@ let test_engine_unbound_prim () =
   in
   check Alcotest.bool "unbound prim raises" true
     (try
-       ignore (Sequential.run ~initial:[ ("t", []) ] sp Spec.no_bindings (counter_state ()));
+       ignore (Semantics.run ~initial:[ ("t", []) ] oracle sp Spec.no_bindings (counter_state ()));
        false
      with Invalid_argument _ -> true)
 
@@ -675,10 +680,10 @@ let test_prim_counts_exposed () =
   in
   let bindings : Spec.bindings = { prims = [ ("nop", fun _ _ -> []) ]; expected = [] } in
   let report =
-    Sequential.run ~initial:[ ("t", []); ("t", []); ("t", []) ] sp bindings (counter_state ())
+    Semantics.run ~initial:[ ("t", []); ("t", []); ("t", []) ] oracle sp bindings (counter_state ())
   in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "three invocations"
-    [ ("nop", 3) ] report.Sequential.prim_counts
+    [ ("nop", 3) ] report.Semantics.prim_counts
 
 (* --- BFS integration through both interpreters --- *)
 
@@ -686,25 +691,24 @@ let small_graph () = Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8
 
 let test_spec_bfs_sequential () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (small_graph ()) 0) in
-  let _, run = App_instance.run_sequential app in
   check (Alcotest.result Alcotest.unit Alcotest.string) "levels valid" (Ok ())
-    (run.App_instance.check ())
+    (Backend.run Backend.sequential app).Backend.check
 
 let test_spec_bfs_runtime_many_workers () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (small_graph ()) 0) in
   List.iter
     (fun workers ->
-      let _, run = App_instance.run_runtime ~workers app in
       check (Alcotest.result Alcotest.unit Alcotest.string)
         (Printf.sprintf "levels valid (%d workers)" workers)
         (Ok ())
-        (run.App_instance.check ()))
+        (Backend.run (Backend.runtime ~workers ()) app).Backend.check)
     [ 1; 2; 7; 16 ]
 
 let test_coor_bfs_both () =
   let app = Bfs_app.coordinative (Bfs_app.workload_of_graph (small_graph ()) 0) in
   check (Alcotest.result Alcotest.unit Alcotest.string) "coor-bfs ok" (Ok ())
-    (App_instance.check_both ~workers:8 app)
+    (Result.map_error Conformance.failure_to_string
+       (Conformance.check (Backend.runtime ~workers:8 ()) app))
 
 let test_bfs_state_equivalence () =
   (* Parallel execution must produce the exact sequential level array —
@@ -712,15 +716,13 @@ let test_bfs_state_equivalence () =
      criterion of §4.1. *)
   let w = Bfs_app.workload_of_graph (small_graph ()) 0 in
   let app = Bfs_app.speculative w in
-  let _, seq = App_instance.run_sequential app in
-  let _, par = App_instance.run_runtime ~workers:8 app in
+  let final b = (Option.get (Backend.run b app).Backend.final).App_instance.state in
   check (Alcotest.list Alcotest.string) "identical final state" []
-    (State.diff seq.App_instance.state par.App_instance.state)
+    (State.diff (final Backend.sequential) (final (Backend.runtime ~workers:8 ())))
 
 let test_spec_bfs_speculation_stats () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (small_graph ()) 0) in
-  let report, _ = App_instance.run_runtime ~workers:8 app in
-  let s = report.Runtime.stats in
+  let s = Option.get (Backend.run (Backend.runtime ~workers:8 ()) app).Backend.engine_stats in
   (* Flooding: speculative BFS activates more update tasks than edges
      that succeed; some must abort. *)
   check Alcotest.bool "aborts happened" true (s.Engine.aborted > 0);
@@ -732,7 +734,7 @@ let prop_bfs_random_graphs_both_modes =
     (fun seed ->
       let g = Agp_graph.Generator.random ~seed ~n:60 ~m:150 in
       let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
-      App_instance.check_both ~workers:6 app = Ok ())
+      Conformance.check (Backend.runtime ~workers:6 ()) app = Ok ())
 
 let prop_coor_bfs_random_graphs =
   QCheck.Test.make ~name:"coor-bfs correct on random graphs" ~count:10
@@ -740,7 +742,7 @@ let prop_coor_bfs_random_graphs =
     (fun seed ->
       let g = Agp_graph.Generator.random ~seed ~n:60 ~m:150 in
       let app = Bfs_app.coordinative (Bfs_app.workload_of_graph g 0) in
-      App_instance.check_both ~workers:6 app = Ok ())
+      Conformance.check (Backend.runtime ~workers:6 ()) app = Ok ())
 
 (* --- keyed delivery against a full-scan reference ---
 

@@ -83,6 +83,22 @@ let test_workloads_all_valid () =
       | Error es -> Alcotest.failf "%s: %s" app.Agp_apps.App_instance.app_name (String.concat ";" es))
     (Workloads.all Workloads.Small ~seed:1)
 
+let test_workloads_names_agree () =
+  (* [all], [app_names] and [find] agree: the i-th name resolves to the
+     i-th app of [all] *)
+  let apps = Workloads.all Workloads.Small ~seed:1 in
+  check Alcotest.int "one name per app" (List.length apps) (List.length Workloads.app_names);
+  List.iter2
+    (fun name (app : Agp_apps.App_instance.t) ->
+      match Workloads.find name Workloads.Small ~seed:1 with
+      | Error e -> Alcotest.fail e
+      | Ok found ->
+          check Alcotest.string name app.Agp_apps.App_instance.app_name
+            found.Agp_apps.App_instance.app_name)
+    Workloads.app_names apps;
+  check Alcotest.bool "unknown name rejected" true
+    (Result.is_error (Workloads.find "spec-nope" Workloads.Small ~seed:1))
+
 let test_amplification_bfs () =
   let row =
     Agp_exp.Amplification.measure ~workers:8 (Workloads.spec_bfs Workloads.Small ~seed:42)
@@ -122,6 +138,7 @@ let () =
           Alcotest.test_case "resources" `Quick test_resources_shape;
           Alcotest.test_case "schedule diagram" `Quick test_schedule_diagram;
           Alcotest.test_case "workloads valid" `Quick test_workloads_all_valid;
+          Alcotest.test_case "workload names agree" `Quick test_workloads_names_agree;
           Alcotest.test_case "scale parsing" `Quick test_scale_parse;
           Alcotest.test_case "amplification bfs" `Quick test_amplification_bfs;
           Alcotest.test_case "amplification lu" `Quick test_amplification_lu_no_flooding;

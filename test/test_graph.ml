@@ -91,46 +91,6 @@ let prop_generators_deterministic =
       let b = Generator.random ~seed ~n:50 ~m:120 in
       Csr.edges a = Csr.edges b)
 
-(* --- dimacs --- *)
-
-let test_dimacs_roundtrip () =
-  let g = Generator.random ~seed:6 ~n:40 ~m:80 in
-  match Dimacs.parse (Dimacs.to_string g) with
-  | Error e -> Alcotest.fail e
-  | Ok g' ->
-      check Alcotest.int "n" g.Csr.n g'.Csr.n;
-      check Alcotest.int "m" g.Csr.m g'.Csr.m;
-      check Alcotest.bool "same edges" true (Csr.edges g = Csr.edges g')
-
-let test_dimacs_rejects_garbage () =
-  check Alcotest.bool "bad line" true (Result.is_error (Dimacs.parse "hello world"));
-  check Alcotest.bool "missing p" true (Result.is_error (Dimacs.parse "a 1 2 3"));
-  check Alcotest.bool "count mismatch" true
-    (Result.is_error (Dimacs.parse "p sp 3 2\na 1 2 5"))
-
-let test_dimacs_file_roundtrip () =
-  let g = Generator.road ~seed:17 ~width:8 ~height:6 in
-  let path = Filename.temp_file "agp" ".gr" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dimacs.write_file path g;
-      match Dimacs.read_file path with
-      | Error e -> Alcotest.fail e
-      | Ok g' -> check Alcotest.bool "file roundtrip" true (Csr.edges g = Csr.edges g'))
-
-let test_dimacs_missing_file () =
-  check Alcotest.bool "missing file is an error" true
-    (Result.is_error (Dimacs.read_file "/nonexistent/path.gr"))
-
-let test_dimacs_comments_ok () =
-  let input = "c hi\np sp 2 1\na 1 2 9" in
-  match Dimacs.parse input with
-  | Error e -> Alcotest.fail e
-  | Ok g ->
-      check Alcotest.int "n" 2 g.Csr.n;
-      check Alcotest.int "weight read" 9 g.Csr.weight.(0)
-
 (* --- bfs --- *)
 
 let test_bfs_figure2 () =
@@ -263,14 +223,6 @@ let () =
           Alcotest.test_case "random connected" `Quick test_random_connected;
           Alcotest.test_case "rmat skewed" `Quick test_rmat_skewed;
           qtest prop_generators_deterministic;
-        ] );
-      ( "dimacs",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick test_dimacs_rejects_garbage;
-          Alcotest.test_case "comments ok" `Quick test_dimacs_comments_ok;
-          Alcotest.test_case "file roundtrip" `Quick test_dimacs_file_roundtrip;
-          Alcotest.test_case "missing file" `Quick test_dimacs_missing_file;
         ] );
       ( "bfs",
         [

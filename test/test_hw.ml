@@ -132,51 +132,6 @@ let test_resource_scale_monotone () =
   check Alcotest.bool "more pipelines, more ALMs" true
     (four.Resource.total.Resource.alms > one.Resource.total.Resource.alms)
 
-(* --- wavefront allocator --- *)
-
-module Wavefront = Agp_hw.Wavefront
-
-let test_wavefront_conflict_free () =
-  let w = Wavefront.create ~banks:4 ~ports:4 () in
-  let grants = Wavefront.allocate_uniform w ~requesting:[| true; true; true; true |] in
-  check Alcotest.int "full matching" 4 (List.length grants);
-  let banks = List.map fst grants and ports = List.map snd grants in
-  check Alcotest.int "banks distinct" 4 (List.length (List.sort_uniq compare banks));
-  check Alcotest.int "ports distinct" 4 (List.length (List.sort_uniq compare ports))
-
-let test_wavefront_partial_requests () =
-  let w = Wavefront.create ~banks:3 ~ports:2 () in
-  let grants = Wavefront.allocate_uniform w ~requesting:[| true; false; true |] in
-  check Alcotest.int "two grants" 2 (List.length grants);
-  check Alcotest.bool "bank 1 silent" true (not (List.mem_assoc 1 grants))
-
-let test_wavefront_fairness () =
-  (* three banks contending for ONE port: the rotating diagonal must
-     spread grants evenly over many cycles *)
-  let w = Wavefront.create ~banks:3 ~ports:1 () in
-  for _ = 1 to 300 do
-    ignore (Wavefront.allocate_uniform w ~requesting:[| true; true; true |])
-  done;
-  let counts = Wavefront.grant_counts w in
-  Array.iter
-    (fun c -> check Alcotest.bool "fair share" true (c >= 80 && c <= 120))
-    counts
-
-let test_wavefront_respects_request_matrix () =
-  let w = Wavefront.create ~banks:2 ~ports:2 () in
-  (* bank 0 only wants port 1; bank 1 only wants port 0 *)
-  let grants =
-    Wavefront.allocate w ~requests:[| [| false; true |]; [| true; false |] |]
-  in
-  check Alcotest.bool "crossed grants" true
-    (List.mem (0, 1) grants && List.mem (1, 0) grants)
-
-let test_wavefront_shape_check () =
-  let w = Wavefront.create ~banks:2 ~ports:2 () in
-  Alcotest.check_raises "bank mismatch"
-    (Invalid_argument "Wavefront.allocate_uniform: bank mismatch") (fun () ->
-      ignore (Wavefront.allocate_uniform w ~requesting:[| true |]))
-
 (* --- accelerator end to end --- *)
 
 let accel_check app =
@@ -320,7 +275,8 @@ let test_accel_matches_sequential_state () =
      oracle's — the §4.1 correctness criterion, on the machine model. *)
   let g = Agp_graph.Generator.road ~seed:6 ~width:10 ~height:10 in
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
-  let _, seq = App_instance.run_sequential app in
+  let oracle = Agp_backend.Backend.(run sequential app) in
+  let seq = Option.get oracle.Agp_backend.Backend.final in
   let run = app.App_instance.fresh () in
   ignore
     (Accelerator.run ~spec:app.App_instance.spec ~bindings:run.App_instance.bindings
@@ -365,14 +321,6 @@ let () =
           Alcotest.test_case "lane starvation correct" `Quick test_accel_lane_starvation_still_correct;
           Alcotest.test_case "deep windows correct" `Quick test_accel_deeper_window_still_correct;
           QCheck_alcotest.to_alcotest prop_accel_matches_runtime_all_apps;
-        ] );
-      ( "wavefront",
-        [
-          Alcotest.test_case "conflict-free matching" `Quick test_wavefront_conflict_free;
-          Alcotest.test_case "partial requests" `Quick test_wavefront_partial_requests;
-          Alcotest.test_case "fairness" `Quick test_wavefront_fairness;
-          Alcotest.test_case "request matrix" `Quick test_wavefront_respects_request_matrix;
-          Alcotest.test_case "shape check" `Quick test_wavefront_shape_check;
         ] );
       ( "config_memory_extra",
         [

@@ -19,7 +19,6 @@ module Span = Agp_obs.Span
 module Accelerator = Agp_hw.Accelerator
 module Config = Agp_hw.Config
 module Memory = Agp_hw.Memory
-module Wavefront = Agp_hw.Wavefront
 module App_instance = Agp_apps.App_instance
 module Bfs_app = Agp_apps.Bfs_app
 module Engine = Agp_core.Engine
@@ -110,7 +109,7 @@ let test_metrics_kind_mismatch () =
 
 (* --- sinks --- *)
 
-let ev i = Event.Arb_grant { bank = i; port = 0 }
+let ev i = Event.Cache_access { addr = i; is_write = false; hit = true }
 
 let test_sink_null () =
   check Alcotest.bool "disabled" false (Sink.enabled Sink.null);
@@ -164,18 +163,6 @@ let test_memory_events () =
       (Sink.events sink)
   in
   check (Alcotest.list Alcotest.bool) "hit flags" [ false; true ] hits
-
-let test_wavefront_events () =
-  let sink = Sink.collect () in
-  let w = Wavefront.create ~sink ~banks:2 ~ports:2 () in
-  ignore (Wavefront.allocate_uniform w ~requesting:[| true; true |]);
-  ignore (Wavefront.allocate_uniform w ~requesting:[| true; false |]);
-  let evs = Sink.events sink in
-  check Alcotest.int "three grants" 3 (List.length evs);
-  check Alcotest.bool "round timestamps" true
-    (List.map fst evs = [ 0; 0; 1 ]);
-  check Alcotest.bool "all grants" true
-    (List.for_all (fun (_, e) -> Event.kind e = "arb_grant") evs)
 
 (* --- accelerator observability end to end --- *)
 
@@ -984,7 +971,6 @@ let () =
       ( "components",
         [
           Alcotest.test_case "memory events" `Quick test_memory_events;
-          Alcotest.test_case "wavefront events" `Quick test_wavefront_events;
         ] );
       ( "accelerator",
         [

@@ -35,7 +35,7 @@ let test_trace_records_lifecycle () =
 
 let test_trace_summary_consistent_with_stats () =
   let _, _, t = traced_bfs () in
-  let stats = t.Trace.report.Runtime.stats in
+  let stats = t.Trace.report.Semantics.stats in
   let commits = List.fold_left (fun acc (_, c, _, _, _) -> acc + c) 0 (Trace.summarize t) in
   let aborts = List.fold_left (fun acc (_, _, a, _, _) -> acc + a) 0 (Trace.summarize t) in
   check Alcotest.int "committed match engine stats" stats.Engine.committed commits;
@@ -46,13 +46,12 @@ let test_trace_same_schedule_as_runtime () =
      untraced run at the same worker count *)
   let app = Workloads.spec_bfs Workloads.Small ~seed:42 in
   let _, _, t = traced_bfs ~workers:4 () in
-  let r2 = app.App_instance.fresh () in
+  let backend = Agp_backend.Backend.runtime ~workers:4 () in
   let untraced =
-    Runtime.run ~initial:r2.App_instance.initial ~workers:4 app.App_instance.spec
-      r2.App_instance.bindings r2.App_instance.state
+    Option.get (Agp_backend.Backend.stepper_report (Agp_backend.Backend.run backend app))
   in
-  check Alcotest.int "same steps" untraced.Runtime.steps t.Trace.report.Runtime.steps;
-  check Alcotest.int "same tasks" untraced.Runtime.tasks_run t.Trace.report.Runtime.tasks_run
+  check Alcotest.int "same steps" untraced.Semantics.steps t.Trace.report.Semantics.steps;
+  check Alcotest.int "same tasks" untraced.Semantics.tasks_run t.Trace.report.Semantics.tasks_run
 
 let test_trace_timeline_renders () =
   let _, _, t = traced_bfs () in

@@ -123,86 +123,6 @@ let prop_vec_fold_sum =
     QCheck.(array small_int)
     (fun a -> Vec.fold ( + ) 0 (Vec.of_array a) = Array.fold_left ( + ) 0 a)
 
-(* --- Fifo --- *)
-
-let test_fifo_order () =
-  let q = Fifo.create () in
-  for i = 1 to 20 do
-    ignore (Fifo.push q i)
-  done;
-  let out = ref [] in
-  let rec drain () =
-    match Fifo.pop q with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "fifo order" (List.init 20 (fun i -> i + 1)) (List.rev !out)
-
-let test_fifo_bound () =
-  let q = Fifo.create ~bound:2 () in
-  check Alcotest.bool "push 1" true (Fifo.push q 1);
-  check Alcotest.bool "push 2" true (Fifo.push q 2);
-  check Alcotest.bool "push 3 rejected" false (Fifo.push q 3);
-  check Alcotest.bool "full" true (Fifo.is_full q);
-  ignore (Fifo.pop q);
-  check Alcotest.bool "push after pop" true (Fifo.push q 3);
-  check (Alcotest.list Alcotest.int) "contents" [ 2; 3 ] (Fifo.to_list q)
-
-let test_fifo_wraparound () =
-  let q = Fifo.create () in
-  (* force head to travel around the ring across growth *)
-  for round = 0 to 5 do
-    for i = 0 to 9 do
-      ignore (Fifo.push q ((round * 10) + i))
-    done;
-    for _ = 0 to 7 do
-      ignore (Fifo.pop q)
-    done
-  done;
-  (* 60 pushes and 48 pops leave 12 elements, oldest being value 48. *)
-  check Alcotest.int "length" 12 (Fifo.length q);
-  check Alcotest.bool "peek is oldest" true (Fifo.peek q = Some 48)
-
-let test_fifo_peek_empty () =
-  let q : int Fifo.t = Fifo.create () in
-  check Alcotest.bool "peek empty" true (Fifo.peek q = None);
-  check Alcotest.bool "pop empty" true (Fifo.pop q = None)
-
-let test_fifo_push_front () =
-  let q = Fifo.create () in
-  ignore (Fifo.push q 2);
-  ignore (Fifo.push q 3);
-  check Alcotest.bool "front push" true (Fifo.push_front q 1);
-  check (Alcotest.list Alcotest.int) "front first" [ 1; 2; 3 ] (Fifo.to_list q);
-  check Alcotest.bool "pop returns front" true (Fifo.pop q = Some 1)
-
-let test_fifo_push_front_bounded () =
-  let q = Fifo.create ~bound:1 () in
-  ignore (Fifo.push q 9);
-  check Alcotest.bool "full rejects front push" false (Fifo.push_front q 1)
-
-let test_fifo_push_front_wraparound () =
-  let q = Fifo.create () in
-  for i = 0 to 9 do
-    ignore (Fifo.push q i)
-  done;
-  for _ = 0 to 4 do
-    ignore (Fifo.pop q)
-  done;
-  ignore (Fifo.push_front q 99);
-  check (Alcotest.list Alcotest.int) "front after wrap" [ 99; 5; 6; 7; 8; 9 ] (Fifo.to_list q)
-
-let prop_fifo_preserves_sequence =
-  QCheck.Test.make ~name:"fifo preserves push sequence" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let q = Fifo.create () in
-      List.iter (fun x -> ignore (Fifo.push q x)) xs;
-      Fifo.to_list q = xs)
-
 (* --- Heap --- *)
 
 let test_heap_sorts () =
@@ -282,43 +202,14 @@ let prop_uf_transitive =
       done;
       !ok)
 
-(* --- Bitset --- *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Bitset.add b 0;
-  Bitset.add b 63;
-  Bitset.add b 64;
-  Bitset.add b 99;
-  check Alcotest.int "cardinal" 4 (Bitset.cardinal b);
-  check Alcotest.bool "mem 63" true (Bitset.mem b 63);
-  check Alcotest.bool "mem 62" false (Bitset.mem b 62);
-  Bitset.remove b 63;
-  check Alcotest.bool "removed" false (Bitset.mem b 63);
-  check Alcotest.int "cardinal" 3 (Bitset.cardinal b)
-
-let test_bitset_intersects () =
-  let a = Bitset.create 70 and b = Bitset.create 70 in
-  Bitset.add a 65;
-  Bitset.add b 64;
-  check Alcotest.bool "disjoint" false (Bitset.intersects a b);
-  Bitset.add b 65;
-  check Alcotest.bool "intersecting" true (Bitset.intersects a b)
-
-let test_bitset_iter_sorted () =
-  let b = Bitset.create 50 in
-  List.iter (Bitset.add b) [ 40; 3; 17 ];
-  let seen = ref [] in
-  Bitset.iter (fun i -> seen := i :: !seen) b;
-  check (Alcotest.list Alcotest.int) "ascending" [ 3; 17; 40 ] (List.rev !seen)
-
 (* --- Stats --- *)
 
 let feq = Alcotest.float 1e-9
 
 let test_stats_mean () =
   check feq "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
-  check feq "mean empty" 0.0 (Stats.mean [||])
+  check feq "mean empty" 0.0 (Stats.mean [||]);
+  check feq "population stddev" (sqrt (8.0 /. 3.0)) (Stats.stddev [| 2.0; 4.0; 6.0 |])
 
 let test_stats_geomean () = check feq "geomean" 2.0 (Stats.geomean [| 1.0; 2.0; 4.0 |])
 
@@ -351,13 +242,6 @@ let test_stats_percentile_nearest () =
   match Stats.percentile_nearest xs (-0.5) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "p < 0 accepted"
-
-let test_stats_running () =
-  let r = Stats.running () in
-  List.iter (Stats.observe r) [ 2.0; 4.0; 6.0 ];
-  check Alcotest.int "count" 3 (Stats.running_count r);
-  check feq "mean" 4.0 (Stats.running_mean r);
-  check (Alcotest.float 1e-6) "stddev" (Stats.stddev [| 2.0; 4.0; 6.0 |]) (Stats.running_stddev r)
 
 (* --- Chart --- *)
 
@@ -427,17 +311,6 @@ let () =
           qtest prop_vec_roundtrip;
           qtest prop_vec_fold_sum;
         ] );
-      ( "fifo",
-        [
-          Alcotest.test_case "order" `Quick test_fifo_order;
-          Alcotest.test_case "bound" `Quick test_fifo_bound;
-          Alcotest.test_case "wraparound" `Quick test_fifo_wraparound;
-          Alcotest.test_case "peek/pop empty" `Quick test_fifo_peek_empty;
-          Alcotest.test_case "push_front" `Quick test_fifo_push_front;
-          Alcotest.test_case "push_front bounded" `Quick test_fifo_push_front_bounded;
-          Alcotest.test_case "push_front wraparound" `Quick test_fifo_push_front_wraparound;
-          qtest prop_fifo_preserves_sequence;
-        ] );
       ( "heap",
         [
           Alcotest.test_case "heapify sorts" `Quick test_heap_sorts;
@@ -450,19 +323,12 @@ let () =
           Alcotest.test_case "find_trace" `Quick test_uf_find_trace;
           qtest prop_uf_transitive;
         ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "intersects" `Quick test_bitset_intersects;
-          Alcotest.test_case "iter sorted" `Quick test_bitset_iter_sorted;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "percentile nearest-rank" `Quick test_stats_percentile_nearest;
-          Alcotest.test_case "running" `Quick test_stats_running;
         ] );
       ( "chart",
         [
