@@ -11,6 +11,14 @@
    - tasks, rule instances, queues and the uncommitted-order heap are
      pooled flat structures recycled through free lists, so the
      steady-state loop allocates nothing;
+   - a task record carries an immutable pool id, and the
+     uncommitted-order heap holds (index row, pool id, tid) entries in
+     one flat int array, so its sifts move a hole and never write a
+     pointer (no write barrier); rows compare on their first column
+     inline;
+   - payload, index and register copies on the task path are typed
+     loops, not [Array.blit]/[Array.fill] (C calls that, on pooled
+     major-heap arrays, run the write barrier per element);
    - an event reaches only the rules that listen to it (the {!Opcode}
      listener table), and a keyed rule's instances hash by key, so an
      event visits only the instances its key field can match;
@@ -51,6 +59,7 @@ let s_committed = 4
 let s_squashed = 5
 
 type task = {
+  pid : int; (* pool id: this record's slot in the engine's [pool] *)
   mutable tid : int;
   mutable set : int;
   mutable names : string array; (* register slot -> variable name, of [set] *)
@@ -91,6 +100,7 @@ and rinst = {
 
 let rec nil_task =
   {
+    pid = -1;
     tid = -1;
     set = -1;
     names = [||];
@@ -212,6 +222,7 @@ type t = {
   width : int;
   counters : int array; (* For_each stamps *)
   rings : ring array;
+  mutable pending : int; (* tasks in the rings *)
   mutable rr : int; (* round-robin pointer for pop_any *)
   mutable next_tid : int;
   mutable running : int;
@@ -222,11 +233,16 @@ type t = {
   w_per_set : int array; (* parked tasks per set *)
   mutable wseq_next : int;
   wake : task Vec.t; (* the wake list: parked tasks whose instance resolved *)
-  (* binary min-heap over (index row, task, tid); lazy deletion *)
-  mutable h_idx : int array; (* flattened rows, width stride *)
-  mutable h_task : task array;
-  mutable h_tid : int array;
+  (* the uncommitted-order heap: binary min-heap over (index row, pool
+     id, tid) entries, lazy deletion.  Entry [k] is [h.(k * hs ..)]:
+     the row's [width] columns, then the pool id, then the tid. *)
+  mutable h : int array;
+  hs : int; (* entry stride, width + 2 *)
   mutable h_len : int;
+  (* pool id -> record, for every record ever made; a plain array, as
+     every peek at the heap's top reads it *)
+  mutable pool : task array;
+  mutable pool_n : int;
   (* live (unresolved) rule instances, chained per rule: keyed rules
      hash by key into [kb], the rest sit on [ch_head] *)
   ch_head : rinst array;
@@ -264,6 +280,7 @@ type t = {
   mutable touched_arr : int;
   mutable touched_idx : int;
   checked : bool; (* shells call [check_invariants] as they go *)
+  mutable check_calls : int;
 }
 
 (* --- index rows --- *)
@@ -278,6 +295,25 @@ let rec cmp_rows (a : int array) ai (b : int array) bi n k =
   end
 
 let idx_cmp (a : int array) (b : int array) = cmp_rows a 0 b 0 (Array.length a) 0
+
+(* Typed copies.  [Array.blit]/[Array.fill] are C calls that, on a
+   major-heap array, cannot know the elements are immediates and run
+   the write barrier per element; these loops store ints and unboxed
+   floats directly. *)
+let blit_ints (src : int array) so (dst : int array) d n =
+  for k = 0 to n - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+let blit_floats (src : float array) so (dst : float array) d n =
+  for k = 0 to n - 1 do
+    dst.(d + k) <- src.(so + k)
+  done
+
+let fill_ints (a : int array) o n (x : int) =
+  for k = o to o + n - 1 do
+    a.(k) <- x
+  done
 
 (* --- value helpers ---
 
@@ -440,28 +476,39 @@ let new_task en ~set ~n_pay =
     if Vec.length en.free_tasks > 0 then Vec.pop en.free_tasks
     else begin
       let pay = max p.Opcode.max_arity p.Opcode.max_push_args in
-      {
-        tid = 0;
-        set = 0;
-        names = [||];
-        idx = Array.make en.width 0;
-        pay_i = Array.make pay 0;
-        pay_f = Array.make pay 0.0;
-        pay_tg = Array.make pay tg_int;
-        n_pay = 0;
-        reg_i = Array.make p.Opcode.max_regs 0;
-        reg_f = Array.make p.Opcode.max_regs 0.0;
-        reg_tg = Array.make p.Opcode.max_regs tg_unbound;
-        handles = Array.make p.Opcode.max_handles nil_inst;
-        insts = Vec.create ();
-        pc = 0;
-        status = s_pending;
-        await_dst = -1;
-        await_inst = nil_inst;
-        bcast = false;
-        wpos = -1;
-        wseq = 0;
-      }
+      let tk =
+        {
+          pid = en.pool_n;
+          tid = 0;
+          set = 0;
+          names = [||];
+          idx = Array.make en.width 0;
+          pay_i = Array.make pay 0;
+          pay_f = Array.make pay 0.0;
+          pay_tg = Array.make pay tg_int;
+          n_pay = 0;
+          reg_i = Array.make p.Opcode.max_regs 0;
+          reg_f = Array.make p.Opcode.max_regs 0.0;
+          reg_tg = Array.make p.Opcode.max_regs tg_unbound;
+          handles = Array.make p.Opcode.max_handles nil_inst;
+          insts = Vec.create ();
+          pc = 0;
+          status = s_pending;
+          await_dst = -1;
+          await_inst = nil_inst;
+          bcast = false;
+          wpos = -1;
+          wseq = 0;
+        }
+      in
+      if en.pool_n = Array.length en.pool then begin
+        let np = Array.make (2 * en.pool_n) nil_task in
+        Array.blit en.pool 0 np 0 en.pool_n;
+        en.pool <- np
+      end;
+      en.pool.(en.pool_n) <- tk;
+      en.pool_n <- en.pool_n + 1;
+      tk
     end
   in
   tk.tid <- en.next_tid;
@@ -470,7 +517,7 @@ let new_task en ~set ~n_pay =
   tk.names <- p.Opcode.set_regs.(set);
   ensure_pay tk n_pay;
   tk.n_pay <- n_pay;
-  Array.fill tk.reg_tg 0 (Array.length tk.reg_tg) tg_unbound;
+  fill_ints tk.reg_tg 0 (Array.length tk.reg_tg) tg_unbound;
   Array.fill tk.handles 0 (Array.length tk.handles) nil_inst;
   Vec.clear tk.insts;
   tk.pc <- p.Opcode.entry.(set);
@@ -497,97 +544,95 @@ let new_inst en =
       ri_prev = nil_inst;
     }
 
-(* --- uncommitted-order heap (Agp_util.Heap's sifts, flattened) --- *)
+(* --- the uncommitted-order heap ---
+
+   Entries are (index row, pool id, tid), all ints, so a sift writes no
+   pointer.  Both sifts move a hole instead of swapping: the moving entry
+   waits outside the heap (the pushed task's own row, or the dropped
+   top's replacement in the slot just past the end) and is written once,
+   into the hole's final slot.  They make the comparisons of a swap sift
+   in the same order, so the heap's layout, and which of two tied
+   entries surfaces first, is the same. *)
+
+(* row [ai] of [a] precedes row [bi] of [b]: the first column inline,
+   the rest of the row only on a tie *)
+let row_lt (a : int array) ai (b : int array) bi w =
+  let x = a.(ai) and y = b.(bi) in
+  x < y || (x = y && cmp_rows a ai b bi w 1 < 0)
+
+let heap_pid en k = en.h.((k * en.hs) + en.width)
+
+let heap_tid en k = en.h.((k * en.hs) + en.width + 1)
 
 let heap_ensure en =
-  let cap = Array.length en.h_task in
+  let cap = Array.length en.h / en.hs in
   if en.h_len = cap then begin
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let nt = Array.make ncap nil_task and ni = Array.make (ncap * en.width) 0 in
-    let nd = Array.make ncap 0 in
-    Array.blit en.h_task 0 nt 0 cap;
-    Array.blit en.h_idx 0 ni 0 (cap * en.width);
-    Array.blit en.h_tid 0 nd 0 cap;
-    en.h_task <- nt;
-    en.h_idx <- ni;
-    en.h_tid <- nd
+    let nh = Array.make (2 * cap * en.hs) 0 in
+    blit_ints en.h 0 nh 0 (cap * en.hs);
+    en.h <- nh
   end
 
-let heap_cmp en i j =
-  let w = en.width in
-  cmp_rows en.h_idx (i * w) en.h_idx (j * w) w 0
+let heap_move en src dst = blit_ints en.h (src * en.hs) en.h (dst * en.hs) en.hs
 
-let heap_swap en i j =
-  let w = en.width in
-  let t = en.h_task.(i) in
-  en.h_task.(i) <- en.h_task.(j);
-  en.h_task.(j) <- t;
-  let d = en.h_tid.(i) in
-  en.h_tid.(i) <- en.h_tid.(j);
-  en.h_tid.(j) <- d;
-  for k = 0 to w - 1 do
-    let x = en.h_idx.((i * w) + k) in
-    en.h_idx.((i * w) + k) <- en.h_idx.((j * w) + k);
-    en.h_idx.((j * w) + k) <- x
-  done
-
-let rec heap_sift_up en i =
-  if i > 0 then begin
+(* move the hole at [i] up past every parent that row [ri] of [row]
+   precedes; the hole's final slot *)
+let rec hole_up en i (row : int array) ri =
+  if i = 0 then 0
+  else begin
     let parent = (i - 1) / 2 in
-    if heap_cmp en i parent < 0 then begin
-      heap_swap en i parent;
-      heap_sift_up en parent
+    if row_lt row ri en.h (parent * en.hs) en.width then begin
+      heap_move en parent i;
+      hole_up en parent row ri
     end
+    else i
   end
 
-let rec heap_sift_down en i =
-  let n = en.h_len in
+(* move the hole at [i] down past every child that precedes the entry
+   waiting in slot [m] (ties keep the entry, then the left child); the
+   hole's final slot *)
+let rec hole_down en i m =
+  let n = en.h_len and hs = en.hs and w = en.width in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < n && heap_cmp en l i < 0 then l else i in
-  let s = if r < n && heap_cmp en r s < 0 then r else s in
-  if s <> i then begin
-    heap_swap en i s;
-    heap_sift_down en s
+  let s = if l < n && row_lt en.h (l * hs) en.h (m * hs) w then l else m in
+  let s = if r < n && row_lt en.h (r * hs) en.h (s * hs) w then r else s in
+  if s = m then i
+  else begin
+    heap_move en s i;
+    hole_down en s m
   end
 
 let heap_push en (tk : task) =
   heap_ensure en;
-  let i = en.h_len in
-  en.h_task.(i) <- tk;
-  en.h_tid.(i) <- tk.tid;
-  Array.blit tk.idx 0 en.h_idx (i * en.width) en.width;
-  en.h_len <- en.h_len + 1;
-  heap_sift_up en i
+  let b = hole_up en en.h_len tk.idx 0 * en.hs in
+  blit_ints tk.idx 0 en.h b en.width;
+  en.h.(b + en.width) <- tk.pid;
+  en.h.(b + en.width + 1) <- tk.tid;
+  en.h_len <- en.h_len + 1
 
 let heap_drop_top en =
   let last = en.h_len - 1 in
-  if last > 0 then begin
-    en.h_task.(0) <- en.h_task.(last);
-    en.h_tid.(0) <- en.h_tid.(last);
-    Array.blit en.h_idx (last * en.width) en.h_idx 0 en.width
-  end;
-  en.h_task.(last) <- nil_task;
   en.h_len <- last;
-  if last > 0 then heap_sift_down en 0
+  if last > 0 then heap_move en last (hole_down en 0 last)
+
+(* an entry names a task that is still uncommitted and has not
+   broadcast *)
+let entry_live en k =
+  let tk = en.pool.(heap_pid en k) in
+  tk.tid = heap_tid en k
+  && (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
+  && not tk.bcast
 
 (* Lazy-deletion peek: the minimum uncommitted task.  A task that has
    fired its commit broadcast (its first Emit) is retired for ordering
    purposes: its tail pipelines behind later tasks, as a TLS commit
-   stage drains while younger work proceeds.  A recycled slot (tid
+   stage drains while younger work proceeds.  A recycled record (tid
    mismatch) means the original task finished. *)
 let rec min_uncommitted en =
   if en.h_len = 0 then nil_task
+  else if entry_live en 0 then en.pool.(heap_pid en 0)
   else begin
-    let tk = en.h_task.(0) in
-    if
-      tk.tid = en.h_tid.(0)
-      && (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
-      && not tk.bcast
-    then tk
-    else begin
-      heap_drop_top en;
-      min_uncommitted en
-    end
+    heap_drop_top en;
+    min_uncommitted en
   end
 
 (* --- live rule instances: per-rule chains, keyed rules hashed --- *)
@@ -821,9 +866,9 @@ let alloc_rule en (tk : task) ~rule_id ~nargs =
   let inst = new_inst en in
   inst.ri_rule <- rule_id;
   inst.ri_parent <- tk;
-  Array.blit en.ar_i 0 inst.ri_pi 0 nargs;
-  Array.blit en.ar_f 0 inst.ri_pf 0 nargs;
-  Array.blit en.ar_tg 0 inst.ri_ptg 0 nargs;
+  blit_ints en.ar_i 0 inst.ri_pi 0 nargs;
+  blit_floats en.ar_f 0 inst.ri_pf 0 nargs;
+  blit_ints en.ar_tg 0 inst.ri_ptg 0 nargs;
   inst.ri_np <- nargs;
   inst.ri_resolved <- 0;
   inst.ri_counter <-
@@ -848,6 +893,7 @@ let alloc_rule en (tk : task) ~rule_id ~nargs =
 let enqueue en (tk : task) ~front =
   let r = en.rings.(tk.set) in
   if front then ring_push_front r tk else ring_push r tk;
+  en.pending <- en.pending + 1;
   heap_push en tk;
   en.stats.activated <- en.stats.activated + 1;
   (* activated event: fields are the task payload *)
@@ -865,12 +911,12 @@ let stamp en slot =
 (* payload already evaluated into ar_* *)
 let do_push en ~(parent_idx : int array) ~set ~nargs =
   let tk = new_task en ~set ~n_pay:nargs in
-  Array.blit en.ar_i 0 tk.pay_i 0 nargs;
-  Array.blit en.ar_f 0 tk.pay_f 0 nargs;
-  Array.blit en.ar_tg 0 tk.pay_tg 0 nargs;
+  blit_ints en.ar_i 0 tk.pay_i 0 nargs;
+  blit_floats en.ar_f 0 tk.pay_f 0 nargs;
+  blit_ints en.ar_tg 0 tk.pay_tg 0 nargs;
   (* child index: parent prefix up to the slot, then the stamp *)
-  Array.fill tk.idx 0 en.width 0;
-  Array.blit parent_idx 0 tk.idx 0 set;
+  blit_ints parent_idx 0 tk.idx 0 set;
+  fill_ints tk.idx set (en.width - set) 0;
   tk.idx.(set) <- stamp en set;
   enqueue en tk ~front:false
 
@@ -887,7 +933,7 @@ let push_initial en set_name payload =
   let n = List.length payload in
   let tk = new_task en ~set ~n_pay:n in
   List.iteri (unbox tk.pay_i tk.pay_f tk.pay_tg) payload;
-  Array.fill tk.idx 0 en.width 0;
+  fill_ints tk.idx 0 en.width 0;
   tk.idx.(set) <- stamp en set;
   enqueue en tk ~front:false
 
@@ -895,6 +941,7 @@ let push_initial en set_name payload =
 
 let take en tk =
   tk.status <- s_running;
+  en.pending <- en.pending - 1;
   en.running <- en.running + 1;
   tk
 
@@ -918,9 +965,12 @@ let pop_any en =
   in
   loop 0
 
-(* Per-set queues are FIFO and for-each stamps are monotone, so each
-   queue head is that set's minimum pending task; the global minimum
-   pending task is the smallest head. *)
+(* The smallest of the per-set queue heads.  A head is not always its
+   set's minimum pending task: a ring is FIFO, and a task's index is its
+   pushing parent's prefix followed by its set's stamp (0 in a [For_all]
+   set), so a parent that ran ahead of a smaller one queues a larger
+   child first.  DESIGN.md records this deviation of priority
+   admission. *)
 let min_pending_set en =
   let best = ref (-1) in
   for i = 0 to Array.length en.rings - 1 do
@@ -938,14 +988,11 @@ let pop_min en =
   let s = min_pending_set en in
   if s < 0 then nil_task else pop_task en s
 
-let pending_count en =
-  let n = ref 0 in
-  for i = 0 to Array.length en.rings - 1 do
-    n := !n + en.rings.(i).rl
-  done;
-  !n
+let pending_count en = en.pending
 
-let uncommitted_remaining en = en.running > 0 || en.wh_len > 0 || pending_count en > 0
+let pending_in_set en set = en.rings.(set).rl
+
+let uncommitted_remaining en = en.running > 0 || en.wh_len > 0 || en.pending > 0
 
 (* --- the waiting heap: parked tasks ordered by index --- *)
 
@@ -1059,10 +1106,10 @@ let finish en (tk : task) rc =
        re-activated at the front of its queue, so the well-order minimum
        is always at a queue head *)
     let again = new_task en ~set:tk.set ~n_pay:tk.n_pay in
-    Array.blit tk.idx 0 again.idx 0 en.width;
-    Array.blit tk.pay_i 0 again.pay_i 0 tk.n_pay;
-    Array.blit tk.pay_f 0 again.pay_f 0 tk.n_pay;
-    Array.blit tk.pay_tg 0 again.pay_tg 0 tk.n_pay;
+    blit_ints tk.idx 0 again.idx 0 en.width;
+    blit_ints tk.pay_i 0 again.pay_i 0 tk.n_pay;
+    blit_floats tk.pay_f 0 again.pay_f 0 tk.n_pay;
+    blit_ints tk.pay_tg 0 again.pay_tg 0 tk.n_pay;
     enqueue en again ~front:true
   end;
   Vec.push en.free_tasks tk;
@@ -1355,7 +1402,7 @@ let resumed_get en i = Vec.get en.resumed i
    after a last resolution pass an empty list means all are stuck *)
 let deadlocked en =
   en.running = 0
-  && pending_count en = 0
+  && en.pending = 0
   && en.wh_len > 0
   && begin
        resolve_pending en;
@@ -1409,6 +1456,7 @@ let create spec bindings st =
     width;
     counters = Array.make width 0;
     rings = Array.init width (fun _ -> ring_create ());
+    pending = 0;
     rr = 0;
     next_tid = 0;
     running = 0;
@@ -1417,10 +1465,11 @@ let create spec bindings st =
     w_per_set = Array.make width 0;
     wseq_next = 0;
     wake = Vec.create ();
-    h_idx = Array.make (8 * width) 0;
-    h_task = Array.make 8 nil_task;
-    h_tid = Array.make 8 0;
+    h = Array.make (8 * (width + 2)) 0;
+    hs = width + 2;
     h_len = 0;
+    pool = Array.make 8 nil_task;
+    pool_n = 0;
     ch_head = Array.make (Array.length prog.Opcode.rules) nil_inst;
     kb =
       Array.map
@@ -1459,6 +1508,7 @@ let create spec bindings st =
     touched_arr = 0;
     touched_idx = 0;
     checked = !check_by_default;
+    check_calls = 0;
   }
 
 (* --- views --- *)
@@ -1508,6 +1558,8 @@ let task_var tk name =
 (* --- invariants --- *)
 
 let checked en = en.checked
+
+let check_budget = 64
 
 let check_invariants en =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("Engine.check_invariants: " ^ m)) fmt in
@@ -1584,4 +1636,60 @@ let check_invariants en =
         fail "rule %s counts %d keyed instances, its buckets hold %d"
           en.prog.Opcode.rules.(r).Opcode.r_name en.kcount.(r) (!total - before))
     en.ch_head;
-  if !total <> en.live_n then fail "live count %d, chains hold %d" en.live_n !total
+  if !total <> en.live_n then fail "live count %d, chains hold %d" en.live_n !total;
+  (* The uncommitted-order checks cost O(heap + pool), a pass over the
+     pending tasks, where the checks above cost O(parked + live).  So
+     that a long queue does not make checking quadratic, they run on
+     every [stride]-th call, the stride growing with the heap and the
+     pool so that they visit about [check_budget] entries per call on
+     average; every call while both hold fewer. *)
+  en.check_calls <- en.check_calls + 1;
+  let stride = 1 + ((en.h_len + en.pool_n) / check_budget) in
+  if en.check_calls mod stride = 0 then begin
+    (* the uncommitted-order heap: row order, and every entry names a
+       pooled record; a live entry carries its task's index *)
+    let w = en.width and hs = en.hs in
+    let heap_min = ref (-1) in
+    for i = 0 to en.h_len - 1 do
+      let pid = heap_pid en i in
+      if pid < 0 || pid >= en.pool_n || en.pool.(pid).pid <> pid then
+        fail "uncommitted-order slot %d names no pooled task (pool id %d)" i pid;
+      if i > 0 && row_lt en.h (i * hs) en.h ((i - 1) / 2 * hs) w then
+        fail "uncommitted-order heap order broken at slot %d" i;
+      if entry_live en i then begin
+        if cmp_rows en.h (i * hs) en.pool.(pid).idx 0 w 0 <> 0 then
+          fail "uncommitted-order slot %d holds a row that is not task %d's index" i
+            (heap_tid en i);
+        if !heap_min < 0 || row_lt en.h (i * hs) en.h (!heap_min * hs) w then heap_min := i
+      end
+    done;
+    (* [min_uncommitted] drops stale tops until a live entry surfaces, so
+       it returns the smallest live row; found here without dropping, so
+       the check leaves the layout as it was.  It must be the minimum over
+       every pooled record that is uncommitted and has not broadcast. *)
+    let brute = ref nil_task in
+    for p = 0 to en.pool_n - 1 do
+      let tk = en.pool.(p) in
+      if
+        (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
+        && (not tk.bcast)
+        && (!brute == nil_task || row_lt tk.idx 0 !brute.idx 0 w)
+      then brute := tk
+    done;
+    begin
+      match (!heap_min < 0, !brute == nil_task) with
+      | true, true -> ()
+      | false, false when cmp_rows en.h (!heap_min * hs) !brute.idx 0 w 0 = 0 -> ()
+      | _ ->
+          fail "min_uncommitted would give %s, the minimum uncommitted task is %s"
+            (if !heap_min < 0 then "none" else "tid " ^ string_of_int (heap_tid en !heap_min))
+            (if !brute == nil_task then "none" else "tid " ^ string_of_int !brute.tid)
+    end
+  end;
+  (* the pending counter, and every activation accounted for *)
+  let queued = Array.fold_left (fun n r -> n + r.rl) 0 en.rings in
+  if queued <> en.pending then fail "pending counter %d, the queues hold %d" en.pending queued;
+  let s = en.stats in
+  if s.activated <> s.committed + s.aborted + s.retried + queued + en.running + en.wh_len then
+    fail "activated %d <> committed %d + aborted %d + retried %d + pending %d + running %d + parked %d"
+      s.activated s.committed s.aborted s.retried queued en.running en.wh_len

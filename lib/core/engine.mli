@@ -14,6 +14,11 @@
     that may have no task to return give {!nil_task} instead of an
     option, so the hot loops allocate nothing.
 
+    Task bookkeeping costs what it moves: the uncommitted-order heap
+    behind {!min_uncommitted} sifts int-only entries (a task's pool id,
+    tid and index row) by moving a hole, and {!pending_count} and
+    {!pending_in_set} are counters.
+
     Rendezvous and event delivery cost what changed.  Parked tasks sit
     in an indexed min-heap on their well-order index, and resolving the
     instance a parked task awaits puts it on a wake list, so
@@ -81,14 +86,22 @@ val pop_any : t -> task
 (** Dequeue round-robin across sets. *)
 
 val pop_min : t -> task
-(** Dequeue the globally minimum pending task (per-set queue heads are
-    per-set minima because for-each stamps are monotone). *)
+(** Dequeue the smallest-index queue head.  Each queue is FIFO, so a
+    head is its set's minimum only when the set's tasks were pushed in
+    index order.  A parent that runs ahead of a smaller one can queue a
+    larger child first (a child's index starts with its parent's), and
+    then this is not the globally minimum pending task. *)
 
 val pending_count : t -> int
-(** Tasks sitting in queues. *)
+(** Tasks sitting in queues.  A counter, O(1). *)
+
+val pending_in_set : t -> int -> int
+(** [pending_in_set t s]: tasks queued in set slot [s].  O(1). *)
 
 val min_pending_head : t -> task
-(** The smallest-index task among the queue heads, without popping. *)
+(** The smallest-index task among the queue heads, without popping
+    (the task {!pop_min} would return; see there for when it is not the
+    minimum pending task). *)
 
 val min_uncommitted : t -> task
 (** The minimum task that is pending, running or waiting and has not
@@ -200,7 +213,14 @@ val check_invariants : t -> unit
     the per-set parked counts, that the wake list holds exactly the
     parked tasks whose instance resolved, that every chained rule
     instance is live, unresolved and in its key's bucket, and that the
-    live counter equals the chain total.  O(parked + live).
+    live counter equals the chain total; the uncommitted-order heap's
+    row order, that each of its entries names a pooled task record, and
+    that the index {!min_uncommitted} would return is the minimum over
+    every pending, running or parked task that has not broadcast; that
+    the pending counter equals the queued tasks; and that
+    [activated = committed + aborted + retried + pending + running +
+    parked].  O(tasks ever pooled + heap + live); it never drops a heap
+    entry, so checking does not change the heap's layout.
     @raise Failure describing the first violation. *)
 
 val prim_counts : t -> (string * int) list

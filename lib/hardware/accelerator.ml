@@ -6,8 +6,12 @@
    skips idle cycles, and per-cycle stall attribution.
 
    In-flight tasks wait on per-pipeline timing wheels, so a cycle
-   visits only the tasks ready in it.  The slot pool, the squash log
-   and the attribution matrix are flat preallocated arrays, so the
+   visits only the tasks ready in it.  With the sink off, issue stops
+   at a set's pipelines once its queue is empty or its pops are spent;
+   attribution charges each set from its count of occupied pipelines
+   and the pipelines stepped this scan.  Neither visits every pipeline
+   every scan.  The slot pool, the squash
+   log and the attribution matrix are flat preallocated arrays, so the
    steady-state loop allocates nothing. *)
 
 module Engine = Agp_core.Engine
@@ -43,7 +47,8 @@ type report = {
 }
 
 (* One replicated pipeline.  Its in-flight tasks live in the shared
-   calendar below; the pipeline itself keeps only its occupancy. *)
+   calendar below; the pipeline itself keeps only its occupancy.  The
+   pipelines of a set are contiguous, in set-slot order. *)
 type pipe = {
   set : int;
   set_name : string;
@@ -65,7 +70,9 @@ let imin (a : int) b = if a <= b then a else b
    cycle it is ready for its next op.  A slot due within [wheel_size]
    cycles waits on its pipeline's timing wheel, in bucket
    [ready land wheel_mask]; a later one waits on the far list until it
-   comes within range.  [sl_next] chains a bucket, and the free slots. *)
+   comes within range.  [sl_next] chains a bucket, and the free slots.
+   [admit] and [release] also keep, per set, how many of its pipelines
+   hold a task, and how many pipelines are full. *)
 let wheel_bits = 8
 
 let wheel_size = 1 lsl wheel_bits
@@ -88,6 +95,8 @@ type calendar = {
   mutable far_min : int; (* max_int when the far list is empty *)
   mutable live : int;
   mutable seq : int;
+  occ : int array; (* per set: pipelines with n > 0 *)
+  mutable full : int; (* pipelines with n >= capacity *)
   (* drain scratch: one bucket's slots in step order, and their keys *)
   mutable ds : int array;
   mutable dk : int array;
@@ -114,7 +123,7 @@ let grow_pool c =
     c.free <- s
   done
 
-let calendar_create ~n_pipes ~slots =
+let calendar_create ~n_pipes ~n_sets ~slots =
   let c =
     {
       sl_task = [||];
@@ -132,6 +141,8 @@ let calendar_create ~n_pipes ~slots =
       far_min = max_int;
       live = 0;
       seq = 0;
+      occ = Array.make (imax n_sets 1) 0;
+      full = 0;
       ds = Array.make 16 0;
       dk = Array.make 16 0;
     }
@@ -186,7 +197,9 @@ let admit c p tk ~ready ~e ~now =
   c.sl_e.(s) <- e;
   c.sl_ops.(s) <- 0;
   c.sl_ready.(s) <- ready;
+  if p.n = 0 then c.occ.(p.set) <- c.occ.(p.set) + 1;
   p.n <- p.n + 1;
+  if p.n = p.capacity then c.full <- c.full + 1;
   c.live <- c.live + 1;
   file c s ~now
 
@@ -194,7 +207,9 @@ let release c p s =
   c.sl_task.(s) <- Engine.nil_task;
   c.sl_next.(s) <- c.free;
   c.free <- s;
+  if p.n = p.capacity then c.full <- c.full - 1;
   p.n <- p.n - 1;
+  if p.n = 0 then c.occ.(p.set) <- c.occ.(p.set) - 1;
   c.live <- c.live - 1
 
 (* Unchain pipeline [pi]'s bucket for cycle [now] into the drain
@@ -247,10 +262,11 @@ let next_due c ~now =
 (* The calendar's invariants after a cycle's drain, for [AGP_CHECK=1]:
    every live slot is filed exactly once — in its own pipeline's bucket
    for its ready cycle, or on the far list — and is due after [now];
-   the bucket counts and the far minimum match what is filed; and each
+   the bucket counts and the far minimum match what is filed; each
    pipeline's occupancy counts its filed slots, summing to the live
-   slots. *)
-let check_calendar c pipes ~now =
+   slots; the per-set occupied and the full pipeline counts match the
+   occupancies; and the engine's pending counter matches its queues. *)
+let check_calendar c en pipes ~now =
   let fail fmt = Printf.ksprintf failwith ("Accelerator.run: cycle %d: " ^^ fmt) now in
   let filed = Array.make (Array.length c.sl_task) false in
   let per_pipe = Array.make (Array.length pipes) 0 in
@@ -292,7 +308,24 @@ let check_calendar c pipes ~now =
   let occupancy = Array.fold_left (fun acc p -> acc + p.n) 0 pipes in
   let occupied = Array.fold_left (fun acc tk -> if Engine.is_nil tk then acc else acc + 1) 0 c.sl_task in
   if occupancy <> c.live || occupied <> c.live then
-    fail "pipelines hold %d tasks, %d slots are occupied, %d live" occupancy occupied c.live
+    fail "pipelines hold %d tasks, %d slots are occupied, %d live" occupancy occupied c.live;
+  let occ = Array.make (Array.length c.occ) 0 and full = ref 0 in
+  Array.iter
+    (fun p ->
+      if p.n > 0 then occ.(p.set) <- occ.(p.set) + 1;
+      if p.n >= p.capacity then incr full)
+    pipes;
+  Array.iteri
+    (fun set n ->
+      if n <> c.occ.(set) then fail "set %d has %d occupied pipelines, counted %d" set n c.occ.(set))
+    occ;
+  if !full <> c.full then fail "%d pipelines are full, counted %d" !full c.full;
+  let queued = ref 0 in
+  for set = 0 to Array.length c.occ - 1 do
+    queued := !queued + Engine.pending_in_set en set
+  done;
+  if !queued <> Engine.pending_count en then
+    fail "the engine counts %d pending tasks, its queues hold %d" (Engine.pending_count en) !queued
 
 (* attribution bucket codes inside the flat matrix, in
    [Attribution.buckets] order *)
@@ -367,8 +400,14 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     |> Array.of_list
   in
   let n_pipes = Array.length pipes in
+  (* set [s] owns pipelines [first_pipe.(s)] .. [first_pipe.(s) + width.(s) - 1] *)
   let first_pipe = Array.make (imax n_sets 1) (-1) in
-  Array.iter (fun p -> if first_pipe.(p.set) < 0 then first_pipe.(p.set) <- p.id) pipes;
+  let width = Array.make (imax n_sets 1) 0 in
+  Array.iter
+    (fun p ->
+      if first_pipe.(p.set) < 0 then first_pipe.(p.set) <- p.id;
+      width.(p.set) <- width.(p.set) + 1)
+    pipes;
   let total_stage_ops = Array.fold_left (fun acc p -> acc + p.stage_ops) 0 pipes in
   begin
     match timeline with
@@ -380,8 +419,12 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
   let sq_set = Vec.create () and sq_ops = Vec.create () in
   let pops_left = Array.make (imax n_sets 1) 0 in
+  (* the pipelines stepped this scan, and per set how many of them
+     stepped and how many of those still hold a task *)
+  let stepped = Array.make (imax n_pipes 1) 0 and n_stepped = ref 0 in
+  let busy_n = Array.make (imax n_sets 1) 0 and busy_occ = Array.make (imax n_sets 1) 0 in
   let cal =
-    calendar_create ~n_pipes
+    calendar_create ~n_pipes ~n_sets
       ~slots:(Array.fold_left (fun acc p -> acc + p.capacity + 4) 0 pipes)
   in
   let cycle = ref 0 in
@@ -418,9 +461,8 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       let w = Engine.resumed_get en i in
       let set = Engine.task_set w in
       let best = ref (-1) in
-      for pi = 0 to n_pipes - 1 do
-        let p = pipes.(pi) in
-        if p.set = set && (!best < 0 || p.n < pipes.(!best).n) then best := pi
+      for pi = first_pipe.(set) to first_pipe.(set) + width.(set) - 1 do
+        if !best < 0 || pipes.(pi).n < pipes.(!best).n then best := pi
       done;
       if !best < 0 then
         invalid_arg
@@ -481,7 +523,11 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
           | _ -> Engine.step en f
         in
         incr active_op_cycles;
-        p.stepped <- true;
+        if not p.stepped then begin
+          p.stepped <- true;
+          stepped.(!n_stepped) <- p.id;
+          incr n_stepped
+        end;
         if rc < Engine.lc_blocked then begin
           cal.sl_ops.(s) <- cal.sl_ops.(s) + 1;
           cal.sl_ready.(s) <- now + latency rc ~now;
@@ -526,23 +572,32 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     let now = !cycle and scan = !scan in
     if cal.far_min - now < wheel_size then migrate cal ~now;
     (* 1. issue: each pipeline may accept one task per cycle, capped by
-       queue bank bandwidth per set *)
-    Array.fill pops_left 0 (Array.length pops_left) cfg.Config.queue_banks;
-    for pi = 0 to n_pipes - 1 do
-      let p = pipes.(pi) in
-      let left = pops_left.(p.set) in
-      if p.n >= p.capacity then begin
-        if instrumented && Engine.pending_count en > 0 then
-          Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.id })
-      end
-      else if left > 0 then begin
-        let tk = Engine.pop_task en p.set in
-        if not (Engine.is_nil tk) then begin
-          pops_left.(p.set) <- left - 1;
-          dispatch p tk ~now;
-          admit cal p tk ~ready:now ~e:scan ~now
+       queue bank bandwidth per set.  Once a set's queue is empty or its
+       pops are spent, its later pipelines issue nothing, so they are
+       skipped, unless the sink is on: then every full pipeline still
+       reports [Queue_full] while any task is pending. *)
+    for set = 0 to n_sets - 1 do
+      pops_left.(set) <- cfg.Config.queue_banks;
+      let pi = ref first_pipe.(set) and last = first_pipe.(set) + width.(set) - 1 in
+      while
+        !pi <= last && (instrumented || (pops_left.(set) > 0 && Engine.pending_in_set en set > 0))
+      do
+        let p = pipes.(!pi) in
+        let left = pops_left.(set) in
+        if p.n >= p.capacity then begin
+          if instrumented && Engine.pending_count en > 0 then
+            Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.id })
         end
-      end
+        else if left > 0 then begin
+          let tk = Engine.pop_task en set in
+          if not (Engine.is_nil tk) then begin
+            pops_left.(set) <- left - 1;
+            dispatch p tk ~now;
+            admit cal p tk ~ready:now ~e:scan ~now
+          end
+        end;
+        incr pi
+      done
     done;
     (* priority admission: the globally minimum task must always reach
        the rule engines, even through a full window.  It is the head of
@@ -585,36 +640,44 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     place_resumed ~now ~scan;
     (* 4. advance time: fast-forward to the next ready timestamp when
        everything in flight is waiting out latency (the event wheel) *)
-    (* manual loop: [Array.exists] allocates a closure per call *)
-    let have_room = ref false in
-    for pi = 0 to n_pipes - 1 do
-      if pipes.(pi).n < pipes.(pi).capacity then have_room := true
-    done;
-    let can_issue = Engine.pending_count en > 0 && !have_room in
+    let can_issue = Engine.pending_count en > 0 && cal.full < n_pipes in
     let next =
       if can_issue || n_resumed > 0 || cal.live = 0 then now + 1
       else imax (now + 1) (next_due cal ~now)
     in
     (* stall attribution: charge each pipeline exactly (next - now)
-       cycles so the buckets decompose cycles x pipelines *)
+       cycles so the buckets decompose cycles x pipelines.  This cycle
+       a pipeline is busy if it stepped, else a memory stall if it
+       holds a task; the rest of its set share one class, read off the
+       set.  The skipped cycles charge every occupied pipeline a memory
+       stall and the rest that set-wide class. *)
     let dt = next - now in
     let pending_now = Engine.pending_count en in
-    for pi = 0 to n_pipes - 1 do
-      let p = pipes.(pi) in
-      let parked = Engine.waiting_in_set en p.set > 0 in
-      let cls =
-        if p.stepped then b_busy
-        else if p.n > 0 then b_mem
-        else if parked then b_rdv
-        else if pending_now > 0 && pops_left.(p.set) = 0 then b_queue
+    for k = 0 to !n_stepped - 1 do
+      let p = pipes.(stepped.(k)) in
+      busy_n.(p.set) <- busy_n.(p.set) + 1;
+      if p.n > 0 then busy_occ.(p.set) <- busy_occ.(p.set) + 1;
+      p.stepped <- false
+    done;
+    n_stepped := 0;
+    for set = 0 to n_sets - 1 do
+      let occ = cal.occ.(set) and busy = busy_n.(set) in
+      let mem = occ - busy_occ.(set) in
+      let parked = Engine.waiting_in_set en set > 0 in
+      let rest =
+        if parked then b_rdv
+        else if pending_now > 0 && pops_left.(set) = 0 then b_queue
         else b_idle
       in
-      charge p.set cls 1;
+      charge set b_busy busy;
+      charge set b_mem mem;
+      charge set rest (width.(set) - busy - mem);
       if dt > 1 then begin
-        let wait_cls = if p.n > 0 then b_mem else if parked then b_rdv else b_idle in
-        charge p.set wait_cls (dt - 1)
+        charge set b_mem (occ * (dt - 1));
+        charge set (if parked then b_rdv else b_idle) ((width.(set) - occ) * (dt - 1))
       end;
-      p.stepped <- false
+      busy_n.(set) <- 0;
+      busy_occ.(set) <- 0
     done;
     (* squash reclassification, newest first; clamp to the busy balance
        accrued so far *)
@@ -644,7 +707,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     end;
     if checked then begin
       Engine.check_invariants en;
-      check_calendar cal pipes ~now
+      check_calendar cal en pipes ~now
     end;
     begin
       match timeline with

@@ -255,17 +255,18 @@ let render_event buf (ts, ev) =
   | Event.Link_transfer { bytes; start; finish } ->
       pf "%d link %d %d %d\n" ts bytes start finish
 
-let event_digest ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency)
+let sim_run ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency) ~sink
     (app : App_instance.t) =
   let config =
     Backend.derive_config app { Agp_hw.Config.default with Agp_hw.Config.miss_latency }
   in
   let r = app.App_instance.fresh () in
+  Accelerator.run ~config ~sink ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
+    ~state:r.App_instance.state ~initial:r.App_instance.initial ()
+
+let event_digest ?miss_latency (app : App_instance.t) =
   let sink = Sink.collect () in
-  let rep =
-    Accelerator.run ~config ~sink ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
-      ~state:r.App_instance.state ~initial:r.App_instance.initial ()
-  in
+  let rep = sim_run ?miss_latency ~sink app in
   let buf = Buffer.create (1 lsl 20) in
   List.iter (render_event buf) (Sink.events sink);
   Printf.sprintf "cycles=%d events=%d md5=%s" rep.Accelerator.cycles (Sink.count sink)
@@ -305,6 +306,39 @@ let test_pinned_event_digests () =
   let apps = List.length (Workloads.all Workloads.Small ~seed:1) in
   check Alcotest.bool "every app x seed 1/7/42 plus a far-horizon row" true
     (List.length table > 3 * apps)
+
+(* --- observing must not change timing: with the sink off the issue
+   loop stops at a set's pipelines once its queue is empty or its pops
+   are spent, with it on it visits them all to report Queue_full.
+   Every app at seeds 1/7/42 must give the same cycles, engine counters
+   and per-set attribution matrix either way, not only the summed
+   totals the fingerprints pin. --- *)
+
+let sim_outcome ~sink (app : App_instance.t) =
+  let rep = sim_run ~sink app in
+  let matrix =
+    List.map
+      (fun (set, buckets) ->
+        set
+        ^ String.concat ""
+            (List.map (fun (b, n) -> Printf.sprintf " %s=%d" (Attribution.bucket_name b) n) buckets))
+      (Attribution.per_set rep.Accelerator.attribution)
+  in
+  (Printf.sprintf "cycles=%d %s" rep.Accelerator.cycles (stats_fp rep.Accelerator.engine_stats), matrix)
+
+let test_observing_keeps_timing () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (app : App_instance.t) ->
+          let name = Printf.sprintf "%s seed %d" app.App_instance.app_name seed in
+          let bare, bare_matrix = sim_outcome ~sink:Sink.null app in
+          let seen, seen_matrix = sim_outcome ~sink:(Sink.collect ()) app in
+          check Alcotest.string (name ^ ": cycles and counters") bare seen;
+          check (Alcotest.list Alcotest.string) (name ^ ": attribution matrix") bare_matrix
+            seen_matrix)
+        (Workloads.all Workloads.Small ~seed))
+    [ 1; 7; 42 ]
 
 (* --- one binop table (satellite): random expressions must evaluate
    bit-for-bit identically under the tree-walking interpreter and the
@@ -807,6 +841,8 @@ let () =
             test_pinned_fingerprints;
           Alcotest.test_case "pinned simulator event-stream digests" `Quick
             test_pinned_event_digests;
+          Alcotest.test_case "observing keeps cycles, counters and attribution" `Quick
+            test_observing_keeps_timing;
         ] );
       ( "semantics",
         [
