@@ -8,14 +8,19 @@
    - expressions and rule conditions are postfix bytecode evaluated over
      preallocated scratch stacks (ints + floats + tags, no [Value.t]
      boxing on the hot path);
-   - tasks, rule instances, queues and the uncommitted-order heap are
+   - tasks, rule instances, queues and the uncommitted order are
      pooled flat structures recycled through free lists, so the
      steady-state loop allocates nothing;
-   - a task record carries an immutable pool id, and the
-     uncommitted-order heap holds (index row, pool id, tid) entries in
-     one flat int array, so its sifts move a hole and never write a
-     pointer (no write barrier); rows compare on their first column
-     inline;
+   - a task record carries an immutable pool id, and the uncommitted
+     order holds (index row, pool id, tid) int entries, so it never
+     writes a pointer (no write barrier).  Activations arrive almost
+     always in index order within their set, so each set keeps a FIFO
+     run sorted in (index, tid) and only out-of-order activations
+     (retries, children of a parent that ran ahead) enter a fallback
+     heap: the minimum uncommitted task costs O(1) amortized per
+     activation, and is the oldest of the minimum index.  The last
+     answer is kept until its task dies or a smaller one arrives, so
+     asking again with nothing changed is one liveness test;
    - payload, index and register copies on the task path are typed
      loops, not [Array.blit]/[Array.fill] (C calls that, on pooled
      major-heap arrays, run the write barrier per element);
@@ -180,6 +185,16 @@ let ring_pop r =
 
 let ring_peek r = if r.rl = 0 then nil_task else r.rd.(r.rh)
 
+(* a set's run in the uncommitted order: a FIFO ring of int entries
+   (see "the uncommitted order" below), capacity [umask + 1], a power of
+   two *)
+type run = {
+  mutable ub : int array;
+  mutable uh : int; (* head entry *)
+  mutable ul : int; (* entries *)
+  mutable umask : int;
+}
+
 (* state array resolved at engine creation *)
 type adata =
   | A_int of int array
@@ -233,14 +248,20 @@ type t = {
   w_per_set : int array; (* parked tasks per set *)
   mutable wseq_next : int;
   wake : task Vec.t; (* the wake list: parked tasks whose instance resolved *)
-  (* the uncommitted-order heap: binary min-heap over (index row, pool
-     id, tid) entries, lazy deletion.  Entry [k] is [h.(k * hs ..)]:
-     the row's [width] columns, then the pool id, then the tid. *)
+  (* the uncommitted order, entries of (index row, pool id, tid) ints
+     ordered by (row, tid): a run per set, and a binary min-heap for
+     out-of-order activations.  Entry [k] of the heap is
+     [h.(k * hs ..)]: the row's [width] columns, then the pool id, then
+     the tid. *)
+  runs : run array;
   mutable h : int array;
   hs : int; (* entry stride, width + 2 *)
   mutable h_len : int;
+  (* the last minimum found, [nil_task] = unknown, and its tid *)
+  mutable mu : task;
+  mutable mu_tid : int;
   (* pool id -> record, for every record ever made; a plain array, as
-     every peek at the heap's top reads it *)
+     every look at a run head or the heap's top reads it *)
   mutable pool : task array;
   mutable pool_n : int;
   (* live (unresolved) rule instances, chained per rule: keyed rules
@@ -544,15 +565,19 @@ let new_inst en =
       ri_prev = nil_inst;
     }
 
-(* --- the uncommitted-order heap ---
+(* --- the uncommitted order ---
 
-   Entries are (index row, pool id, tid), all ints, so a sift writes no
-   pointer.  Both sifts move a hole instead of swapping: the moving entry
-   waits outside the heap (the pushed task's own row, or the dropped
-   top's replacement in the slot just past the end) and is written once,
-   into the hole's final slot.  They make the comparisons of a swap sift
-   in the same order, so the heap's layout, and which of two tied
-   entries surfaces first, is the same. *)
+   Every activation leaves one entry, (index row, pool id, tid), all
+   ints, so nothing here writes a pointer.  Entries are totally ordered
+   by (row, tid): of two tasks with equal indices the older comes first.
+   Activations almost always arrive in index order within their set, so
+   each set keeps a FIFO run of entries, sorted because an entry joins
+   it only when its row is not below the run's tail (and its tid is
+   larger than any already there).  The rest, retries and [For_all]
+   children of a parent that ran ahead, go to a small fallback heap.
+   An entry dies when its task finishes or broadcasts, and is dropped
+   when it reaches a run's head or the heap's top, so the minimum costs
+   O(1) amortized per activation plus a look at each set's run head. *)
 
 (* row [ai] of [a] precedes row [bi] of [b]: the first column inline,
    the rest of the row only on a tie *)
@@ -560,13 +585,62 @@ let row_lt (a : int array) ai (b : int array) bi w =
   let x = a.(ai) and y = b.(bi) in
   x < y || (x = y && cmp_rows a ai b bi w 1 < 0)
 
-let heap_pid en k = en.h.((k * en.hs) + en.width)
+(* entry [ai] of [a] precedes entry [bi] of [b]: (row, tid) order *)
+let entry_lt (a : int array) ai (b : int array) bi w =
+  let x = a.(ai) and y = b.(bi) in
+  x < y
+  || x = y
+     &&
+     let c = cmp_rows a ai b bi w 1 in
+     c < 0 || (c = 0 && a.(ai + w + 1) < b.(bi + w + 1))
 
-let heap_tid en k = en.h.((k * en.hs) + en.width + 1)
+let put_entry en (a : int array) o (tk : task) =
+  blit_ints tk.idx 0 a o en.width;
+  a.(o + en.width) <- tk.pid;
+  a.(o + en.width + 1) <- tk.tid
 
+(* the record still holds task [tid], uncommitted and not broadcast *)
+let holds_live (tk : task) tid =
+  tk.tid = tid
+  && (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
+  && not tk.bcast
+
+(* the entry at [o] of [a] names a live task *)
+let entry_live en (a : int array) o = holds_live en.pool.(a.(o + en.width)) a.(o + en.width + 1)
+
+(* offset of a run's [k]-th entry from its head *)
+let run_off en r k = ((r.uh + k) land r.umask) * en.hs
+
+let run_push en r (tk : task) =
+  if r.ul > r.umask then begin
+    let cap = r.umask + 1 in
+    let nb = Array.make (2 * cap * en.hs) 0 in
+    for k = 0 to r.ul - 1 do
+      blit_ints r.ub (run_off en r k) nb (k * en.hs) en.hs
+    done;
+    r.ub <- nb;
+    r.uh <- 0;
+    r.umask <- (2 * cap) - 1
+  end;
+  put_entry en r.ub (run_off en r r.ul) tk;
+  r.ul <- r.ul + 1
+
+let rec run_drop_dead en r =
+  if r.ul > 0 && not (entry_live en r.ub (r.uh * en.hs)) then begin
+    r.uh <- (r.uh + 1) land r.umask;
+    r.ul <- r.ul - 1;
+    run_drop_dead en r
+  end
+
+(* The fallback heap.  Both sifts move a hole instead of swapping: the
+   moving entry waits in a slot past the end (the pushed entry, or the
+   dropped top's replacement) and is written once, into the hole's final
+   slot. *)
+
+(* room for one more entry and the waiting slot past it *)
 let heap_ensure en =
   let cap = Array.length en.h / en.hs in
-  if en.h_len = cap then begin
+  if en.h_len + 2 > cap then begin
     let nh = Array.make (2 * cap * en.hs) 0 in
     blit_ints en.h 0 nh 0 (cap * en.hs);
     en.h <- nh
@@ -574,27 +648,26 @@ let heap_ensure en =
 
 let heap_move en src dst = blit_ints en.h (src * en.hs) en.h (dst * en.hs) en.hs
 
-(* move the hole at [i] up past every parent that row [ri] of [row]
-   precedes; the hole's final slot *)
-let rec hole_up en i (row : int array) ri =
+(* move the hole at [i] up past every parent that the entry waiting in
+   slot [m] precedes; the hole's final slot *)
+let rec hole_up en i m =
   if i = 0 then 0
   else begin
     let parent = (i - 1) / 2 in
-    if row_lt row ri en.h (parent * en.hs) en.width then begin
+    if entry_lt en.h (m * en.hs) en.h (parent * en.hs) en.width then begin
       heap_move en parent i;
-      hole_up en parent row ri
+      hole_up en parent m
     end
     else i
   end
 
 (* move the hole at [i] down past every child that precedes the entry
-   waiting in slot [m] (ties keep the entry, then the left child); the
-   hole's final slot *)
+   waiting in slot [m]; the hole's final slot *)
 let rec hole_down en i m =
   let n = en.h_len and hs = en.hs and w = en.width in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let s = if l < n && row_lt en.h (l * hs) en.h (m * hs) w then l else m in
-  let s = if r < n && row_lt en.h (r * hs) en.h (s * hs) w then r else s in
+  let s = if l < n && entry_lt en.h (l * hs) en.h (m * hs) w then l else m in
+  let s = if r < n && entry_lt en.h (r * hs) en.h (s * hs) w then r else s in
   if s = m then i
   else begin
     heap_move en s i;
@@ -603,10 +676,9 @@ let rec hole_down en i m =
 
 let heap_push en (tk : task) =
   heap_ensure en;
-  let b = hole_up en en.h_len tk.idx 0 * en.hs in
-  blit_ints tk.idx 0 en.h b en.width;
-  en.h.(b + en.width) <- tk.pid;
-  en.h.(b + en.width + 1) <- tk.tid;
+  let m = en.h_len + 1 in
+  put_entry en en.h (m * en.hs) tk;
+  heap_move en m (hole_up en en.h_len m);
   en.h_len <- en.h_len + 1
 
 let heap_drop_top en =
@@ -614,25 +686,57 @@ let heap_drop_top en =
   en.h_len <- last;
   if last > 0 then heap_move en last (hole_down en 0 last)
 
-(* an entry names a task that is still uncommitted and has not
-   broadcast *)
-let entry_live en k =
-  let tk = en.pool.(heap_pid en k) in
-  tk.tid = heap_tid en k
-  && (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
-  && not tk.bcast
-
-(* Lazy-deletion peek: the minimum uncommitted task.  A task that has
-   fired its commit broadcast (its first Emit) is retired for ordering
-   purposes: its tail pipelines behind later tasks, as a TLS commit
-   stage drains while younger work proceeds.  A recycled record (tid
-   mismatch) means the original task finished. *)
-let rec min_uncommitted en =
-  if en.h_len = 0 then nil_task
-  else if entry_live en 0 then en.pool.(heap_pid en 0)
-  else begin
+let rec heap_drop_dead en =
+  if en.h_len > 0 && not (entry_live en en.h 0) then begin
     heap_drop_top en;
-    min_uncommitted en
+    heap_drop_dead en
+  end
+
+(* file an activation: on its set's run when its row is not below the
+   run's tail, else on the fallback heap.  A live kept minimum gives
+   way only to a smaller row (the newcomer's tid is the larger); a dead
+   one is forgotten, as its record may already hold another task. *)
+let order_push en (tk : task) =
+  if en.mu != nil_task then
+    if not (holds_live en.mu en.mu_tid) then en.mu <- nil_task
+    else if row_lt tk.idx 0 en.mu.idx 0 en.width then begin
+      en.mu <- tk;
+      en.mu_tid <- tk.tid
+    end;
+  let r = en.runs.(tk.set) in
+  if r.ul = 0 || not (row_lt tk.idx 0 r.ub (run_off en r (r.ul - 1)) en.width) then
+    run_push en r tk
+  else heap_push en tk
+
+(* the least live run head of sets [s..] and the entry at [bo] of [ba]
+   (none when [bo < 0]) *)
+let rec min_heads en s (ba : int array) bo =
+  if s = Array.length en.runs then if bo < 0 then nil_task else en.pool.(ba.(bo + en.width))
+  else begin
+    let r = en.runs.(s) in
+    run_drop_dead en r;
+    let o = r.uh * en.hs in
+    if r.ul > 0 && (bo < 0 || entry_lt r.ub o ba bo en.width) then min_heads en (s + 1) r.ub o
+    else min_heads en (s + 1) ba bo
+  end
+
+(* The minimum uncommitted task, the oldest among equal indices: the
+   least of the live run heads and heap top.  A task that has fired its
+   commit broadcast (its first Emit) is retired for ordering purposes:
+   its tail pipelines behind later tasks, as a TLS commit stage drains
+   while younger work proceeds.  A recycled record (tid mismatch) means
+   the original task finished.  The answer is kept in [mu] until that
+   task dies or a smaller one arrives ([order_push]); the timing shell
+   asks for it once per stalled allocation, most often with nothing
+   changed. *)
+let min_uncommitted en =
+  if en.mu != nil_task && holds_live en.mu en.mu_tid then en.mu
+  else begin
+    heap_drop_dead en;
+    let m = min_heads en 0 en.h (if en.h_len = 0 then -1 else 0) in
+    en.mu <- m;
+    en.mu_tid <- m.tid;
+    m
   end
 
 (* --- live rule instances: per-rule chains, keyed rules hashed --- *)
@@ -894,7 +998,7 @@ let enqueue en (tk : task) ~front =
   let r = en.rings.(tk.set) in
   if front then ring_push_front r tk else ring_push r tk;
   en.pending <- en.pending + 1;
-  heap_push en tk;
+  order_push en tk;
   en.stats.activated <- en.stats.activated + 1;
   (* activated event: fields are the task payload *)
   set_event en tk.pay_i tk.pay_f tk.pay_tg tk.n_pay;
@@ -1465,9 +1569,13 @@ let create spec bindings st =
     w_per_set = Array.make width 0;
     wseq_next = 0;
     wake = Vec.create ();
+    runs =
+      Array.init width (fun _ -> { ub = Array.make (8 * (width + 2)) 0; uh = 0; ul = 0; umask = 7 });
     h = Array.make (8 * (width + 2)) 0;
     hs = width + 2;
     h_len = 0;
+    mu = nil_task;
+    mu_tid = -1;
     pool = Array.make 8 nil_task;
     pool_n = 0;
     ch_head = Array.make (Array.length prog.Opcode.rules) nil_inst;
@@ -1637,54 +1745,84 @@ let check_invariants en =
           en.prog.Opcode.rules.(r).Opcode.r_name en.kcount.(r) (!total - before))
     en.ch_head;
   if !total <> en.live_n then fail "live count %d, chains hold %d" en.live_n !total;
-  (* The uncommitted-order checks cost O(heap + pool), a pass over the
-     pending tasks, where the checks above cost O(parked + live).  So
-     that a long queue does not make checking quadratic, they run on
-     every [stride]-th call, the stride growing with the heap and the
-     pool so that they visit about [check_budget] entries per call on
-     average; every call while both hold fewer. *)
+  (* The uncommitted-order checks cost O(runs + heap + pool), a pass
+     over the pending tasks, where the checks above cost O(parked +
+     live).  So that a long queue does not make checking quadratic, they
+     run on every [stride]-th call, the stride growing with the entries
+     and the pool so that they visit about [check_budget] entries per
+     call on average; every call while both hold fewer. *)
   en.check_calls <- en.check_calls + 1;
-  let stride = 1 + ((en.h_len + en.pool_n) / check_budget) in
+  let in_runs = Array.fold_left (fun n r -> n + r.ul) 0 en.runs in
+  let stride = 1 + ((in_runs + en.h_len + en.pool_n) / check_budget) in
   if en.check_calls mod stride = 0 then begin
-    (* the uncommitted-order heap: row order, and every entry names a
-       pooled record; a live entry carries its task's index *)
+    (* every entry names a pooled record, and a live one carries its
+       task's index (and, on a run, its set); runs ascend and the heap
+       is ordered in (row, tid).  [min_uncommitted] drops dead heads
+       until live ones surface, so it returns the least live entry;
+       found here without dropping, so the check leaves the structures
+       as they were. *)
     let w = en.width and hs = en.hs in
-    let heap_min = ref (-1) in
-    for i = 0 to en.h_len - 1 do
-      let pid = heap_pid en i in
+    let name s k =
+      if s < 0 then Printf.sprintf "uncommitted-order heap slot %d" k
+      else Printf.sprintf "set %d's run entry %d" s k
+    in
+    let least_a = ref en.h and least_o = ref (-1) and live = ref 0 in
+    let entry s k (a : int array) o =
+      let pid = a.(o + w) in
       if pid < 0 || pid >= en.pool_n || en.pool.(pid).pid <> pid then
-        fail "uncommitted-order slot %d names no pooled task (pool id %d)" i pid;
-      if i > 0 && row_lt en.h (i * hs) en.h ((i - 1) / 2 * hs) w then
-        fail "uncommitted-order heap order broken at slot %d" i;
-      if entry_live en i then begin
-        if cmp_rows en.h (i * hs) en.pool.(pid).idx 0 w 0 <> 0 then
-          fail "uncommitted-order slot %d holds a row that is not task %d's index" i
-            (heap_tid en i);
-        if !heap_min < 0 || row_lt en.h (i * hs) en.h (!heap_min * hs) w then heap_min := i
+        fail "%s names no pooled task (pool id %d)" (name s k) pid;
+      if entry_live en a o then begin
+        let tk = en.pool.(pid) in
+        incr live;
+        if cmp_rows a o tk.idx 0 w 0 <> 0 then
+          fail "%s holds a row that is not task %d's index" (name s k) tk.tid;
+        if s >= 0 && tk.set <> s then fail "%s holds task %d of set %d" (name s k) tk.tid tk.set;
+        if !least_o < 0 || entry_lt a o !least_a !least_o w then begin
+          least_a := a;
+          least_o := o
+        end
       end
+    in
+    Array.iteri
+      (fun s r ->
+        for k = 0 to r.ul - 1 do
+          let o = run_off en r k in
+          entry s k r.ub o;
+          if k > 0 && not (entry_lt r.ub (run_off en r (k - 1)) r.ub o w) then
+            fail "%s is out of (index, tid) order" (name s k)
+        done)
+      en.runs;
+    for i = 0 to en.h_len - 1 do
+      entry (-1) i en.h (i * hs);
+      if i > 0 && entry_lt en.h (i * hs) en.h ((i - 1) / 2 * hs) w then
+        fail "%s is out of (index, tid) heap order" (name (-1) i)
     done;
-    (* [min_uncommitted] drops stale tops until a live entry surfaces, so
-       it returns the smallest live row; found here without dropping, so
-       the check leaves the layout as it was.  It must be the minimum over
-       every pooled record that is uncommitted and has not broadcast. *)
-    let brute = ref nil_task in
+    (* the least entry must be the (index, tid) minimum over every pooled
+       record that is uncommitted and has not broadcast, and each such
+       record has exactly one live entry *)
+    let brute = ref nil_task and uncommitted = ref 0 in
     for p = 0 to en.pool_n - 1 do
       let tk = en.pool.(p) in
-      if
-        (tk.status = s_pending || tk.status = s_running || tk.status = s_waiting)
-        && (not tk.bcast)
-        && (!brute == nil_task || row_lt tk.idx 0 !brute.idx 0 w)
-      then brute := tk
+      if holds_live tk tk.tid then begin
+        incr uncommitted;
+        if
+          !brute == nil_task
+          ||
+          let c = idx_cmp tk.idx !brute.idx in
+          c < 0 || (c = 0 && tk.tid < !brute.tid)
+        then brute := tk
+      end
     done;
-    begin
-      match (!heap_min < 0, !brute == nil_task) with
-      | true, true -> ()
-      | false, false when cmp_rows en.h (!heap_min * hs) !brute.idx 0 w 0 = 0 -> ()
-      | _ ->
-          fail "min_uncommitted would give %s, the minimum uncommitted task is %s"
-            (if !heap_min < 0 then "none" else "tid " ^ string_of_int (heap_tid en !heap_min))
-            (if !brute == nil_task then "none" else "tid " ^ string_of_int !brute.tid)
-    end
+    if !live <> !uncommitted then
+      fail "%d live uncommitted-order entries for %d uncommitted tasks" !live !uncommitted;
+    let got = if !least_o < 0 then -1 else !least_a.(!least_o + w + 1) in
+    let want = if !brute == nil_task then -1 else !brute.tid in
+    let tid t = if t < 0 then "none" else "tid " ^ string_of_int t in
+    if got <> want then
+      fail "the least live entry is %s, the minimum uncommitted task is %s" (tid got) (tid want);
+    let kept = if en.mu != nil_task && holds_live en.mu en.mu_tid then en.mu_tid else got in
+    if kept <> want then
+      fail "min_uncommitted would give %s, the minimum uncommitted task is %s" (tid kept) (tid want)
   end;
   (* the pending counter, and every activation accounted for *)
   let queued = Array.fold_left (fun n r -> n + r.rl) 0 en.rings in

@@ -14,10 +14,12 @@
     that may have no task to return give {!nil_task} instead of an
     option, so the hot loops allocate nothing.
 
-    Task bookkeeping costs what it moves: the uncommitted-order heap
-    behind {!min_uncommitted} sifts int-only entries (a task's pool id,
-    tid and index row) by moving a hole, and {!pending_count} and
-    {!pending_in_set} are counters.
+    Task bookkeeping costs what it moves.  {!min_uncommitted} reads
+    int-only entries (a task's index row, pool id and tid) from a
+    per-set run kept in activation order, which is index order for
+    almost every activation, and from a small fallback heap for the
+    rest, so it costs O(1) amortized per activation.  {!pending_count}
+    and {!pending_in_set} are counters.
 
     Rendezvous and event delivery cost what changed.  Parked tasks sit
     in an indexed min-heap on their well-order index, and resolving the
@@ -105,7 +107,12 @@ val min_pending_head : t -> task
 
 val min_uncommitted : t -> task
 (** The minimum task that is pending, running or waiting and has not
-    fired its commit broadcast. *)
+    fired its commit broadcast.  Ties go to the oldest: among tasks of
+    the minimum index (siblings in a [For_all] set share one) it returns
+    the one with the smallest {!task_tid}, i.e. the earliest activation.
+    A [min_changed] broadcast fires when this task's tid changes.  The
+    answer is kept until its task finishes or broadcasts or a smaller
+    task is activated, so a repeated call costs one liveness test. *)
 
 val uncommitted_remaining : t -> bool
 (** True while any task is pending, running or waiting. *)
@@ -213,14 +220,19 @@ val check_invariants : t -> unit
     the per-set parked counts, that the wake list holds exactly the
     parked tasks whose instance resolved, that every chained rule
     instance is live, unresolved and in its key's bucket, and that the
-    live counter equals the chain total; the uncommitted-order heap's
-    row order, that each of its entries names a pooled task record, and
-    that the index {!min_uncommitted} would return is the minimum over
-    every pending, running or parked task that has not broadcast; that
-    the pending counter equals the queued tasks; and that
+    live counter equals the chain total; in the uncommitted order, that
+    each per-set run ascends and the fallback heap is ordered in
+    (index, tid), that every entry names a pooled task record, that a
+    live entry carries its task's index (and, on a run, its set), that
+    each pending, running or parked task that has not broadcast has
+    exactly one live entry, and that both the least live entry and the
+    task {!min_uncommitted} would return (its kept answer while that
+    task lives) are, by tid, the (index, tid) minimum over those tasks;
+    that the pending counter equals the queued tasks; and that
     [activated = committed + aborted + retried + pending + running +
-    parked].  O(tasks ever pooled + heap + live); it never drops a heap
-    entry, so checking does not change the heap's layout.
+    parked].  O(parked + live) per call, plus O(tasks ever pooled + run
+    and heap entries) on a stride that grows with them; it never drops
+    an entry, so checking does not change the order's layout.
     @raise Failure describing the first violation. *)
 
 val prim_counts : t -> (string * int) list

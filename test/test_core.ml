@@ -598,7 +598,9 @@ let test_engine_pop_min_order () =
    larger child first.  Pinned as the model's known deviation:
    [min_pending_head]/[pop_min] return the smallest head, which here is
    not the minimum uncommitted task, so the simulator's priority
-   admission would not admit that task through a full window. *)
+   admission would not admit that task through a full window.  The
+   smaller child arrives below its set's in-order run, so the minimum
+   finds it on the fallback heap. *)
 let for_all_spec : Spec.t =
   let open Spec in
   {
@@ -625,7 +627,66 @@ let test_for_all_head_not_minimum () =
   check ints "minimum uncommitted is the smaller child" [ 0; 0 ]
     (idx (Engine.min_uncommitted eng));
   check ints "the head is the larger child" [ 1; 0 ] (idx (Engine.min_pending_head eng));
-  check ints "pop_min returns the head" [ 1; 0 ] (idx (Engine.pop_min eng))
+  check ints "pop_min returns the head" [ 1; 0 ] (idx (Engine.pop_min eng));
+  Engine.check_invariants eng
+
+(* step a popped task until it finishes; its finishing class *)
+let rec run_to_end eng tk =
+  let c = Engine.step eng tk in
+  if c > Engine.lc_blocked then c else run_to_end eng tk
+
+(* The tie rule: of uncommitted tasks with equal indices the oldest (the
+   smallest tid) is the minimum.  Three [For_all] siblings share the
+   index [0; 0]; when the oldest commits, the next oldest takes over,
+   not whichever entry a heap layout would surface. *)
+let test_for_all_tie_oldest () =
+  let eng = Engine.create for_all_spec Spec.no_bindings (State.create ()) in
+  List.iter (fun v -> Engine.push_initial eng "b" [ Value.Int v ]) [ 0; 1; 2 ];
+  let t0 = Engine.pop_task eng 1 in
+  let t1 = Engine.pop_task eng 1 in
+  let t2 = Engine.pop_task eng 1 in
+  let tid = Engine.task_tid in
+  check Alcotest.int "siblings tie" 0 (Engine.compare_index t0 t2);
+  check Alcotest.int "the oldest is the minimum" (tid t0) (tid (Engine.min_uncommitted eng));
+  check Alcotest.int "t0 commits" Engine.lc_committed (run_to_end eng t0);
+  check Alcotest.int "then the next oldest" (tid t1) (tid (Engine.min_uncommitted eng));
+  Engine.check_invariants eng;
+  check Alcotest.int "t1 commits" Engine.lc_committed (run_to_end eng t1);
+  check Alcotest.int "then the youngest" (tid t2) (tid (Engine.min_uncommitted eng));
+  Engine.check_invariants eng
+
+(* A retry re-activates its task with the same index and a fresh tid,
+   below the tail of its set's in-order run: the minimum must still
+   find it. *)
+let test_retry_below_run_tail () =
+  let open Spec in
+  let sp =
+    {
+      spec_name = "retry_once";
+      task_sets =
+        [
+          {
+            ts_name = "t";
+            ts_order = For_each;
+            arity = 1;
+            body = [ If (Binop (Eq, Param 0, int 0), [ Retry ], []) ];
+          };
+        ];
+      rules = [];
+    }
+  in
+  let eng = Engine.create sp Spec.no_bindings (State.create ()) in
+  List.iter (fun v -> Engine.push_initial eng "t" [ Value.Int v ]) [ 0; 1; 2 ];
+  let t0 = Engine.pop_task eng 0 in
+  let old_tid = Engine.task_tid t0 in
+  check Alcotest.int "t0 retries" Engine.lc_retried (run_to_end eng t0);
+  let mu = Engine.min_uncommitted eng in
+  check Alcotest.(list int) "the retry is the minimum" [ 0 ]
+    (Array.to_list (Index.to_array (Engine.task_index mu)));
+  check Alcotest.bool "under a fresh tid" true (Engine.task_tid mu <> old_tid);
+  check Alcotest.int "and at its queue's head" (Engine.task_tid mu)
+    (Engine.task_tid (Engine.min_pending_head eng));
+  Engine.check_invariants eng
 
 (* The listener table names, per event, exactly the rules with a clause
    that can match it: SPEC-SSSP's only rule listens to
@@ -1051,6 +1112,9 @@ let () =
           Alcotest.test_case "pop_min order" `Quick test_engine_pop_min_order;
           Alcotest.test_case "for_all head is not the minimum" `Quick
             test_for_all_head_not_minimum;
+          Alcotest.test_case "for_all ties: the oldest is the minimum" `Quick
+            test_for_all_tie_oldest;
+          Alcotest.test_case "retry below its run's tail" `Quick test_retry_below_run_tail;
           Alcotest.test_case "opcode listener table" `Quick test_opcode_listeners;
           Alcotest.test_case "opcode rule keys" `Quick test_opcode_rule_keys;
           qtest prop_keyed_delivery_matches_full_scan;
