@@ -480,17 +480,23 @@ let observe_cmd =
       $ timeline_csv_arg)
 
 let diff_cmd =
-  let file_a =
+  let files =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline run report (JSON).")
+      non_empty
+      & pos_all string []
+      & info [] ~docv:"REPORT"
+          ~doc:
+            "Run reports (JSON): BASELINE then CURRENT, or with $(b,--trend) any number, oldest \
+             first.")
   in
-  let file_b =
+  let trend_arg =
     Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"CURRENT" ~doc:"Current run report (JSON).")
+      value & flag
+      & info [ "trend" ]
+          ~doc:
+            "Print one row per report, in the order given, with its simulated cycles, runtime \
+             steps and runtime ops per second and each one's change against the previous \
+             report.")
   in
   let threshold_arg =
     Arg.(
@@ -505,7 +511,7 @@ let diff_cmd =
   let all_arg =
     Arg.(value & flag & info [ "all" ] ~doc:"Include unchanged metrics in the output.")
   in
-  let run a b threshold json all =
+  let run files threshold json all trend =
     let module Obs = Agp_obs in
     let read path =
       let contents =
@@ -525,14 +531,20 @@ let diff_cmd =
           Printf.eprintf "%s: %s\n" path e;
           exit 2
     in
-    let ra = read a and rb = read b in
-    if ra.Obs.Report.kind <> rb.Obs.Report.kind then
-      Printf.eprintf "note: comparing different report kinds (%s vs %s)\n" ra.Obs.Report.kind
-        rb.Obs.Report.kind;
-    let result = Obs.Diff.compare ~threshold ra rb in
-    if json then print_endline (Obs.Json.to_string (Obs.Diff.to_json ~all result))
-    else print_string (Obs.Diff.render ~all result);
-    exit (if Obs.Diff.regressed result then 1 else 0)
+    match files with
+    | _ when trend ->
+        print_string (Obs.Diff.trend (List.map (fun f -> (f, read f)) files));
+        `Ok ()
+    | [ a; b ] ->
+        let ra = read a and rb = read b in
+        if ra.Obs.Report.kind <> rb.Obs.Report.kind then
+          Printf.eprintf "note: comparing different report kinds (%s vs %s)\n"
+            ra.Obs.Report.kind rb.Obs.Report.kind;
+        let result = Obs.Diff.compare ~threshold ra rb in
+        if json then print_endline (Obs.Json.to_string (Obs.Diff.to_json ~all result))
+        else print_string (Obs.Diff.render ~all result);
+        exit (if Obs.Diff.regressed result then 1 else 0)
+    | _ -> `Error (true, "expected BASELINE and CURRENT (or --trend with any number of reports)")
   in
   Cmd.v
     (Cmd.info "diff"
@@ -546,8 +558,9 @@ let diff_cmd =
            `P "agp observe spec-bfs --scale small --report base.json";
            `P "agp observe spec-bfs --scale small --bandwidth 0.5 --report slow.json";
            `P "agp diff base.json slow.json   # non-zero exit: cycles regressed";
+           `P "agp diff --trend bench/BENCH_*.json   # the committed perf trajectory";
          ])
-    Term.(const run $ file_a $ file_b $ threshold_arg $ json_arg $ all_arg)
+    Term.(ret (const run $ files $ threshold_arg $ json_arg $ all_arg $ trend_arg))
 
 let version_cmd =
   let run () =

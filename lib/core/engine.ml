@@ -4,10 +4,15 @@
    domains) and the cycle simulator's timing shell in [agp_hw].
 
    What makes it fast:
-   - task bodies are flat op arrays dispatched by pc ([match code.(pc)]);
-   - expressions and rule conditions are postfix bytecode evaluated over
-     preallocated scratch stacks (ints + floats + tags, no [Value.t]
-     boxing on the hot path);
+   - [create] compiles each pc of the flat op array into a closure, so a
+     step is one indirect call, with the op's operands, state array and
+     continuation resolved once per engine;
+   - an expression compiles into a closure typed by where its value goes
+     (an int, a truth value, a slot written in place), with a fast path
+     for a single leaf or two leaves and an int-int operator, the shapes
+     of almost every evaluation; any other shape or tag, and every rule
+     condition, runs the postfix bytecode over preallocated scratch
+     stacks (ints + floats + tags, no [Value.t] boxing on the hot path);
    - tasks, rule instances, queues and the uncommitted order are
      pooled flat structures recycled through free lists, so the
      steady-state loop allocates nothing;
@@ -195,12 +200,6 @@ type run = {
   mutable umask : int;
 }
 
-(* state array resolved at engine creation *)
-type adata =
-  | A_int of int array
-  | A_float of float array
-  | A_missing
-
 (* logged event for counted-rule scoreboard reconstruction; only
    populated when the program has counted rules *)
 type lev = {
@@ -277,7 +276,8 @@ type t = {
   prim_impls : Spec.prim_impl option array;
   prim_count : int array;
   expected_fns : (Value.t list -> int) option array; (* per rule *)
-  arr_data : adata array;
+  (* pc -> the closure that executes the op there, built by [create] *)
+  mutable exec : (task -> int) array;
   (* eval scratch *)
   st_i : int array;
   st_f : float array;
@@ -289,13 +289,10 @@ type t = {
   mutable ev_n : int;
   mutable cx_earlier : bool;
   mutable cx_later : bool;
-  (* emit / push / alloc argument scratch *)
+  (* emit argument scratch *)
   em_i : int array;
   em_f : float array;
   em_tg : int array;
-  ar_i : int array;
-  ar_f : float array;
-  ar_tg : int array;
   resumed : task Vec.t;
   (* what the last [step] touched, for the timing shell *)
   mutable touched_arr : int;
@@ -964,15 +961,12 @@ let count_past_matches en rule_id inst (parent_idx : int array) =
     en.log;
   !count
 
-(* args already evaluated into ar_*; nargs of them *)
-let alloc_rule en (tk : task) ~rule_id ~nargs =
+(* [inst] comes from [new_inst] with its [nargs] params already
+   written *)
+let alloc_rule en (tk : task) inst ~rule_id ~nargs =
   let r = en.prog.Opcode.rules.(rule_id) in
-  let inst = new_inst en in
   inst.ri_rule <- rule_id;
   inst.ri_parent <- tk;
-  blit_ints en.ar_i 0 inst.ri_pi 0 nargs;
-  blit_floats en.ar_f 0 inst.ri_pf 0 nargs;
-  blit_ints en.ar_tg 0 inst.ri_ptg 0 nargs;
   inst.ri_np <- nargs;
   inst.ri_resolved <- 0;
   inst.ri_counter <-
@@ -1011,18 +1005,6 @@ let stamp en slot =
     c
   end
   else 0
-
-(* payload already evaluated into ar_* *)
-let do_push en ~(parent_idx : int array) ~set ~nargs =
-  let tk = new_task en ~set ~n_pay:nargs in
-  blit_ints en.ar_i 0 tk.pay_i 0 nargs;
-  blit_floats en.ar_f 0 tk.pay_f 0 nargs;
-  blit_ints en.ar_tg 0 tk.pay_tg 0 nargs;
-  (* child index: parent prefix up to the slot, then the stamp *)
-  blit_ints parent_idx 0 tk.idx 0 set;
-  fill_ints tk.idx set (en.width - set) 0;
-  tk.idx.(set) <- stamp en set;
-  enqueue en tk ~front:false
 
 let push_initial en set_name payload =
   let set =
@@ -1219,7 +1201,23 @@ let finish en (tk : task) rc =
   Vec.push en.free_tasks tk;
   rc
 
-(* --- stepping --- *)
+(* --- stepping ---
+
+   [create] compiles every pc into a closure that executes its op, so
+   [step] is one indirect call: the op's kind, operands, state array and
+   continuation are resolved once per engine, not on every step.  An
+   expression compiles into a closure typed by where its value goes: an
+   int (addresses, [Push_iter] bounds), a truth value ([If]), or a
+   tagged slot written in place ([Let], arguments, stored values).
+
+   The shapes that make up almost every evaluation get a fast path: one
+   leaf ([Param], [Var] or an int constant), or two such leaves joined
+   by an int-int [+ - * = <> < <= > >=].  A fast path tests the tags it
+   relies on (an int, a [Param] in range, a bound register) and on any
+   other tag runs [eval] over the same bytecode, so the postfix
+   evaluator and {!Binop} stay the one statement of promotion,
+   evaluation order and error strings.  [/] and [%] always go to
+   [eval], which owns their zero checks. *)
 
 (* stack-slot-0 coercions with the tag check inline (no float crosses a
    call boundary on the non-error path) *)
@@ -1231,18 +1229,156 @@ let stack0_truthy en =
   if en.st_tg.(0) = tg_bool || en.st_tg.(0) = tg_int then en.st_i.(0) <> 0
   else truthy_type_error en.st_tg.(0) en.st_i.(0) en.st_f.(0)
 
-(* evaluate an argument list into scratch slots; returns its length *)
-let eval_into en tk (args : Opcode.eop array array) ia fa ta =
-  let n = Array.length args in
-  for i = 0 to n - 1 do
-    eval en tk nil_inst args.(i);
-    ia.(i) <- en.st_i.(0);
-    fa.(i) <- en.st_f.(0);
-    ta.(i) <- en.st_tg.(0)
-  done;
-  n
+(* a leaf of a fast shape *)
+type leaf =
+  | L_int of int
+  | L_param of int
+  | L_reg of int
 
-let eval_args en tk args = eval_into en tk args en.ar_i en.ar_f en.ar_tg
+type shape =
+  | Leaf of leaf
+  | Bin of Spec.binop * leaf * leaf (* a [fast_op] *)
+  | Slow
+
+let leaf_of (e : Opcode.eop) =
+  match e with
+  | Opcode.E_int n -> Some (L_int n)
+  | Opcode.E_param i when i >= 0 -> Some (L_param i)
+  | Opcode.E_reg (r, _) -> Some (L_reg r)
+  | _ -> None
+
+(* the int-int binops with a fast path: not [/] and [%], whose zero
+   checks stay in [eval] *)
+let fast_op (op : Spec.binop) =
+  match op with
+  | Spec.Add | Spec.Sub | Spec.Mul -> true
+  | Spec.Eq | Spec.Ne | Spec.Lt | Spec.Le | Spec.Gt | Spec.Ge -> true
+  | Spec.Div | Spec.Rem | Spec.Min | Spec.Max | Spec.And | Spec.Or -> false
+
+let shape_of (c : Opcode.eop array) =
+  match c with
+  | [| e |] -> ( match leaf_of e with Some l -> Leaf l | None -> Slow)
+  | [| a; b; Opcode.E_binop op |] when fast_op op -> (
+      match (leaf_of a, leaf_of b) with
+      | Some a, Some b -> Bin (op, a, b)
+      | _ -> Slow)
+  | _ -> Slow
+
+let is_cmp (op : Spec.binop) =
+  match op with
+  | Spec.Eq | Spec.Ne | Spec.Lt | Spec.Le | Spec.Gt | Spec.Ge -> true
+  | _ -> false
+
+(* the leaf holds an int *)
+let[@inline] leaf_is_int (tk : task) l =
+  match l with
+  | L_int _ -> true
+  | L_param i -> i < tk.n_pay && tk.pay_tg.(i) = tg_int
+  | L_reg r -> tk.reg_tg.(r) = tg_int
+
+let[@inline] leaf_int (tk : task) l =
+  match l with
+  | L_int n -> n
+  | L_param i -> tk.pay_i.(i)
+  | L_reg r -> tk.reg_i.(r)
+
+(* [x op y] for a fast op; a comparison gives 1 or 0 *)
+let[@inline] int_op (op : Spec.binop) (x : int) (y : int) =
+  match op with
+  | Spec.Add -> x + y
+  | Spec.Sub -> x - y
+  | Spec.Mul -> x * y
+  | Spec.Eq -> if x = y then 1 else 0
+  | Spec.Ne -> if x <> y then 1 else 0
+  | Spec.Lt -> if x < y then 1 else 0
+  | Spec.Le -> if x <= y then 1 else 0
+  | Spec.Gt -> if x > y then 1 else 0
+  | _ -> if x >= y then 1 else 0
+
+(* an expression whose value must be an int *)
+let int_expr en (c : Opcode.eop array) : task -> int =
+  let slow tk =
+    eval en tk nil_inst c;
+    stack0_int en
+  in
+  match shape_of c with
+  | Leaf (L_int n) -> fun _ -> n
+  | Leaf (L_param i) ->
+      fun tk -> if i < tk.n_pay && tk.pay_tg.(i) = tg_int then tk.pay_i.(i) else slow tk
+  | Leaf (L_reg r) -> fun tk -> if tk.reg_tg.(r) = tg_int then tk.reg_i.(r) else slow tk
+  | Bin (op, a, b) when not (is_cmp op) ->
+      fun tk ->
+        if leaf_is_int tk a && leaf_is_int tk b then int_op op (leaf_int tk a) (leaf_int tk b)
+        else slow tk
+  | Bin _ | Slow -> slow
+
+(* an expression tested for truth (a bool, or an int other than 0) *)
+let truthy_expr en (c : Opcode.eop array) : task -> bool =
+  let slow tk =
+    eval en tk nil_inst c;
+    stack0_truthy en
+  in
+  match shape_of c with
+  | Leaf (L_int n) ->
+      let b = n <> 0 in
+      fun _ -> b
+  | Leaf (L_param i) ->
+      fun tk ->
+        if i < tk.n_pay && (tk.pay_tg.(i) = tg_int || tk.pay_tg.(i) = tg_bool) then
+          tk.pay_i.(i) <> 0
+        else slow tk
+  | Leaf (L_reg r) ->
+      fun tk ->
+        let tg = tk.reg_tg.(r) in
+        if tg = tg_int || tg = tg_bool then tk.reg_i.(r) <> 0 else slow tk
+  | Bin (op, a, b) ->
+      fun tk ->
+        if leaf_is_int tk a && leaf_is_int tk b then int_op op (leaf_int tk a) (leaf_int tk b) <> 0
+        else slow tk
+  | Slow -> slow
+
+(* an expression whose tagged value is written to slot [k] of three
+   parallel arrays: ints (and bools), floats, tags *)
+type slot = task -> int array -> float array -> int array -> int -> unit
+
+let slot_expr en (c : Opcode.eop array) : slot =
+  let slow tk (ia : int array) (fa : float array) (ta : int array) k =
+    eval en tk nil_inst c;
+    ia.(k) <- en.st_i.(0);
+    fa.(k) <- en.st_f.(0);
+    ta.(k) <- en.st_tg.(0)
+  in
+  match shape_of c with
+  | Leaf (L_int n) ->
+      fun _ ia _ ta k ->
+        ia.(k) <- n;
+        ta.(k) <- tg_int
+  | Leaf (L_param i) ->
+      fun tk ia fa ta k ->
+        if i < tk.n_pay then begin
+          ia.(k) <- tk.pay_i.(i);
+          fa.(k) <- tk.pay_f.(i);
+          ta.(k) <- tk.pay_tg.(i)
+        end
+        else slow tk ia fa ta k
+  | Leaf (L_reg r) ->
+      fun tk ia fa ta k ->
+        let tg = tk.reg_tg.(r) in
+        if tg <> tg_unbound then begin
+          ia.(k) <- tk.reg_i.(r);
+          fa.(k) <- tk.reg_f.(r);
+          ta.(k) <- tg
+        end
+        else slow tk ia fa ta k
+  | Bin (op, a, b) ->
+      let tg = if is_cmp op then tg_bool else tg_int in
+      fun tk ia fa ta k ->
+        if leaf_is_int tk a && leaf_is_int tk b then begin
+          ia.(k) <- int_op op (leaf_int tk a) (leaf_int tk b);
+          ta.(k) <- tg
+        end
+        else slow tk ia fa ta k
+  | Slow -> slow
 
 let array_missing en arr = invalid_arg ("State: unknown array " ^ en.prog.Opcode.array_names.(arr))
 
@@ -1257,149 +1393,227 @@ let store_type_err en arr tg =
        (Binop.vstr tg en.st_i.(0) en.st_f.(0))
        en.prog.Opcode.array_names.(arr))
 
-(* Execute one operation of a running task and return its latency
-   class.  The commit on an empty continuation does not count as an
-   executed op.  Loads and stores go straight to the state arrays; they
-   reach the state's access trace only while tracing is on. *)
-let step en (tk : task) =
-  match en.prog.Opcode.code.(tk.pc) with
-  | Opcode.I_commit -> finish en tk lc_committed
-  | op -> begin
-      en.stats.ops_executed <- en.stats.ops_executed + 1;
-      match op with
-      | Opcode.I_commit -> assert false
-      | Opcode.I_let { dst; e; next } ->
-          eval en tk nil_inst e;
-          tk.reg_i.(dst) <- en.st_i.(0);
-          tk.reg_f.(dst) <- en.st_f.(0);
-          tk.reg_tg.(dst) <- en.st_tg.(0);
-          tk.pc <- next;
-          lc_unit
-      | Opcode.I_load { dst; arr; addr; next } ->
-          eval en tk nil_inst addr;
-          let i = stack0_int en in
-          State.touch en.st en.prog.Opcode.array_names.(arr) i false;
-          begin
-            match en.arr_data.(arr) with
-            | A_int a ->
-                if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
-                tk.reg_i.(dst) <- a.(i);
-                tk.reg_tg.(dst) <- tg_int
-            | A_float a ->
-                if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
-                tk.reg_f.(dst) <- a.(i);
-                tk.reg_tg.(dst) <- tg_float
-            | A_missing -> array_missing en arr
-          end;
-          tk.pc <- next;
-          en.touched_arr <- arr;
-          en.touched_idx <- i;
-          lc_load
-      | Opcode.I_store { arr; addr; v; next } ->
-          eval en tk nil_inst addr;
-          let i = stack0_int en in
-          eval en tk nil_inst v;
-          State.touch en.st en.prog.Opcode.array_names.(arr) i true;
-          let tg = en.st_tg.(0) in
-          begin
-            match en.arr_data.(arr) with
-            | A_int a ->
-                if tg <> tg_int then store_type_err en arr tg;
-                if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
-                a.(i) <- en.st_i.(0)
-            | A_float a ->
-                if tg = tg_bool then store_type_err en arr tg;
-                if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
-                a.(i) <- (if tg = tg_int then float_of_int en.st_i.(0) else en.st_f.(0))
-            | A_missing -> array_missing en arr
-          end;
-          tk.pc <- next;
-          en.touched_arr <- arr;
-          en.touched_idx <- i;
-          lc_store
-      | Opcode.I_push { set; args; next } ->
-          let n = eval_args en tk args in
-          do_push en ~parent_idx:tk.idx ~set ~nargs:n;
-          tk.pc <- next;
-          lc_unit
-      | Opcode.I_push_iter { set; lo; hi; ivar; args; next } ->
-          eval en tk nil_inst lo;
-          let lo_v = stack0_int en in
-          eval en tk nil_inst hi;
-          let hi_v = stack0_int en in
-          for i = lo_v to hi_v - 1 do
-            tk.reg_i.(ivar) <- i;
-            tk.reg_tg.(ivar) <- tg_int;
-            let n = eval_args en tk args in
-            do_push en ~parent_idx:tk.idx ~set ~nargs:n
-          done;
-          tk.pc <- next;
-          en.touched_idx <- hi_v - lo_v;
-          lc_push_iter
-      | Opcode.I_alloc { handle; rule; args; next } ->
-          let n = eval_args en tk args in
-          let inst = alloc_rule en tk ~rule_id:rule ~nargs:n in
-          tk.handles.(handle) <- inst;
-          tk.pc <- next;
-          lc_unit
-      | Opcode.I_await { dst; handle; handle_name; next } -> begin
-          let inst = tk.handles.(handle) in
-          if inst == nil_inst then
-            invalid_arg ("Engine: Await on unallocated handle " ^ handle_name);
-          if inst.ri_resolved <> 0 then begin
-            tk.reg_i.(dst) <- (if inst.ri_resolved = 2 then 1 else 0);
-            tk.reg_tg.(dst) <- tg_bool;
+(* a state array, resolved once per engine *)
+type arr =
+  | A_int of int array
+  | A_float of float array
+  | A_missing
+
+let resolve_array st name =
+  if not (State.has_array st name) then A_missing
+  else
+    match State.int_array st name with
+    | a -> A_int a
+    | exception Invalid_argument _ -> A_float (State.float_array st name)
+
+(* every op but the commit counts as executed *)
+let[@inline] count_op en = en.stats.ops_executed <- en.stats.ops_executed + 1
+
+(* activate a child of [tk] in [set] whose payload [args] write in
+   place: index = the parent's prefix up to the slot, then the stamp *)
+let push_child en (tk : task) set (args : slot array) =
+  let n = Array.length args in
+  let child = new_task en ~set ~n_pay:n in
+  for k = 0 to n - 1 do
+    args.(k) tk child.pay_i child.pay_f child.pay_tg k
+  done;
+  blit_ints tk.idx 0 child.idx 0 set;
+  fill_ints child.idx set (en.width - set) 0;
+  child.idx.(set) <- stamp en set;
+  enqueue en child ~front:false
+
+(* The closure that executes [op] and returns its latency class.  Loads
+   and stores go straight to the state arrays, after [State.touch]
+   (which records the access only while the state is tracing). *)
+let compile_op en (op : Opcode.inst) : task -> int =
+  let names = en.prog.Opcode.array_names in
+  match op with
+  | Opcode.I_commit -> fun tk -> finish en tk lc_committed
+  | Opcode.I_let { dst; e; next } ->
+      let e = slot_expr en e in
+      fun tk ->
+        count_op en;
+        e tk tk.reg_i tk.reg_f tk.reg_tg dst;
+        tk.pc <- next;
+        lc_unit
+  | Opcode.I_load { dst; arr; addr; next } -> (
+      let addr = int_expr en addr and name = names.(arr) in
+      match resolve_array en.st name with
+      | A_int a ->
+          fun tk ->
+            count_op en;
+            let i = addr tk in
+            State.touch en.st name i false;
+            if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
+            tk.reg_i.(dst) <- a.(i);
+            tk.reg_tg.(dst) <- tg_int;
             tk.pc <- next;
-            lc_unit
-          end
-          else begin
-            tk.status <- s_waiting;
-            tk.await_dst <- dst;
-            tk.await_inst <- inst;
-            en.running <- en.running - 1;
-            park en tk;
-            lc_blocked
-          end
-        end
-      | Opcode.I_emit { label; args; next } ->
-          let n = eval_into en tk args en.em_i en.em_f en.em_tg in
-          set_event en en.em_i en.em_f en.em_tg n;
-          fire_event en ~kind:1 ~set:tk.set ~label ~index:tk.idx ~source_tid:tk.tid;
-          tk.bcast <- true;
+            en.touched_arr <- arr;
+            en.touched_idx <- i;
+            lc_load
+      | data ->
+          fun tk ->
+            count_op en;
+            let i = addr tk in
+            State.touch en.st name i false;
+            begin
+              match data with
+              | A_float a ->
+                  if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
+                  tk.reg_f.(dst) <- a.(i);
+                  tk.reg_tg.(dst) <- tg_float
+              | A_int _ | A_missing -> array_missing en arr
+            end;
+            tk.pc <- next;
+            en.touched_arr <- arr;
+            en.touched_idx <- i;
+            lc_load)
+  | Opcode.I_store { arr; addr; v; next } -> (
+      (* the value goes to stack slot 0, where the error path reads it *)
+      let addr = int_expr en addr and v = slot_expr en v and name = names.(arr) in
+      match resolve_array en.st name with
+      | A_int a ->
+          fun tk ->
+            count_op en;
+            let i = addr tk in
+            v tk en.st_i en.st_f en.st_tg 0;
+            State.touch en.st name i true;
+            let tg = en.st_tg.(0) in
+            if tg <> tg_int then store_type_err en arr tg;
+            if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
+            a.(i) <- en.st_i.(0);
+            tk.pc <- next;
+            en.touched_arr <- arr;
+            en.touched_idx <- i;
+            lc_store
+      | data ->
+          fun tk ->
+            count_op en;
+            let i = addr tk in
+            v tk en.st_i en.st_f en.st_tg 0;
+            State.touch en.st name i true;
+            let tg = en.st_tg.(0) in
+            begin
+              match data with
+              | A_float a ->
+                  if tg = tg_bool then store_type_err en arr tg;
+                  if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
+                  a.(i) <- (if tg = tg_int then float_of_int en.st_i.(0) else en.st_f.(0))
+              | A_int _ | A_missing -> array_missing en arr
+            end;
+            tk.pc <- next;
+            en.touched_arr <- arr;
+            en.touched_idx <- i;
+            lc_store)
+  | Opcode.I_push { set; args; next } ->
+      let args = Array.map (slot_expr en) args in
+      fun tk ->
+        count_op en;
+        push_child en tk set args;
+        tk.pc <- next;
+        lc_unit
+  | Opcode.I_push_iter { set; lo; hi; ivar; args; next } ->
+      let lo = int_expr en lo and hi = int_expr en hi and args = Array.map (slot_expr en) args in
+      fun tk ->
+        count_op en;
+        let lo_v = lo tk in
+        let hi_v = hi tk in
+        for i = lo_v to hi_v - 1 do
+          tk.reg_i.(ivar) <- i;
+          tk.reg_tg.(ivar) <- tg_int;
+          push_child en tk set args
+        done;
+        tk.pc <- next;
+        en.touched_idx <- hi_v - lo_v;
+        lc_push_iter
+  | Opcode.I_alloc { handle; rule; args; next } ->
+      let args = Array.map (slot_expr en) args in
+      let n = Array.length args in
+      fun tk ->
+        count_op en;
+        let inst = new_inst en in
+        for k = 0 to n - 1 do
+          args.(k) tk inst.ri_pi inst.ri_pf inst.ri_ptg k
+        done;
+        tk.handles.(handle) <- alloc_rule en tk inst ~rule_id:rule ~nargs:n;
+        tk.pc <- next;
+        lc_unit
+  | Opcode.I_await { dst; handle; handle_name; next } ->
+      fun tk ->
+        count_op en;
+        let inst = tk.handles.(handle) in
+        if inst == nil_inst then invalid_arg ("Engine: Await on unallocated handle " ^ handle_name);
+        if inst.ri_resolved <> 0 then begin
+          tk.reg_i.(dst) <- (if inst.ri_resolved = 2 then 1 else 0);
+          tk.reg_tg.(dst) <- tg_bool;
           tk.pc <- next;
           lc_unit
-      | Opcode.I_if { c; then_pc; else_pc } ->
-          eval en tk nil_inst c;
-          tk.pc <- (if stack0_truthy en then then_pc else else_pc);
-          lc_unit
-      | Opcode.I_abort -> finish en tk lc_aborted
-      | Opcode.I_retry -> finish en tk lc_retried
-      | Opcode.I_prim { dsts; prim; name; args; next } -> begin
-          match en.prim_impls.(prim) with
-          | None -> invalid_arg ("Engine: unbound prim " ^ name)
-          | Some impl ->
-              en.prim_count.(prim) <- en.prim_count.(prim) + 1;
-              let args =
-                Array.to_list
-                  (Array.map
-                     (fun e ->
-                       eval en tk nil_inst e;
-                       box en.st_i en.st_f en.st_tg 0)
-                     args)
-              in
-              let results =
-                impl { Spec.state = en.st; Spec.task_index = Index.of_array tk.idx } args
-              in
-              let nr = List.length results and nd = Array.length dsts in
-              if nr <> nd then
-                invalid_arg
-                  (Printf.sprintf "Engine: prim %s returned %d values, expected %d" name nr nd);
-              List.iteri (fun i v -> unbox tk.reg_i tk.reg_f tk.reg_tg dsts.(i) v) results;
-              tk.pc <- next;
-              en.touched_arr <- prim;
-              lc_prim
         end
-    end
+        else begin
+          tk.status <- s_waiting;
+          tk.await_dst <- dst;
+          tk.await_inst <- inst;
+          en.running <- en.running - 1;
+          park en tk;
+          lc_blocked
+        end
+  | Opcode.I_emit { label; args; next } ->
+      let args = Array.map (slot_expr en) args in
+      let n = Array.length args in
+      fun tk ->
+        count_op en;
+        for k = 0 to n - 1 do
+          args.(k) tk en.em_i en.em_f en.em_tg k
+        done;
+        set_event en en.em_i en.em_f en.em_tg n;
+        fire_event en ~kind:1 ~set:tk.set ~label ~index:tk.idx ~source_tid:tk.tid;
+        tk.bcast <- true;
+        tk.pc <- next;
+        lc_unit
+  | Opcode.I_if { c; then_pc; else_pc } ->
+      let c = truthy_expr en c in
+      fun tk ->
+        count_op en;
+        tk.pc <- (if c tk then then_pc else else_pc);
+        lc_unit
+  | Opcode.I_abort ->
+      fun tk ->
+        count_op en;
+        finish en tk lc_aborted
+  | Opcode.I_retry ->
+      fun tk ->
+        count_op en;
+        finish en tk lc_retried
+  | Opcode.I_prim { dsts; prim; name; args; next } ->
+      fun tk -> (
+        count_op en;
+        match en.prim_impls.(prim) with
+        | None -> invalid_arg ("Engine: unbound prim " ^ name)
+        | Some impl ->
+            en.prim_count.(prim) <- en.prim_count.(prim) + 1;
+            let args =
+              Array.to_list
+                (Array.map
+                   (fun e ->
+                     eval en tk nil_inst e;
+                     box en.st_i en.st_f en.st_tg 0)
+                   args)
+            in
+            let results =
+              impl { Spec.state = en.st; Spec.task_index = Index.of_array tk.idx } args
+            in
+            let nr = List.length results and nd = Array.length dsts in
+            if nr <> nd then
+              invalid_arg
+                (Printf.sprintf "Engine: prim %s returned %d values, expected %d" name nr nd);
+            List.iteri (fun i v -> unbox tk.reg_i tk.reg_f tk.reg_tg dsts.(i) v) results;
+            tk.pc <- next;
+            en.touched_arr <- prim;
+            lc_prim)
+
+(* Execute one operation of a running task and return its latency
+   class: the closure [create] compiled for its pc. *)
+let step en (tk : task) = en.exec.(tk.pc) tk
 
 (* --- minimum resolution --- *)
 
@@ -1527,21 +1741,10 @@ let create spec bindings st =
   end;
   let prog = Opcode.compile spec in
   let width = max prog.Opcode.n_sets 1 in
-  let arr_data =
-    Array.map
-      (fun name ->
-        if State.has_array st name then begin
-          match State.int_array st name with
-          | a -> A_int a
-          | exception Invalid_argument _ -> A_float (State.float_array st name)
-        end
-        else A_missing)
-      prog.Opcode.array_names
-  in
-  let ar_cap = max 1 (max prog.Opcode.max_push_args prog.Opcode.max_rule_params) in
   let em_i = Array.make prog.Opcode.max_event_fields 0 in
   let em_f = Array.make prog.Opcode.max_event_fields 0.0 in
   let em_tg = Array.make prog.Opcode.max_event_fields tg_int in
+  let en =
   {
     prog;
     st;
@@ -1596,7 +1799,7 @@ let create spec bindings st =
       Array.map
         (fun (r : Opcode.crule) -> List.assoc_opt r.Opcode.r_name bindings.Spec.expected)
         prog.Opcode.rules;
-    arr_data;
+    exec = [||];
     st_i = Array.make prog.Opcode.max_stack 0;
     st_f = Array.make prog.Opcode.max_stack 0.0;
     st_tg = Array.make prog.Opcode.max_stack tg_int;
@@ -1609,15 +1812,15 @@ let create spec bindings st =
     em_i;
     em_f;
     em_tg;
-    ar_i = Array.make ar_cap 0;
-    ar_f = Array.make ar_cap 0.0;
-    ar_tg = Array.make ar_cap tg_int;
     resumed = Vec.create ();
     touched_arr = 0;
     touched_idx = 0;
     checked = !check_by_default;
     check_calls = 0;
   }
+  in
+  en.exec <- Array.map (compile_op en) prog.Opcode.code;
+  en
 
 (* --- views --- *)
 
@@ -1668,6 +1871,19 @@ let task_var tk name =
 let checked en = en.checked
 
 let check_budget = 64
+
+let status_name s =
+  if s = s_pending then "pending"
+  else if s = s_running then "running"
+  else if s = s_waiting then "parked"
+  else if s = s_committed then "committed"
+  else "squashed"
+
+let check_step (tk : task) =
+  if tk.status <> s_running then
+    failwith
+      (Printf.sprintf "Engine.check_invariants: stepping task %d, which is %s, not running" tk.tid
+         (status_name tk.status))
 
 let check_invariants en =
   let fail fmt = Printf.ksprintf (fun m -> failwith ("Engine.check_invariants: " ^ m)) fmt in
@@ -1822,7 +2038,33 @@ let check_invariants en =
       fail "the least live entry is %s, the minimum uncommitted task is %s" (tid got) (tid want);
     let kept = if en.mu != nil_task && holds_live en.mu en.mu_tid then en.mu_tid else got in
     if kept <> want then
-      fail "min_uncommitted would give %s, the minimum uncommitted task is %s" (tid kept) (tid want)
+      fail "min_uncommitted would give %s, the minimum uncommitted task is %s" (tid kept)
+        (tid want);
+    (* the queues and the free list: a queued task is pending, not
+       parked and queued once; a free record holds a committed or
+       squashed task and sits in no queue, on no wake list and in no
+       waiting heap *)
+    let queued = Array.make en.pool_n false and woken = Array.make en.pool_n false in
+    Array.iteri
+      (fun s r ->
+        for k = 0 to r.rl - 1 do
+          let tk = r.rd.((r.rh + k) mod Array.length r.rd) in
+          if tk.status <> s_pending then
+            fail "set %d queues task %d, which is %s" s tk.tid (status_name tk.status);
+          if tk.wpos >= 0 then fail "task %d is both queued and parked" tk.tid;
+          if queued.(tk.pid) then fail "task %d is queued twice" tk.tid;
+          queued.(tk.pid) <- true
+        done)
+      en.rings;
+    Vec.iter (fun (w : task) -> woken.(w.pid) <- true) en.wake;
+    Vec.iter
+      (fun (tk : task) ->
+        if not (tk.status = s_committed || tk.status = s_squashed) then
+          fail "free record %d holds task %d, which is %s" tk.pid tk.tid (status_name tk.status);
+        if queued.(tk.pid) then fail "free record %d (task %d) is queued" tk.pid tk.tid;
+        if woken.(tk.pid) then fail "free record %d (task %d) is on the wake list" tk.pid tk.tid;
+        if tk.wpos >= 0 then fail "free record %d (task %d) is parked" tk.pid tk.tid)
+      en.free_tasks
   end;
   (* the pending counter, and every activation accounted for *)
   let queued = Array.fold_left (fun n r -> n + r.rl) 0 en.rings in

@@ -65,8 +65,9 @@ type stats = {
 type t
 
 val create : Spec.t -> Spec.bindings -> State.t -> t
-(** Compile the specification ({!Opcode.compile}) and bind its state
-    arrays, prims and counted-rule expectations.
+(** Compile the specification ({!Opcode.compile}), bind its state
+    arrays, prims and counted-rule expectations, and compile each pc
+    into the closure {!step} calls.
     @raise Invalid_argument when the specification fails
     {!Spec.validate}. *)
 
@@ -173,7 +174,15 @@ val step : t -> task -> int
 (** Execute exactly one operation of a running task and return its
     latency class.  All events, pushes and rule transitions implied by
     the operation happen inside.  Loads and stores also record into the
-    state's access trace while it is tracing. *)
+    state's access trace while it is tracing.
+
+    A step is one call of the closure {!create} compiled for the task's
+    pc.  Each closure has the op's operands, state array and
+    continuation bound in.  Its expressions take typed fast paths for a
+    single [Param], [Var] or int-constant leaf, and for two such leaves
+    joined by an int-int [+ - * = <> < <= > >=].  On any other shape or
+    tag they evaluate the op's postfix bytecode, whose results and error
+    strings are the reference's. *)
 
 val touched_array : t -> int
 
@@ -228,12 +237,20 @@ val check_invariants : t -> unit
     exactly one live entry, and that both the least live entry and the
     task {!min_uncommitted} would return (its kept answer while that
     task lives) are, by tid, the (index, tid) minimum over those tasks;
-    that the pending counter equals the queued tasks; and that
+    that every queued task is pending, queued once and not parked, and
+    every record on the free list holds a committed or squashed task
+    and is in no queue, on no wake list and in no waiting heap; that
+    the pending counter equals the queued tasks; and that
     [activated = committed + aborted + retried + pending + running +
     parked].  O(parked + live) per call, plus O(tasks ever pooled + run
     and heap entries) on a stride that grows with them; it never drops
     an entry, so checking does not change the order's layout.
     @raise Failure describing the first violation. *)
+
+val check_step : task -> unit
+(** What a shell checks, when {!checked}, before each {!step}: the task
+    is running, so a finished or parked task is never stepped.
+    @raise Failure naming the task and its status. *)
 
 val prim_counts : t -> (string * int) list
 (** Invocations per [Prim] kernel so far (kernels never invoked are

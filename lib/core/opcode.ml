@@ -1,12 +1,13 @@
 (* Spec -> flat op-array compiler for the ECA core ({!Engine}).
 
    Task-set bodies become one shared instruction array indexed by pc;
-   every instruction carries the pc of its continuation, so executing a
-   task is a tight `match code.(pc)` dispatch with no list traversal and
-   no sharing of `Spec.op` structure.  Expressions and rule conditions
-   compile to postfix bytecode evaluated over preallocated scratch
-   stacks (the bytecode-interpreter idiom: op arrays + mutable frames,
-   no tree-walking).
+   every instruction carries the pc of its continuation, so a task never
+   walks a list or shares `Spec.op` structure, and the engine compiles
+   each pc once into a closure that executes it.  Expressions and rule
+   conditions compile to postfix bytecode evaluated over preallocated
+   scratch stacks (the bytecode-interpreter idiom: op arrays + mutable
+   frames, no tree-walking); the engine's closures take fast paths for
+   the commonest expression shapes and fall back to that bytecode.
 
    The compiler only restructures data: evaluation semantics (numeric
    promotion, error strings, out-of-range clause probes) are those of

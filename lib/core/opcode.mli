@@ -1,10 +1,12 @@
 (** Spec → flat op-array compiler for the ECA core ({!Engine}).
 
     Task-set bodies compile into one shared instruction array indexed
-    by pc; every instruction embeds the pc of its continuation, so
-    executing a task is a `match code.(pc)` dispatch with no list
-    traversal.  Expressions and rule conditions become postfix bytecode
-    evaluated over preallocated scratch stacks.  Variables, handles,
+    by pc; every instruction embeds the pc of its continuation, so a
+    task never walks a list, and {!Engine.create} compiles each pc once
+    into a closure that executes it.  Expressions and rule conditions
+    become postfix bytecode evaluated over preallocated scratch stacks,
+    the engine's fallback for the expression shapes its closures do not
+    specialize.  Variables, handles,
     state arrays, event labels and prim names are all interned to dense
     integer ids so the engine's hot state can live in flat int arrays.
 

@@ -92,6 +92,7 @@ let run_min_first ~max_tasks ~hooks eng =
   let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
   let rec drive task =
     let pc = Engine.task_pc task in
+    if checked then Engine.check_step task;
     let rc = Engine.step eng task in
     if checked then Engine.check_invariants eng;
     incr op_count;
@@ -190,7 +191,8 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
       let task = slots.(w) in
       if not (Engine.is_nil task) then begin
         let pc = Engine.task_pc task in
-        let rc = Engine.step eng task in
+        if checked then Engine.check_step task;
+    let rc = Engine.step eng task in
         if checked then Engine.check_invariants eng;
         progressed := true;
         if hooked then fire w task (step_event eng pc rc);
@@ -266,7 +268,8 @@ let run_domains ~descr ~domains ~hooks eng =
         if hooked then fire task (if resumed then Resumed else Acquired);
         let rec slice () =
           let pc = Engine.task_pc task in
-          let rc = Engine.step eng task in
+          if checked then Engine.check_step task;
+    let rc = Engine.step eng task in
           if checked then Engine.check_invariants eng;
           incr ticks;
           if hooked then fire task (step_event eng pc rc);

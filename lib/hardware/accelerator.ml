@@ -415,6 +415,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     | None -> ()
   end;
   let instrumented = Sink.enabled sink in
+  let checked = Engine.checked en in
   let matrix = Array.make (imax 1 (n_sets * 6)) 0 in
   let charge set b n = matrix.((set * 6) + b) <- matrix.((set * 6) + b) + n in
   let sq_set = Vec.create () and sq_ops = Vec.create () in
@@ -512,6 +513,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
         cal.sl_ready.(s) <- now + 1;
         file cal s ~now
     | op ->
+        if checked then Engine.check_step f;
         let tid = if instrumented then Engine.task_tid f else 0 in
         let rc =
           match op with
@@ -562,7 +564,6 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   in
   let scan = ref 0 in
   let cycle_budget = 50_000_000 in
-  let checked = Engine.checked en in
   let minor_start = Gc.minor_words () in
   while Engine.uncommitted_remaining en do
     (* a scan is one iteration of this loop, however many cycles the

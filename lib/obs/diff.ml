@@ -167,3 +167,29 @@ let to_json ?(all = false) r =
       ("changes", Json.Int r.changes);
       ("entries", Json.List (List.map entry_json entries));
     ]
+
+(* the perf trajectory's throughput leaves *)
+let trend_keys =
+  [
+    "sim_throughput.sim_cycles_per_sec";
+    "runtime_throughput.runtime_steps_per_sec";
+    "runtime_throughput.ops_per_sec";
+  ]
+
+let trend reports =
+  let t = Table.create ("report" :: trend_keys) in
+  ignore
+    (List.fold_left
+       (fun prev (name, r) ->
+         let flat = Report.flatten r in
+         let cell k =
+           match (List.assoc_opt k flat, List.assoc_opt k prev) with
+           | None, _ -> "-"
+           | Some v, Some p when p <> 0.0 ->
+               Printf.sprintf "%.0f (%+.1f%%)" v (100.0 *. (v -. p) /. Float.abs p)
+           | Some v, _ -> Printf.sprintf "%.0f" v
+         in
+         Table.add_row t (name :: List.map cell trend_keys);
+         flat)
+       [] reports);
+  Table.render t ^ "\n"

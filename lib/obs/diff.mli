@@ -58,3 +58,10 @@ val render : ?all:bool -> result -> string
     ones) plus a one-line summary. *)
 
 val to_json : ?all:bool -> result -> Json.t
+
+val trend : (string * Report.t) list -> string
+(** A table with one row per named report, in the order given, of
+    [sim_throughput.sim_cycles_per_sec],
+    [runtime_throughput.runtime_steps_per_sec] and
+    [runtime_throughput.ops_per_sec] (["-"] where the report lacks one),
+    each with its relative change against the previous report. *)

@@ -386,6 +386,9 @@ let binop_gen =
   QCheck.Gen.oneofl
     Spec.[ Add; Sub; Mul; Div; Rem; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; And; Or ]
 
+(* [a] and [b] are bound where a test binds variables, [u] never is *)
+let var_gen = QCheck.Gen.oneofl [ "a"; "b"; "u" ]
+
 let expr_gen =
   QCheck.Gen.(
     sized
@@ -395,12 +398,14 @@ let expr_gen =
                [
                  map (fun v -> Spec.Const v) value_gen;
                  map (fun i -> Spec.Param i) (int_range 0 3);
+                 map (fun v -> Spec.Var v) var_gen;
                ]
            else
              frequency
                [
                  (1, map (fun v -> Spec.Const v) value_gen);
                  (1, map (fun i -> Spec.Param i) (int_range 0 3));
+                 (1, map (fun v -> Spec.Var v) var_gen);
                  ( 4,
                    map3
                      (fun op a b -> Spec.Binop (op, a, b))
@@ -500,6 +505,317 @@ let test_binop_error_cases () =
         Binop (Add, Const (Value.Bool true), int 1);
         Binop (And, int 1, Const (Value.Bool true));
       ]
+
+(* --- every compiled position: the core compiles each expression into a
+   closure typed by where its value goes (an int, a truth value, a slot
+   written in place), with fast paths for leaves and int-int binops.
+   Each generated expression is placed in every such position and the
+   core's outcome, final state or exception string, is held to the
+   reference evaluator plus the op's stated semantics.  Variables [a]
+   and [b] are bound by a [Let] before the op, [u] never is; a payload
+   shorter than the arity puts [Param]s out of range.  A store's other
+   operand is [b], so its address, value, type and bounds errors meet
+   in every order. --- *)
+
+type position =
+  | P_let
+  | P_load of string
+  | P_store_addr of string
+  | P_store_value of string
+  | P_if
+  | P_push
+  | P_iter_lo
+  | P_iter_hi
+  | P_iter_arg
+  | P_alloc
+
+let positions =
+  [
+    P_let;
+    P_load "ia";
+    P_load "fa";
+    P_store_addr "ia";
+    P_store_addr "fa";
+    P_store_value "ia";
+    P_store_value "fa";
+    P_if;
+    P_push;
+    P_iter_lo;
+    P_iter_hi;
+    P_iter_arg;
+    P_alloc;
+  ]
+
+let position_str = function
+  | P_let -> "let"
+  | P_load a -> "load address from " ^ a
+  | P_store_addr a -> "store address into " ^ a
+  | P_store_value a -> "store value into " ^ a
+  | P_if -> "if condition"
+  | P_push -> "push argument"
+  | P_iter_lo -> "push_iter lo"
+  | P_iter_hi -> "push_iter hi"
+  | P_iter_arg -> "push_iter argument"
+  | P_alloc -> "alloc argument"
+
+(* an int array [ia] and a float array [fa] *)
+let position_state () =
+  let st = State.create () in
+  State.add_int_array st "ia" [| 10; 11; 12; 13 |];
+  State.add_float_array st "fa" [| 0.5; 1.5; 2.5; 3.5 |];
+  st
+
+let int_of_value = function
+  | Value.Int n -> n
+  | Value.Float _ | Value.Bool _ -> 0
+
+(* The op under test.  [Push_iter] takes its other bound from the
+   reference value of [e] ([r]), so every case pushes at most three
+   children. *)
+let position_op pos e (r : Value.t option) : Spec.op =
+  let near k = Spec.int (match r with Some v -> int_of_value v + k | None -> 0) in
+  match pos with
+  | P_let -> Spec.Let ("x", e)
+  | P_load a -> Spec.Load ("x", a, e)
+  | P_store_addr a -> Spec.Store (a, e, Spec.Var "b")
+  | P_store_value a -> Spec.Store (a, Spec.Var "b", e)
+  | P_if ->
+      Spec.If
+        ( e,
+          [ Spec.Store ("ia", Spec.int 0, Spec.int 100) ],
+          [ Spec.Store ("ia", Spec.int 0, Spec.int 200) ] )
+  | P_push -> Spec.Push ("c", [ e; Spec.Var "a" ])
+  | P_iter_lo -> Spec.Push_iter ("c", e, near 3, "i", [ Spec.Var "i"; Spec.int 0 ])
+  | P_iter_hi -> Spec.Push_iter ("c", near (-3), e, "i", [ Spec.Var "i"; Spec.int 0 ])
+  | P_iter_arg -> Spec.Push_iter ("c", Spec.int 0, Spec.int 2, "i", [ e; Spec.Var "i" ])
+  | P_alloc -> Spec.Alloc ("h", "r", [ e; Spec.Var "a" ])
+
+let position_spec va vb op : Spec.t =
+  {
+    Spec.spec_name = "positions";
+    task_sets =
+      [
+        {
+          Spec.ts_name = "t";
+          ts_order = Spec.For_each;
+          arity = 4;
+          body = [ Spec.Let ("a", Spec.Const va); Spec.Let ("b", Spec.Const vb); op ];
+        };
+        {
+          Spec.ts_name = "c";
+          ts_order = Spec.For_each;
+          arity = 2;
+          body = [ Spec.Let ("p0", Spec.Param 0); Spec.Let ("p1", Spec.Param 1) ];
+        };
+      ];
+    rules =
+      [
+        {
+          Spec.rule_name = "r";
+          n_params = 2;
+          clauses =
+            [
+              {
+                Spec.on = Spec.On_reached ("t", "never");
+                condition = Spec.CConst true;
+                action = Spec.Decrement;
+              };
+            ];
+          otherwise = false;
+          scope = Spec.Min_waiting;
+          counted = true;
+        };
+      ];
+  }
+
+(* exact: floats by their bits *)
+let value_bits = function
+  | Value.Int n -> Printf.sprintf "i%d" n
+  | Value.Float x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+  | Value.Bool b -> Printf.sprintf "b%b" b
+
+let render_outcome ~x ~children ~params st =
+  let opt = function None -> "-" | Some v -> value_bits v in
+  Printf.sprintf "x=%s children=[%s] params=[%s] ia=[%s] fa=[%s]" (opt x)
+    (String.concat ";" (List.map (fun (p0, p1) -> opt p0 ^ "," ^ opt p1) children))
+    (match params with None -> "-" | Some vs -> String.concat ";" (List.map value_bits vs))
+    (String.concat ";" (Array.to_list (Array.map string_of_int (State.int_array st "ia"))))
+    (String.concat ";"
+       (Array.to_list
+          (Array.map (fun f -> value_bits (Value.Float f)) (State.float_array st "fa"))))
+
+let outcome f = try f () with e -> "error: " ^ Printexc.to_string e
+
+let position_env va vb =
+  let env = Hashtbl.create 2 in
+  Hashtbl.replace env "a" va;
+  Hashtbl.replace env "b" vb;
+  env
+
+(* the reference: [Interp.eval_expr], then the op's semantics through
+   [State.read]/[State.write] *)
+let reference_outcome pos e payload va vb =
+  outcome (fun () ->
+      let env = position_env va vb in
+      let pay = Array.of_list payload in
+      let ev e = Interp.eval_expr env pay e in
+      let st = position_state () in
+      let iter lo hi arg = List.init (max 0 (hi - lo)) (fun k -> arg (lo + k)) in
+      let x, children, params =
+        match pos with
+        | P_let -> (Some (ev e), [], None)
+        | P_load a -> (Some (State.read st a (Value.to_int (ev e))), [], None)
+        | P_store_addr a ->
+            let i = Value.to_int (ev e) in
+            State.write st a i vb;
+            (None, [], None)
+        | P_store_value a ->
+            let i = Value.to_int vb in
+            State.write st a i (ev e);
+            (None, [], None)
+        | P_if ->
+            State.write st "ia" 0 (Value.Int (if Value.truthy (ev e) then 100 else 200));
+            (None, [], None)
+        | P_push ->
+            let v = ev e in
+            (None, [ (Some v, Some va) ], None)
+        | P_iter_lo ->
+            let lo = Value.to_int (ev e) in
+            (None, iter lo (lo + 3) (fun i -> (Some (Value.Int i), Some (Value.Int 0))), None)
+        | P_iter_hi ->
+            let hi = Value.to_int (ev e) in
+            (None, iter (hi - 3) hi (fun i -> (Some (Value.Int i), Some (Value.Int 0))), None)
+        | P_iter_arg -> (None, iter 0 2 (fun i -> (Some (ev e), Some (Value.Int i))), None)
+        | P_alloc ->
+            let v = ev e in
+            (None, [], Some [ v; va ])
+      in
+      render_outcome ~x ~children ~params st)
+
+(* the core, stepped by hand: the tested task to its commit (pc 0),
+   reading [x] there, then each child it pushed *)
+let compiled_outcome pos e payload va vb =
+  let r =
+    try Some (Interp.eval_expr (position_env va vb) (Array.of_list payload) e)
+    with Invalid_argument _ -> None
+  in
+  outcome (fun () ->
+      let st = position_state () in
+      let params = ref None in
+      let bindings =
+        { Spec.no_bindings with Spec.expected = [ ("r", fun vs -> params := Some vs; 1) ] }
+      in
+      let en = Engine.create (position_spec va vb (position_op pos e r)) bindings st in
+      Engine.push_initial en "t" payload;
+      let rec to_commit tk =
+        if Engine.task_pc tk <> 0 then begin
+          ignore (Engine.step en tk);
+          to_commit tk
+        end
+      in
+      let tk = Engine.pop_task en 0 in
+      to_commit tk;
+      let x = Engine.task_var tk "x" in
+      ignore (Engine.step en tk);
+      let rec children acc =
+        let c = Engine.pop_task en 1 in
+        if Engine.is_nil c then List.rev acc
+        else begin
+          to_commit c;
+          let p = (Engine.task_var c "p0", Engine.task_var c "p1") in
+          ignore (Engine.step en c);
+          children (p :: acc)
+        end
+      in
+      let children = children [] in
+      render_outcome ~x ~children ~params:!params st)
+
+let position_case_str (e, payload, va, vb) =
+  Printf.sprintf "%s on [%s], a = %s, b = %s" (expr_str e)
+    (String.concat "; " (List.map Value.to_string payload))
+    (Value.to_string va) (Value.to_string vb)
+
+let position_mismatches ((e, payload, va, vb) as case) =
+  List.filter_map
+    (fun pos ->
+      let want = reference_outcome pos e payload va vb in
+      let got = compiled_outcome pos e payload va vb in
+      if want = got then None
+      else
+        Some
+          (Printf.sprintf "%s, as %s:\nreference %s\ncompiled  %s" (position_case_str case)
+             (position_str pos) want got))
+    positions
+
+(* mostly ints, so that the fast paths run as well as the fallbacks *)
+let int_heavy_gen =
+  QCheck.Gen.(frequency [ (3, map (fun n -> Value.Int n) (int_range (-4) 4)); (1, value_gen) ])
+
+(* the fast shapes (a leaf, or two leaves and a binop) half the time,
+   arbitrary expressions otherwise *)
+let position_expr_gen =
+  QCheck.Gen.(
+    let leaf =
+      oneof
+        [
+          map (fun v -> Spec.Const v) int_heavy_gen;
+          map (fun i -> Spec.Param i) (int_range 0 3);
+          map (fun v -> Spec.Var v) var_gen;
+        ]
+    in
+    frequency
+      [
+        (1, leaf);
+        (2, map3 (fun op a b -> Spec.Binop (op, a, b)) binop_gen leaf leaf);
+        (3, expr_gen);
+      ])
+
+let test_compiled_positions =
+  QCheck.Test.make ~name:"every compiled expression position matches the reference" ~count:1000
+    (QCheck.make ~print:position_case_str
+       QCheck.Gen.(
+         quad position_expr_gen
+           (list_size (int_range 2 4) int_heavy_gen)
+           int_heavy_gen int_heavy_gen))
+    (fun case ->
+      match position_mismatches case with
+      | [] -> true
+      | m :: _ -> QCheck.Test.fail_report m)
+
+(* each fast shape sent to its fallback: a float or bool leaf, a
+   [Param] out of range, an unbound [Var], and int [/] and [%] by 0 *)
+let test_fast_shape_fallbacks () =
+  let i n = Value.Int n and f x = Value.Float x and b x = Value.Bool x in
+  let leaf_cases =
+    Spec.
+      [
+        (Param 0, [ f 2.5; i 1 ], i 1, i 2);
+        (Param 0, [ b true; i 1 ], i 1, i 2);
+        (Param 3, [ i 1; i 2 ], i 1, i 2);
+        (Var "a", [ i 1; i 2 ], f (-1.0), i 2);
+        (Var "a", [ i 1; i 2 ], b false, i 2);
+        (Var "u", [ i 1; i 2 ], i 1, i 2);
+        (Const (Value.Float 1.5), [ i 1; i 2 ], i 1, i 2);
+        (Const (Value.Bool true), [ i 1; i 2 ], i 1, i 2);
+      ]
+  in
+  let bin_cases =
+    List.concat_map
+      (fun op ->
+        Spec.
+          [
+            (Binop (op, Param 0, Var "a"), [ i 1; i 2 ], f 0.5, i 2);
+            (Binop (op, Var "a", Param 1), [ i 1; b true ], i 3, i 2);
+            (Binop (op, Var "b", Param 3), [ i 1; i 2 ], i 1, i 2);
+            (Binop (op, Var "u", int 1), [ i 1; i 2 ], i 1, i 2);
+            (Binop (op, Var "a", Var "b"), [ i 1; i 2 ], b true, b false);
+            (Binop (op, Param 0, int 0), [ i 1; i 2 ], i 1, i 2);
+          ])
+      Spec.[ Add; Sub; Mul; Div; Rem; Eq; Ne; Lt; Le; Gt; Ge ]
+  in
+  match List.concat_map position_mismatches (leaf_cases @ bin_cases) with
+  | [] -> ()
+  | ms -> Alcotest.fail (String.concat "\n" ms)
 
 (* --- the stepper is the substrate (tentpole acceptance): a new
    software backend is an interpretation record, nothing more.  A
@@ -848,6 +1164,9 @@ let () =
         [
           qtest test_binop_engines_agree;
           Alcotest.test_case "shared binop error messages" `Quick test_binop_error_cases;
+          qtest test_compiled_positions;
+          Alcotest.test_case "fast shapes fall back to the evaluator" `Quick
+            test_fast_shape_fallbacks;
           Alcotest.test_case "a substrate is an interpretation record" `Quick
             test_counting_interpretation;
           qtest test_deadlock_typed;

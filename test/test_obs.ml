@@ -878,6 +878,34 @@ let test_diff_cycles_per_sec_higher_better () =
        (fun e -> e.Diff.key = "m.sim_cycles_per_sec" && e.Diff.status = Diff.Improved)
        r'.Diff.entries)
 
+let test_diff_trend () =
+  let mk ?ops sim steps =
+    Report.v ~kind:"bench" ~app:"all"
+      ~sections:
+        [
+          ("sim_throughput", Json.Obj [ ("sim_cycles_per_sec", Json.Float sim) ]);
+          ( "runtime_throughput",
+            Json.Obj
+              (("runtime_steps_per_sec", Json.Float steps)
+              :: (match ops with Some o -> [ ("ops_per_sec", Json.Float o) ] | None -> [])) );
+        ]
+      ()
+  in
+  let table =
+    Diff.trend [ ("old.json", mk 1000.0 400.0); ("new.json", mk ~ops:9000.0 1250.0 300.0) ]
+  in
+  let lines = String.split_on_char '\n' table in
+  let row name = List.find (fun l -> Astring.String.is_infix ~affix:name l) lines in
+  let cells l = List.map String.trim (String.split_on_char '|' l) in
+  check (Alcotest.list Alcotest.string) "first row: values, no change"
+    [ ""; "old.json"; "1000"; "400"; "-"; "" ]
+    (cells (row "old.json"));
+  check (Alcotest.list Alcotest.string) "second row: change against the first"
+    [ ""; "new.json"; "1250 (+25.0%)"; "300 (-25.0%)"; "9000"; "" ]
+    (cells (row "new.json"));
+  check Alcotest.bool "rows in the order given" true
+    (Astring.String.find_sub ~sub:"old.json" table < Astring.String.find_sub ~sub:"new.json" table)
+
 (* --- CLI diff exit codes (0 clean / 1 regression / 2 malformed) --- *)
 
 let cli_exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "agp_cli.exe"
@@ -1011,6 +1039,7 @@ let () =
           Alcotest.test_case "directions and shape" `Quick test_diff_directions_and_shape;
           Alcotest.test_case "cycles/sec higher-better" `Quick
             test_diff_cycles_per_sec_higher_better;
+          Alcotest.test_case "trend over reports" `Quick test_diff_trend;
           Alcotest.test_case "cli exit codes" `Quick test_cli_diff_exit_codes;
         ] );
       ( "explore_export",
