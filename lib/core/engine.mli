@@ -9,13 +9,21 @@
     wraps its transitions in timing.  All semantics of §4 live here so
     the interpreters cannot drift apart.
 
-    Tasks and rule instances are pooled: a {!task} handle is valid from
-    the pop that returns it until the step that finishes it.  Functions
-    that may have no task to return give {!nil_task} instead of an
-    option, so the hot loops allocate nothing.
+    A {!task} is an int: the id of its activation row.  Every task,
+    pending ones included, holds a row (tid, set, status, index,
+    payload); only a running or parked task also holds a frame (pc,
+    registers, handles, await state), bound when it is popped and given
+    back when it finishes.  Rows are recycled, so a task handle is
+    valid from the activation that makes it until, after the step that
+    finishes it, a later activation takes its row: a shell or hook may
+    still read a finished task's tid, set and index right after that
+    step.  Functions that may have no task to return give {!nil_task}
+    instead of an option.  Outside a prim call and a counted rule's
+    event log, the step path stores no pointer and allocates only when
+    the row, frame and instance arrays double.
 
     Task bookkeeping costs what it moves.  {!min_uncommitted} reads
-    int-only entries (a task's index row, pool id and tid) from a
+    int-only entries (a task's index row, row id and tid) from a
     per-set run kept in activation order, which is index order for
     almost every activation, and from a small fallback heap for the
     rest, so it costs O(1) amortized per activation.  {!pending_count}
@@ -38,7 +46,8 @@ exception Step_limit_exceeded of int
 (** A scheduling budget ran out; carries the budget.  Rebound as
     [Semantics.Step_limit_exceeded]. *)
 
-type task
+type task = private int
+(** An activation row id.  Compare handles with [=]. *)
 
 val nil_task : task
 (** The "no task" sentinel. *)
@@ -77,13 +86,15 @@ val stats : t -> stats
 
 val push_initial : t -> string -> Value.t list -> unit
 (** Host-side activation into a task set (index stamped as a normal
-    push from the root index). *)
+    push from the root index).
+    @raise Invalid_argument on an unknown set, or a payload longer than
+    every set's arity and every push's argument list. *)
 
 (** {1 Queues} *)
 
 val pop_task : t -> int -> task
-(** Dequeue the oldest pending task of a set slot and mark it running;
-    {!nil_task} when that queue is empty. *)
+(** Dequeue the oldest pending task of a set slot, bind it a frame and
+    mark it running; {!nil_task} when that queue is empty. *)
 
 val pop_any : t -> task
 (** Dequeue round-robin across sets. *)
@@ -225,52 +236,65 @@ val checked : t -> bool
 (** The engine was created with invariant checking on. *)
 
 val check_invariants : t -> unit
-(** Check the core's indices: heap order, each parked task's heap slot,
-    the per-set parked counts, that the wake list holds exactly the
-    parked tasks whose instance resolved, that every chained rule
-    instance is live, unresolved and in its key's bucket, and that the
-    live counter equals the chain total; in the uncommitted order, that
-    each per-set run ascends and the fallback heap is ordered in
-    (index, tid), that every entry names a pooled task record, that a
-    live entry carries its task's index (and, on a run, its set), that
-    each pending, running or parked task that has not broadcast has
-    exactly one live entry, and that both the least live entry and the
-    task {!min_uncommitted} would return (its kept answer while that
-    task lives) are, by tid, the (index, tid) minimum over those tasks;
-    that every queued task is pending, queued once and not parked, and
-    every record on the free list holds a committed or squashed task
-    and is in no queue, on no wake list and in no waiting heap; that
-    the pending counter equals the queued tasks; and that
-    [activated = committed + aborted + retried + pending + running +
-    parked].  O(parked + live) per call, plus O(tasks ever pooled + run
-    and heap entries) on a stride that grows with them; it never drops
-    an entry, so checking does not change the order's layout.
+(** Check the core's indices: heap order, each parked task's heap slot
+    and frame, the per-set parked counts, that the wake list holds
+    exactly the parked tasks whose instance resolved, that every link of
+    a live rule-instance chain names an instance in use whose parent is
+    a live task holding a frame, that every chained instance is
+    unresolved and in its key's bucket, and that the live counter equals
+    the chain total; in the uncommitted order, that each per-set run
+    ascends and the fallback heap is ordered in (index, tid), that every
+    entry names a row, that a live entry carries its task's index (and,
+    on a run, its set), that each pending, running or parked task that
+    has not broadcast has exactly one live entry, and that both the
+    least live entry and the task {!min_uncommitted} would return (its
+    kept answer while that task lives) are, by tid, the (index, tid)
+    minimum over those tasks; that a pending or finished task holds no
+    frame, a running or parked one exactly one, which names it back,
+    and bound plus free frames equal the frames made; that each task's
+    instance chain links instances of that task, and chained plus free
+    instances equal the instances made; that the running counter counts
+    the running tasks; that every queued task is pending, queued once
+    and not parked, and every free row holds a committed or squashed
+    task and is in no queue, on no wake list, in no waiting heap and
+    holds no frame; that the pending counter equals the queued tasks;
+    and that [activated = committed + aborted + retried + pending +
+    running + parked].  O(parked + live) per call, plus O(rows, frames,
+    instances, run and heap entries) on a stride that grows with them;
+    it never drops an entry, so checking does not change the order's
+    layout.
     @raise Failure describing the first violation. *)
 
-val check_step : task -> unit
+val check_step : t -> task -> unit
 (** What a shell checks, when {!checked}, before each {!step}: the task
-    is running, so a finished or parked task is never stepped.
+    is running and holds its frame, so a pending, finished or parked
+    task is never stepped.
     @raise Failure naming the task and its status. *)
 
 val prim_counts : t -> (string * int) list
 (** Invocations per [Prim] kernel so far (kernels never invoked are
     omitted). *)
 
-(** {1 Task views} *)
+(** {1 Task views}
 
-val task_tid : task -> int
+    Each view reads the task's row or frame in the engine that made
+    it. *)
+
+val task_tid : t -> task -> int
 (** Unique per activation (a retry gets a fresh tid). *)
 
-val task_set : task -> int
+val task_set : t -> task -> int
 (** Task-set slot. *)
 
-val task_pc : task -> int
-(** Program counter into [(program t).code]. *)
+val task_pc : t -> task -> int
+(** Program counter into [(program t).code]; its set's entry while the
+    task holds no frame (pending or finished). *)
 
-val task_index : task -> Index.t
+val task_index : t -> task -> Index.t
 
-val compare_index : task -> task -> int
+val compare_index : t -> task -> task -> int
 (** Well-order comparison of two tasks' indices. *)
 
-val task_var : task -> string -> Value.t option
-(** Current value of a task-local variable, [None] while unbound. *)
+val task_var : t -> task -> string -> Value.t option
+(** Current value of a task-local variable, [None] while unbound or
+    while the task holds no frame. *)

@@ -91,8 +91,8 @@ let run_min_first ~max_tasks ~hooks eng =
   let op_count = ref 0 in
   let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
   let rec drive task =
-    let pc = Engine.task_pc task in
-    if checked then Engine.check_step task;
+    let pc = if hooked then Engine.task_pc eng task else 0 in
+    if checked then Engine.check_step eng task;
     let rc = Engine.step eng task in
     if checked then Engine.check_invariants eng;
     incr op_count;
@@ -106,8 +106,8 @@ let run_min_first ~max_tasks ~hooks eng =
         raise
           (Deadlock
              (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
-                (Index.to_string (Engine.task_index task))
-                (Engine.task_set task)));
+                (Index.to_string (Engine.task_index eng task))
+                (Engine.task_set eng task)));
       (* the running task is minimal, so it is what wakes *)
       if hooked then
         for i = 0 to Engine.resumed_count eng - 1 do
@@ -138,10 +138,38 @@ let run_min_first ~max_tasks ~hooks eng =
     prim_counts = Engine.prim_counts eng;
   }
 
+(* the resumable tasks: a FIFO ring of task ids *)
+type fifo = {
+  mutable q : Engine.task array;
+  mutable qh : int;
+  mutable qn : int;
+}
+
+let fifo () = { q = Array.make 16 Engine.nil_task; qh = 0; qn = 0 }
+
+let fifo_push f tk =
+  let cap = Array.length f.q in
+  if f.qn = cap then begin
+    let q = Array.make (2 * cap) Engine.nil_task in
+    for i = 0 to f.qn - 1 do
+      q.(i) <- f.q.((f.qh + i) mod cap)
+    done;
+    f.q <- q;
+    f.qh <- 0
+  end;
+  f.q.((f.qh + f.qn) mod Array.length f.q) <- tk;
+  f.qn <- f.qn + 1
+
+let fifo_pop f =
+  let tk = f.q.(f.qh) in
+  f.qh <- (f.qh + 1) mod Array.length f.q;
+  f.qn <- f.qn - 1;
+  tk
+
 (* queue the tasks [Engine.resume_ready] just woke *)
 let take_woken q eng =
   for i = 0 to Engine.resumed_count eng - 1 do
-    Queue.push (Engine.resumed_get eng i) q
+    fifo_push q (Engine.resumed_get eng i)
   done
 
 (* --- Workers: the aggressive software runtime of §4.4.  A fixed pool
@@ -155,7 +183,7 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
   let hooked = hooked hooks in
   let checked = Engine.checked eng in
   let slots = Array.make workers Engine.nil_task in
-  let resumable = Queue.create () in
+  let resumable = fifo () in
   let tasks_run = ref 0 in
   let steps = ref 0 in
   let max_concurrency = ref 0 in
@@ -169,8 +197,8 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     let busy_now = ref 0 in
     for w = 0 to workers - 1 do
       if Engine.is_nil slots.(w) then begin
-        if not (Queue.is_empty resumable) then begin
-          let task = Queue.pop resumable in
+        if resumable.qn > 0 then begin
+          let task = fifo_pop resumable in
           if hooked then fire w task Resumed;
           slots.(w) <- task
         end
@@ -190,9 +218,9 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     for w = 0 to workers - 1 do
       let task = slots.(w) in
       if not (Engine.is_nil task) then begin
-        let pc = Engine.task_pc task in
-        if checked then Engine.check_step task;
-    let rc = Engine.step eng task in
+        let pc = if hooked then Engine.task_pc eng task else 0 in
+        if checked then Engine.check_step eng task;
+        let rc = Engine.step eng task in
         if checked then Engine.check_invariants eng;
         progressed := true;
         if hooked then fire w task (step_event eng pc rc);
@@ -207,7 +235,7 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     (* Wake tasks whose rendezvous resolved. *)
     Engine.resume_ready eng;
     take_woken resumable eng;
-    if (not !progressed) && Queue.is_empty resumable then begin
+    if (not !progressed) && resumable.qn = 0 then begin
       (* Nothing ran and nothing woke: either only parked tasks remain
          (give the minimum-task machinery a chance) or the spec is
          deadlocked. *)
@@ -250,7 +278,7 @@ let run_domains ~descr ~domains ~hooks eng =
   let hooked = hooked hooks in
   let checked = Engine.checked eng in
   let lock = Mutex.create () in
-  let resumable = Queue.create () in
+  let resumable = fifo () in
   let tasks_run = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let ticks = ref 0 (* mutated under the lock only *) in
@@ -260,16 +288,16 @@ let run_domains ~descr ~domains ~hooks eng =
     let running = ref true in
     while !running && Atomic.get failure = None do
       Mutex.lock lock;
-      let resumed = not (Queue.is_empty resumable) in
-      let task = if resumed then Queue.pop resumable else Engine.pop_any eng in
+      let resumed = resumable.qn > 0 in
+      let task = if resumed then fifo_pop resumable else Engine.pop_any eng in
       if not (Engine.is_nil task) then begin
         idle_spins := 0;
         incr ticks;
         if hooked then fire task (if resumed then Resumed else Acquired);
         let rec slice () =
-          let pc = Engine.task_pc task in
-          if checked then Engine.check_step task;
-    let rc = Engine.step eng task in
+          let pc = if hooked then Engine.task_pc eng task else 0 in
+          if checked then Engine.check_step eng task;
+          let rc = Engine.step eng task in
           if checked then Engine.check_invariants eng;
           incr ticks;
           if hooked then fire task (step_event eng pc rc);
@@ -317,11 +345,14 @@ let run_domains ~descr ~domains ~hooks eng =
     prim_counts = Engine.prim_counts eng;
   }
 
-let run ?(initial = []) interp sp bindings st =
-  let eng = Engine.create sp bindings st in
-  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
+let run_engine interp eng =
   match interp.policy with
   | Min_first { max_tasks } -> run_min_first ~max_tasks ~hooks:interp.hooks eng
   | Workers { workers; max_steps } ->
       run_workers ~descr:interp.descr ~workers ~max_steps ~hooks:interp.hooks eng
   | Domains { domains } -> run_domains ~descr:interp.descr ~domains ~hooks:interp.hooks eng
+
+let run ?(initial = []) interp sp bindings st =
+  let eng = Engine.create sp bindings st in
+  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
+  run_engine interp eng

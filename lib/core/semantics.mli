@@ -43,8 +43,10 @@ type hooks = {
           {!pipelined}, global transition count otherwise); [worker]
           the abstract worker / domain id.  Under {!multicore} hooks
           fire holding the engine lock — keep them short.  The task
-          handle is valid only during the call (tasks are pooled); read
-          it through [Engine.task_tid] and friends.  Interpretations
+          handle is valid only during the call (task rows are
+          recycled); read it through [Engine.task_tid] and friends,
+          with the engine a hook gets by creating it and driving it
+          with {!run_engine}.  Interpretations
           with {!null_hooks} (compared physically) build no events at
           all. *)
 }
@@ -107,3 +109,7 @@ val run :
 (** [run interp spec bindings state] builds an engine, pushes the
     initial tasks, and drives it to completion under [interp]'s policy,
     firing [interp]'s hooks at every transition. *)
+
+val run_engine : interpretation -> Engine.t -> report
+(** [run_engine interp eng] drives an engine whose initial tasks are
+    already pushed to completion, as {!run} does. *)

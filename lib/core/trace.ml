@@ -44,6 +44,8 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
   let entries = ref [] in
   let n_entries = ref 0 in
   let set_name slot = (List.nth sp.Spec.task_sets slot).Spec.ts_name in
+  let eng = Engine.create sp bindings st in
+  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
   let record tick worker (task : Engine.task) kind =
     if !n_entries < max_entries then begin
       incr n_entries;
@@ -51,9 +53,9 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
         {
           tick;
           worker;
-          tid = Engine.task_tid task;
-          set_name = set_name (Engine.task_set task);
-          index = Index.to_string (Engine.task_index task);
+          tid = Engine.task_tid eng task;
+          set_name = set_name (Engine.task_set eng task);
+          index = Index.to_string (Engine.task_index eng task);
           kind;
         }
         :: !entries
@@ -68,7 +70,7 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
           | Semantics.Resumed ->
               (* the rendezvous verdict the wake bound into the frame *)
               let verdict =
-                match Engine.task_var task "ok" with
+                match Engine.task_var eng task "ok" with
                 | Some (Value.Bool b) -> b
                 | Some _ | None -> true
               in
@@ -88,7 +90,7 @@ let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
       (Semantics.with_hooks (Semantics.pipelined ~workers ~max_steps:50_000_000 ()) hooks)
       "Trace.run"
   in
-  let report = Semantics.run ~initial interp sp bindings st in
+  let report = Semantics.run_engine interp eng in
   { entries = List.rev !entries; report }
 
 let render_timeline ?(max_ticks = 60) t =

@@ -445,7 +445,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let dispatch p tk ~now =
     if instrumented then
       Sink.emit sink ~ts:now
-        (Event.Task_dispatch { set = p.set_name; pipe = p.id; tid = Engine.task_tid tk })
+        (Event.Task_dispatch { set = p.set_name; pipe = p.id; tid = Engine.task_tid en tk })
   in
   (* the allocator reserves a priority lane for the minimum uncommitted
      task (the liveness argument of §4.2.1 under finite rule lanes) *)
@@ -453,14 +453,14 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     Engine.live_rule_count en >= cfg.Config.rule_lanes
     &&
     let mu = Engine.min_uncommitted en in
-    (not (Engine.is_nil mu)) && Engine.compare_index tk mu <> 0
+    (not (Engine.is_nil mu)) && Engine.compare_index en tk mu <> 0
   in
   (* a resumed task re-enters the least occupied pipeline of its set at
      the next cycle, so its window first holds it at the next scan *)
   let place_resumed ~now ~scan =
     for i = 0 to Engine.resumed_count en - 1 do
       let w = Engine.resumed_get en i in
-      let set = Engine.task_set w in
+      let set = Engine.task_set en w in
       let best = ref (-1) in
       for pi = first_pipe.(set) to first_pipe.(set) + width.(set) - 1 do
         if !best < 0 || pipes.(pi).n < pipes.(!best).n then best := pi
@@ -472,7 +472,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       let p = pipes.(!best) in
       if instrumented then
         Sink.emit sink ~ts:now
-          (Event.Rendezvous_resume { set = p.set_name; tid = Engine.task_tid w });
+          (Event.Rendezvous_resume { set = p.set_name; tid = Engine.task_tid en w });
       dispatch p w ~now:(now + 1);
       admit cal p w ~ready:(now + 1) ~e:(scan + 1) ~now
     done
@@ -507,14 +507,14 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   (* execute one op of the in-flight task in slot [s] of pipeline [p] *)
   let step_slot p s ~now =
     let f = cal.sl_task.(s) in
-    match prog.Opcode.code.(Engine.task_pc f) with
+    match prog.Opcode.code.(Engine.task_pc en f) with
     | Opcode.I_alloc _ when must_stall_alloc f ->
         (* stall at the rule-engine allocator *)
         cal.sl_ready.(s) <- now + 1;
         file cal s ~now
     | op ->
-        if checked then Engine.check_step f;
-        let tid = if instrumented then Engine.task_tid f else 0 in
+        if checked then Engine.check_step en f;
+        let tid = if instrumented then Engine.task_tid en f else 0 in
         let rc =
           match op with
           | Opcode.I_prim _ ->
@@ -609,16 +609,16 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       if
         (not (Engine.is_nil head))
         && (not (Engine.is_nil mu))
-        && Engine.compare_index head mu = 0
+        && Engine.compare_index en head mu = 0
       then begin
-        let tk = Engine.pop_task en (Engine.task_set head) in
+        let tk = Engine.pop_task en (Engine.task_set en head) in
         if not (Engine.is_nil tk) then begin
-          if checked && Array.exists (fun f -> f == tk) cal.sl_task then
+          if checked && Array.exists (fun f -> f = tk) cal.sl_task then
             failwith
               (Printf.sprintf
                  "Accelerator.run: cycle %d: priority admission of task %d, already in flight" now
-                 (Engine.task_tid tk));
-          let p = pipes.(first_pipe.(Engine.task_set tk)) in
+                 (Engine.task_tid en tk));
+          let p = pipes.(first_pipe.(Engine.task_set en tk)) in
           dispatch p tk ~now;
           admit cal p tk ~ready:now ~e:scan ~now
         end
@@ -702,7 +702,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
                   "Accelerator.run: deadlock in rule resolution at cycle %d: %d parked tasks, \
                    minimum waiting index %s"
                   now (Engine.waiting_count en)
-                  (Agp_core.Index.to_string (Engine.task_index (Engine.waiting_min en)))))
+                  (Agp_core.Index.to_string (Engine.task_index en (Engine.waiting_min en)))))
       end
       else place_resumed ~now ~scan
     end;

@@ -3,9 +3,7 @@ type 'a t = {
   mutable len : int;
 }
 
-let create ?(capacity = 8) () =
-  ignore capacity;
-  { data = [||]; len = 0 }
+let create () = { data = [||]; len = 0 }
 
 let make n x = { data = Array.make (max n 1) x; len = n }
 

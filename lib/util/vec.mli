@@ -5,7 +5,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 (** Fresh empty vector. *)
 
 val make : int -> 'a -> 'a t

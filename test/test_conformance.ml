@@ -708,21 +708,21 @@ let compiled_outcome pos e payload va vb =
       let en = Engine.create (position_spec va vb (position_op pos e r)) bindings st in
       Engine.push_initial en "t" payload;
       let rec to_commit tk =
-        if Engine.task_pc tk <> 0 then begin
+        if Engine.task_pc en tk <> 0 then begin
           ignore (Engine.step en tk);
           to_commit tk
         end
       in
       let tk = Engine.pop_task en 0 in
       to_commit tk;
-      let x = Engine.task_var tk "x" in
+      let x = Engine.task_var en tk "x" in
       ignore (Engine.step en tk);
       let rec children acc =
         let c = Engine.pop_task en 1 in
         if Engine.is_nil c then List.rev acc
         else begin
           to_commit c;
-          let p = (Engine.task_var c "p0", Engine.task_var c "p1") in
+          let p = (Engine.task_var en c "p0", Engine.task_var en c "p1") in
           ignore (Engine.step en c);
           children (p :: acc)
         end
@@ -1060,33 +1060,6 @@ let test_engine_invariants_hold () =
             [ Backend.sequential; Backend.runtime ~workers:8 (); Backend.simulator () ])
         (Workloads.all Workloads.Small ~seed:42))
 
-(* The software path allocates only for what the spec itself boxes
-   (prim arguments, counted-rule event logs) and pool growth: an
-   untraced pipelined run stays under a fixed words-per-op ceiling.
-   Measured at 2.97 words/op; the ceiling leaves 2x headroom.  The
-   invariant checker allocates, so the measured run has it off even
-   under AGP_CHECK=1. *)
-let test_pipelined_allocation_ceiling () =
-  let app = Workloads.spec_sssp Workloads.Small ~seed:42 in
-  let r = app.App_instance.fresh () in
-  let interp = Semantics.pipelined () in
-  Engine.set_check_invariants false;
-  let rep, words =
-    Fun.protect
-      ~finally:(fun () -> Engine.set_check_invariants (Sys.getenv_opt "AGP_CHECK" = Some "1"))
-      (fun () ->
-        let w0 = Gc.minor_words () in
-        let rep =
-          Semantics.run ~initial:r.App_instance.initial interp app.App_instance.spec
-            r.App_instance.bindings r.App_instance.state
-        in
-        (rep, Gc.minor_words () -. w0))
-  in
-  let ops = rep.Semantics.stats.Agp_core.Engine.ops_executed in
-  let per_op = words /. float_of_int (max 1 ops) in
-  check Alcotest.bool (Printf.sprintf "%.2f minor words/op under the ceiling" per_op) true
-    (per_op < 6.0)
-
 let test_conformance_classifies_liveness () =
   (* a backend that diverges must be classified Liveness, not Crash *)
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
@@ -1175,8 +1148,6 @@ let () =
             test_liveness_exceptions_name_semantics;
           Alcotest.test_case "oracle liveness failures are typed" `Quick
             test_sequential_liveness_typed;
-          Alcotest.test_case "pipelined run allocation ceiling" `Quick
-            test_pipelined_allocation_ceiling;
           Alcotest.test_case "simulator liveness failures are typed" `Quick
             test_simulator_liveness_typed;
           Alcotest.test_case "engine invariants hold through every app" `Quick

@@ -587,10 +587,10 @@ let test_engine_pop_min_order () =
   Engine.push_initial eng "inc" [ Value.Int 1 ];
   let head = Engine.min_pending_head eng in
   if Engine.is_nil head then Alcotest.fail "expected a pending head";
-  check Alcotest.int "head is first pushed" 0 (Index.to_array (Engine.task_index head)).(0);
+  check Alcotest.int "head is first pushed" 0 (Index.to_array (Engine.task_index eng head)).(0);
   let t = Engine.pop_min eng in
   if Engine.is_nil t then Alcotest.fail "expected a task";
-  check Alcotest.int "pop_min returns it" 0 (Index.to_array (Engine.task_index t)).(0)
+  check Alcotest.int "pop_min returns it" 0 (Index.to_array (Engine.task_index eng t)).(0)
 
 (* A queue head is not always its set's minimum.  A For_all set's tasks
    take their pushing parent's index prefix and a zero stamp, and its
@@ -621,7 +621,7 @@ let test_for_all_head_not_minimum () =
   let a1 = Engine.pop_task eng 0 in
   (* the later parent pushes first, then both commit *)
   List.iter (fun tk -> ignore (Engine.step eng tk)) [ a1; a0; a1; a0 ];
-  let idx tk = Array.to_list (Index.to_array (Engine.task_index tk)) in
+  let idx tk = Array.to_list (Index.to_array (Engine.task_index eng tk)) in
   let ints = Alcotest.(list int) in
   check Alcotest.int "both children queued" 2 (Engine.pending_in_set eng 1);
   check ints "minimum uncommitted is the smaller child" [ 0; 0 ]
@@ -645,8 +645,8 @@ let test_for_all_tie_oldest () =
   let t0 = Engine.pop_task eng 1 in
   let t1 = Engine.pop_task eng 1 in
   let t2 = Engine.pop_task eng 1 in
-  let tid = Engine.task_tid in
-  check Alcotest.int "siblings tie" 0 (Engine.compare_index t0 t2);
+  let tid = Engine.task_tid eng in
+  check Alcotest.int "siblings tie" 0 (Engine.compare_index eng t0 t2);
   check Alcotest.int "the oldest is the minimum" (tid t0) (tid (Engine.min_uncommitted eng));
   check Alcotest.int "t0 commits" Engine.lc_committed (run_to_end eng t0);
   check Alcotest.int "then the next oldest" (tid t1) (tid (Engine.min_uncommitted eng));
@@ -678,14 +678,14 @@ let test_retry_below_run_tail () =
   let eng = Engine.create sp Spec.no_bindings (State.create ()) in
   List.iter (fun v -> Engine.push_initial eng "t" [ Value.Int v ]) [ 0; 1; 2 ];
   let t0 = Engine.pop_task eng 0 in
-  let old_tid = Engine.task_tid t0 in
+  let old_tid = Engine.task_tid eng t0 in
   check Alcotest.int "t0 retries" Engine.lc_retried (run_to_end eng t0);
   let mu = Engine.min_uncommitted eng in
   check Alcotest.(list int) "the retry is the minimum" [ 0 ]
-    (Array.to_list (Index.to_array (Engine.task_index mu)));
-  check Alcotest.bool "under a fresh tid" true (Engine.task_tid mu <> old_tid);
-  check Alcotest.int "and at its queue's head" (Engine.task_tid mu)
-    (Engine.task_tid (Engine.min_pending_head eng));
+    (Array.to_list (Index.to_array (Engine.task_index eng mu)));
+  check Alcotest.bool "under a fresh tid" true (Engine.task_tid eng mu <> old_tid);
+  check Alcotest.int "and at its queue's head" (Engine.task_tid eng mu)
+    (Engine.task_tid eng (Engine.min_pending_head eng));
   Engine.check_invariants eng
 
 (* The listener table names, per event, exactly the rules with a clause
@@ -780,6 +780,32 @@ let test_prim_counts_exposed () =
   in
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int)) "three invocations"
     [ ("nop", 3) ] report.Semantics.prim_counts
+
+(* Task state is flat int rows plus frames for the tasks in flight, so
+   a SPEC-SSSP run under the pipelined policy allocates only for the
+   doubling growth of its arrays and the report.  [Gc.minor_words]
+   repeats exactly for a fixed program and input; the figure was 0.087
+   words per op when the rows landed, and the ceiling leaves 2x
+   headroom.  The invariant checker allocates, so it is off for the
+   measured run even under AGP_CHECK=1. *)
+let test_sssp_minor_words_per_op () =
+  let app = Agp_exp.Workloads.spec_sssp Agp_exp.Workloads.Small ~seed:42 in
+  let r = app.App_instance.fresh () in
+  Engine.set_check_invariants false;
+  let rep, words =
+    Fun.protect
+      ~finally:(fun () -> Engine.set_check_invariants (Sys.getenv_opt "AGP_CHECK" = Some "1"))
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        let rep =
+          Semantics.run ~initial:r.App_instance.initial (Semantics.pipelined ())
+            app.App_instance.spec r.App_instance.bindings r.App_instance.state
+        in
+        (rep, Gc.minor_words () -. w0))
+  in
+  let per_op = words /. float_of_int (max 1 rep.Semantics.stats.Engine.ops_executed) in
+  check Alcotest.bool (Printf.sprintf "%.3f minor words/op, at most 0.18" per_op) true
+    (per_op <= 0.18)
 
 (* --- BFS integration through both interpreters --- *)
 
@@ -1003,8 +1029,8 @@ let kd_engine c =
       let got =
         List.init (Engine.resumed_count eng) (fun i ->
             let tk = Engine.resumed_get eng i in
-            ( (Index.to_array (Engine.task_index tk)).(0),
-              Engine.task_var tk "v" = Some (Value.Bool true) ))
+            ( (Index.to_array (Engine.task_index eng tk)).(0),
+              Engine.task_var eng tk "v" = Some (Value.Bool true) ))
       in
       Kd_resolved (List.sort compare got, (Engine.stats eng).Engine.clause_resolutions)
 
@@ -1120,6 +1146,7 @@ let () =
           qtest prop_keyed_delivery_matches_full_scan;
           Alcotest.test_case "unbound prim" `Quick test_engine_unbound_prim;
           Alcotest.test_case "prim counts" `Quick test_prim_counts_exposed;
+          Alcotest.test_case "spec-sssp minor words per op" `Quick test_sssp_minor_words_per_op;
         ] );
       ( "bfs_integration",
         [
