@@ -6,44 +6,86 @@ type t = {
   weight : int array;
 }
 
-let of_edges ?(directed = false) ~n edges =
-  let all =
-    if directed then edges
-    else List.concat_map (fun (u, v, w) -> [ (u, v, w); (v, u, w) ]) edges
-  in
-  let deg = Array.make n 0 in
-  List.iter
-    (fun (u, v, _) ->
-      if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Csr.of_edges: vertex out of range";
-      deg.(u) <- deg.(u) + 1)
-    all;
+(* The one CSR builder.  Stored arcs are counting-sorted by target, then
+   stably by source, so every adjacency comes out in ascending target
+   order in O(n + m) words; a last pass orders the arcs of a repeated
+   target by weight, which costs only the repeats. *)
+let build ~who ~directed ~n src dst weight =
+  let k = Array.length src in
+  if Array.length dst <> k || Array.length weight <> k then invalid_arg (who ^ ": length mismatch");
+  for i = 0 to k - 1 do
+    let u = src.(i) and v = dst.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (who ^ ": vertex out of range")
+  done;
+  let m = if directed then k else 2 * k in
+  (* by_col.(t) .. by_col.(t+1)-1: the arcs into t; row_ptr likewise out
+     of each source *)
+  let by_col = Array.make (n + 1) 0 in
   let row_ptr = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    row_ptr.(v + 1) <- row_ptr.(v) + deg.(v)
+  let count s t =
+    by_col.(t + 1) <- by_col.(t + 1) + 1;
+    row_ptr.(s + 1) <- row_ptr.(s + 1) + 1
+  in
+  for i = 0 to k - 1 do
+    count src.(i) dst.(i);
+    if not directed then count dst.(i) src.(i)
   done;
-  let m = row_ptr.(n) in
+  for v = 0 to n - 1 do
+    by_col.(v + 1) <- by_col.(v + 1) + by_col.(v);
+    row_ptr.(v + 1) <- row_ptr.(v + 1) + row_ptr.(v)
+  done;
+  let in_src = Array.make (max m 1) 0 in
+  let in_w = Array.make (max m 1) 0 in
+  let cursor = Array.sub by_col 0 n in
+  let place s t w =
+    let p = cursor.(t) in
+    in_src.(p) <- s;
+    in_w.(p) <- w;
+    cursor.(t) <- p + 1
+  in
+  for i = 0 to k - 1 do
+    place src.(i) dst.(i) weight.(i);
+    if not directed then place dst.(i) src.(i) weight.(i)
+  done;
   let col = Array.make (max m 1) 0 in
-  let weight = Array.make (max m 1) 0 in
-  let cursor = Array.copy row_ptr in
-  List.iter
-    (fun (u, v, w) ->
-      let slot = cursor.(u) in
-      col.(slot) <- v;
-      weight.(slot) <- w;
-      cursor.(u) <- slot + 1)
-    all;
-  (* Sort each adjacency list for determinism. *)
-  for v = 0 to n - 1 do
-    let lo = row_ptr.(v) and hi = row_ptr.(v + 1) in
-    let slice = Array.init (hi - lo) (fun i -> (col.(lo + i), weight.(lo + i))) in
-    Array.sort compare slice;
-    Array.iteri
-      (fun i (c, w) ->
-        col.(lo + i) <- c;
-        weight.(lo + i) <- w)
-      slice
+  let wt = Array.make (max m 1) 0 in
+  Array.blit row_ptr 0 cursor 0 n;
+  for t = 0 to n - 1 do
+    for p = by_col.(t) to by_col.(t + 1) - 1 do
+      let s = in_src.(p) in
+      let slot = cursor.(s) in
+      col.(slot) <- t;
+      wt.(slot) <- in_w.(p);
+      cursor.(s) <- slot + 1
+    done
   done;
-  { n; m; row_ptr; col; weight }
+  for v = 0 to n - 1 do
+    let lo = row_ptr.(v) in
+    for i = lo + 1 to row_ptr.(v + 1) - 1 do
+      let c = col.(i) and w = wt.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && col.(!j) = c && wt.(!j) > w do
+        wt.(!j + 1) <- wt.(!j);
+        decr j
+      done;
+      wt.(!j + 1) <- w
+    done
+  done;
+  { n; m; row_ptr; col; weight = wt }
+
+let of_arrays ?(directed = false) ~n src dst weight =
+  build ~who:"Csr.of_arrays" ~directed ~n src dst weight
+
+let of_edges ?(directed = false) ~n edges =
+  let k = List.length edges in
+  let src = Array.make k 0 and dst = Array.make k 0 and weight = Array.make k 0 in
+  List.iteri
+    (fun i (u, v, w) ->
+      src.(i) <- u;
+      dst.(i) <- v;
+      weight.(i) <- w)
+    edges;
+  build ~who:"Csr.of_edges" ~directed ~n src dst weight
 
 let degree g v = g.row_ptr.(v + 1) - g.row_ptr.(v)
 

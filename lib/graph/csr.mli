@@ -17,7 +17,14 @@ type t = {
 val of_edges : ?directed:bool -> n:int -> (int * int * int) list -> t
 (** [of_edges ~n edges] builds a graph over vertices [0..n-1] from
     [(src, dst, weight)] triples.  When [directed] is [false] (default)
-    each edge is stored in both directions. *)
+    each edge is stored in both directions.  Each adjacency is sorted
+    by (target, weight).  Raises [Invalid_argument] on a vertex outside
+    [0..n-1]. *)
+
+val of_arrays : ?directed:bool -> n:int -> int array -> int array -> int array -> t
+(** [of_arrays ~n src dst weight] is {!of_edges} over the triples
+    [(src.(i), dst.(i), weight.(i))], built in O(n + m) words.  Raises
+    [Invalid_argument] when the arrays differ in length. *)
 
 val degree : t -> int -> int
 

@@ -1,59 +1,24 @@
 module Rng = Agp_util.Rng
 
-let road ~seed ~width ~height =
-  let rng = Rng.create seed in
+(* CSR arrays of a [width] x [height] lattice from the weight of each
+   vertex's edge to its right ([rw]), down ([dw]) and, when given,
+   down-right ([diag]) neighbour; 0 = no edge.  Each edge is stored both
+   ways, every adjacency in ascending target order, as Csr.of_edges
+   would sort it. *)
+let lattice ~width ~height ?diag rw dw =
   let n = width * height in
-  let id x y = (y * width) + x in
-  let edges = ref [] in
-  let add u v w = edges := (u, v, w) :: !edges in
-  for y = 0 to height - 1 do
-    for x = 0 to width - 1 do
-      let w () = Rng.int_in rng 1 10 in
-      (* Keep the leftmost column and bottom row intact so the grid stays
-         connected even when other edges are dropped. *)
-      if x + 1 < width && (y = 0 || not (Rng.chance rng 0.08)) then
-        add (id x y) (id (x + 1) y) (w ());
-      if y + 1 < height && (x = 0 || not (Rng.chance rng 0.08)) then
-        add (id x y) (id x (y + 1)) (w ());
-      if x + 1 < width && y + 1 < height && Rng.chance rng 0.05 then
-        add (id x y) (id (x + 1) (y + 1)) (Rng.int_in rng 2 14)
-    done
-  done;
-  Csr.of_edges ~n !edges
-
-(* Paper-scale road-network stand-in: a full 2-D grid (degree <= 4,
-   diameter width+height-2), built straight into CSR arrays — no edge
-   lists, so multi-million-node graphs materialize in O(n) words.
-   Weights are drawn once per undirected edge, keeping the graph
-   symmetric like {!road}. *)
-let grid ~seed ~width ~height =
-  if width <= 0 || height <= 0 then invalid_arg "Generator.grid: empty grid";
-  let rng = Rng.create seed in
-  let n = width * height in
-  let id x y = (y * width) + x in
-  (* one weight per undirected edge: hw for (x,y)-(x+1,y), vw for
-     (x,y)-(x,y+1) *)
-  let hw = Array.make (max 1 (n - height)) 0 in
-  let vw = Array.make (max 1 (n - width)) 0 in
-  for i = 0 to Array.length hw - 1 do
-    hw.(i) <- Rng.int_in rng 1 10
-  done;
-  for i = 0 to Array.length vw - 1 do
-    vw.(i) <- Rng.int_in rng 1 10
-  done;
-  let h_edge x y = hw.((y * (width - 1)) + x) in
-  let v_edge x y = vw.((y * width) + x) in
+  let diag_at v = match diag with Some gw -> gw.(v) | None -> 0 in
   let row_ptr = Array.make (n + 1) 0 in
-  for y = 0 to height - 1 do
-    for x = 0 to width - 1 do
-      let d =
-        (if x > 0 then 1 else 0)
-        + (if x + 1 < width then 1 else 0)
-        + (if y > 0 then 1 else 0)
-        + if y + 1 < height then 1 else 0
-      in
-      row_ptr.(id x y + 1) <- d
-    done
+  let link u w d =
+    if w > 0 then begin
+      row_ptr.(u + 1) <- row_ptr.(u + 1) + 1;
+      row_ptr.(u + d + 1) <- row_ptr.(u + d + 1) + 1
+    end
+  in
+  for v = 0 to n - 1 do
+    link v rw.(v) 1;
+    link v dw.(v) width;
+    link v (diag_at v) (width + 1)
   done;
   for v = 0 to n - 1 do
     row_ptr.(v + 1) <- row_ptr.(v + 1) + row_ptr.(v)
@@ -63,66 +28,124 @@ let grid ~seed ~width ~height =
   let weight = Array.make (max m 1) 0 in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
-      let v = id x y in
+      let v = (y * width) + x in
       let slot = ref row_ptr.(v) in
       let put dst w =
-        col.(!slot) <- dst;
-        weight.(!slot) <- w;
-        incr slot
+        if w > 0 then begin
+          col.(!slot) <- dst;
+          weight.(!slot) <- w;
+          incr slot
+        end
       in
-      (* ascending target ids, matching Csr.of_edges determinism *)
-      if y > 0 then put (id x (y - 1)) (v_edge x (y - 1));
-      if x > 0 then put (id (x - 1) y) (h_edge (x - 1) y);
-      if x + 1 < width then put (id (x + 1) y) (h_edge x y);
-      if y + 1 < height then put (id x (y + 1)) (v_edge x y)
+      (* up-left, up, left, right, down, down-right *)
+      if x > 0 && y > 0 then put (v - width - 1) (diag_at (v - width - 1));
+      if y > 0 then put (v - width) dw.(v - width);
+      if x > 0 then put (v - 1) rw.(v - 1);
+      put (v + 1) rw.(v);
+      put (v + width) dw.(v);
+      put (v + width + 1) (diag_at v)
     done
   done;
   { Csr.n; m; row_ptr; col; weight }
 
-let spanning_backbone rng n =
-  (* A random spanning tree: connect each vertex i>0 to a random earlier
-     vertex, guaranteeing connectivity. *)
-  let edges = ref [] in
-  for v = 1 to n - 1 do
-    let u = Rng.int rng v in
-    edges := (u, v, Rng.int_in rng 1 100) :: !edges
+let road ~seed ~width ~height =
+  let rng = Rng.create seed in
+  let n = width * height in
+  let rw = Array.make n 0 and dw = Array.make n 0 and gw = Array.make n 0 in
+  for y = 0 to height - 1 do
+    for x = 0 to width - 1 do
+      let v = (y * width) + x in
+      (* Keep the leftmost column and bottom row intact so the grid stays
+         connected even when other edges are dropped. *)
+      if x + 1 < width && (y = 0 || not (Rng.chance rng 0.08)) then rw.(v) <- Rng.int_in rng 1 10;
+      if y + 1 < height && (x = 0 || not (Rng.chance rng 0.08)) then dw.(v) <- Rng.int_in rng 1 10;
+      if x + 1 < width && y + 1 < height && Rng.chance rng 0.05 then gw.(v) <- Rng.int_in rng 2 14
+    done
   done;
-  !edges
+  lattice ~width ~height ~diag:gw rw dw
 
-let dedup_edges n edges =
-  let seen = Hashtbl.create (List.length edges) in
-  List.filter
-    (fun (u, v, _) ->
-      let key = (min u v * n) + max u v in
-      if u = v || Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    edges
+(* Paper-scale road-network stand-in: a full 2-D grid (degree <= 4,
+   diameter width+height-2), so multi-million-node graphs materialize in
+   O(n) words.  Weights are drawn once per undirected edge, keeping the
+   graph symmetric like {!road}. *)
+let grid ~seed ~width ~height =
+  if width <= 0 || height <= 0 then invalid_arg "Generator.grid: empty grid";
+  let rng = Rng.create seed in
+  let n = width * height in
+  let draw () = Rng.int_in rng 1 10 in
+  let rw = Array.make n 0 and dw = Array.make n 0 in
+  (* every right edge in id order, then every down edge; a grid one
+     vertex wide (high) still draws one right (down) weight *)
+  for y = 0 to height - 1 do
+    for x = 0 to width - 2 do
+      rw.((y * width) + x) <- draw ()
+    done
+  done;
+  if width = 1 then ignore (draw ());
+  for v = 0 to n - width - 1 do
+    dw.(v) <- draw ()
+  done;
+  if height = 1 then ignore (draw ());
+  lattice ~width ~height rw dw
+
+(* The random graphs: a spanning backbone (each vertex v > 0 joined to
+   a random earlier vertex, guaranteeing connectivity), then [tries]
+   candidate extra edges from [sample], self-loops dropped; weights
+   1-100.  Visiting the backbone newest first and then the extras newest
+   first, the first occurrence of each unordered pair survives, and the
+   first [m] survivors make the graph. *)
+let backbone_plus rng ~n ~m ~tries sample =
+  let nb = max 0 (n - 1) in
+  let cap = nb + max 0 tries in
+  let us = Array.make cap 0 and vs = Array.make cap 0 and ws = Array.make cap 0 in
+  let k = ref 0 in
+  let push u v =
+    us.(!k) <- u;
+    vs.(!k) <- v;
+    ws.(!k) <- Rng.int_in rng 1 100;
+    incr k
+  in
+  for v = 1 to n - 1 do
+    push (Rng.int rng v) v
+  done;
+  for _ = 1 to tries do
+    let u, v = sample () in
+    if u <> v then push u v
+  done;
+  let keep = max 0 (min m !k) in
+  let su = Array.make keep 0 and sv = Array.make keep 0 and sw = Array.make keep 0 in
+  let seen = Hashtbl.create (2 * keep) in
+  let j = ref 0 in
+  let visit i =
+    let u = us.(i) and v = vs.(i) in
+    let key = (min u v * n) + max u v in
+    if !j < keep && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      su.(!j) <- u;
+      sv.(!j) <- v;
+      sw.(!j) <- ws.(i);
+      incr j
+    end
+  in
+  for i = nb - 1 downto 0 do
+    visit i
+  done;
+  for i = !k - 1 downto nb do
+    visit i
+  done;
+  let cut a = if !j = keep then a else Array.sub a 0 !j in
+  Csr.of_arrays ~n (cut su) (cut sv) (cut sw)
 
 let random ~seed ~n ~m =
+  if m < n - 1 then invalid_arg "Generator.random: m < n - 1 cannot hold the spanning backbone";
   let rng = Rng.create seed in
-  let backbone = spanning_backbone rng n in
-  let extra = ref [] in
-  let want = max 0 (m - List.length backbone) in
   (* Oversample then dedup; good enough for sparse graphs. *)
-  for _ = 1 to want * 2 do
-    let u = Rng.int rng n and v = Rng.int rng n in
-    if u <> v then extra := (u, v, Rng.int_in rng 1 100) :: !extra
-  done;
-  let all = dedup_edges n (backbone @ !extra) in
-  let truncated =
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | e :: rest -> e :: take (k - 1) rest
-    in
-    take m all
-  in
-  Csr.of_edges ~n truncated
+  backbone_plus rng ~n ~m ~tries:(2 * max 0 (m - max 0 (n - 1))) (fun () ->
+      let u = Rng.int rng n and v = Rng.int rng n in
+      (u, v))
 
 let rmat ~seed ~scale ~edge_factor =
+  if edge_factor < 1 then invalid_arg "Generator.rmat: edge_factor < 1 cannot hold the spanning backbone";
   let rng = Rng.create seed in
   let n = 1 lsl scale in
   let target = edge_factor * n in
@@ -141,19 +164,7 @@ let rmat ~seed ~scale ~edge_factor =
     done;
     (!u, !v)
   in
-  let backbone = spanning_backbone rng n in
-  let extra = ref [] in
-  for _ = 1 to target * 2 do
-    let u, v = sample () in
-    if u <> v then extra := (u, v, Rng.int_in rng 1 100) :: !extra
-  done;
-  let all = dedup_edges n (backbone @ !extra) in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | e :: rest -> e :: take (k - 1) rest
-  in
-  Csr.of_edges ~n (take target all)
+  backbone_plus rng ~n ~m:target ~tries:(2 * target) sample
 
 let points ~seed ~n ~span =
   let rng = Rng.create seed in

@@ -3,7 +3,11 @@
     The paper evaluates BFS/SSSP on the DIMACS USA road network and the
     other kernels on their original inputs.  These generators produce
     laptop-scale graphs with the structural properties that drive the
-    published results (see DESIGN.md, substitution table). *)
+    published results (see DESIGN.md, substitution table).
+
+    Every graph generator builds straight into {!Csr.t} arrays in
+    O(n + m) words: no intermediate edge list and no comparison sort.
+    Output is a pure function of the arguments. *)
 
 val road : seed:int -> width:int -> height:int -> Csr.t
 (** Planar road-network stand-in: a [width] x [height] grid where each
@@ -20,14 +24,17 @@ val grid : seed:int -> width:int -> height:int -> Csr.t
     the [large]/[huge] workload scales. *)
 
 val random : seed:int -> n:int -> m:int -> Csr.t
-(** Erdős–Rényi-style multigraph-free random graph with [m] undirected
-    edges and weights 1-100.  The whole graph is always connected via a
-    spanning backbone. *)
+(** Erdős–Rényi-style multigraph-free random graph with at most [m]
+    undirected edges (oversampled candidates are deduplicated, which can
+    fall short) and weights 1-100.  The whole graph is always connected
+    via a spanning backbone of [n - 1] edges.  Raises [Invalid_argument]
+    when [m < n - 1], which could not hold the backbone. *)
 
 val rmat : seed:int -> scale:int -> edge_factor:int -> Csr.t
-(** R-MAT power-law graph with [2^scale] vertices and
+(** R-MAT power-law graph with [2^scale] vertices and at most
     [edge_factor * 2^scale] undirected edges (a=0.57 b=0.19 c=0.19),
-    connected via a spanning backbone; weights 1-100. *)
+    connected via a spanning backbone; weights 1-100.  Raises
+    [Invalid_argument] when [edge_factor < 1]. *)
 
 val points : seed:int -> n:int -> span:float -> (float * float) array
 (** [n] uniformly random 2-D points in [\[0,span\)]² for the DMR

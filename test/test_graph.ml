@@ -51,7 +51,139 @@ let test_csr_undirected_edges () =
   let g = triangle_graph () in
   check Alcotest.int "3 undirected edges" 3 (List.length (Csr.undirected_edges g))
 
+(* The list-and-sort CSR construction the builder replaced, kept as the
+   oracle for {!Csr.of_edges}: double undirected edges, bucket by
+   source, sort each adjacency by (target, weight). *)
+let oracle_of_edges ?(directed = false) ~n edges =
+  let all =
+    if directed then edges
+    else List.concat_map (fun (u, v, w) -> [ (u, v, w); (v, u, w) ]) edges
+  in
+  let deg = Array.make n 0 in
+  List.iter
+    (fun (u, v, _) ->
+      if u < 0 || u >= n || v < 0 || v >= n then invalid_arg "Csr.of_edges: vertex out of range";
+      deg.(u) <- deg.(u) + 1)
+    all;
+  let row_ptr = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    row_ptr.(v + 1) <- row_ptr.(v) + deg.(v)
+  done;
+  let m = row_ptr.(n) in
+  let col = Array.make (max m 1) 0 in
+  let weight = Array.make (max m 1) 0 in
+  let cursor = Array.copy row_ptr in
+  List.iter
+    (fun (u, v, w) ->
+      let slot = cursor.(u) in
+      col.(slot) <- v;
+      weight.(slot) <- w;
+      cursor.(u) <- slot + 1)
+    all;
+  for v = 0 to n - 1 do
+    let lo = row_ptr.(v) and hi = row_ptr.(v + 1) in
+    let slice = Array.init (hi - lo) (fun i -> (col.(lo + i), weight.(lo + i))) in
+    Array.sort compare slice;
+    Array.iteri
+      (fun i (c, w) ->
+        col.(lo + i) <- c;
+        weight.(lo + i) <- w)
+      slice
+  done;
+  { Csr.n; m; row_ptr; col; weight }
+
+(* Random edge lists over a few vertices, so repeated pairs are common;
+   every non-empty list also gets a self-loop and a repeat of its first
+   pair under a different weight. *)
+let edge_list_case =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 10 in
+      let* directed = bool in
+      let* es = list_size (int_range 0 40) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 6)) in
+      let* loop = int_bound (n - 1) in
+      let extra =
+        match es with
+        | [] -> []
+        | (u, v, w) :: _ -> [ (loop, loop, w); (u, v, w + 1) ]
+      in
+      return (n, directed, es @ extra))
+  in
+  QCheck.make
+    ~print:(fun (n, directed, es) ->
+      Printf.sprintf "n=%d directed=%b [%s]" n directed
+        (String.concat "; " (List.map (fun (u, v, w) -> Printf.sprintf "(%d,%d,%d)" u v w) es)))
+    gen
+
+let prop_of_edges_matches_oracle =
+  QCheck.Test.make ~name:"of_edges equals the list-and-sort oracle" ~count:500 edge_list_case
+    (fun (n, directed, es) -> Csr.of_edges ~directed ~n es = oracle_of_edges ~directed ~n es)
+
+let test_csr_of_arrays () =
+  let es = [ (0, 2, 4); (2, 1, 3); (1, 1, 2); (0, 2, 1) ] in
+  let arr f = Array.of_list (List.map f es) in
+  let src = arr (fun (u, _, _) -> u) and dst = arr (fun (_, v, _) -> v) and w = arr (fun (_, _, w) -> w) in
+  check Alcotest.bool "same graph as of_edges" true (Csr.of_arrays ~n:3 src dst w = Csr.of_edges ~n:3 es);
+  Alcotest.check_raises "length mismatch" (Invalid_argument "Csr.of_arrays: length mismatch")
+    (fun () -> ignore (Csr.of_arrays ~n:3 src dst [| 1 |]))
+
 (* --- generators --- *)
+
+(* cwd is _build/default/test under dune runtest; the repo root when
+   launched by hand *)
+let golden_file name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat (Filename.concat "test" "golden") name ]
+
+let csr_digest (g : Csr.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun a ->
+      Array.iter
+        (fun x ->
+          Buffer.add_string b (string_of_int x);
+          Buffer.add_char b ' ')
+        a;
+      Buffer.add_char b '\n')
+    [ g.row_ptr; g.col; g.weight ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* golden/graphs.txt pins every generator's output bit for bit *)
+let test_generator_digests () =
+  match golden_file "graphs.txt" with
+  | None -> Alcotest.fail "golden/graphs.txt not found"
+  | Some path ->
+      In_channel.with_open_text path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      |> List.iter (fun l ->
+             match String.split_on_char ' ' l with
+             | [ kind; a; b; seed; md5 ] ->
+                 let a = int_of_string a and b = int_of_string b and seed = int_of_string seed in
+                 let g =
+                   match kind with
+                   | "road" -> Generator.road ~seed ~width:a ~height:b
+                   | "grid" -> Generator.grid ~seed ~width:a ~height:b
+                   | "random" -> Generator.random ~seed ~n:a ~m:b
+                   | "rmat" -> Generator.rmat ~seed ~scale:a ~edge_factor:b
+                   | _ -> Alcotest.failf "unknown generator in %S" l
+                 in
+                 check Alcotest.string l md5 (csr_digest g)
+             | _ -> Alcotest.failf "malformed graph digest line %S" l)
+
+let test_backbone_kept_or_rejected () =
+  Alcotest.check_raises "random m < n - 1"
+    (Invalid_argument "Generator.random: m < n - 1 cannot hold the spanning backbone")
+    (fun () -> ignore (Generator.random ~seed:1 ~n:50 ~m:48));
+  Alcotest.check_raises "rmat edge_factor < 1"
+    (Invalid_argument "Generator.rmat: edge_factor < 1 cannot hold the spanning backbone")
+    (fun () -> ignore (Generator.rmat ~seed:1 ~scale:5 ~edge_factor:0));
+  (* at the bound the backbone is the whole graph *)
+  let g = Generator.random ~seed:1 ~n:50 ~m:49 in
+  check Alcotest.int "a spanning tree" 49 (List.length (Csr.undirected_edges g));
+  Array.iter
+    (fun l -> if l = Bfs.infinity_level then Alcotest.fail "tree not spanning")
+    (Bfs.levels g 0)
 
 let test_road_connected () =
   let g = Generator.road ~seed:1 ~width:20 ~height:15 in
@@ -214,6 +346,8 @@ let () =
           Alcotest.test_case "validate" `Quick test_csr_validate;
           Alcotest.test_case "out of range" `Quick test_csr_out_of_range;
           Alcotest.test_case "undirected edges" `Quick test_csr_undirected_edges;
+          Alcotest.test_case "of_arrays" `Quick test_csr_of_arrays;
+          qtest prop_of_edges_matches_oracle;
         ] );
       ( "generator",
         [
@@ -222,6 +356,8 @@ let () =
           Alcotest.test_case "road low degree" `Quick test_road_low_degree;
           Alcotest.test_case "random connected" `Quick test_random_connected;
           Alcotest.test_case "rmat skewed" `Quick test_rmat_skewed;
+          Alcotest.test_case "golden digests" `Quick test_generator_digests;
+          Alcotest.test_case "backbone kept or rejected" `Quick test_backbone_kept_or_rejected;
           qtest prop_generators_deterministic;
         ] );
       ( "bfs",
