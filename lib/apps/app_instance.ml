@@ -16,3 +16,7 @@ type t = {
   fpga_mlp : int;
   graph_source : (Agp_graph.Csr.t * int) option;
 }
+
+let add_input spec state name a =
+  Agp_core.State.add_int_array state name
+    (if Agp_core.Spec.may_write spec name then Array.copy a else a)

@@ -17,8 +17,10 @@ type t = {
   app_name : string;  (** e.g. ["SPEC-BFS"] *)
   spec : Agp_core.Spec.t;
   fresh : unit -> run;
-      (** a new, independent instance of the same workload (bindings and
-          side structures are not shared across runs) *)
+      (** a new instance of the same workload.  Bindings, side
+          structures and every array the spec can write are its own;
+          a workload array the spec can only read is shared with the
+          workload and with every other run of it (see {!add_input}) *)
   kernel_flops : (string * int) list;
       (** arithmetic work per [Prim] invocation, used by both platform
           models: the FPGA charges [flops / fpga_ilp] pipeline cycles,
@@ -44,3 +46,9 @@ type t = {
           over a graph (the AOCL-BFS round model of Table 1) read it;
           [None] for mesh/matrix substrates *)
 }
+
+val add_input : Agp_core.Spec.t -> Agp_core.State.t -> string -> int array -> unit
+(** [add_input spec state name a] registers the workload array [a] as
+    [name] in a fresh run's [state].  The run borrows [a] itself when
+    {!Agp_core.Spec.may_write} says [spec] cannot write [name]; it gets
+    a copy otherwise, so a run never changes its workload. *)

@@ -145,11 +145,11 @@ let spec_coordinative : Spec.t =
       ];
   }
 
-let make_run (w : workload) =
+let make_run spec (w : workload) =
   let g = w.graph in
   let state = State.create () in
-  State.add_int_array state "row_ptr" (Array.copy g.Csr.row_ptr);
-  State.add_int_array state "col" (Array.copy g.Csr.col);
+  App_instance.add_input spec state "row_ptr" g.Csr.row_ptr;
+  App_instance.add_input spec state "col" g.Csr.col;
   let level = Array.make g.Csr.n inf in
   level.(w.root) <- 0;
   State.add_int_array state "level" level;
@@ -168,7 +168,7 @@ let speculative w =
   {
     App_instance.app_name = "SPEC-BFS";
     spec = spec_speculative;
-    fresh = (fun () -> make_run w);
+    fresh = (fun () -> make_run spec_speculative w);
     kernel_flops = [];
     fpga_ilp = 8;
     sw_task_overhead = 60;
@@ -181,7 +181,7 @@ let coordinative w =
   {
     App_instance.app_name = "COOR-BFS";
     spec = spec_coordinative;
-    fresh = (fun () -> make_run w);
+    fresh = (fun () -> make_run spec_coordinative w);
     kernel_flops = [];
     fpga_ilp = 8;
     sw_task_overhead = 30;

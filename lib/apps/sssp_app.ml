@@ -81,9 +81,9 @@ let spec_speculative : Spec.t =
 let make_run (w : workload) =
   let g = w.graph in
   let state = State.create () in
-  State.add_int_array state "row_ptr" (Array.copy g.Csr.row_ptr);
-  State.add_int_array state "col" (Array.copy g.Csr.col);
-  State.add_int_array state "weight" (Array.copy g.Csr.weight);
+  App_instance.add_input spec_speculative state "row_ptr" g.Csr.row_ptr;
+  App_instance.add_input spec_speculative state "col" g.Csr.col;
+  App_instance.add_input spec_speculative state "weight" g.Csr.weight;
   let dist = Array.make g.Csr.n Sssp.unreachable in
   dist.(w.root) <- 0;
   State.add_int_array state "dist" dist;

@@ -108,6 +108,15 @@ let find_task_set t name = List.find (fun ts -> ts.ts_name = name) t.task_sets
 
 let find_rule t name = List.find (fun r -> r.rule_name = name) t.rules
 
+let may_write t name =
+  let rec writes = function
+    | Store (a, _, _) -> a = name
+    | Prim _ -> true
+    | If (_, yes, no) -> List.exists writes yes || List.exists writes no
+    | Let _ | Load _ | Push _ | Push_iter _ | Alloc _ | Await _ | Emit _ | Abort | Retry -> false
+  in
+  List.exists (fun ts -> List.exists writes ts.body) t.task_sets
+
 type prim_ctx = {
   state : State.t;
   task_index : Index.t;

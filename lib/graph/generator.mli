@@ -6,8 +6,13 @@
     published results (see DESIGN.md, substitution table).
 
     Every graph generator builds straight into {!Csr.t} arrays in
-    O(n + m) words: no intermediate edge list and no comparison sort.
-    Output is a pure function of the arguments. *)
+    O(n + m) words: no intermediate edge list and no comparison sort,
+    and no garbage per vertex or edge: the lattices draw their weights
+    into one byte per vertex and edge direction, then take a counting
+    pass and one fill pass over them; the random graphs dedupe pairs in
+    an int open-addressing set; and the {!Agp_util.Rng} draws allocate
+    nothing.  Output is a pure function
+    of the arguments, pinned bit for bit by [test/golden/graphs.txt]. *)
 
 val road : seed:int -> width:int -> height:int -> Csr.t
 (** Planar road-network stand-in: a [width] x [height] grid where each

@@ -44,6 +44,7 @@ type report = {
   peak_in_flight : int;
   pipelines : (string * int) list;
   attribution : Attribution.t;
+  stall_rechecks : int;
 }
 
 (* One replicated pipeline.  Its in-flight tasks live in the shared
@@ -72,7 +73,14 @@ let imin (a : int) b = if a <= b then a else b
    [ready land wheel_mask]; a later one waits on the far list until it
    comes within range.  [sl_next] chains a bucket, and the free slots.
    [admit] and [release] also keep, per set, how many of its pipelines
-   hold a task, and how many pipelines are full. *)
+   hold a task, and how many pipelines are full.
+
+   A slot stalled at the rule-lane allocator leaves the wheel: it waits
+   on its pipeline's stalled list, in ascending [q], flagged in
+   [sl_stalled], until a lane may be its own (see [step_pipe] in
+   {!run}).  The slots that stall during a scan are buffered in
+   [fresh] and join the lists after the scan's drain, so none is tested
+   twice in one scan. *)
 let wheel_bits = 8
 
 let wheel_size = 1 lsl wheel_bits
@@ -87,6 +95,7 @@ type calendar = {
   mutable sl_ops : int array;
   mutable sl_ready : int array;
   mutable sl_next : int array;
+  mutable sl_stalled : int array; (* 1 = on its pipeline's stalled list *)
   mutable free : int; (* head of the free chain, -1 = pool exhausted *)
   wheel : int array; (* (pipe lsl wheel_bits) lor bucket -> chain head, -1 = empty *)
   due : int array; (* per bucket: slots filed there, over all pipelines *)
@@ -100,6 +109,15 @@ type calendar = {
   (* drain scratch: one bucket's slots in step order, and their keys *)
   mutable ds : int array;
   mutable dk : int array;
+  st : int array array; (* per pipe: stalled slots, ascending q *)
+  st_n : int array;
+  st_min : int array; (* per pipe: a stalled slot of least task index *)
+  mutable stalled : int; (* slots on the stalled lists *)
+  mutable fresh : int array; (* slots stalled this scan *)
+  mutable fresh_n : int;
+  (* one pipeline's stalled slots in step order at this scan, and keys *)
+  mutable ms : int array;
+  mutable mk : int array;
 }
 
 let grow_ints a n x =
@@ -118,6 +136,7 @@ let grow_pool c =
   c.sl_ops <- grow_ints c.sl_ops n 0;
   c.sl_ready <- grow_ints c.sl_ready n 0;
   c.sl_next <- grow_ints c.sl_next n (-1);
+  c.sl_stalled <- grow_ints c.sl_stalled n 0;
   for s = Array.length c.sl_task - 1 downto n do
     c.sl_next.(s) <- c.free;
     c.free <- s
@@ -133,6 +152,7 @@ let calendar_create ~n_pipes ~n_sets ~slots =
       sl_ops = [||];
       sl_ready = [||];
       sl_next = [||];
+      sl_stalled = [||];
       free = -1;
       wheel = Array.make (imax 1 n_pipes lsl wheel_bits) (-1);
       due = Array.make wheel_size 0;
@@ -145,6 +165,14 @@ let calendar_create ~n_pipes ~n_sets ~slots =
       full = 0;
       ds = Array.make 16 0;
       dk = Array.make 16 0;
+      st = Array.init (imax 1 n_pipes) (fun _ -> Array.make 16 0);
+      st_n = Array.make (imax 1 n_pipes) 0;
+      st_min = Array.make (imax 1 n_pipes) (-1);
+      stalled = 0;
+      fresh = Array.make 16 0;
+      fresh_n = 0;
+      ms = Array.make 16 0;
+      mk = Array.make 16 0;
     }
   in
   while Array.length c.sl_task < slots do
@@ -248,6 +276,82 @@ let drain c pi ~now ~scan =
   c.due.(b) <- c.due.(b) - !n;
   !n
 
+(* slot [s] stalled at the allocator this scan *)
+let stall c s =
+  if c.fresh_n = Array.length c.fresh then c.fresh <- grow_ints c.fresh c.fresh_n 0;
+  c.fresh.(c.fresh_n) <- s;
+  c.fresh_n <- c.fresh_n + 1
+
+(* after a scan's drain, the slots that stalled in it join their
+   pipelines' stalled lists, each in place by [q] *)
+let file_stalled c en =
+  for i = 0 to c.fresh_n - 1 do
+    let s = c.fresh.(i) in
+    let pi = c.sl_pipe.(s) in
+    let n = c.st_n.(pi) in
+    if n = Array.length c.st.(pi) then c.st.(pi) <- grow_ints c.st.(pi) n 0;
+    let a = c.st.(pi) and q = c.sl_q.(s) in
+    let j = ref n in
+    while !j > 0 && c.sl_q.(a.(!j - 1)) > q do
+      a.(!j) <- a.(!j - 1);
+      decr j
+    done;
+    a.(!j) <- s;
+    c.st_n.(pi) <- n + 1;
+    c.sl_stalled.(s) <- 1;
+    if n = 0 || Engine.compare_index en c.sl_task.(s) c.sl_task.(c.st_min.(pi)) < 0 then
+      c.st_min.(pi) <- s
+  done;
+  c.stalled <- c.stalled + c.fresh_n;
+  c.fresh_n <- 0
+
+(* lay pipeline [pi]'s stalled slots out in the order [drain] would
+   give them at scan [scan], with their keys, and return how many: the
+   list is in ascending [q], so the even ones read backwards, then the
+   odd ones forwards *)
+let layout_stalled c pi ~scan =
+  let n = c.st_n.(pi) and a = c.st.(pi) in
+  if Array.length c.ms < n then begin
+    c.ms <- Array.make (2 * n) 0;
+    c.mk <- Array.make (2 * n) 0
+  end;
+  let k = ref 0 in
+  for i = n - 1 downto 0 do
+    if (scan - c.sl_e.(a.(i))) land 1 = 0 then begin
+      c.ms.(!k) <- a.(i);
+      c.mk.(!k) <- -c.sl_q.(a.(i)) - 1;
+      incr k
+    end
+  done;
+  for i = 0 to n - 1 do
+    if (scan - c.sl_e.(a.(i))) land 1 = 1 then begin
+      c.ms.(!k) <- a.(i);
+      c.mk.(!k) <- c.sl_q.(a.(i));
+      incr k
+    end
+  done;
+  n
+
+(* drop from pipeline [pi]'s stalled list the slots that stepped, and
+   find its least index again if that slot went *)
+let compact_stalled c en pi =
+  let a = c.st.(pi) and k = ref 0 in
+  for i = 0 to c.st_n.(pi) - 1 do
+    if c.sl_stalled.(a.(i)) = 1 then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  c.stalled <- c.stalled - (c.st_n.(pi) - !k);
+  c.st_n.(pi) <- !k;
+  if !k > 0 && c.sl_stalled.(c.st_min.(pi)) = 0 then begin
+    c.st_min.(pi) <- a.(0);
+    for i = 1 to !k - 1 do
+      if Engine.compare_index en c.sl_task.(a.(i)) c.sl_task.(c.st_min.(pi)) < 0 then
+        c.st_min.(pi) <- a.(i)
+    done
+  end
+
 (* the first cycle after [now] at which some slot is ready; max_int
    when nothing is in flight *)
 let next_due c ~now =
@@ -261,11 +365,15 @@ let next_due c ~now =
 
 (* The calendar's invariants after a cycle's drain, for [AGP_CHECK=1]:
    every live slot is filed exactly once — in its own pipeline's bucket
-   for its ready cycle, or on the far list — and is due after [now];
+   for its ready cycle or on the far list, and due after [now], or on
+   its pipeline's stalled list;
    the bucket counts and the far minimum match what is filed; each
-   pipeline's occupancy counts its filed slots, summing to the live
-   slots; the per-set occupied and the full pipeline counts match the
-   occupancies; and the engine's pending counter matches its queues. *)
+   stalled list holds flagged slots of its own pipeline in ascending
+   [q], counted by [stalled], and notes its least index; each
+   pipeline's occupancy counts its filed and stalled slots, summing to
+   the live slots; the per-set occupied and the full pipeline counts
+   match the occupancies; and the engine's pending counter matches its
+   queues. *)
 let check_calendar c en pipes ~now =
   let fail fmt = Printf.ksprintf failwith ("Accelerator.run: cycle %d: " ^^ fmt) now in
   let filed = Array.make (Array.length c.sl_task) false in
@@ -274,8 +382,12 @@ let check_calendar c en pipes ~now =
   let visit s =
     if Engine.is_nil c.sl_task.(s) || filed.(s) then fail "slot %d is free or filed twice" s;
     filed.(s) <- true;
-    if c.sl_ready.(s) <= now then fail "slot %d was due at %d and not stepped" s c.sl_ready.(s);
     per_pipe.(c.sl_pipe.(s)) <- per_pipe.(c.sl_pipe.(s)) + 1
+  in
+  let visit_filed s =
+    visit s;
+    if c.sl_stalled.(s) <> 0 then fail "slot %d is flagged stalled but filed by its ready cycle" s;
+    if c.sl_ready.(s) <= now then fail "slot %d was due at %d and not stepped" s c.sl_ready.(s)
   in
   Array.iter
     (fun p ->
@@ -283,7 +395,7 @@ let check_calendar c en pipes ~now =
         let s = ref c.wheel.((p.id lsl wheel_bits) lor b) in
         while !s >= 0 do
           let r = c.sl_ready.(!s) in
-          visit !s;
+          visit_filed !s;
           if c.sl_pipe.(!s) <> p.id || r land wheel_mask <> b || r - now >= wheel_size then
             fail "slot %d (pipe %d, ready %d) filed in pipe %d bucket %d" !s c.sl_pipe.(!s) r
               p.id b;
@@ -297,10 +409,33 @@ let check_calendar c en pipes ~now =
     per_bucket;
   let far_min = ref max_int in
   for i = 0 to c.far_n - 1 do
-    visit c.far.(i);
+    visit_filed c.far.(i);
     far_min := imin !far_min c.sl_ready.(c.far.(i))
   done;
   if !far_min <> c.far_min then fail "far list minimum %d, recorded %d" !far_min c.far_min;
+  if c.fresh_n <> 0 then fail "%d stalled slots not filed" c.fresh_n;
+  let stalled = ref 0 in
+  Array.iter
+    (fun p ->
+      let a = c.st.(p.id) in
+      for i = 0 to c.st_n.(p.id) - 1 do
+        let s = a.(i) in
+        visit s;
+        if c.sl_stalled.(s) <> 1 || c.sl_pipe.(s) <> p.id then
+          fail "slot %d (pipe %d) on pipe %d's stalled list unflagged or misplaced" s c.sl_pipe.(s)
+            p.id;
+        if i > 0 && c.sl_q.(a.(i - 1)) >= c.sl_q.(s) then
+          fail "pipe %d's stalled list is out of admission order at slot %d" p.id s;
+        let least = c.st_min.(p.id) in
+        if least < 0 || c.sl_stalled.(least) <> 1 || c.sl_pipe.(least) <> p.id
+           || Engine.compare_index en c.sl_task.(s) c.sl_task.(least) < 0
+        then fail "pipe %d's least stalled index is not at slot %d" p.id least;
+        incr stalled
+      done)
+    pipes;
+  let flagged = Array.fold_left ( + ) 0 c.sl_stalled in
+  if !stalled <> c.stalled || flagged <> c.stalled then
+    fail "%d slots on stalled lists, %d flagged, %d counted" !stalled flagged c.stalled;
   Array.iter
     (fun p ->
       if per_pipe.(p.id) <> p.n then fail "pipe %d holds %d tasks, %d filed" p.id p.n per_pipe.(p.id))
@@ -510,8 +645,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     match prog.Opcode.code.(Engine.task_pc en f) with
     | Opcode.I_alloc _ when must_stall_alloc f ->
         (* stall at the rule-engine allocator *)
-        cal.sl_ready.(s) <- now + 1;
-        file cal s ~now
+        stall cal s
     | op ->
         if checked then Engine.check_step en f;
         let tid = if instrumented then Engine.task_tid en f else 0 in
@@ -561,6 +695,66 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
           release cal p s;
           any_finish := true
         end
+  in
+  let stall_rechecks = ref 0 in
+  (* whether [must_stall_alloc] surely holds for every stalled slot of
+     [p]: the lanes are taken and the least index among them is above
+     the minimum uncommitted task's, so none ties with it.  Otherwise
+     (or once the least one has stepped off the list) the slots are
+     tested one by one. *)
+  let stalled_blocked p =
+    incr stall_rechecks;
+    Engine.live_rule_count en >= cfg.Config.rule_lanes
+    && cal.sl_stalled.(cal.st_min.(p.id)) = 1
+    &&
+    let mu = Engine.min_uncommitted en in
+    (not (Engine.is_nil mu)) && Engine.compare_index en cal.sl_task.(cal.st_min.(p.id)) mu > 0
+  in
+  (* Step pipeline [p]'s slots due now and, where [drain]'s order puts
+     them among those, its stalled slots.  A stalled slot only waits:
+     testing it again changes nothing until some slot steps.  So the
+     stalled slots are passed over untested while [stalled_blocked]
+     holds; once it fails they are laid out in step order, and from
+     then on each is tested in its turn, as if it had been drained with
+     the due slots, up to the next step that blocks them again. *)
+  let step_pipe p ~now ~scan =
+    let nd = drain cal p.id ~now ~scan in
+    if cal.st_n.(p.id) = 0 then
+      for i = 0 to nd - 1 do
+        step_slot p cal.ds.(i) ~now
+      done
+    else begin
+      let nm = ref (-1) and j = ref 0 in
+      for i = 0 to nd do
+        let open_ = ref (not (stalled_blocked p)) in
+        if !open_ && !nm < 0 then begin
+          nm := layout_stalled cal p.id ~scan;
+          (* the ones before the last stepped slot were blocked *)
+          if i > 0 then
+            while !j < !nm && cal.mk.(!j) < cal.dk.(i - 1) do
+              incr j
+            done
+        end;
+        if !nm >= 0 then begin
+          let key = if i < nd then cal.dk.(i) else max_int in
+          while !j < !nm && cal.mk.(!j) < key do
+            let s = cal.ms.(!j) in
+            let f = cal.sl_task.(s) in
+            incr j;
+            if !open_ then begin
+              incr stall_rechecks;
+              if not (must_stall_alloc f) then begin
+                cal.sl_stalled.(s) <- 0;
+                step_slot p s ~now;
+                open_ := not (stalled_blocked p)
+              end
+            end
+          done
+        end;
+        if i < nd then step_slot p cal.ds.(i) ~now
+      done;
+      if !nm >= 0 then compact_stalled cal en p.id
+    end
   in
   let scan = ref 0 in
   let cycle_budget = 50_000_000 in
@@ -627,23 +821,29 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     peak_in_flight := imax !peak_in_flight cal.live;
     (* 2. execute one op for every in-flight task due this cycle *)
     any_finish := false;
-    if cal.due.(now land wheel_mask) > 0 then
+    if cal.stalled > 0 then
+      for pi = 0 to n_pipes - 1 do
+        step_pipe pipes.(pi) ~now ~scan
+      done
+    else if cal.due.(now land wheel_mask) > 0 then
       for pi = 0 to n_pipes - 1 do
         let p = pipes.(pi) in
         for i = 0 to drain cal pi ~now ~scan - 1 do
           step_slot p cal.ds.(i) ~now
         done
       done;
+    if cal.fresh_n > 0 then file_stalled cal en;
     if !any_finish then Engine.resolve_pending en;
     (* 3. wake resolved rendezvous back into their pipelines *)
     Engine.resume_ready en;
     let n_resumed = Engine.resumed_count en in
     place_resumed ~now ~scan;
     (* 4. advance time: fast-forward to the next ready timestamp when
-       everything in flight is waiting out latency (the event wheel) *)
+       everything in flight is waiting out latency (the event wheel); a
+       stalled slot is tested again next cycle *)
     let can_issue = Engine.pending_count en > 0 && cal.full < n_pipes in
     let next =
-      if can_issue || n_resumed > 0 || cal.live = 0 then now + 1
+      if can_issue || n_resumed > 0 || cal.live = 0 || cal.stalled > 0 then now + 1
       else imax (now + 1) (next_due cal ~now)
     in
     (* stall attribution: charge each pipeline exactly (next - now)
@@ -779,6 +979,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
         (fun ts -> (ts.Spec.ts_name, Config.pipeline_count cfg ts.Spec.ts_name))
         spec.Spec.task_sets;
     attribution = attr;
+    stall_rechecks = !stall_rechecks;
   }
 
 let config_json (cfg : Config.t) =

@@ -46,6 +46,11 @@ type report = {
   attribution : Agp_obs.Attribution.t;
       (** where the pipeline-cycles went: per task set, buckets sum to
           [cycles x pipelines of that set] *)
+  stall_rechecks : int;
+      (** host work on allocator stalls: how many times a task stalled
+          at the rule-lane allocator was tested again, for a free lane
+          or a tie with the minimum uncommitted task.  Host cost, not
+          model output, so it stays out of {!obs_report}. *)
 }
 
 val run :

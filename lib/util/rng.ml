@@ -1,39 +1,53 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes, read and written with
+   the native-endian int64 primitives.  [int], [int_in], [chance] and
+   [bool] inline the step and the mix and keep every intermediate int64
+   in registers, so they allocate nothing; [bits64] and [float] box only
+   their result. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let bits64 t = next t
+
+let split t = of_state (next t)
+
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection-free modulo is fine for simulation workloads; bias is
      negligible for bounds far below 2^63. *)
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int bound))
+  Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let x = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (x /. 9007199254740992.0)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let float t bound = bound *. unit_float t
 
-let chance t p = float t 1.0 < p
+let bool t = Int64.logand (next t) 1L = 1L
+
+let chance t p = unit_float t < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

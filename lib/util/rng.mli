@@ -3,7 +3,13 @@
     All randomness in the project flows through this module so that every
     workload, test and experiment is reproducible from a single integer
     seed.  The generator is splitmix64, which is small, fast and has good
-    statistical quality for simulation purposes. *)
+    statistical quality for simulation purposes.
+
+    The state is held unboxed, so {!int}, {!int_in}, {!chance} and
+    {!bool} allocate nothing; {!bits64} and {!float} allocate only the
+    boxed value they return.  The streams are those of the original
+    boxed-[int64] generator, value for value ([test/golden/rng.txt]
+    pins them). *)
 
 type t
 (** Mutable generator state. *)

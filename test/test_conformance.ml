@@ -237,7 +237,9 @@ let test_pinned_fingerprints () =
    rendered one event per line, so a change to the order in which
    ready tasks step, dispatch or touch memory shows up here even when
    every counter survives.  The far-horizon row raises the miss
-   latency above the simulator's 256-cycle timing wheel. --- *)
+   latency above the simulator's 256-cycle timing wheel; the
+   rule_lanes=16 rows run out of rule lanes, so tasks stall at the
+   allocator. --- *)
 
 module Sink = Agp_obs.Sink
 module Event = Agp_obs.Event
@@ -255,18 +257,19 @@ let render_event buf (ts, ev) =
   | Event.Link_transfer { bytes; start; finish } ->
       pf "%d link %d %d %d\n" ts bytes start finish
 
-let sim_run ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency) ~sink
-    (app : App_instance.t) =
+let sim_run ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency)
+    ?(rule_lanes = Agp_hw.Config.default.Agp_hw.Config.rule_lanes) ~sink (app : App_instance.t) =
   let config =
-    Backend.derive_config app { Agp_hw.Config.default with Agp_hw.Config.miss_latency }
+    Backend.derive_config app
+      { Agp_hw.Config.default with Agp_hw.Config.miss_latency; rule_lanes }
   in
   let r = app.App_instance.fresh () in
   Accelerator.run ~config ~sink ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
     ~state:r.App_instance.state ~initial:r.App_instance.initial ()
 
-let event_digest ?miss_latency (app : App_instance.t) =
+let event_digest ?miss_latency ?rule_lanes (app : App_instance.t) =
   let sink = Sink.collect () in
-  let rep = sim_run ?miss_latency ~sink app in
+  let rep = sim_run ?miss_latency ?rule_lanes ~sink app in
   let buf = Buffer.create (1 lsl 20) in
   List.iter (render_event buf) (Sink.events sink);
   Printf.sprintf "cycles=%d events=%d md5=%s" rep.Accelerator.cycles (Sink.count sink)
@@ -299,6 +302,7 @@ let test_pinned_event_digests () =
       let got =
         match String.split_on_char '=' miss with
         | [ "miss_latency"; m ] -> event_digest ~miss_latency:(int_of_string m) app
+        | [ "rule_lanes"; k ] -> event_digest ~rule_lanes:(int_of_string k) app
         | _ -> event_digest app
       in
       check Alcotest.string (Printf.sprintf "%s seed %d %s" app_name seed miss) want got)
@@ -1060,6 +1064,102 @@ let test_engine_invariants_hold () =
             [ Backend.sequential; Backend.runtime ~workers:8 (); Backend.simulator () ])
         (Workloads.all Workloads.Small ~seed:42))
 
+(* --- borrowed inputs: a run holds a workload array itself when its
+   spec cannot write it (App_instance.add_input), so no run may change
+   the workload it was made from --- *)
+
+module Csr = Agp_graph.Csr
+
+let copy_graph (g : Csr.t) =
+  { g with Csr.row_ptr = Array.copy g.Csr.row_ptr; col = Array.copy g.col; weight = Array.copy g.weight }
+
+let test_runs_leave_workload_unchanged () =
+  List.iter
+    (fun (app : App_instance.t) ->
+      let name = app.App_instance.app_name in
+      let graph_before = Option.map (fun (g, _) -> copy_graph g) app.App_instance.graph_source in
+      let fresh_before = State.snapshot (app.App_instance.fresh ()).App_instance.state in
+      List.iter
+        (fun (b : Backend.t) ->
+          for pass = 1 to 2 do
+            match Backend.run b app with
+            | exception Backend.Unsupported _ -> ()
+            | res -> (
+                match res.Backend.check with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "%s on %s, run %d: %s" name b.Backend.name pass e)
+          done)
+        Backend.all;
+      (match (graph_before, app.App_instance.graph_source) with
+      | Some before, Some (g, _) ->
+          check Alcotest.bool (name ^ ": workload graph bit-identical") true (before = g)
+      | _ -> ());
+      let fresh_after = (app.App_instance.fresh ()).App_instance.state in
+      check (Alcotest.list Alcotest.string)
+        (name ^ ": a fresh run starts from the same arrays")
+        [] (State.diff fresh_before fresh_after))
+    (Workloads.all Workloads.Small ~seed:7)
+
+let test_borrowing_follows_the_spec () =
+  let bfs = Workloads.spec_bfs Workloads.Small ~seed:7 in
+  let g, _ = Option.get bfs.App_instance.graph_source in
+  let st = (bfs.App_instance.fresh ()).App_instance.state in
+  check Alcotest.bool "SPEC-BFS borrows col" true (State.int_array st "col" == g.Csr.col);
+  check Alcotest.bool "SPEC-BFS gets its own level" false
+    (State.int_array st "level" == State.int_array (bfs.App_instance.fresh ()).App_instance.state "level");
+  let mst = Workloads.spec_mst Workloads.Small ~seed:7 in
+  check Alcotest.bool "SPEC-MST has prims, so every array is writable" true
+    (Spec.may_write mst.App_instance.spec "ea");
+  check Alcotest.bool "SPEC-MST copies its edge arrays" false
+    (State.int_array (mst.App_instance.fresh ()).App_instance.state "ea"
+    == State.int_array (mst.App_instance.fresh ()).App_instance.state "ea");
+  (* a spec that stores into col: it must get a copy, and running it must
+     leave the workload's col as it was *)
+  let writer : Spec.t =
+    {
+      Spec.spec_name = "col-writer";
+      task_sets =
+        [
+          {
+            Spec.ts_name = "zero";
+            ts_order = Spec.For_each;
+            arity = 1;
+            body = [ Spec.Store ("col", Spec.Param 0, Spec.int 0) ];
+          };
+        ];
+      rules = [];
+    }
+  in
+  check Alcotest.bool "the writer may write col" true (Spec.may_write writer "col");
+  check Alcotest.bool "the writer only reads row_ptr" false (Spec.may_write writer "row_ptr");
+  let col_before = Array.copy g.Csr.col in
+  let fresh () =
+    let state = State.create () in
+    App_instance.add_input writer state "row_ptr" g.Csr.row_ptr;
+    App_instance.add_input writer state "col" g.Csr.col;
+    let check () =
+      if Array.for_all (fun x -> x = 0) (State.int_array state "col") then Ok ()
+      else Error "col not zeroed"
+    in
+    {
+      App_instance.state;
+      bindings = Spec.no_bindings;
+      initial = List.init g.Csr.m (fun e -> ("zero", [ Value.Int e ]));
+      check;
+    }
+  in
+  let st = (fresh ()).App_instance.state in
+  check Alcotest.bool "the writer borrows row_ptr" true (State.int_array st "row_ptr" == g.Csr.row_ptr);
+  check Alcotest.bool "the writer gets its own col" false (State.int_array st "col" == g.Csr.col);
+  let app = { bfs with App_instance.app_name = "COL-WRITER"; spec = writer; fresh; graph_source = None } in
+  List.iter
+    (fun b ->
+      match (Backend.run b app).Backend.check with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "col-writer on %s: %s" b.Backend.name e)
+    [ Backend.sequential; Backend.runtime ~workers:4 (); Backend.simulator () ];
+  check Alcotest.bool "the workload's col is unchanged" true (col_before = g.Csr.col)
+
 let test_conformance_classifies_liveness () =
   (* a backend that diverges must be classified Liveness, not Crash *)
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
@@ -1152,6 +1252,12 @@ let () =
             test_simulator_liveness_typed;
           Alcotest.test_case "engine invariants hold through every app" `Quick
             test_engine_invariants_hold;
+        ] );
+      ( "borrowing",
+        [
+          Alcotest.test_case "two runs per backend leave the workload unchanged" `Quick
+            test_runs_leave_workload_unchanged;
+          Alcotest.test_case "borrowing follows the spec" `Quick test_borrowing_follows_the_spec;
         ] );
       ( "registry",
         [

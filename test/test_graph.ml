@@ -148,6 +148,20 @@ let csr_digest (g : Csr.t) =
     [ g.row_ptr; g.col; g.weight ];
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* the other generators that draw from Rng: floats in hex, so the
+   digest is bit-exact *)
+let floats_digest (xs : float list) =
+  Digest.to_hex (Digest.string (String.concat " " (List.map (Printf.sprintf "%h") xs)))
+
+let points_digest ps = floats_digest (List.concat_map (fun (x, y) -> [ x; y ]) (Array.to_list ps))
+
+(* an absent block renders as nan, which no present block holds *)
+let blocks_digest (m : Agp_sparse.Block_matrix.t) =
+  floats_digest
+    (List.concat_map
+       (function None -> [ Float.nan ] | Some b -> Array.to_list b)
+       (Array.to_list m.Agp_sparse.Block_matrix.blocks))
+
 (* golden/graphs.txt pins every generator's output bit for bit *)
 let test_generator_digests () =
   match golden_file "graphs.txt" with
@@ -160,15 +174,19 @@ let test_generator_digests () =
              match String.split_on_char ' ' l with
              | [ kind; a; b; seed; md5 ] ->
                  let a = int_of_string a and b = int_of_string b and seed = int_of_string seed in
-                 let g =
+                 let got =
                    match kind with
-                   | "road" -> Generator.road ~seed ~width:a ~height:b
-                   | "grid" -> Generator.grid ~seed ~width:a ~height:b
-                   | "random" -> Generator.random ~seed ~n:a ~m:b
-                   | "rmat" -> Generator.rmat ~seed ~scale:a ~edge_factor:b
+                   | "road" -> csr_digest (Generator.road ~seed ~width:a ~height:b)
+                   | "grid" -> csr_digest (Generator.grid ~seed ~width:a ~height:b)
+                   | "random" -> csr_digest (Generator.random ~seed ~n:a ~m:b)
+                   | "rmat" -> csr_digest (Generator.rmat ~seed ~scale:a ~edge_factor:b)
+                   | "points" -> points_digest (Generator.points ~seed ~n:a ~span:(float_of_int b))
+                   | "lu" ->
+                       blocks_digest
+                         (Agp_sparse.Block_matrix.random_sparse ~seed ~nb:a ~bs:b ~density:0.3)
                    | _ -> Alcotest.failf "unknown generator in %S" l
                  in
-                 check Alcotest.string l md5 (csr_digest g)
+                 check Alcotest.string l md5 got
              | _ -> Alcotest.failf "malformed graph digest line %S" l)
 
 let test_backbone_kept_or_rejected () =

@@ -74,6 +74,85 @@ let test_rng_float_range () =
     check Alcotest.bool "in [0,3)" true (x >= 0.0 && x < 3.0)
   done
 
+(* golden/rng.txt pins every stream: the MD5 of the first 16 values of
+   each draw, per seed, from a fresh generator, from a [split] child and
+   the parent it advanced, and from a [copy] taken after 5 draws.
+   Floats are rendered in hex, so the digest is bit-exact. *)
+
+(* cwd is _build/default/test under dune runtest; the repo root when
+   launched by hand *)
+let golden_file name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat (Filename.concat "test" "golden") name ]
+
+let rng_variants =
+  [
+    ("create", Rng.create);
+    ("split", fun seed -> Rng.split (Rng.create seed));
+    ( "split-parent",
+      fun seed ->
+        let p = Rng.create seed in
+        ignore (Rng.split p);
+        p );
+    ( "copy",
+      fun seed ->
+        let p = Rng.create seed in
+        for _ = 1 to 5 do
+          ignore (Rng.bits64 p)
+        done;
+        Rng.copy p );
+  ]
+
+let rng_draws =
+  [
+    ("bits64", fun g -> Int64.to_string (Rng.bits64 g));
+    ("int", fun g -> string_of_int (Rng.int g 1_000_003));
+    ("int-wide", fun g -> string_of_int (Rng.int g ((1 lsl 40) + 7)));
+    ("int_in", fun g -> string_of_int (Rng.int_in g (-5) 17));
+    ("float", fun g -> Printf.sprintf "%h" (Rng.float g 10.0));
+    ("chance", fun g -> string_of_bool (Rng.chance g 0.3));
+    ("bool", fun g -> string_of_bool (Rng.bool g));
+  ]
+
+let rng_digest variant seed draw =
+  let g = (List.assoc variant rng_variants) seed in
+  let draw = List.assoc draw rng_draws in
+  Digest.to_hex (Digest.string (String.concat " " (List.init 16 (fun _ -> draw g))))
+
+let test_rng_golden_streams () =
+  match golden_file "rng.txt" with
+  | None -> Alcotest.fail "golden/rng.txt not found"
+  | Some path ->
+      let rows =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+      in
+      List.iter
+        (fun l ->
+          match String.split_on_char ' ' l with
+          | [ seed; variant; draw; md5 ] ->
+              check Alcotest.string l md5 (rng_digest variant (int_of_string seed) draw)
+          | _ -> Alcotest.failf "malformed rng digest line %S" l)
+        rows;
+      check Alcotest.int "every seed x variant x draw pinned"
+        (4 * List.length rng_variants * List.length rng_draws)
+        (List.length rows)
+
+(* the draws that return an immediate allocate nothing *)
+let test_rng_draws_allocate_nothing () =
+  let g = Rng.create 42 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.int g 1000 + Rng.int_in g 1 10;
+    if Rng.chance g 0.3 then incr acc;
+    if Rng.bool g then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool "drew something" true (!acc > 0);
+  check (Alcotest.float 0.0) "minor words over 40,000 draws" 0.0 words
+
 (* --- Vec --- *)
 
 let test_vec_push_get () =
@@ -298,6 +377,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           qtest prop_rng_int_bounds;
           qtest prop_rng_int_in_bounds;
         ] );
