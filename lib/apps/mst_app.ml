@@ -132,8 +132,8 @@ let make_run (w : workload) { edges; ea; eb; ew } =
     let chosen = ref [] in
     Array.iteri (fun r f -> if f = 1 then chosen := edges.(r) :: !chosen) flags;
     let weight = List.fold_left (fun acc (_, _, wt) -> acc + wt) 0 !chosen in
-    let reference = Mst.kruskal g in
-    Mst.check g
+    let reference = Mst.kruskal_sorted g edges in
+    Mst.check ~reference g
       { Mst.edges = List.rev !chosen; weight; components = reference.Mst.components }
   in
   { App_instance.state; bindings; initial; check }

@@ -54,7 +54,15 @@
      the write barrier per element);
    - an event reaches only the rules that listen to it (the {!Opcode}
      listener table), and a keyed rule's instances hash by key, so an
-     event visits only the instances its key field can match;
+     event visits only the instances its key field can match.  An
+     activation or a minimum change builds its event (payload copy,
+     delivery) only when a listener has a live instance or, for an
+     activation, the program has counted rules; it is counted either
+     way;
+   - the counters the shells poll live in one [view] record, exported
+     [private], so a shell reads a field where it would call an
+     accessor (under dune's dev profile, [-opaque], no call across
+     modules inlines);
    - parked tasks sit in an indexed min-heap on their well-order index
      and a resolution queues its waiter on a wake list, so the
      minimum-task broadcast and the wake-up cost what changed, not
@@ -62,8 +70,8 @@
 
    The core knows nothing about time.  [step] reports the latency class
    of the operation it executed and leaves the touched array and index
-   in [touched_arr]/[touched_idx]; a timing shell turns that into
-   cycles. *)
+   in the view's [touched_arr]/[touched_idx]; a timing shell turns that
+   into cycles. *)
 
 module Vec = Agp_util.Vec
 
@@ -202,44 +210,25 @@ let ipop s =
   s.sn <- s.sn - 1;
   s.sa.(s.sn)
 
-(* per-set pending queue: FIFO ring of tasks with push_front for
-   TLS-style retry re-activation *)
+(* per-set pending queue: a FIFO ring of tasks, with push_front for
+   TLS-style retry re-activation.  Its capacity is a power of two; its
+   length is the set's [pending_in] count in the view, the only store
+   of it. *)
 type ring = {
   mutable rd : int array;
   mutable rh : int;
-  mutable rl : int;
 }
 
-let ring_create () = { rd = Array.make 8 nil_task; rh = 0; rl = 0 }
+let ring_create () = { rd = Array.make 8 nil_task; rh = 0 }
 
-let ring_grow r =
+let ring_grow r n =
   let cap = Array.length r.rd in
   let nd = Array.make (cap * 2) nil_task in
-  for i = 0 to r.rl - 1 do
-    nd.(i) <- r.rd.((r.rh + i) mod cap)
+  for i = 0 to n - 1 do
+    nd.(i) <- r.rd.((r.rh + i) land (cap - 1))
   done;
   r.rd <- nd;
   r.rh <- 0
-
-let ring_push r x =
-  if r.rl = Array.length r.rd then ring_grow r;
-  r.rd.((r.rh + r.rl) mod Array.length r.rd) <- x;
-  r.rl <- r.rl + 1
-
-let ring_push_front r x =
-  if r.rl = Array.length r.rd then ring_grow r;
-  let cap = Array.length r.rd in
-  r.rh <- (r.rh + cap - 1) mod cap;
-  r.rd.(r.rh) <- x;
-  r.rl <- r.rl + 1
-
-let ring_pop r =
-  let x = r.rd.(r.rh) in
-  r.rh <- (r.rh + 1) mod Array.length r.rd;
-  r.rl <- r.rl - 1;
-  x
-
-let ring_peek r = if r.rl = 0 then nil_task else r.rd.(r.rh)
 
 (* a set's run in the uncommitted order: a FIFO ring of int entries
    (see "the uncommitted order" below), capacity [umask + 1], a power of
@@ -280,17 +269,33 @@ type stats = {
   mutable rule_allocs : int;
 }
 
+(* What the shells poll, as plain fields, so a shell's read compiles to
+   a load even where cross-module calls do not inline (dune's dev
+   profile passes [-opaque]).  Each field is the only store of its
+   counter: the engine writes it where the counter moves, and the
+   interface exports the record [private]. *)
+type view = {
+  mutable pending : int; (* tasks in the rings *)
+  mutable running : int;
+  mutable parked : int; (* tasks in the waiting heap: its length *)
+  mutable resumed : int; (* tasks the last [resume_ready] woke *)
+  mutable live : int; (* unresolved rule instances *)
+  mutable touched_arr : int; (* what the last [step] touched *)
+  mutable touched_idx : int;
+  pending_in : int array; (* per set: its ring's length *)
+  parked_in : int array; (* per set: its tasks in the waiting heap *)
+}
+
 type t = {
   prog : Opcode.program;
   st : State.t;
   stats : stats;
+  v : view;
   width : int;
   counters : int array; (* For_each stamps *)
   rings : ring array;
-  mutable pending : int; (* tasks in the rings *)
   mutable rr : int; (* round-robin pointer for pop_any *)
   mutable next_tid : int;
-  mutable running : int;
   (* activation rows: [ts] ints each in [tr], [pay] payload slots each
      in [tp_i]/[tp_f]/[tp_tg] *)
   ts : int;
@@ -320,11 +325,9 @@ type t = {
   mutable ip_tg : int array;
   mutable insts_n : int; (* instances made *)
   free_insts : istack;
-  (* parked tasks: binary min-heap on the index row; each frame's
-     [f_wpos] is its task's slot *)
+  (* parked tasks: binary min-heap on the index row, [v.parked] long;
+     each frame's [f_wpos] is its task's slot *)
   mutable wh : int array;
-  mutable wh_len : int;
-  w_per_set : int array; (* parked tasks per set *)
   mutable wseq_next : int;
   wake : istack; (* the wake list: parked tasks whose instance resolved *)
   (* the uncommitted order, entries of (index row, row id, tid) ints
@@ -344,8 +347,12 @@ type t = {
   ch_head : int array;
   kb : int array array; (* per rule; [||] for an unkeyed rule *)
   kcount : int array; (* per rule: instances in [kb] *)
-  mutable live_n : int;
   mutable last_min_broadcast : int;
+  (* the rules listening to each event: activated(set), reached(set,
+     label), min_changed; from the {!Opcode} listener table *)
+  act_rules : int array array;
+  reach_rules : int array array array;
+  min_rules : int array;
   log : lev Vec.t;
   prim_impls : Spec.prim_impl option array;
   prim_count : int array;
@@ -366,10 +373,8 @@ type t = {
   mutable ev_n : int;
   mutable cx_earlier : bool;
   mutable cx_later : bool;
-  resumed : istack;
-  (* what the last [step] touched, for the timing shell *)
-  mutable touched_arr : int;
-  mutable touched_idx : int;
+  (* the tasks the last [resume_ready] woke, [v.resumed] of them *)
+  mutable resumed_a : int array;
   checked : bool; (* shells call [check_invariants] as they go *)
   mutable check_calls : int;
 }
@@ -871,7 +876,7 @@ let link en inst =
     chain_push_head en inst (key_bucket (inst_key en rule inst) (Array.length en.kb.(r) - 1))
   end
   else chain_push_head en inst (-1);
-  en.live_n <- en.live_n + 1
+  en.v.live <- en.v.live + 1
 
 let unlink en inst =
   let ir = en.ir and b = inst * i_stride in
@@ -887,7 +892,7 @@ let unlink en inst =
     ir.(b + i_next) <- -1;
     ir.(b + i_prev) <- -1;
     ir.(b + i_chain) <- -2;
-    en.live_n <- en.live_n - 1
+    en.v.live <- en.v.live - 1
   end
 
 (* --- rule resolution --- *)
@@ -997,12 +1002,17 @@ let set_event en (ia : int array) (fa : float array) (ta : int array) o n =
 let set_payload_event en tk =
   set_event en en.tp_i en.tp_f en.tp_tg (tk * en.pay) en.tr.((tk * en.ts) + o_npay)
 
-let listeners en ~kind ~set ~label =
-  en.prog.Opcode.listeners.(Opcode.listener_slot en.prog ~kind ~set ~label)
+(* Whether an event that [rules] listen to reads its fields: a counted
+   rule logs every activated and reached event, and a listening rule
+   with a live instance evaluates them.  Otherwise an activation or a
+   minimum broadcast only counts (arXiv 2602.17119's data-driven rule:
+   work happens only where an event has a consumer). *)
+let[@inline] heard en (rules : int array) =
+  en.prog.Opcode.has_counted || (Array.length rules > 0 && en.v.live > 0)
 
-(* an activated (kind 0) or reached (kind 1) event of task [src]; the
-   event-field context must already be set *)
-let fire_event en ~kind ~set ~label src =
+(* an activated (kind 0) or reached (kind 1) event of task [src], heard
+   by [rules]; the event-field context must already be set *)
+let fire_event en (rules : int array) ~kind ~set ~label src =
   en.stats.events_fired <- en.stats.events_fired + 1;
   if en.prog.Opcode.has_counted then begin
     let n = en.ev_n in
@@ -1017,14 +1027,7 @@ let fire_event en ~kind ~set ~label src =
         le_tg = Array.sub en.ev_tg 0 n;
       }
   end;
-  let rules = listeners en ~kind ~set ~label in
-  if Array.length rules > 0 && en.live_n > 0 then deliver en rules ~kind ~set ~label src
-
-let fire_min_changed en src =
-  en.stats.events_fired <- en.stats.events_fired + 1;
-  let rules = listeners en ~kind:2 ~set:0 ~label:0 in
-  if Array.length rules > 0 && en.live_n > 0 then
-    deliver en rules ~kind:2 ~set:(-1) ~label:(-1) src
+  if Array.length rules > 0 && en.v.live > 0 then deliver en rules ~kind ~set ~label src
 
 (* --- counted-rule allocation: replay the event log --- *)
 
@@ -1080,16 +1083,46 @@ let alloc_rule en tk fm inst ~rule_id ~nargs =
 
 (* --- activation --- *)
 
+(* queue task [tk] in its set's ring, at the back or (a retry) the
+   front *)
+let ring_push en set tk ~front =
+  let r = en.rings.(set) and n = en.v.pending_in.(set) in
+  if n = Array.length r.rd then ring_grow r n;
+  let mask = Array.length r.rd - 1 in
+  if front then begin
+    r.rh <- (r.rh + mask) land mask;
+    r.rd.(r.rh) <- tk
+  end
+  else r.rd.((r.rh + n) land mask) <- tk;
+  en.v.pending_in.(set) <- n + 1;
+  en.v.pending <- en.v.pending + 1
+
+let ring_pop en set =
+  let r = en.rings.(set) in
+  let tk = r.rd.(r.rh) in
+  r.rh <- (r.rh + 1) land (Array.length r.rd - 1);
+  en.v.pending_in.(set) <- en.v.pending_in.(set) - 1;
+  en.v.pending <- en.v.pending - 1;
+  tk
+
+let ring_peek en set =
+  if en.v.pending_in.(set) = 0 then nil_task
+  else
+    let r = en.rings.(set) in
+    r.rd.(r.rh)
+
 let enqueue en tk ~front =
   let set = en.tr.((tk * en.ts) + o_set) in
-  let r = en.rings.(set) in
-  if front then ring_push_front r tk else ring_push r tk;
-  en.pending <- en.pending + 1;
+  ring_push en set tk ~front;
   order_push en tk;
   en.stats.activated <- en.stats.activated + 1;
-  (* activated event: fields are the task payload *)
-  set_payload_event en tk;
-  fire_event en ~kind:0 ~set ~label:(-1) tk
+  (* the activated event, its fields the task payload *)
+  let rules = en.act_rules.(set) in
+  if heard en rules then begin
+    set_payload_event en tk;
+    fire_event en rules ~kind:0 ~set ~label:(-1) tk
+  end
+  else en.stats.events_fired <- en.stats.events_fired + 1
 
 let stamp en slot =
   if en.prog.Opcode.set_for_each.(slot) then begin
@@ -1125,13 +1158,10 @@ let push_initial en set_name payload =
 let take en tk =
   bind_frame en tk;
   en.tr.((tk * en.ts) + o_status) <- s_running;
-  en.pending <- en.pending - 1;
-  en.running <- en.running + 1;
+  en.v.running <- en.v.running + 1;
   tk
 
-let pop_task en set =
-  let r = en.rings.(set) in
-  if r.rl = 0 then nil_task else take en (ring_pop r)
+let pop_task en set = if en.v.pending_in.(set) = 0 then nil_task else take en (ring_pop en set)
 
 (* top-level recursion: a local closure would allocate on every pop *)
 let rec pop_from en tries =
@@ -1139,11 +1169,10 @@ let rec pop_from en tries =
   if tries >= n then nil_task
   else begin
     let i = (en.rr + tries) mod n in
-    let r = en.rings.(i) in
-    if r.rl = 0 then pop_from en (tries + 1)
+    if en.v.pending_in.(i) = 0 then pop_from en (tries + 1)
     else begin
       en.rr <- (i + 1) mod n;
-      take en (ring_pop r)
+      take en (ring_pop en i)
     end
   end
 
@@ -1158,24 +1187,18 @@ let pop_any en = pop_from en 0
 let min_pending_set en =
   let best = ref (-1) in
   for i = 0 to Array.length en.rings - 1 do
-    let h = ring_peek en.rings.(i) in
-    if h >= 0 && (!best < 0 || row_cmp en h (ring_peek en.rings.(!best)) < 0) then best := i
+    let h = ring_peek en i in
+    if h >= 0 && (!best < 0 || row_cmp en h (ring_peek en !best) < 0) then best := i
   done;
   !best
 
 let min_pending_head en =
   let s = min_pending_set en in
-  if s < 0 then nil_task else ring_peek en.rings.(s)
+  if s < 0 then nil_task else ring_peek en s
 
 let pop_min en =
   let s = min_pending_set en in
   if s < 0 then nil_task else pop_task en s
-
-let pending_count en = en.pending
-
-let pending_in_set en set = en.rings.(set).rl
-
-let uncommitted_remaining en = en.running > 0 || en.wh_len > 0 || en.pending > 0
 
 (* --- the waiting heap: parked tasks ordered by index --- *)
 
@@ -1197,7 +1220,7 @@ let rec wh_sift_up en i =
   end
 
 let rec wh_sift_down en i =
-  let n = en.wh_len in
+  let n = en.v.parked in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let s = if l < n && row_cmp en en.wh.(l) en.wh.(i) < 0 then l else i in
   let s = if r < n && row_cmp en en.wh.(r) en.wh.(s) < 0 then r else s in
@@ -1209,19 +1232,19 @@ let rec wh_sift_down en i =
   end
 
 let park en tk =
-  if en.wh_len = Array.length en.wh then en.wh <- grow_ints en.wh (en.wh_len + 1) nil_task;
-  let i = en.wh_len in
-  en.wh_len <- i + 1;
+  if en.v.parked = Array.length en.wh then en.wh <- grow_ints en.wh (en.v.parked + 1) nil_task;
+  let i = en.v.parked in
+  en.v.parked <- i + 1;
   wh_put en i tk;
   en.fr.((frame_of en tk * en.fs) + f_wseq) <- en.wseq_next;
   en.wseq_next <- en.wseq_next + 1;
   let set = en.tr.((tk * en.ts) + o_set) in
-  en.w_per_set.(set) <- en.w_per_set.(set) + 1;
+  en.v.parked_in.(set) <- en.v.parked_in.(set) + 1;
   wh_sift_up en i
 
 let unpark en tk =
-  let i = wpos_of en tk and last = en.wh_len - 1 in
-  en.wh_len <- last;
+  let i = wpos_of en tk and last = en.v.parked - 1 in
+  en.v.parked <- last;
   if i < last then begin
     let moved = en.wh.(last) in
     wh_put en i moved;
@@ -1232,7 +1255,7 @@ let unpark en tk =
   else en.wh.(last) <- nil_task;
   en.fr.((frame_of en tk * en.fs) + f_wpos) <- -1;
   let set = en.tr.((tk * en.ts) + o_set) in
-  en.w_per_set.(set) <- en.w_per_set.(set) - 1
+  en.v.parked_in.(set) <- en.v.parked_in.(set) - 1
 
 (* --- finishing --- *)
 
@@ -1279,7 +1302,7 @@ let finish en tk rc =
   let fm = en.tr.(b + o_frame) in
   (* a parked task's pc is its Await until [resume_ready] moves it, so
      only a running task reaches a finishing op *)
-  if en.tr.(b + o_status) = s_running then en.running <- en.running - 1;
+  if en.tr.(b + o_status) = s_running then en.v.running <- en.v.running - 1;
   release_insts en en.fr.((fm * en.fs) + f_insts);
   unbind_frame en tk fm;
   if rc = lc_committed then begin
@@ -1548,8 +1571,9 @@ let push_child en tk fm set (args : slot array) =
   enqueue en child ~front:false
 
 (* The closure that executes [op] and returns its latency class.  Loads
-   and stores go straight to the state arrays, after [State.touch]
-   (which records the access only while the state is tracing). *)
+   and stores go straight to the state arrays; while the state is
+   tracing they also record the access ([State.touch]), a test of its
+   [tracing] field inline. *)
 let compile_op en (op : Opcode.inst) : task -> int -> int =
   let names = en.prog.Opcode.array_names in
   match op with
@@ -1568,20 +1592,20 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
-            State.touch en.st name i false;
+            if en.st.State.tracing then State.touch en.st name i false;
             if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
             let q = (fm * en.nr) + dst in
             en.fr_i.(q) <- a.(i);
             en.fr_tg.(q) <- tg_int;
             set_pc en fm next;
-            en.touched_arr <- arr;
-            en.touched_idx <- i;
+            en.v.touched_arr <- arr;
+            en.v.touched_idx <- i;
             lc_load
       | data ->
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
-            State.touch en.st name i false;
+            if en.st.State.tracing then State.touch en.st name i false;
             begin
               match data with
               | A_float a ->
@@ -1592,8 +1616,8 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
               | A_int _ | A_missing -> array_missing en arr
             end;
             set_pc en fm next;
-            en.touched_arr <- arr;
-            en.touched_idx <- i;
+            en.v.touched_arr <- arr;
+            en.v.touched_idx <- i;
             lc_load)
   | Opcode.I_store { arr; addr; v; next } -> (
       (* the value goes to stack slot 0, where the error path reads it *)
@@ -1604,21 +1628,21 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
             count_op en;
             let i = addr tk fm in
             v tk fm en.st_i en.st_f en.st_tg 0;
-            State.touch en.st name i true;
+            if en.st.State.tracing then State.touch en.st name i true;
             let tg = en.st_tg.(0) in
             if tg <> tg_int then store_type_err en arr tg;
             if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
             a.(i) <- en.st_i.(0);
             set_pc en fm next;
-            en.touched_arr <- arr;
-            en.touched_idx <- i;
+            en.v.touched_arr <- arr;
+            en.v.touched_idx <- i;
             lc_store
       | data ->
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
             v tk fm en.st_i en.st_f en.st_tg 0;
-            State.touch en.st name i true;
+            if en.st.State.tracing then State.touch en.st name i true;
             let tg = en.st_tg.(0) in
             begin
               match data with
@@ -1629,8 +1653,8 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
               | A_int _ | A_missing -> array_missing en arr
             end;
             set_pc en fm next;
-            en.touched_arr <- arr;
-            en.touched_idx <- i;
+            en.v.touched_arr <- arr;
+            en.v.touched_idx <- i;
             lc_store)
   | Opcode.I_push { set; args; next } ->
       let args = Array.map (slot_expr en) args in
@@ -1652,7 +1676,7 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           push_child en tk fm set args
         done;
         set_pc en fm next;
-        en.touched_idx <- hi_v - lo_v;
+        en.v.touched_idx <- hi_v - lo_v;
         lc_push_iter
   | Opcode.I_alloc { handle; rule; args; next } ->
       let args = Array.map (slot_expr en) args in
@@ -1686,7 +1710,7 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           en.tr.((tk * en.ts) + o_status) <- s_waiting;
           en.fr.(fo + f_await_dst) <- dst;
           en.fr.(fo + f_await) <- inst;
-          en.running <- en.running - 1;
+          en.v.running <- en.v.running - 1;
           park en tk;
           lc_blocked
         end
@@ -1699,7 +1723,8 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           args.(k) tk fm en.ev_i en.ev_f en.ev_tg k
         done;
         en.ev_n <- n;
-        fire_event en ~kind:1 ~set:en.tr.((tk * en.ts) + o_set) ~label tk;
+        let set = en.tr.((tk * en.ts) + o_set) in
+        fire_event en en.reach_rules.(set).(label) ~kind:1 ~set ~label tk;
         en.tr.((tk * en.ts) + o_bcast) <- 1;
         set_pc en fm next;
         lc_unit
@@ -1748,7 +1773,7 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
               (fun i v -> unbox en.fr_i en.fr_f en.fr_tg ((fm * en.nr) + dsts.(i)) v)
               results;
             set_pc en fm next;
-            en.touched_arr <- prim;
+            en.v.touched_arr <- prim;
             lc_prim)
 
 (* Execute one operation of a running task and return its latency
@@ -1781,7 +1806,7 @@ let otherwise_if_minimal en w top mu =
 (* visit the heap entries whose index is at most task [bound]'s: heap
    order prunes every subtree whose root is above it *)
 let rec otherwise_below en i bound top mu =
-  if i < en.wh_len then begin
+  if i < en.v.parked then begin
     let w = en.wh.(i) in
     if row_cmp en w bound <= 0 then begin
       otherwise_if_minimal en w top mu;
@@ -1791,12 +1816,18 @@ let rec otherwise_below en i bound top mu =
   end
 
 let resolve_pending en =
-  (* 1. broadcast a change of the minimum uncommitted task *)
+  (* 1. broadcast a change of the minimum uncommitted task.  The
+     counted-rule log keeps no min_changed event, so its fields (the
+     task's payload) are built only for a listener with a live
+     instance. *)
   let mu0 = min_uncommitted en in
   if mu0 >= 0 && en.tr.((mu0 * en.ts) + o_tid) <> en.last_min_broadcast then begin
     en.last_min_broadcast <- en.tr.((mu0 * en.ts) + o_tid);
-    set_payload_event en mu0;
-    fire_min_changed en mu0
+    en.stats.events_fired <- en.stats.events_fired + 1;
+    if Array.length en.min_rules > 0 && en.v.live > 0 then begin
+      set_payload_event en mu0;
+      deliver en en.min_rules ~kind:2 ~set:(-1) ~label:(-1) mu0
+    end
   end;
   (* 2. fire otherwise clauses for minimal parked tasks.  A minimal task
      has the smallest parked index or the minimum uncommitted one, so
@@ -1804,11 +1835,11 @@ let resolve_pending en =
      there is no minimum uncommitted task, when every Min_uncommitted
      waiter does.  Resolution only queues wake-ups; the heap stays put
      while it is walked. *)
-  if en.wh_len > 0 then begin
+  if en.v.parked > 0 then begin
     let mu = min_uncommitted en in
     let top = en.wh.(0) in
     if mu < 0 then
-      for i = 0 to en.wh_len - 1 do
+      for i = 0 to en.v.parked - 1 do
         otherwise_if_minimal en en.wh.(i) top mu
       done
     else otherwise_below en 0 (if row_cmp en mu top > 0 then mu else top) top mu
@@ -1822,29 +1853,30 @@ let wakes_before en a b =
      && en.fr.((frame_of en a * en.fs) + f_wseq) > en.fr.((frame_of en b * en.fs) + f_wseq)
 
 (* wake every task on the wake list in wake order; the woken tasks are
-   left in [en.resumed], marked running, with their await verdict
-   bound *)
+   left in [resumed_a] ([v.resumed] of them), marked running, with their
+   await verdict bound *)
 let resume_ready en =
-  let rs = en.resumed in
-  rs.sn <- 0;
-  for i = 0 to en.wake.sn - 1 do
+  let m = en.wake.sn in
+  if Array.length en.resumed_a < m then en.resumed_a <- grow_ints en.resumed_a m nil_task;
+  let rs = en.resumed_a in
+  for i = 0 to m - 1 do
     let w = en.wake.sa.(i) in
     unpark en w;
-    ipush rs w
+    rs.(i) <- w
   done;
   en.wake.sn <- 0;
-  let m = rs.sn in
+  en.v.resumed <- m;
   for i = 1 to m - 1 do
-    let x = rs.sa.(i) in
+    let x = rs.(i) in
     let k = ref (i - 1) in
-    while !k >= 0 && wakes_before en x rs.sa.(!k) do
-      rs.sa.(!k + 1) <- rs.sa.(!k);
+    while !k >= 0 && wakes_before en x rs.(!k) do
+      rs.(!k + 1) <- rs.(!k);
       decr k
     done;
-    rs.sa.(!k + 1) <- x
+    rs.(!k + 1) <- x
   done;
   for i = 0 to m - 1 do
-    let w = rs.sa.(i) in
+    let w = rs.(i) in
     let fm = frame_of en w in
     let fo = fm * en.fs in
     let q = (fm * en.nr) + en.fr.(fo + f_await_dst) in
@@ -1858,21 +1890,19 @@ let resume_ready en =
     en.fr.(fo + f_await) <- -1;
     en.fr.(fo + f_await_dst) <- -1;
     en.tr.((w * en.ts) + o_status) <- s_running;
-    en.running <- en.running + 1
+    en.v.running <- en.v.running + 1
   done
 
-let resumed_count en = en.resumed.sn
-
 let resumed_get en i =
-  if i < 0 || i >= en.resumed.sn then invalid_arg "Engine.resumed_get: index out of bounds";
-  en.resumed.sa.(i)
+  if i < 0 || i >= en.v.resumed then invalid_arg "Engine.resumed_get: index out of bounds";
+  en.resumed_a.(i)
 
 (* every parked task whose instance resolved is on the wake list, so
    after a last resolution pass an empty list means all are stuck *)
 let deadlocked en =
-  en.running = 0
-  && en.pending = 0
-  && en.wh_len > 0
+  en.v.running = 0
+  && en.v.pending = 0
+  && en.v.parked > 0
   && begin
        resolve_pending en;
        en.wake.sn = 0
@@ -1905,6 +1935,7 @@ let create spec bindings st =
   let nr = max 1 prog.Opcode.max_regs in
   let mp = max 1 prog.Opcode.max_rule_params in
   let n_ev = max pay prog.Opcode.max_event_fields in
+  let heard_by kind set label = prog.Opcode.listeners.(Opcode.listener_slot prog ~kind ~set ~label) in
   let en =
     {
       prog;
@@ -1921,13 +1952,23 @@ let create spec bindings st =
           ops_executed = 0;
           rule_allocs = 0;
         };
+      v =
+        {
+          pending = 0;
+          running = 0;
+          parked = 0;
+          resumed = 0;
+          live = 0;
+          touched_arr = 0;
+          touched_idx = 0;
+          pending_in = Array.make width 0;
+          parked_in = Array.make width 0;
+        };
       width;
       counters = Array.make width 0;
       rings = Array.init width (fun _ -> ring_create ());
-      pending = 0;
       rr = 0;
       next_tid = 0;
-      running = 0;
       ts;
       tr = Array.make (rows0 * ts) 0;
       pay;
@@ -1952,8 +1993,6 @@ let create spec bindings st =
       insts_n = 0;
       free_insts = istack ();
       wh = Array.make 8 nil_task;
-      wh_len = 0;
-      w_per_set = Array.make width 0;
       wseq_next = 0;
       wake = istack ();
       runs =
@@ -1970,8 +2009,12 @@ let create spec bindings st =
           (fun (r : Opcode.crule) -> if r.Opcode.r_key_field >= 0 then Array.make 8 (-1) else [||])
           prog.Opcode.rules;
       kcount = Array.make (Array.length prog.Opcode.rules) 0;
-      live_n = 0;
       last_min_broadcast = -1;
+      act_rules = Array.init prog.Opcode.n_sets (fun set -> heard_by 0 set (-1));
+      reach_rules =
+        Array.init prog.Opcode.n_sets (fun set ->
+            Array.init (Array.length prog.Opcode.labels) (fun label -> heard_by 1 set label));
+      min_rules = heard_by 2 0 0;
       log = Vec.create ();
       prim_impls =
         Array.map (fun name -> List.assoc_opt name bindings.Spec.prims) prog.Opcode.prim_names;
@@ -1990,9 +2033,7 @@ let create spec bindings st =
       ev_n = 0;
       cx_earlier = false;
       cx_later = false;
-      resumed = istack ();
-      touched_arr = 0;
-      touched_idx = 0;
+      resumed_a = Array.make 16 nil_task;
       checked = !check_by_default;
       check_calls = 0;
     }
@@ -2006,17 +2047,9 @@ let program en = en.prog
 
 let stats en = en.stats
 
-let touched_array en = en.touched_arr
+let view en = en.v
 
-let touched_index en = en.touched_idx
-
-let waiting_count en = en.wh_len
-
-let waiting_in_set en set = en.w_per_set.(set)
-
-let waiting_min en = if en.wh_len = 0 then nil_task else en.wh.(0)
-
-let live_rule_count en = en.live_n
+let waiting_min en = if en.v.parked = 0 then nil_task else en.wh.(0)
 
 let prim_counts en =
   let acc = ref [] in
@@ -2079,8 +2112,8 @@ let check_invariants en =
   let fcol tk c = en.fr.((frame tk * en.fs) + c) in
   let icol inst c = en.ir.((inst * i_stride) + c) in
   (* the waiting heap; a parked task holds a frame that names it *)
-  let per_set = Array.make (Array.length en.w_per_set) 0 in
-  for i = 0 to en.wh_len - 1 do
+  let per_set = Array.make (Array.length en.v.parked_in) 0 in
+  for i = 0 to en.v.parked - 1 do
     let w = en.wh.(i) in
     if w < 0 || w >= en.rows_n then fail "heap slot %d names no row (%d)" i w;
     if status_of en w <> s_waiting then fail "heap slot %d holds task %d that is not parked" i (tid w);
@@ -2094,13 +2127,13 @@ let check_invariants en =
       fail "heap order broken at slot %d (task %d)" i (tid w);
     per_set.(set w) <- per_set.(set w) + 1
   done;
-  for i = en.wh_len to Array.length en.wh - 1 do
+  for i = en.v.parked to Array.length en.wh - 1 do
     if en.wh.(i) <> nil_task then fail "heap slot %d past the end is not cleared" i
   done;
   Array.iteri
     (fun s n ->
-      if en.w_per_set.(s) <> n then fail "set %d counts %d parked tasks, the heap holds %d" s
-          en.w_per_set.(s) n)
+      if en.v.parked_in.(s) <> n then fail "set %d counts %d parked tasks, the heap holds %d" s
+          en.v.parked_in.(s) n)
     per_set;
   (* the wake list: exactly the parked tasks whose instance resolved *)
   let on_list = Hashtbl.create 16 in
@@ -2115,7 +2148,7 @@ let check_invariants en =
     if inst < 0 || inst >= en.insts_n || icol inst i_resolved = 0 then
       fail "woken task %d awaits an unresolved instance" (tid w)
   done;
-  for i = 0 to en.wh_len - 1 do
+  for i = 0 to en.v.parked - 1 do
     let w = en.wh.(i) in
     if icol (fcol w f_await) i_resolved <> 0 && not (Hashtbl.mem on_list w) then
       fail "parked task %d awaits a resolved instance but is not on the wake list" (tid w)
@@ -2164,7 +2197,17 @@ let check_invariants en =
         fail "rule %s counts %d keyed instances, its buckets hold %d"
           en.prog.Opcode.rules.(r).Opcode.r_name en.kcount.(r) (!total - before))
     en.ch_head;
-  if !total <> en.live_n then fail "live count %d, chains hold %d" en.live_n !total;
+  if !total <> en.v.live then fail "live count %d, chains hold %d" en.v.live !total;
+  (* the last wake-up and the last step's touched fields *)
+  if en.v.resumed < 0 || en.v.resumed > Array.length en.resumed_a then
+    fail "resumed count %d, room for %d" en.v.resumed (Array.length en.resumed_a);
+  for i = 0 to en.v.resumed - 1 do
+    let w = en.resumed_a.(i) in
+    if w < 0 || w >= en.rows_n then fail "resumed task %d names no row (%d)" i w
+  done;
+  let touchable = max 1 (max (Array.length en.prog.Opcode.array_names) (Array.length en.prim_count)) in
+  if en.v.touched_arr < 0 || en.v.touched_arr >= touchable then
+    fail "touched array %d, the program has %d" en.v.touched_arr touchable;
   (* The checks below cost O(runs + heap + rows + frames + instances),
      where the checks above cost O(parked + live).  So that a long queue
      does not make checking quadratic, they run on every [stride]-th
@@ -2248,12 +2291,16 @@ let check_invariants en =
        or free, never both, and bound plus free frames are the frames
        made.  A task's instance chain links instances in use whose
        parent is that task; chained plus free instances are the
-       instances made.  The running counter counts running tasks. *)
+       instances made.  The view's running, parked and per-set pending
+       and parked counters count the rows of each status. *)
     let bound = Array.make en.frames_n (-1) and n_bound = ref 0 and n_running = ref 0 in
     let owned = Array.make en.insts_n false and n_owned = ref 0 in
+    let pending_rows = Array.make en.width 0 and parked_rows = Array.make en.width 0 in
     for tk = 0 to en.rows_n - 1 do
       let s = status_of en tk and fm = frame tk in
-      if s = s_running then incr n_running;
+      if s = s_running then incr n_running
+      else if s = s_pending then pending_rows.(set tk) <- pending_rows.(set tk) + 1
+      else if s = s_waiting then parked_rows.(set tk) <- parked_rows.(set tk) + 1;
       if s = s_running || s = s_waiting then begin
         if fm < 0 || fm >= en.frames_n then
           fail "%s task %d holds no frame (frame %d)" (status_name s) (tid tk) fm;
@@ -2279,8 +2326,22 @@ let check_invariants en =
       end
       else if fm >= 0 then fail "%s task %d holds frame %d" (status_name s) (tid tk) fm
     done;
-    if !n_running <> en.running then
-      fail "running counter %d, %d tasks are running" en.running !n_running;
+    if !n_running <> en.v.running then
+      fail "running counter %d, %d tasks are running" en.v.running !n_running;
+    for s = 0 to en.width - 1 do
+      if pending_rows.(s) <> en.v.pending_in.(s) then
+        fail "set %d counts %d pending tasks, %d rows are pending" s en.v.pending_in.(s)
+          pending_rows.(s);
+      if parked_rows.(s) <> en.v.parked_in.(s) then
+        fail "set %d counts %d parked tasks, %d rows are parked" s en.v.parked_in.(s)
+          parked_rows.(s)
+    done;
+    let woken = Array.make en.rows_n false in
+    for i = 0 to en.v.resumed - 1 do
+      let w = en.resumed_a.(i) in
+      if woken.(w) then fail "task %d was woken twice in one wake-up" (tid w);
+      woken.(w) <- true
+    done;
     let freed = Array.make en.frames_n false in
     for i = 0 to en.free_frames.sn - 1 do
       let fm = en.free_frames.sa.(i) in
@@ -2311,8 +2372,8 @@ let check_invariants en =
     let queued = Array.make en.rows_n false in
     Array.iteri
       (fun s r ->
-        for k = 0 to r.rl - 1 do
-          let tk = r.rd.((r.rh + k) mod Array.length r.rd) in
+        for k = 0 to en.v.pending_in.(s) - 1 do
+          let tk = r.rd.((r.rh + k) land (Array.length r.rd - 1)) in
           if tk < 0 || tk >= en.rows_n then fail "set %d queues no row (%d)" s tk;
           if status_of en tk <> s_pending then
             fail "set %d queues task %d, which is %s" s (tid tk) (status_name (status_of en tk));
@@ -2335,10 +2396,13 @@ let check_invariants en =
       if frame tk >= 0 then fail "free row %d (task %d) is parked or holds a frame" tk (tid tk)
     done
   end;
-  (* the pending counter, and every activation accounted for *)
-  let queued = Array.fold_left (fun n r -> n + r.rl) 0 en.rings in
-  if queued <> en.pending then fail "pending counter %d, the queues hold %d" en.pending queued;
+  (* the pending counter is the sum of the queues' lengths, and every
+     activation is accounted for *)
+  let queued = Array.fold_left ( + ) 0 en.v.pending_in in
+  if queued <> en.v.pending then fail "pending counter %d, the queues hold %d" en.v.pending queued;
+  let parked = Array.fold_left ( + ) 0 en.v.parked_in in
+  if parked <> en.v.parked then fail "parked counter %d, the sets count %d" en.v.parked parked;
   let s = en.stats in
-  if s.activated <> s.committed + s.aborted + s.retried + queued + en.running + en.wh_len then
+  if s.activated <> s.committed + s.aborted + s.retried + queued + en.v.running + en.v.parked then
     fail "activated %d <> committed %d + aborted %d + retried %d + pending %d + running %d + parked %d"
-      s.activated s.committed s.aborted s.retried queued en.running en.wh_len
+      s.activated s.committed s.aborted s.retried queued en.v.running en.v.parked

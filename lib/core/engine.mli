@@ -26,8 +26,8 @@
     int-only entries (a task's index row, row id and tid) from a
     per-set run kept in activation order, which is index order for
     almost every activation, and from a small fallback heap for the
-    rest, so it costs O(1) amortized per activation.  {!pending_count}
-    and {!pending_in_set} are counters.
+    rest, so it costs O(1) amortized per activation.  The counters a shell
+    polls are fields of its {!view}.
 
     Rendezvous and event delivery cost what changed.  Parked tasks sit
     in an indexed min-heap on their well-order index, and resolving the
@@ -36,7 +36,10 @@
     task.  Live rule instances are chained per rule; a keyed rule (see
     {!Opcode}) hashes its instances by key, so an event visits only the
     instances of the rules that listen to it, and of a keyed rule only
-    those its key field can match. *)
+    those its key field can match.  An activation or a change of the
+    minimum task builds its event (the payload copy, the delivery) only
+    when some rule listens to it or the program has counted rules; it is
+    counted in [events_fired] either way. *)
 
 exception Deadlock of string
 (** No task can make progress while tasks are still parked.  Rebound
@@ -73,6 +76,35 @@ type stats = {
 
 type t
 
+(** What the shells poll, as fields.  Under dune's dev profile
+    ([-opaque]) no call across modules inlines, so a shell reading
+    [v.pending] where it would call an accessor saves a call per read.
+    The view is the only store of these counters: the engine writes
+    them as they move and a shell may only read them (the record is
+    [private]; do not write into [pending_in] or [parked_in]). *)
+type view = private {
+  mutable pending : int;  (** tasks sitting in queues *)
+  mutable running : int;  (** tasks popped or woken and not yet parked or finished *)
+  mutable parked : int;
+      (** tasks stalled at a rendezvous (resolved ones count until
+          {!resume_ready} wakes them) *)
+  mutable resumed : int;  (** tasks the last {!resume_ready} woke; see {!resumed_get} *)
+  mutable live : int;  (** unresolved rule instances: occupied rule-engine lanes *)
+  mutable touched_arr : int;
+      (** after a load or store, the state array the last {!step} touched
+          (an index into [(program t).array_names]); after a prim, the
+          prim's index into [(program t).prim_names] *)
+  mutable touched_idx : int;
+      (** after a load or store, the element it touched; after a
+          [Push_iter], the number of activations it emitted *)
+  pending_in : int array;  (** per set slot: tasks queued in it *)
+  parked_in : int array;  (** per set slot: its parked tasks *)
+}
+
+val view : t -> view
+(** The engine's view; the same record for the engine's whole life, so
+    a shell fetches it once. *)
+
 val create : Spec.t -> Spec.bindings -> State.t -> t
 (** Compile the specification ({!Opcode.compile}), bind its state
     arrays, prims and counted-rule expectations, and compile each pc
@@ -106,12 +138,6 @@ val pop_min : t -> task
     larger child first (a child's index starts with its parent's), and
     then this is not the globally minimum pending task. *)
 
-val pending_count : t -> int
-(** Tasks sitting in queues.  A counter, O(1). *)
-
-val pending_in_set : t -> int -> int
-(** [pending_in_set t s]: tasks queued in set slot [s].  O(1). *)
-
 val min_pending_head : t -> task
 (** The smallest-index task among the queue heads, without popping
     (the task {!pop_min} would return; see there for when it is not the
@@ -126,23 +152,9 @@ val min_uncommitted : t -> task
     answer is kept until its task finishes or broadcasts or a smaller
     task is activated, so a repeated call costs one liveness test. *)
 
-val uncommitted_remaining : t -> bool
-(** True while any task is pending, running or waiting. *)
-
-val waiting_count : t -> int
-(** Tasks stalled at a rendezvous (resolved ones count until
-    {!resume_ready} wakes them).  O(1). *)
-
-val waiting_in_set : t -> int -> int
-(** [waiting_in_set t s]: parked tasks of set slot [s].  O(1). *)
-
 val waiting_min : t -> task
 (** The parked task with the smallest index, {!nil_task} when none is
     parked.  O(1). *)
-
-val live_rule_count : t -> int
-(** Unresolved rule instances — occupied rule-engine lanes.  A counter,
-    O(1). *)
 
 (** {1 Stepping}
 
@@ -154,18 +166,18 @@ val lc_unit : int
 (** one-cycle operation (let, push, alloc, resolved await, emit, if) *)
 
 val lc_load : int
-(** a load of element {!touched_index} of state array {!touched_array}
-    (an index into [(program t).array_names]) *)
+(** a load of element [touched_idx] of state array [touched_arr] (see
+    {!view}) *)
 
 val lc_store : int
 (** a store, with the same touched fields as {!lc_load} *)
 
 val lc_push_iter : int
-(** a data-dependent spawner; {!touched_index} is the number of
-    activations it emitted *)
+(** a data-dependent spawner; [touched_idx] is the number of activations
+    it emitted *)
 
 val lc_prim : int
-(** a prim kernel; {!touched_array} is its index into
+(** a prim kernel; [touched_arr] is its index into
     [(program t).prim_names].  Its memory accesses are in the state's
     access trace when tracing was on during the step. *)
 
@@ -195,10 +207,6 @@ val step : t -> task -> int
     tag they evaluate the op's postfix bytecode, whose results and error
     strings are the reference's. *)
 
-val touched_array : t -> int
-
-val touched_index : t -> int
-
 val resolve_pending : t -> unit
 (** Re-evaluate minimum-task conditions: fire [On_min_changed] events
     when the minimum uncommitted task changes, and fire the
@@ -214,12 +222,12 @@ val resume_ready : t -> unit
 (** Wake the parked tasks whose rendezvous has resolved since the last
     call (the wake list, not a scan of every parked task): they are
     marked running, their await binding is applied, and they are left
-    for {!resumed_count}/{!resumed_get} in ascending index order, ties
-    newest-parked first. *)
-
-val resumed_count : t -> int
+    for {!resumed_get} in ascending index order, ties newest-parked
+    first; the view's [resumed] counts them. *)
 
 val resumed_get : t -> int -> task
+(** [resumed_get t i], for [i] below the view's [resumed]: the [i]-th
+    task the last {!resume_ready} woke. *)
 
 val deadlocked : t -> bool
 (** No task is running or resumable, queues are empty, but waiting
@@ -253,13 +261,16 @@ val check_invariants : t -> unit
     frame, a running or parked one exactly one, which names it back,
     and bound plus free frames equal the frames made; that each task's
     instance chain links instances of that task, and chained plus free
-    instances equal the instances made; that the running counter counts
-    the running tasks; that every queued task is pending, queued once
-    and not parked, and every free row holds a committed or squashed
-    task and is in no queue, on no wake list, in no waiting heap and
-    holds no frame; that the pending counter equals the queued tasks;
-    and that [activated = committed + aborted + retried + pending +
-    running + parked].  O(parked + live) per call, plus O(rows, frames,
+    instances equal the instances made; that every queued task is
+    pending, queued once and not parked, and every free row holds a
+    committed or squashed task and is in no queue, on no wake list, in
+    no waiting heap and holds no frame; and that [activated = committed
+    + aborted + retried + pending + running + parked].  Every {!view}
+    field is recounted: [pending] and [parked] as the sums of the
+    per-set counts, the per-set counts and [running] from the rows'
+    statuses (the parked ones also from the waiting heap), [live] from
+    the instance chains, [resumed] against the woken tasks (distinct
+    rows), and [touched_arr] against the program's arrays and prims.  O(parked + live) per call, plus O(rows, frames,
     instances, run and heap entries) on a stride that grows with them;
     it never drops an entry, so checking does not change the order's
     layout.

@@ -6,7 +6,13 @@
    stepper) plus {!hooks} (effect observers fired at every lifecycle
    transition).  A substrate is a record, not a reimplementation: a new
    backend (tracing, profiling, counting, future cost-model evaluators)
-   is an interpretation record away. *)
+   is an interpretation record away.
+
+   The loops read the engine's counters as fields of its
+   {!Engine.view}, fetched once per run, and test a task handle for
+   [nil_task] as a negative int: under dune's dev profile ([-opaque]) a
+   call into another module never inlines, so on the per-op path a
+   field read or a comparison replaces a call. *)
 
 (* Typed liveness failures, raised by the core itself and rebound here
    (OCaml exception rebinding), so handlers matching either name keep
@@ -82,9 +88,15 @@ let step_event eng pc rc =
 
 let imax (a : int) b = if a >= b then a else b
 
+let[@inline] is_nil (tk : Engine.task) = (tk :> int) < 0
+
+(* some task is pending, running or parked *)
+let[@inline] remaining (v : Engine.view) = v.running > 0 || v.parked > 0 || v.pending > 0
+
 (* --- Min_first: Definition 4.3, always run the minimum active task to
    completion, with hooks at every transition. *)
 let run_min_first ~max_tasks ~hooks eng =
+  let v = Engine.view eng in
   let hooked = hooked hooks in
   let checked = Engine.checked eng in
   let tasks_run = ref 0 in
@@ -102,7 +114,7 @@ let run_min_first ~max_tasks ~hooks eng =
     else begin
       Engine.resolve_pending eng;
       Engine.resume_ready eng;
-      if Engine.resumed_count eng = 0 then
+      if v.Engine.resumed = 0 then
         raise
           (Deadlock
              (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
@@ -110,7 +122,7 @@ let run_min_first ~max_tasks ~hooks eng =
                 (Engine.task_set eng task)));
       (* the running task is minimal, so it is what wakes *)
       if hooked then
-        for i = 0 to Engine.resumed_count eng - 1 do
+        for i = 0 to v.Engine.resumed - 1 do
           fire (Engine.resumed_get eng i) Resumed
         done;
       drive task
@@ -119,7 +131,7 @@ let run_min_first ~max_tasks ~hooks eng =
   let rec loop () =
     if !tasks_run > max_tasks then raise (Step_limit_exceeded max_tasks);
     let task = Engine.pop_min eng in
-    if not (Engine.is_nil task) then begin
+    if not (is_nil task) then begin
       incr tasks_run;
       if hooked then fire task Acquired;
       drive task;
@@ -168,7 +180,7 @@ let fifo_pop f =
 
 (* queue the tasks [Engine.resume_ready] just woke *)
 let take_woken q eng =
-  for i = 0 to Engine.resumed_count eng - 1 do
+  for i = 0 to (Engine.view eng).Engine.resumed - 1 do
     fifo_push q (Engine.resumed_get eng i)
   done
 
@@ -180,6 +192,7 @@ let take_woken q eng =
    schedule as an untraced one. *)
 let run_workers ~descr ~workers ~max_steps ~hooks eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
+  let v = Engine.view eng in
   let hooked = hooked hooks in
   let checked = Engine.checked eng in
   let slots = Array.make workers Engine.nil_task in
@@ -190,34 +203,32 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
   let total_busy = ref 0 in
   let max_waiting = ref 0 in
   let fire w task ev = hooks.on_event ~tick:!steps ~worker:w task ev in
-  while Engine.uncommitted_remaining eng do
+  while remaining v do
     incr steps;
     if !steps > max_steps then raise (Step_limit_exceeded max_steps);
     let progressed = ref false in
     let busy_now = ref 0 in
     for w = 0 to workers - 1 do
-      if Engine.is_nil slots.(w) then begin
+      if is_nil slots.(w) then begin
         if resumable.qn > 0 then begin
           let task = fifo_pop resumable in
           if hooked then fire w task Resumed;
           slots.(w) <- task
         end
-        else begin
+        else if v.Engine.pending > 0 then begin
           let task = Engine.pop_any eng in
-          if not (Engine.is_nil task) then begin
-            if hooked then fire w task Acquired;
-            slots.(w) <- task
-          end
+          if hooked then fire w task Acquired;
+          slots.(w) <- task
         end
       end;
-      if not (Engine.is_nil slots.(w)) then incr busy_now
+      if not (is_nil slots.(w)) then incr busy_now
     done;
     total_busy := !total_busy + !busy_now;
     max_concurrency := imax !max_concurrency !busy_now;
     (* One operation per busy worker per tick. *)
     for w = 0 to workers - 1 do
       let task = slots.(w) in
-      if not (Engine.is_nil task) then begin
+      if not (is_nil task) then begin
         let pc = if hooked then Engine.task_pc eng task else 0 in
         if checked then Engine.check_step eng task;
         let rc = Engine.step eng task in
@@ -231,10 +242,10 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
         end
       end
     done;
-    max_waiting := imax !max_waiting (Engine.waiting_count eng);
+    max_waiting := imax !max_waiting v.Engine.parked;
     (* Wake tasks whose rendezvous resolved. *)
     Engine.resume_ready eng;
-    take_woken resumable eng;
+    if v.Engine.resumed > 0 then take_woken resumable eng;
     if (not !progressed) && resumable.qn = 0 then begin
       (* Nothing ran and nothing woke: either only parked tasks remain
          (give the minimum-task machinery a chance) or the spec is
@@ -242,7 +253,7 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
       Engine.resolve_pending eng;
       Engine.resume_ready eng;
       take_woken resumable eng;
-      if Engine.resumed_count eng = 0 && Engine.deadlocked eng then
+      if v.Engine.resumed = 0 && Engine.deadlocked eng then
         raise (Deadlock (descr ^ ": deadlock — a rule lacks a viable exit path"))
     end
   done;
@@ -290,7 +301,7 @@ let run_domains ~descr ~domains ~hooks eng =
       Mutex.lock lock;
       let resumed = resumable.qn > 0 in
       let task = if resumed then fifo_pop resumable else Engine.pop_any eng in
-      if not (Engine.is_nil task) then begin
+      if not (is_nil task) then begin
         idle_spins := 0;
         incr ticks;
         if hooked then fire task (if resumed then Resumed else Acquired);
@@ -311,7 +322,7 @@ let run_domains ~descr ~domains ~hooks eng =
         in
         try slice () with e -> Atomic.set failure (Some e)
       end
-      else if not (Engine.uncommitted_remaining eng) then running := false
+      else if not (remaining (Engine.view eng)) then running := false
       else begin
         (* nothing runnable here: give the minimum-task machinery a
            chance, then back off *)
@@ -323,7 +334,7 @@ let run_domains ~descr ~domains ~hooks eng =
           Atomic.set failure (Some (Deadlock (descr ^ ": deadlock in rule resolution")))
       end;
       Mutex.unlock lock;
-      if Engine.is_nil task then Domain.cpu_relax ()
+      if is_nil task then Domain.cpu_relax ()
     done
   in
   let spawned = List.init (n_domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in

@@ -7,13 +7,27 @@
     {!address_of} map gives each array a disjoint byte range so traces
     can be replayed against a flat cache model. *)
 
-type t
+type data
+(** An array's contents, int or float. *)
 
 type access = {
   array_name : string;
   index : int;
   is_write : bool;
 }
+
+type t = private {
+  arrays : (string, data) Hashtbl.t;
+  order : string Agp_util.Vec.t;  (** registration order, for layout and diffing *)
+  mutable tracing : bool;
+      (** Whether loads, stores and {!touch} record into [trace].
+          Exposed so a hot path can test it inline (a field read, where a
+          call across modules does not inline under dune's dev profile)
+          before calling {!touch}; set it with {!set_tracing}. *)
+  trace : access Agp_util.Vec.t;
+}
+(** Read the fields, never write through them: [arrays], [order] and
+    [trace] belong to this module. *)
 
 val create : unit -> t
 

@@ -6,12 +6,41 @@ type tree = {
   components : int;
 }
 
-let sorted_edges g =
-  let arr = Array.of_list (Csr.undirected_edges g) in
-  Array.sort (fun (u1, v1, w1) (u2, v2, w2) -> compare (w1, u1, v1) (w2, u2, v2)) arr;
+(* (weight, src, dst) order on int fields: no polymorphic compare, no
+   tuple built per comparison *)
+let edge_order ((u1, v1, w1) : int * int * int) ((u2, v2, w2) : int * int * int) =
+  if w1 <> w2 then if w1 < w2 then -1 else 1
+  else if u1 <> u2 then if u1 < u2 then -1 else 1
+  else if v1 < v2 then -1
+  else if v1 > v2 then 1
+  else 0
+
+(* the stored edges with [src <= dst], read straight off the CSR arrays *)
+let undirected_array (g : Csr.t) =
+  let k = ref 0 in
+  for u = 0 to g.n - 1 do
+    for i = g.row_ptr.(u) to g.row_ptr.(u + 1) - 1 do
+      if u <= g.col.(i) then incr k
+    done
+  done;
+  let arr = Array.make !k (0, 0, 0) in
+  k := 0;
+  for u = 0 to g.n - 1 do
+    for i = g.row_ptr.(u) to g.row_ptr.(u + 1) - 1 do
+      if u <= g.col.(i) then begin
+        arr.(!k) <- (u, g.col.(i), g.weight.(i));
+        incr k
+      end
+    done
+  done;
   arr
 
-let kruskal (g : Csr.t) =
+let sorted_edges g =
+  let arr = undirected_array g in
+  Array.sort edge_order arr;
+  arr
+
+let kruskal_sorted (g : Csr.t) edges =
   let uf = Union_find.create g.n in
   let chosen = ref [] in
   let weight = ref 0 in
@@ -21,10 +50,12 @@ let kruskal (g : Csr.t) =
         chosen := (u, v, w) :: !chosen;
         weight := !weight + w
       end)
-    (sorted_edges g);
+    edges;
   { edges = List.rev !chosen; weight = !weight; components = Union_find.count_sets uf }
 
-let check (g : Csr.t) r =
+let kruskal g = kruskal_sorted g (sorted_edges g)
+
+let check ?reference (g : Csr.t) r =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let uf = Union_find.create g.n in
   let rec add = function
@@ -35,7 +66,7 @@ let check (g : Csr.t) r =
   match add r.edges with
   | Error _ as e -> e
   | Ok () ->
-      let reference = kruskal g in
+      let reference = match reference with Some t -> t | None -> kruskal g in
       if List.length r.edges <> List.length reference.edges then
         err "tree has %d edges, expected %d" (List.length r.edges) (List.length reference.edges)
       else if r.weight <> reference.weight then

@@ -13,7 +13,11 @@ val sorted_edges : Csr.t -> (int * int * int) array
 
 val kruskal : Csr.t -> tree
 
-val check : Csr.t -> tree -> (unit, string) result
+val kruskal_sorted : Csr.t -> (int * int * int) array -> tree
+(** [kruskal_sorted g edges]: {!kruskal} over [edges], which must be
+    [sorted_edges g] (built once, e.g. per workload); no sort. *)
+
+val check : ?reference:tree -> Csr.t -> tree -> (unit, string) result
 (** Validates tree-ness (acyclic, right edge count) and weight optimality
-    by comparing against a fresh Kruskal run (MST weight is unique even
-    when the tree is not). *)
+    by comparing against [reference], by default a fresh Kruskal run
+    (MST weight is unique even when the tree is not). *)

@@ -64,6 +64,9 @@ let imax (a : int) b = if a >= b then a else b
 
 let imin (a : int) b = if a <= b then a else b
 
+(* some task is pending, running or parked *)
+let[@inline] remaining (v : Engine.view) = v.running > 0 || v.parked > 0 || v.pending > 0
+
 (* The in-flight calendar.  Every in-flight task holds a pooled slot:
    parallel arrays indexed by slot id carrying the task, its pipeline,
    its admission sequence [q] (global, +1 per admission), the scan [e]
@@ -363,6 +366,23 @@ let next_due c ~now =
   done;
   !t
 
+(* what [check_calendar] counts into, made once per run: [filed.(s)]
+   is the number of the last check that found slot [s] filed *)
+type scratch = {
+  mutable filed : int array;
+  mutable checks : int;
+  per_pipe : int array;
+  occ_seen : int array; (* per set: pipelines with a task *)
+}
+
+let scratch_create ~n_pipes ~n_sets =
+  {
+    filed = [||];
+    checks = 0;
+    per_pipe = Array.make (imax 1 n_pipes) 0;
+    occ_seen = Array.make (imax 1 n_sets) 0;
+  }
+
 (* The calendar's invariants after a cycle's drain, for [AGP_CHECK=1]:
    every live slot is filed exactly once — in its own pipeline's bucket
    for its ready cycle or on the far list, and due after [now], or on
@@ -373,15 +393,19 @@ let next_due c ~now =
    pipeline's occupancy counts its filed and stalled slots, summing to
    the live slots; the per-set occupied and the full pipeline counts
    match the occupancies; and the engine's pending counter matches its
-   queues. *)
-let check_calendar c en pipes ~now =
+   queues.  Only the buckets [due] counts as non-empty are walked: a
+   live slot chained in a bucket counted empty is then missing from its
+   pipeline's tally, which the occupancy check catches. *)
+let check_calendar c en sc pipes ~now =
   let fail fmt = Printf.ksprintf failwith ("Accelerator.run: cycle %d: " ^^ fmt) now in
-  let filed = Array.make (Array.length c.sl_task) false in
-  let per_pipe = Array.make (Array.length pipes) 0 in
-  let per_bucket = Array.make wheel_size 0 in
+  if Array.length sc.filed < Array.length c.sl_task then
+    sc.filed <- Array.make (Array.length c.sl_task) 0;
+  sc.checks <- sc.checks + 1;
+  let stamp = sc.checks and filed = sc.filed and per_pipe = sc.per_pipe in
+  Array.fill per_pipe 0 (Array.length per_pipe) 0;
   let visit s =
-    if Engine.is_nil c.sl_task.(s) || filed.(s) then fail "slot %d is free or filed twice" s;
-    filed.(s) <- true;
+    if Engine.is_nil c.sl_task.(s) || filed.(s) = stamp then fail "slot %d is free or filed twice" s;
+    filed.(s) <- stamp;
     per_pipe.(c.sl_pipe.(s)) <- per_pipe.(c.sl_pipe.(s)) + 1
   in
   let visit_filed s =
@@ -389,24 +413,25 @@ let check_calendar c en pipes ~now =
     if c.sl_stalled.(s) <> 0 then fail "slot %d is flagged stalled but filed by its ready cycle" s;
     if c.sl_ready.(s) <= now then fail "slot %d was due at %d and not stepped" s c.sl_ready.(s)
   in
-  Array.iter
-    (fun p ->
-      for b = 0 to wheel_size - 1 do
-        let s = ref c.wheel.((p.id lsl wheel_bits) lor b) in
-        while !s >= 0 do
-          let r = c.sl_ready.(!s) in
-          visit_filed !s;
-          if c.sl_pipe.(!s) <> p.id || r land wheel_mask <> b || r - now >= wheel_size then
-            fail "slot %d (pipe %d, ready %d) filed in pipe %d bucket %d" !s c.sl_pipe.(!s) r
-              p.id b;
-          per_bucket.(b) <- per_bucket.(b) + 1;
-          s := c.sl_next.(!s)
-        done
-      done)
-    pipes;
-  Array.iteri
-    (fun b n -> if n <> c.due.(b) then fail "bucket %d chains %d slots, counted %d" b n c.due.(b))
-    per_bucket;
+  for b = 0 to wheel_size - 1 do
+    if c.due.(b) <> 0 then begin
+      let chained = ref 0 in
+      Array.iter
+        (fun p ->
+          let s = ref c.wheel.((p.id lsl wheel_bits) lor b) in
+          while !s >= 0 do
+            let r = c.sl_ready.(!s) in
+            visit_filed !s;
+            if c.sl_pipe.(!s) <> p.id || r land wheel_mask <> b || r - now >= wheel_size then
+              fail "slot %d (pipe %d, ready %d) filed in pipe %d bucket %d" !s c.sl_pipe.(!s) r
+                p.id b;
+            incr chained;
+            s := c.sl_next.(!s)
+          done)
+        pipes;
+      if !chained <> c.due.(b) then fail "bucket %d chains %d slots, counted %d" b !chained c.due.(b)
+    end
+  done;
   let far_min = ref max_int in
   for i = 0 to c.far_n - 1 do
     visit_filed c.far.(i);
@@ -444,23 +469,22 @@ let check_calendar c en pipes ~now =
   let occupied = Array.fold_left (fun acc tk -> if Engine.is_nil tk then acc else acc + 1) 0 c.sl_task in
   if occupancy <> c.live || occupied <> c.live then
     fail "pipelines hold %d tasks, %d slots are occupied, %d live" occupancy occupied c.live;
-  let occ = Array.make (Array.length c.occ) 0 and full = ref 0 in
+  let occ = sc.occ_seen and full = ref 0 in
+  Array.fill occ 0 (Array.length occ) 0;
   Array.iter
     (fun p ->
       if p.n > 0 then occ.(p.set) <- occ.(p.set) + 1;
       if p.n >= p.capacity then incr full)
     pipes;
-  Array.iteri
-    (fun set n ->
-      if n <> c.occ.(set) then fail "set %d has %d occupied pipelines, counted %d" set n c.occ.(set))
-    occ;
-  if !full <> c.full then fail "%d pipelines are full, counted %d" !full c.full;
-  let queued = ref 0 in
   for set = 0 to Array.length c.occ - 1 do
-    queued := !queued + Engine.pending_in_set en set
+    if occ.(set) <> c.occ.(set) then
+      fail "set %d has %d occupied pipelines, counted %d" set occ.(set) c.occ.(set)
   done;
-  if !queued <> Engine.pending_count en then
-    fail "the engine counts %d pending tasks, its queues hold %d" (Engine.pending_count en) !queued
+  if !full <> c.full then fail "%d pipelines are full, counted %d" !full c.full;
+  let v = Engine.view en in
+  let queued = Array.fold_left ( + ) 0 v.Engine.pending_in in
+  if queued <> v.Engine.pending then
+    fail "the engine counts %d pending tasks, its queues hold %d" v.Engine.pending queued
 
 (* attribution bucket codes inside the flat matrix, in
    [Attribution.buckets] order *)
@@ -489,6 +513,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
      collect the accesses a prim kernel makes *)
   State.set_tracing state false;
   let en = Engine.create spec bindings state in
+  let v = Engine.view en in
   let prog = Engine.program en in
   let n_sets = prog.Opcode.n_sets in
   let mem = Memory.create ~sink cfg in
@@ -570,7 +595,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     let mst = Memory.stats mem in
     {
       Timeline.in_flight = cal.live;
-      pending = Engine.pending_count en;
+      pending = v.Engine.pending;
       active_ops = !active_op_cycles;
       mem_hits = mst.Memory.hits;
       mem_misses = mst.Memory.misses;
@@ -584,8 +609,9 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   in
   (* the allocator reserves a priority lane for the minimum uncommitted
      task (the liveness argument of §4.2.1 under finite rule lanes) *)
+  let lanes = cfg.Config.rule_lanes in
   let must_stall_alloc tk =
-    Engine.live_rule_count en >= cfg.Config.rule_lanes
+    v.Engine.live >= lanes
     &&
     let mu = Engine.min_uncommitted en in
     (not (Engine.is_nil mu)) && Engine.compare_index en tk mu <> 0
@@ -593,7 +619,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   (* a resumed task re-enters the least occupied pipeline of its set at
      the next cycle, so its window first holds it at the next scan *)
   let place_resumed ~now ~scan =
-    for i = 0 to Engine.resumed_count en - 1 do
+    for i = 0 to v.Engine.resumed - 1 do
       let w = Engine.resumed_get en i in
       let set = Engine.task_set en w in
       let best = ref (-1) in
@@ -617,16 +643,16 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let latency rc ~now =
     if rc = Engine.lc_unit then 1
     else if rc = Engine.lc_load then
-      let addr = arr_base.(Engine.touched_array en) + (8 * Engine.touched_index en) in
+      let addr = arr_base.(v.Engine.touched_arr) + (8 * v.Engine.touched_idx) in
       imax 1 (Memory.access mem ~now ~addr ~is_write:false - now)
     else if rc = Engine.lc_store then begin
       (* posted write: the task proceeds next cycle while the line
          transfer still occupies cache and link *)
-      let addr = arr_base.(Engine.touched_array en) + (8 * Engine.touched_index en) in
+      let addr = arr_base.(v.Engine.touched_arr) + (8 * v.Engine.touched_idx) in
       ignore (Memory.access mem ~now ~addr ~is_write:true);
       1
     end
-    else if rc = Engine.lc_push_iter then imax 1 (Engine.touched_index en)
+    else if rc = Engine.lc_push_iter then imax 1 v.Engine.touched_idx
     else begin
       (* the prim's traced accesses, issued as one independent burst *)
       let addrs =
@@ -635,66 +661,75 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
           (State.drain_trace state)
       in
       let completion = Memory.access_burst mem ~now ~addrs ~dependent:false in
-      imax prim_lat.(Engine.touched_array en) (completion - now)
+      imax prim_lat.(v.Engine.touched_arr) (completion - now)
     end
   in
   let any_finish = ref false in
-  (* execute one op of the in-flight task in slot [s] of pipeline [p] *)
+  (* execute one op of task [f], in flight in slot [s] of pipeline [p];
+     a prim's accesses are traced *)
+  let exec_slot p s f ~prim ~now =
+    if checked then Engine.check_step en f;
+    let tid = if instrumented then Engine.task_tid en f else 0 in
+    let rc =
+      if prim then begin
+        State.set_tracing state true;
+        let rc = Engine.step en f in
+        State.set_tracing state false;
+        rc
+      end
+      else Engine.step en f
+    in
+    incr active_op_cycles;
+    if not p.stepped then begin
+      p.stepped <- true;
+      stepped.(!n_stepped) <- p.id;
+      incr n_stepped
+    end;
+    if rc < Engine.lc_blocked then begin
+      cal.sl_ops.(s) <- cal.sl_ops.(s) + 1;
+      cal.sl_ready.(s) <- now + latency rc ~now;
+      file cal s ~now
+    end
+    else begin
+      if rc = Engine.lc_blocked then begin
+        if instrumented then
+          Sink.emit sink ~ts:now (Event.Rendezvous_park { set = p.set_name; pipe = p.id; tid })
+      end
+      else begin
+        if rc <> Engine.lc_committed then begin
+          Vec.push sq_set p.set;
+          Vec.push sq_ops (cal.sl_ops.(s) + 1)
+        end;
+        if instrumented then
+          Sink.emit sink ~ts:now
+            (Event.Task_finish
+               {
+                 set = p.set_name;
+                 pipe = p.id;
+                 tid;
+                 outcome =
+                   (if rc = Engine.lc_committed then Event.Commit
+                    else if rc = Engine.lc_aborted then Event.Abort
+                    else Event.Retry);
+               })
+      end;
+      release cal p s;
+      any_finish := true
+    end
+  in
+  let has_prim = Array.length prog.Opcode.prim_names > 0 in
+  (* execute one op of the task in slot [s] of pipeline [p], or stall it
+     at the rule-engine allocator.  The op at its pc matters only when
+     the lanes are full (an [Alloc] may stall) or to trace a prim, so it
+     is looked up only then. *)
   let step_slot p s ~now =
     let f = cal.sl_task.(s) in
-    match prog.Opcode.code.(Engine.task_pc en f) with
-    | Opcode.I_alloc _ when must_stall_alloc f ->
-        (* stall at the rule-engine allocator *)
-        stall cal s
-    | op ->
-        if checked then Engine.check_step en f;
-        let tid = if instrumented then Engine.task_tid en f else 0 in
-        let rc =
-          match op with
-          | Opcode.I_prim _ ->
-              State.set_tracing state true;
-              let rc = Engine.step en f in
-              State.set_tracing state false;
-              rc
-          | _ -> Engine.step en f
-        in
-        incr active_op_cycles;
-        if not p.stepped then begin
-          p.stepped <- true;
-          stepped.(!n_stepped) <- p.id;
-          incr n_stepped
-        end;
-        if rc < Engine.lc_blocked then begin
-          cal.sl_ops.(s) <- cal.sl_ops.(s) + 1;
-          cal.sl_ready.(s) <- now + latency rc ~now;
-          file cal s ~now
-        end
-        else begin
-          if rc = Engine.lc_blocked then begin
-            if instrumented then
-              Sink.emit sink ~ts:now (Event.Rendezvous_park { set = p.set_name; pipe = p.id; tid })
-          end
-          else begin
-            if rc <> Engine.lc_committed then begin
-              Vec.push sq_set p.set;
-              Vec.push sq_ops (cal.sl_ops.(s) + 1)
-            end;
-            if instrumented then
-              Sink.emit sink ~ts:now
-                (Event.Task_finish
-                   {
-                     set = p.set_name;
-                     pipe = p.id;
-                     tid;
-                     outcome =
-                       (if rc = Engine.lc_committed then Event.Commit
-                        else if rc = Engine.lc_aborted then Event.Abort
-                        else Event.Retry);
-                   })
-          end;
-          release cal p s;
-          any_finish := true
-        end
+    if v.Engine.live < lanes && not has_prim then exec_slot p s f ~prim:false ~now
+    else
+      match prog.Opcode.code.(Engine.task_pc en f) with
+      | Opcode.I_alloc _ when must_stall_alloc f -> stall cal s
+      | Opcode.I_prim _ -> exec_slot p s f ~prim:true ~now
+      | _ -> exec_slot p s f ~prim:false ~now
   in
   let stall_rechecks = ref 0 in
   (* whether [must_stall_alloc] surely holds for every stalled slot of
@@ -704,7 +739,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
      tested one by one. *)
   let stalled_blocked p =
     incr stall_rechecks;
-    Engine.live_rule_count en >= cfg.Config.rule_lanes
+    v.Engine.live >= lanes
     && cal.sl_stalled.(cal.st_min.(p.id)) = 1
     &&
     let mu = Engine.min_uncommitted en in
@@ -759,7 +794,8 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   let scan = ref 0 in
   let cycle_budget = 50_000_000 in
   let minor_start = Gc.minor_words () in
-  while Engine.uncommitted_remaining en do
+  let scratch = scratch_create ~n_pipes ~n_sets in
+  while remaining v do
     (* a scan is one iteration of this loop, however many cycles the
        event wheel then skips *)
     incr scan;
@@ -775,12 +811,12 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       pops_left.(set) <- cfg.Config.queue_banks;
       let pi = ref first_pipe.(set) and last = first_pipe.(set) + width.(set) - 1 in
       while
-        !pi <= last && (instrumented || (pops_left.(set) > 0 && Engine.pending_in_set en set > 0))
+        !pi <= last && (instrumented || (pops_left.(set) > 0 && v.Engine.pending_in.(set) > 0))
       do
         let p = pipes.(!pi) in
         let left = pops_left.(set) in
         if p.n >= p.capacity then begin
-          if instrumented && Engine.pending_count en > 0 then
+          if instrumented && v.Engine.pending > 0 then
             Sink.emit sink ~ts:now (Event.Queue_full { set = p.set_name; pipe = p.id })
         end
         else if left > 0 then begin
@@ -797,14 +833,10 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     (* priority admission: the globally minimum task must always reach
        the rule engines, even through a full window.  It is the head of
        a queue, so it is pending, never already in flight. *)
-    begin
+    if v.Engine.pending > 0 then begin
       let head = Engine.min_pending_head en in
       let mu = Engine.min_uncommitted en in
-      if
-        (not (Engine.is_nil head))
-        && (not (Engine.is_nil mu))
-        && Engine.compare_index en head mu = 0
-      then begin
+      if (mu :> int) >= 0 && Engine.compare_index en head mu = 0 then begin
         let tk = Engine.pop_task en (Engine.task_set en head) in
         if not (Engine.is_nil tk) then begin
           if checked && Array.exists (fun f -> f = tk) cal.sl_task then
@@ -819,29 +851,36 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       end
     end;
     peak_in_flight := imax !peak_in_flight cal.live;
-    (* 2. execute one op for every in-flight task due this cycle *)
+    (* 2. execute one op for every in-flight task due this cycle; only
+       the pipelines whose bucket for this cycle holds a slot (or that
+       hold stalled slots) are visited.  A step files its slot at a
+       later cycle, never in this bucket. *)
     any_finish := false;
+    let b = now land wheel_mask in
     if cal.stalled > 0 then
       for pi = 0 to n_pipes - 1 do
-        step_pipe pipes.(pi) ~now ~scan
+        if cal.st_n.(pi) > 0 || cal.wheel.((pi lsl wheel_bits) lor b) >= 0 then
+          step_pipe pipes.(pi) ~now ~scan
       done
-    else if cal.due.(now land wheel_mask) > 0 then
+    else if cal.due.(b) > 0 then
       for pi = 0 to n_pipes - 1 do
-        let p = pipes.(pi) in
-        for i = 0 to drain cal pi ~now ~scan - 1 do
-          step_slot p cal.ds.(i) ~now
-        done
+        if cal.wheel.((pi lsl wheel_bits) lor b) >= 0 then begin
+          let p = pipes.(pi) in
+          for i = 0 to drain cal pi ~now ~scan - 1 do
+            step_slot p cal.ds.(i) ~now
+          done
+        end
       done;
     if cal.fresh_n > 0 then file_stalled cal en;
     if !any_finish then Engine.resolve_pending en;
     (* 3. wake resolved rendezvous back into their pipelines *)
     Engine.resume_ready en;
-    let n_resumed = Engine.resumed_count en in
-    place_resumed ~now ~scan;
+    let n_resumed = v.Engine.resumed in
+    if n_resumed > 0 then place_resumed ~now ~scan;
     (* 4. advance time: fast-forward to the next ready timestamp when
        everything in flight is waiting out latency (the event wheel); a
        stalled slot is tested again next cycle *)
-    let can_issue = Engine.pending_count en > 0 && cal.full < n_pipes in
+    let can_issue = v.Engine.pending > 0 && cal.full < n_pipes in
     let next =
       if can_issue || n_resumed > 0 || cal.live = 0 || cal.stalled > 0 then now + 1
       else imax (now + 1) (next_due cal ~now)
@@ -853,7 +892,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
        set.  The skipped cycles charge every occupied pipeline a memory
        stall and the rest that set-wide class. *)
     let dt = next - now in
-    let pending_now = Engine.pending_count en in
+    let pending_now = v.Engine.pending in
     for k = 0 to !n_stepped - 1 do
       let p = pipes.(stepped.(k)) in
       busy_n.(p.set) <- busy_n.(p.set) + 1;
@@ -864,7 +903,7 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     for set = 0 to n_sets - 1 do
       let occ = cal.occ.(set) and busy = busy_n.(set) in
       let mem = occ - busy_occ.(set) in
-      let parked = Engine.waiting_in_set en set > 0 in
+      let parked = v.Engine.parked_in.(set) > 0 in
       let rest =
         if parked then b_rdv
         else if pending_now > 0 && pops_left.(set) = 0 then b_queue
@@ -891,24 +930,24 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     Vec.clear sq_set;
     Vec.clear sq_ops;
     (* deadlock detection *)
-    if (not can_issue) && cal.live = 0 && n_resumed = 0 && Engine.uncommitted_remaining en then begin
+    if (not can_issue) && cal.live = 0 && n_resumed = 0 && remaining v then begin
       Engine.resolve_pending en;
       Engine.resume_ready en;
-      if Engine.resumed_count en = 0 then begin
+      if v.Engine.resumed = 0 then begin
         if Engine.deadlocked en then
           raise
             (Engine.Deadlock
                (Printf.sprintf
                   "Accelerator.run: deadlock in rule resolution at cycle %d: %d parked tasks, \
                    minimum waiting index %s"
-                  now (Engine.waiting_count en)
+                  now v.Engine.parked
                   (Agp_core.Index.to_string (Engine.task_index en (Engine.waiting_min en)))))
       end
       else place_resumed ~now ~scan
     end;
     if checked then begin
       Engine.check_invariants en;
-      check_calendar cal en pipes ~now
+      check_calendar cal en scratch pipes ~now
     end;
     begin
       match timeline with

@@ -231,6 +231,124 @@ let test_pinned_fingerprints () =
     seeds;
   check Alcotest.int "every pinned row checked" (List.length table) !checked
 
+(* --- event gating: the core builds an activation or a min_changed
+   event (payload copy, delivery) only when a rule listens to its kind
+   or the program has counted rules, and counts it in [events_fired]
+   either way.  These are the specs where it must not skip: a rule that
+   listens to activations, COOR-BFS's [level_release] (min_changed) and
+   COOR-LU's counted [deps_ready]. *)
+
+module Opcode = Agp_core.Opcode
+
+(* a parent allocates [see 7] and pushes workers 3 and 7 before it
+   awaits: worker 7's activation resolves the rule true (cell 0 := 1);
+   a skipped activation would leave it to [otherwise] (cell 0 := 2) *)
+let activation_spec : Spec.t =
+  let open Spec in
+  {
+    spec_name = "activation-listener";
+    task_sets =
+      [
+        {
+          ts_name = "parent";
+          ts_order = For_each;
+          arity = 0;
+          body =
+            [
+              Alloc ("h", "see", [ int 7 ]);
+              Push ("worker", [ int 3 ]);
+              Push ("worker", [ int 7 ]);
+              Await ("ok", "h");
+              If (Var "ok", [ Store ("cell", int 0, int 1) ], [ Store ("cell", int 0, int 2) ]);
+            ];
+        };
+        {
+          ts_name = "worker";
+          ts_order = For_each;
+          arity = 1;
+          body = [ Store ("cell", int 1, Param 0) ];
+        };
+      ];
+    rules =
+      [
+        {
+          rule_name = "see";
+          n_params = 1;
+          clauses =
+            [
+              {
+                on = On_activated "worker";
+                condition = CBinop (Eq, CField 0, CParam 0);
+                action = Return_bool true;
+              };
+            ];
+          otherwise = false;
+          scope = Min_uncommitted;
+          counted = false;
+        };
+      ];
+  }
+
+let heard prog ~kind ~set =
+  Array.length prog.Opcode.listeners.(Opcode.listener_slot prog ~kind ~set ~label:(-1)) > 0
+
+(* the ev= and cls= fields of a fingerprint *)
+let ev_cls fp =
+  String.split_on_char ' ' fp
+  |> List.filter (fun f -> String.starts_with ~prefix:"ev=" f || String.starts_with ~prefix:"cls=" f)
+  |> String.concat " "
+
+let test_event_gating_keeps_heard_events () =
+  let prog = Opcode.compile activation_spec in
+  check Alcotest.bool "worker activations are heard" true (heard prog ~kind:0 ~set:1);
+  let initial = [ ("parent", []) ] in
+  (* [events]: activations plus min_changed broadcasts, which depend on
+     the schedule *)
+  let expect name ~events (s : Engine.stats) cell =
+    check Alcotest.int (name ^ ": resolved by the activation") 1 cell.(0);
+    check Alcotest.(list int)
+      (name ^ ": activated, events, clause resolutions, otherwise")
+      [ 3; events; 1; 0 ]
+      [
+        s.Engine.activated;
+        s.Engine.events_fired;
+        s.Engine.clause_resolutions;
+        s.Engine.otherwise_fired;
+      ]
+  in
+  List.iter
+    (fun (interp, events) ->
+      let st = State.create () in
+      State.add_int_array st "cell" [| 0; 0 |];
+      let r = Semantics.run ~initial interp activation_spec Spec.no_bindings st in
+      expect interp.Semantics.descr ~events r.Semantics.stats (State.int_array st "cell"))
+    [ (Semantics.oracle (), 5); (Semantics.pipelined (), 4) ];
+  let st = State.create () in
+  State.add_int_array st "cell" [| 0; 0 |];
+  let r =
+    Accelerator.run ~spec:activation_spec ~bindings:Spec.no_bindings ~state:st ~initial ()
+  in
+  expect "simulator" ~events:4 r.Accelerator.engine_stats (State.int_array st "cell");
+  (* the apps whose events must be built: pinned counts, runtime and
+     simulator *)
+  let table = pinned () in
+  List.iter
+    (fun (app : App_instance.t) ->
+      let name = app.App_instance.app_name in
+      let prog = Opcode.compile app.App_instance.spec in
+      if name = "COOR-BFS" then
+        check Alcotest.bool "COOR-BFS hears min_changed" true (heard prog ~kind:2 ~set:0);
+      if name = "COOR-LU" then check Alcotest.bool "COOR-LU has counted rules" true prog.Opcode.has_counted;
+      if name = "COOR-BFS" || name = "COOR-LU" then
+        List.iter
+          (fun (b : Backend.t) ->
+            let want = List.assoc (name, 42, b.Backend.name) table in
+            let res = Backend.run b app in
+            check Alcotest.string (name ^ " on " ^ b.Backend.name) (ev_cls want)
+              (ev_cls (fingerprint res)))
+          [ Backend.runtime (); Backend.simulator () ])
+    (Workloads.all Workloads.Small ~seed:42)
+
 (* --- pinned event streams: the fingerprints pin what the simulator
    counted, not the order it did things in.  Each row of
    golden/event-digests.txt is the MD5 of a run's full sink stream
@@ -1252,6 +1370,8 @@ let () =
             test_simulator_liveness_typed;
           Alcotest.test_case "engine invariants hold through every app" `Quick
             test_engine_invariants_hold;
+          Alcotest.test_case "event gating keeps heard events" `Quick
+            test_event_gating_keeps_heard_events;
         ] );
       ( "borrowing",
         [

@@ -623,7 +623,7 @@ let test_for_all_head_not_minimum () =
   List.iter (fun tk -> ignore (Engine.step eng tk)) [ a1; a0; a1; a0 ];
   let idx tk = Array.to_list (Index.to_array (Engine.task_index eng tk)) in
   let ints = Alcotest.(list int) in
-  check Alcotest.int "both children queued" 2 (Engine.pending_in_set eng 1);
+  check Alcotest.int "both children queued" 2 (Engine.view eng).Engine.pending_in.(1);
   check ints "minimum uncommitted is the smaller child" [ 0; 0 ]
     (idx (Engine.min_uncommitted eng));
   check ints "the head is the larger child" [ 1; 0 ] (idx (Engine.min_pending_head eng));
@@ -1027,7 +1027,7 @@ let kd_engine c =
   | () ->
       Engine.resume_ready eng;
       let got =
-        List.init (Engine.resumed_count eng) (fun i ->
+        List.init (Engine.view eng).Engine.resumed (fun i ->
             let tk = Engine.resumed_get eng i in
             ( (Index.to_array (Engine.task_index eng tk)).(0),
               Engine.task_var eng tk "v" = Some (Value.Bool true) ))

@@ -352,6 +352,25 @@ let prop_mst_weight_leq_any_tree =
         (Csr.undirected_edges g);
       mst.Mst.weight <= !w)
 
+(* the int comparator orders edges as polymorphic [compare] on
+   (weight, src, dst) did, over graphs with repeated weights and
+   self-loops *)
+let prop_mst_sorted_edges_order =
+  QCheck.Test.make ~name:"sorted_edges is the (weight, src, dst) order" ~count:30
+    QCheck.(int_range 0 500)
+    (fun seed ->
+      let rng = Agp_util.Rng.create seed in
+      let n = 20 in
+      let edges =
+        List.init 60 (fun _ ->
+            (Agp_util.Rng.int rng n, Agp_util.Rng.int rng n, 1 + Agp_util.Rng.int rng 4))
+      in
+      let g = Csr.of_edges ~n edges in
+      let want = Array.of_list (Csr.undirected_edges g) in
+      Array.sort (fun (u1, v1, w1) (u2, v2, w2) -> compare (w1, u1, v1) (w2, u2, v2)) want;
+      let got = Mst.sorted_edges g in
+      got = want && Mst.kruskal_sorted g got = Mst.kruskal g)
+
 let () =
   Alcotest.run "agp_graph"
     [
@@ -403,5 +422,6 @@ let () =
           Alcotest.test_case "check rejects cycle" `Quick test_mst_check_rejects_cycle;
           Alcotest.test_case "disconnected forest" `Quick test_mst_disconnected;
           qtest prop_mst_weight_leq_any_tree;
+          qtest prop_mst_sorted_edges_order;
         ] );
     ]
