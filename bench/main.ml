@@ -187,9 +187,9 @@ let fig10 () =
   register "fig10/memory-burst-64-lines" (fun () ->
       let mem = Agp_hw.Memory.create Agp_hw.Config.default in
       ignore
-        (Agp_hw.Memory.access_burst mem ~now:0
-           ~addrs:(List.init 64 (fun i -> (i * 4096, false)))
-           ~dependent:false))
+        (Agp_hw.Memory.access_burst mem ~now:0 ~n:64
+           ~addr:(fun i -> i * 4096)
+           ~is_write:(fun _ -> false)))
 
 (* --- §6.2 resources --- *)
 

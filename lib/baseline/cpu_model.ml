@@ -1,6 +1,7 @@
 module State = Agp_core.State
 module Engine = Agp_core.Engine
 module Semantics = Agp_core.Semantics
+module Spec = Agp_core.Spec
 module App_instance = Agp_apps.App_instance
 
 type params = {
@@ -39,7 +40,6 @@ type report = {
   seconds_10core : float;
   tasks : int;
   ops : int;
-  mem_ops : int;
   accesses : int;
   l1_hit_rate : float;
   parallel_steps : int;
@@ -69,33 +69,18 @@ let replay_access p c addr =
     end
   end
 
-(* The timing model is an effect-hook interpretation of the shared
-   stepper: it watches the operation stream through {!Semantics.hooks}
-   (here counting memory operations retired) while the address trace
-   for cache replay comes from {!State} tracing — addresses are a
-   state-layer concern, not a scheduling one. *)
-let mem_counting_hooks counter =
-  {
-    Semantics.on_event =
-      (fun ~tick:_ ~worker:_ _ ev ->
-        match ev with
-        | Semantics.Executed (Agp_core.Spec.Load _ | Agp_core.Spec.Store _) -> incr counter
-        | _ -> ());
-  }
-
+(* The 1-core time is a timing shell on the ECA core, as the simulator
+   is: the oracle interpretation drives the engine, and a hook replays
+   each access as its op retires, a load or store from the engine's
+   view, a prim's from the state's access stream. *)
 let run ?(params = default_params) (app : App_instance.t) =
   let p = params in
   (* --- sequential profiled run: the oracle interpretation --- *)
   let seq = app.App_instance.fresh () in
-  State.set_tracing seq.App_instance.state true;
-  let mem_ops = ref 0 in
-  let seq_report =
-    Semantics.run ~initial:seq.App_instance.initial
-      (Semantics.with_hooks (Semantics.oracle ()) (mem_counting_hooks mem_ops))
-      app.App_instance.spec seq.App_instance.bindings seq.App_instance.state
-  in
-  let trace = State.drain_trace seq.App_instance.state in
-  State.set_tracing seq.App_instance.state false;
+  let st = seq.App_instance.state in
+  let en = Engine.create app.App_instance.spec seq.App_instance.bindings st in
+  List.iter (fun (set, payload) -> Engine.push_initial en set payload) seq.App_instance.initial;
+  let v = Engine.view en and bases = Engine.array_bases en in
   let c =
     {
       l1_hits = 0;
@@ -105,11 +90,26 @@ let run ?(params = default_params) (app : App_instance.t) =
       llc = Array.make (p.llc_bytes / 64) (-1);
     }
   in
-  List.iter
-    (fun a ->
-      replay_access p c (State.address_of seq.App_instance.state a.State.array_name a.State.index))
-    trace;
-  let accesses = List.length trace in
+  let hooks =
+    {
+      Semantics.on_event =
+        (fun ~tick:_ ~worker:_ _ ev ->
+          match ev with
+          | Semantics.Executed (Spec.Load _ | Spec.Store _) ->
+              replay_access p c (bases.(v.Engine.touched_arr) + (8 * v.Engine.touched_idx))
+          | Semantics.Executed (Spec.Prim _) ->
+              for i = 0 to State.trace_length st - 1 do
+                replay_access p c (State.trace_addr st i)
+              done;
+              State.clear_trace st
+          | _ -> ());
+    }
+  in
+  let seq_report =
+    State.with_tracing st (fun () ->
+        Semantics.run_engine (Semantics.with_hooks (Semantics.oracle ()) hooks) en)
+  in
+  let accesses = c.l1_hits + c.llc_hits + c.dram in
   let stats = seq_report.Semantics.stats in
   let ops = stats.Engine.ops_executed in
   let tasks = stats.Engine.committed + stats.Engine.aborted + stats.Engine.retried in
@@ -171,7 +171,6 @@ let run ?(params = default_params) (app : App_instance.t) =
     seconds_10core;
     tasks;
     ops;
-    mem_ops = !mem_ops;
     accesses;
     l1_hit_rate =
       (if accesses = 0 then 1.0 else float_of_int c.l1_hits /. float_of_int accesses);

@@ -1,9 +1,13 @@
-(** Trace-driven timing model of the software baselines (§6.3): the
+(** Timing model of the software baselines (§6.3): the
     aggressively-parallelized reference implementations on an Intel
     Xeon E5-2680 v2 (10 cores, 2.8 GHz, ~60 GB/s DRAM).
 
-    The sequential (1-core) time replays the sequential oracle's
-    operation and memory-access profile through a CPU cache hierarchy;
+    The sequential (1-core) time is a timing shell on the ECA core, as
+    the cycle simulator is: the oracle interpretation drives the engine
+    ({!Agp_core.Semantics.run_engine}) and a hook replays each access
+    through a CPU cache hierarchy as its op retires — a load or store
+    from the engine's view, a prim's accesses from the state's access
+    stream ({!Agp_core.State.touch}).  No trace is held;
     the 10-core time uses the aggressive software runtime's measured
     makespan (scheduler ticks with 10 workers) — the same semantics the
     FPGA runs — plus per-task runtime overheads typical of software
@@ -39,11 +43,10 @@ type report = {
   seconds_10core : float;
   tasks : int;
   ops : int;
-  mem_ops : int;
-      (** loads + stores retired on the profiled sequential run,
-          counted through {!Agp_core.Semantics.hooks} — the model is an
-          effect-hook interpretation of the shared stepper *)
   accesses : int;
+      (** memory accesses of the profiled sequential run replayed
+          through the cache hierarchy: its loads and stores, and the
+          accesses its prim kernels reported *)
   l1_hit_rate : float;
   parallel_steps : int;  (** 10-worker makespan in scheduler ticks *)
 }

@@ -1571,9 +1571,8 @@ let push_child en tk fm set (args : slot array) =
   enqueue en child ~front:false
 
 (* The closure that executes [op] and returns its latency class.  Loads
-   and stores go straight to the state arrays; while the state is
-   tracing they also record the access ([State.touch]), a test of its
-   [tracing] field inline. *)
+   and stores go straight to the state arrays and leave what they
+   touched in the view. *)
 let compile_op en (op : Opcode.inst) : task -> int -> int =
   let names = en.prog.Opcode.array_names in
   match op with
@@ -1586,13 +1585,12 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
         set_pc en fm next;
         lc_unit
   | Opcode.I_load { dst; arr; addr; next } -> (
-      let addr = int_expr en addr and name = names.(arr) in
-      match resolve_array en.st name with
+      let addr = int_expr en addr in
+      match resolve_array en.st names.(arr) with
       | A_int a ->
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
-            if en.st.State.tracing then State.touch en.st name i false;
             if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
             let q = (fm * en.nr) + dst in
             en.fr_i.(q) <- a.(i);
@@ -1605,7 +1603,6 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
-            if en.st.State.tracing then State.touch en.st name i false;
             begin
               match data with
               | A_float a ->
@@ -1621,14 +1618,13 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
             lc_load)
   | Opcode.I_store { arr; addr; v; next } -> (
       (* the value goes to stack slot 0, where the error path reads it *)
-      let addr = int_expr en addr and v = slot_expr en v and name = names.(arr) in
-      match resolve_array en.st name with
+      let addr = int_expr en addr and v = slot_expr en v in
+      match resolve_array en.st names.(arr) with
       | A_int a ->
           fun tk fm ->
             count_op en;
             let i = addr tk fm in
             v tk fm en.st_i en.st_f en.st_tg 0;
-            if en.st.State.tracing then State.touch en.st name i true;
             let tg = en.st_tg.(0) in
             if tg <> tg_int then store_type_err en arr tg;
             if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
@@ -1642,7 +1638,6 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
             count_op en;
             let i = addr tk fm in
             v tk fm en.st_i en.st_f en.st_tg 0;
-            if en.st.State.tracing then State.touch en.st name i true;
             let tg = en.st_tg.(0) in
             begin
               match data with
@@ -2048,6 +2043,11 @@ let program en = en.prog
 let stats en = en.stats
 
 let view en = en.v
+
+let array_bases en =
+  Array.map
+    (fun name -> if State.has_array en.st name then State.base en.st name else 0)
+    en.prog.Opcode.array_names
 
 let waiting_min en = if en.v.parked = 0 then nil_task else en.wh.(0)
 

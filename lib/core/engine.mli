@@ -105,6 +105,13 @@ val view : t -> view
 (** The engine's view; the same record for the engine's whole life, so
     a shell fetches it once. *)
 
+val array_bases : t -> int array
+(** Per array of the program (indexed like [(program t).array_names],
+    so by a view's [touched_arr] after a load or store): its first byte
+    in the state's layout ({!State.base}), 0 for an array the state
+    lacks.  A timing shell's address of a load or store is
+    [bases.(touched_arr) + 8 * touched_idx]. *)
+
 val create : Spec.t -> Spec.bindings -> State.t -> t
 (** Compile the specification ({!Opcode.compile}), bind its state
     arrays, prims and counted-rule expectations, and compile each pc
@@ -178,8 +185,9 @@ val lc_push_iter : int
 
 val lc_prim : int
 (** a prim kernel; [touched_arr] is its index into
-    [(program t).prim_names].  Its memory accesses are in the state's
-    access trace when tracing was on during the step. *)
+    [(program t).prim_names].  The accesses its kernel reported
+    ({!State.touch}) are at the end of the state's access stream when
+    tracing was on during the step. *)
 
 val lc_blocked : int
 (** the task parked at a rendezvous *)
@@ -196,8 +204,9 @@ val outcome_of_class : int -> outcome
 val step : t -> task -> int
 (** Execute exactly one operation of a running task and return its
     latency class.  All events, pushes and rule transitions implied by
-    the operation happen inside.  Loads and stores also record into the
-    state's access trace while it is tracing.
+    the operation happen inside.  A load or store leaves what it touched
+    in the view and records nothing; only a prim's kernel writes the
+    state's access stream.
 
     A step is one call of the closure {!create} compiled for the task's
     pc.  Each closure has the op's operands, state array and

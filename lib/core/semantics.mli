@@ -13,7 +13,8 @@
 
     Adding a substrate means building a record, not writing a loop: the
     tracer is [pipelined] plus recording hooks, the CPU timing model is
-    [oracle]/[pipelined] plus counting hooks, and a test-only
+    [oracle] plus a hook replaying each retired access through its cache
+    (then [pipelined] for its makespan), and a test-only
     interpretation is a few lines (see the conformance suite). *)
 
 (** Typed liveness failures, raised by {!Engine} itself.  These are the

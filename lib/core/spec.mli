@@ -173,7 +173,7 @@ val find_rule : t -> string -> rule
 val may_write : t -> string -> bool
 (** [may_write t name]: whether a run of [t] can write the state array
     [name] — some [Store] names it, or [t] has a [Prim] anywhere, since
-    a prim can write any array through {!State.write}.  When it is
+    a prim can write any array through {!State.int_array}.  When it is
     false a run only reads the array. *)
 
 (** {1 Execution-time bindings} *)

@@ -4,52 +4,56 @@ type data =
   | Ints of int array
   | Floats of float array
 
-type access = {
-  array_name : string;
-  index : int;
-  is_write : bool;
+type entry = {
+  data : data;
+  base : int; (* byte address of element 0 *)
 }
 
 type t = {
-  arrays : (string, data) Hashtbl.t;
+  arrays : (string, entry) Hashtbl.t;
   order : string Vec.t; (* registration order, for layout and diffing *)
+  mutable bytes : int; (* laid out so far: the next array's base *)
   mutable tracing : bool;
-  trace : access Vec.t;
+  trace : int Vec.t; (* the access stream: [(addr lsl 1) lor write_bit] each *)
 }
 
 let create () =
-  { arrays = Hashtbl.create 16; order = Vec.create (); tracing = false; trace = Vec.create () }
+  { arrays = Hashtbl.create 16; order = Vec.create (); bytes = 0; tracing = false;
+    trace = Vec.create () }
 
-let add t name data =
+(* arrays occupy consecutive 8-byte-per-element ranges in registration
+   order *)
+let add t name data len =
   if Hashtbl.mem t.arrays name then invalid_arg ("State: duplicate array " ^ name);
-  Hashtbl.add t.arrays name data;
+  Hashtbl.add t.arrays name { data; base = t.bytes };
+  t.bytes <- t.bytes + (8 * len);
   Vec.push t.order name
 
-let add_int_array t name a = add t name (Ints a)
+let add_int_array t name a = add t name (Ints a) (Array.length a)
 
-let add_float_array t name a = add t name (Floats a)
+let add_float_array t name a = add t name (Floats a) (Array.length a)
 
 let has_array t name = Hashtbl.mem t.arrays name
 
-let find t name =
-  match Hashtbl.find_opt t.arrays name with
-  | Some d -> d
-  | None -> invalid_arg ("State: unknown array " ^ name)
+let entry t name =
+  match Hashtbl.find t.arrays name with
+  | e -> e
+  | exception Not_found -> invalid_arg ("State: unknown array " ^ name)
+
+let find t name = (entry t name).data
+
+let base t name = (entry t name).base
 
 let array_length t name =
   match find t name with
   | Ints a -> Array.length a
   | Floats a -> Array.length a
 
-let record t name index is_write =
-  if t.tracing then Vec.push t.trace { array_name = name; index; is_write }
-
 let check_bounds name len index =
   if index < 0 || index >= len then
     invalid_arg (Printf.sprintf "State: %s[%d] out of bounds (length %d)" name index len)
 
 let read t name index =
-  record t name index false;
   match find t name with
   | Ints a ->
       check_bounds name (Array.length a) index;
@@ -59,7 +63,6 @@ let read t name index =
       Value.Float a.(index)
 
 let write t name index v =
-  record t name index true;
   match (find t name, v) with
   | Ints a, Value.Int n ->
       check_bounds name (Array.length a) index;
@@ -74,7 +77,9 @@ let write t name index v =
       invalid_arg
         (Printf.sprintf "State: type mismatch writing %s to %s" (Value.to_string v) name)
 
-let touch t name index is_write = record t name index is_write
+let touch t name index is_write =
+  if t.tracing then
+    Vec.push t.trace ((((entry t name).base + (8 * index)) lsl 1) lor if is_write then 1 else 0)
 
 let int_array t name =
   match find t name with
@@ -86,28 +91,22 @@ let float_array t name =
   | Floats a -> a
   | Ints _ -> invalid_arg ("State: " ^ name ^ " is not a float array")
 
-let set_tracing t b = t.tracing <- b
+let trace_length t = Vec.length t.trace
 
-let drain_trace t =
-  let out = Vec.to_list t.trace in
-  Vec.clear t.trace;
-  out
+let trace_addr t i = Vec.get t.trace i asr 1
 
-let address_of t name index =
-  (* Arrays occupy consecutive 8-byte-per-element ranges in
-     registration order. *)
-  let base = ref 0 in
-  let found = ref None in
-  Vec.iter
-    (fun n ->
-      if !found = None then begin
-        if n = name then found := Some !base
-        else base := !base + (8 * array_length t n)
-      end)
-    t.order;
-  match !found with
-  | Some b -> b + (8 * index)
-  | None -> invalid_arg ("State.address_of: unknown array " ^ name)
+let trace_is_write t i = Vec.get t.trace i land 1 = 1
+
+let clear_trace t = Vec.clear t.trace
+
+let with_tracing t f =
+  let was = t.tracing in
+  t.tracing <- true;
+  Fun.protect
+    ~finally:(fun () ->
+      t.tracing <- was;
+      clear_trace t)
+    f
 
 let snapshot t =
   let s = create () in

@@ -1,33 +1,20 @@
-(** Program state Σ: named memory arrays plus an optional access trace.
+(** Program state Σ: named memory arrays plus the access stream of prim
+    kernels.
 
     Both software runtimes and the hardware simulator execute task
-    bodies against this structure; the simulator additionally drains the
-    access trace to charge loads/stores through the modelled cache and
-    QPI link.  Addresses are (array, element-index) pairs; the
-    {!address_of} map gives each array a disjoint byte range so traces
-    can be replayed against a flat cache model. *)
+    bodies against this structure.  Arrays are laid out at consecutive
+    byte ranges in registration order, 8 bytes per element, so a timing
+    shell can replay accesses against a flat cache model: {!base} gives
+    an array's first byte.  A compiled load or store reports what it
+    touched through [Engine.view]; a prim kernel, whose accesses the
+    engine cannot see, reports them through {!touch}, which while the
+    state is tracing appends the byte address and a write bit to one
+    flat int stream. *)
 
 type data
 (** An array's contents, int or float. *)
 
-type access = {
-  array_name : string;
-  index : int;
-  is_write : bool;
-}
-
-type t = private {
-  arrays : (string, data) Hashtbl.t;
-  order : string Agp_util.Vec.t;  (** registration order, for layout and diffing *)
-  mutable tracing : bool;
-      (** Whether loads, stores and {!touch} record into [trace].
-          Exposed so a hot path can test it inline (a field read, where a
-          call across modules does not inline under dune's dev profile)
-          before calling {!touch}; set it with {!set_tracing}. *)
-  trace : access Agp_util.Vec.t;
-}
-(** Read the fields, never write through them: [arrays], [order] and
-    [trace] belong to this module. *)
+type t
 
 val create : unit -> t
 
@@ -42,36 +29,52 @@ val has_array : t -> string -> bool
 
 val array_length : t -> string -> int
 
+val base : t -> string -> int
+(** Byte address of the array's element 0.
+    @raise Invalid_argument on an unknown name. *)
+
 val read : t -> string -> int -> Value.t
-(** Traced bounds-checked load. *)
+(** Bounds-checked load; records nothing. *)
 
 val write : t -> string -> int -> Value.t -> unit
-(** Traced bounds-checked store; value kind must match the array. *)
+(** Bounds-checked store, value kind must match the array; records
+    nothing. *)
 
 val touch : t -> string -> int -> bool -> unit
-(** Record a synthetic access (used by [Prim] implementations whose data
-    structures live outside Σ, e.g. the DMR mesh) without moving data. *)
+(** [touch t name index is_write] appends the access to element [index]
+    of [name] to the stream while [t] is tracing, and does nothing
+    otherwise.  Prim implementations call it for the accesses their
+    kernel makes, including ones to data structures that live outside
+    Σ (e.g. the DMR mesh), without moving data.  Allocates only when the
+    stream's buffer doubles.
+    @raise Invalid_argument on an unknown name while tracing. *)
 
 val int_array : t -> string -> int array
-(** Direct handle for result extraction (untraced). *)
+(** Direct handle for result extraction and prim kernels (unrecorded). *)
 
 val float_array : t -> string -> float array
 
-val set_tracing : t -> bool -> unit
-(** Tracing starts disabled. *)
+val with_tracing : t -> (unit -> 'a) -> 'a
+(** [with_tracing t f] runs [f] with tracing on; on every exit, an
+    exception included, it restores the previous setting and clears the
+    stream.  Tracing starts off. *)
 
-val drain_trace : t -> access list
-(** Return and clear accumulated accesses (oldest first). *)
+(** {1 The access stream}, oldest first, indexed from 0 *)
 
-val address_of : t -> string -> int -> int
-(** Flat byte address of an element: arrays are laid out consecutively
-    in registration order, 8 bytes per element. *)
+val trace_length : t -> int
+
+val trace_addr : t -> int -> int
+(** The byte address of access [i], for [i] below {!trace_length}. *)
+
+val trace_is_write : t -> int -> bool
+
+val clear_trace : t -> unit
 
 val snapshot : t -> t
-(** Deep copy (trace not copied, tracing off). *)
+(** Deep copy (stream not copied, tracing off). *)
 
 val equal_content : t -> t -> bool
-(** Same arrays with same contents (trace ignored). *)
+(** Same arrays with same contents (stream ignored). *)
 
 val diff : t -> t -> string list
 (** Human-readable differences, for test failure messages. *)

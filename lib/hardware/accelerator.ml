@@ -500,7 +500,7 @@ let b_squash = 4
 
 let b_idle = 5
 
-let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?timeline ~spec
+let simulate ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?timeline ~spec
     ~bindings ~state ~initial () =
   let cfg =
     if config.Config.pipelines = [] && auto_size then
@@ -509,28 +509,13 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
   in
   let wall_start = Unix.gettimeofday () in
   let graph = Bdfg.of_spec spec in
-  (* the shell turns state tracing on only around prim steps, to
-     collect the accesses a prim kernel makes *)
-  State.set_tracing state false;
   let en = Engine.create spec bindings state in
   let v = Engine.view en in
   let prog = Engine.program en in
   let n_sets = prog.Opcode.n_sets in
   let mem = Memory.create ~sink cfg in
-  let arr_base =
-    Array.map
-      (fun name -> if State.has_array state name then State.address_of state name 0 else 0)
-      prog.Opcode.array_names
-  in
-  let base_memo = Hashtbl.create 16 in
-  let base_of name =
-    match Hashtbl.find_opt base_memo name with
-    | Some b -> b
-    | None ->
-        let b = State.address_of state name 0 in
-        Hashtbl.add base_memo name b;
-        b
-  in
+  let arr_base = Engine.array_bases en in
+  let trace_addr i = State.trace_addr state i and trace_write i = State.trace_is_write state i in
   let prim_lat =
     Array.map
       (fun name -> Option.value ~default:4 (List.assoc_opt name cfg.Config.prim_latency))
@@ -654,31 +639,21 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     end
     else if rc = Engine.lc_push_iter then imax 1 v.Engine.touched_idx
     else begin
-      (* the prim's traced accesses, issued as one independent burst *)
-      let addrs =
-        List.map
-          (fun a -> (base_of a.State.array_name + (8 * a.State.index), a.State.is_write))
-          (State.drain_trace state)
+      (* the accesses the prim's kernel reported, issued as one burst *)
+      let completion =
+        Memory.access_burst mem ~now ~n:(State.trace_length state) ~addr:trace_addr
+          ~is_write:trace_write
       in
-      let completion = Memory.access_burst mem ~now ~addrs ~dependent:false in
+      State.clear_trace state;
       imax prim_lat.(v.Engine.touched_arr) (completion - now)
     end
   in
   let any_finish = ref false in
-  (* execute one op of task [f], in flight in slot [s] of pipeline [p];
-     a prim's accesses are traced *)
-  let exec_slot p s f ~prim ~now =
+  (* execute one op of task [f], in flight in slot [s] of pipeline [p] *)
+  let exec_slot p s f ~now =
     if checked then Engine.check_step en f;
     let tid = if instrumented then Engine.task_tid en f else 0 in
-    let rc =
-      if prim then begin
-        State.set_tracing state true;
-        let rc = Engine.step en f in
-        State.set_tracing state false;
-        rc
-      end
-      else Engine.step en f
-    in
+    let rc = Engine.step en f in
     incr active_op_cycles;
     if not p.stepped then begin
       p.stepped <- true;
@@ -717,19 +692,17 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
       any_finish := true
     end
   in
-  let has_prim = Array.length prog.Opcode.prim_names > 0 in
   (* execute one op of the task in slot [s] of pipeline [p], or stall it
      at the rule-engine allocator.  The op at its pc matters only when
-     the lanes are full (an [Alloc] may stall) or to trace a prim, so it
-     is looked up only then. *)
+     the lanes are full (an [Alloc] may stall), so it is looked up only
+     then. *)
   let step_slot p s ~now =
     let f = cal.sl_task.(s) in
-    if v.Engine.live < lanes && not has_prim then exec_slot p s f ~prim:false ~now
+    if v.Engine.live < lanes then exec_slot p s f ~now
     else
       match prog.Opcode.code.(Engine.task_pc en f) with
       | Opcode.I_alloc _ when must_stall_alloc f -> stall cal s
-      | Opcode.I_prim _ -> exec_slot p s f ~prim:true ~now
-      | _ -> exec_slot p s f ~prim:false ~now
+      | _ -> exec_slot p s f ~now
   in
   let stall_rechecks = ref 0 in
   (* whether [must_stall_alloc] surely holds for every stalled slot of
@@ -1020,6 +993,12 @@ let run ?(config = Config.default) ?(auto_size = true) ?(sink = Sink.null) ?time
     attribution = attr;
     stall_rechecks = !stall_rechecks;
   }
+
+(* only prim kernels write the access stream, so it is on for the
+   whole run *)
+let run ?config ?auto_size ?sink ?timeline ~spec ~bindings ~state ~initial () =
+  State.with_tracing state (fun () ->
+      simulate ?config ?auto_size ?sink ?timeline ~spec ~bindings ~state ~initial ())
 
 let config_json (cfg : Config.t) =
   [

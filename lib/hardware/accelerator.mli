@@ -72,7 +72,10 @@ val run :
     threaded into the internal {!Memory}.  [timeline] (default absent)
     receives interval samples of utilization / occupancy / cache / link
     activity; the sampler only reads counters, so a sampled run's
-    report is identical to an unsampled one.
+    report is identical to an unsampled one.  The state traces for the
+    whole run, so each prim's reported accesses ({!Agp_core.State.touch})
+    become its burst; on every exit, a raise included, tracing returns
+    to its previous setting and the stream is empty.
     @raise Agp_core.Engine.Deadlock when tasks stay parked with nothing
     left to run or wake.
     @raise Agp_core.Engine.Step_limit_exceeded when the run passes

@@ -65,33 +65,21 @@ let access t ~now ~addr ~is_write =
     completion
   end
 
-let access_burst t ~now ~addrs ~dependent =
-  match addrs with
-  | [] -> now
-  | addrs ->
-      if dependent then
-        List.fold_left (fun when_ (addr, is_write) -> access t ~now:when_ ~addr ~is_write) now addrs
-      else begin
-        (* issue mlp at a time; each wave starts when the previous wave
-           completes *)
-        let mlp = max 1 t.cfg.Config.mlp in
-        let rec waves now = function
-          | [] -> now
-          | rest ->
-              let rec take k acc = function
-                | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-                | tl -> (List.rev acc, tl)
-              in
-              let wave, tl = take mlp [] rest in
-              let completion =
-                List.fold_left
-                  (fun worst (addr, is_write) -> max worst (access t ~now ~addr ~is_write))
-                  now wave
-              in
-              waves completion tl
-        in
-        waves now addrs
-      end
+(* issue mlp at a time; each wave starts when the previous wave
+   completes *)
+let access_burst t ~now ~n ~addr ~is_write =
+  let mlp = max 1 t.cfg.Config.mlp in
+  let start = ref now and i = ref 0 in
+  while !i < n do
+    let wave_end = min n (!i + mlp) and worst = ref !start in
+    for k = !i to wave_end - 1 do
+      let c = access t ~now:!start ~addr:(addr k) ~is_write:(is_write k) in
+      if c > !worst then worst := c
+    done;
+    start := !worst;
+    i := wave_end
+  done;
+  !start
 
 let stats t = t.st
 

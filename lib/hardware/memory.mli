@@ -26,10 +26,11 @@ val create : ?sink:Agp_obs.Sink.t -> Config.t -> t
 val access : t -> now:int -> addr:int -> is_write:bool -> int
 (** Completion cycle of a single request issued at [now]. *)
 
-val access_burst : t -> now:int -> addrs:(int * bool) list -> dependent:bool -> int
-(** Completion of a multi-access kernel burst.  [dependent] chains the
-    requests (pointer chase); otherwise they issue [Config.mlp] at a
-    time. *)
+val access_burst :
+  t -> now:int -> n:int -> addr:(int -> int) -> is_write:(int -> bool) -> int
+(** Completion of a kernel's burst of [n] requests, the [k]-th at
+    [addr k]: they issue in order, [Config.mlp] at a time, each wave
+    when the previous one completes. *)
 
 val stats : t -> stats
 

@@ -110,27 +110,61 @@ let test_state_rw () =
   Alcotest.check_raises "oob" (Invalid_argument "State: a[5] out of bounds (length 3)")
     (fun () -> ignore (State.read st "a" 5))
 
+(* [touch] records byte addresses and write bits in order while
+   tracing; [read]/[write] record nothing *)
 let test_state_trace () =
   let st = State.create () in
   State.add_int_array st "a" [| 0; 0 |];
-  ignore (State.read st "a" 0);
-  check Alcotest.int "no trace until enabled" 0 (List.length (State.drain_trace st));
-  State.set_tracing st true;
-  ignore (State.read st "a" 1);
-  State.write st "a" 0 (Value.Int 1);
-  State.touch st "a" 1 true;
-  let tr = State.drain_trace st in
-  check Alcotest.int "three accesses" 3 (List.length tr);
-  check Alcotest.bool "kinds" true
-    (List.map (fun a -> a.State.is_write) tr = [ false; true; true ]);
-  check Alcotest.int "drained" 0 (List.length (State.drain_trace st))
+  State.add_int_array st "b" [| 0 |];
+  State.touch st "a" 0 false;
+  check Alcotest.int "nothing until tracing" 0 (State.trace_length st);
+  State.with_tracing st (fun () ->
+      ignore (State.read st "a" 1);
+      State.write st "a" 0 (Value.Int 1);
+      check Alcotest.int "read/write record nothing" 0 (State.trace_length st);
+      State.touch st "a" 1 false;
+      State.touch st "b" 0 true;
+      State.touch st "a" 0 true;
+      let stream =
+        List.init (State.trace_length st) (fun i ->
+            (State.trace_addr st i, State.trace_is_write st i))
+      in
+      check
+        Alcotest.(list (pair int bool))
+        "addresses and write bits, in order"
+        [ (8, false); (16, true); (0, true) ]
+        stream;
+      State.clear_trace st;
+      check Alcotest.int "cleared" 0 (State.trace_length st);
+      State.touch st "b" 0 false;
+      check Alcotest.int "records after a clear" 16 (State.trace_addr st 0));
+  check Alcotest.int "emptied on exit" 0 (State.trace_length st);
+  State.touch st "a" 0 false;
+  check Alcotest.int "off on exit" 0 (State.trace_length st)
+
+(* a warmed stream takes accesses without allocating *)
+let test_state_trace_allocates_nothing () =
+  let st = State.create () in
+  State.add_int_array st "a" (Array.make 64 0);
+  State.with_tracing st (fun () ->
+      for i = 0 to 9_999 do
+        State.touch st "a" (i land 63) (i land 1 = 1)
+      done;
+      State.clear_trace st;
+      let w0 = Gc.minor_words () in
+      for i = 0 to 9_999 do
+        State.touch st "a" (i land 63) (i land 1 = 1)
+      done;
+      let words = Gc.minor_words () -. w0 in
+      check Alcotest.int "recorded" 10_000 (State.trace_length st);
+      check (Alcotest.float 0.0) "minor words over 10,000 touches" 0.0 words)
 
 let test_state_layout_and_snapshot () =
   let st = State.create () in
   State.add_int_array st "a" [| 0; 0; 0 |];
   State.add_int_array st "b" [| 0 |];
-  check Alcotest.int "a base" 0 (State.address_of st "a" 0);
-  check Alcotest.int "b after a" 24 (State.address_of st "b" 0);
+  check Alcotest.int "a base" 0 (State.base st "a");
+  check Alcotest.int "b after a" 24 (State.base st "b");
   let snap = State.snapshot st in
   State.write st "a" 0 (Value.Int 5);
   check Alcotest.bool "snapshot isolated" false (State.equal_content st snap);
@@ -1111,6 +1145,8 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_state_rw;
           Alcotest.test_case "tracing" `Quick test_state_trace;
+          Alcotest.test_case "warm stream allocates nothing" `Quick
+            test_state_trace_allocates_nothing;
           Alcotest.test_case "layout and snapshot" `Quick test_state_layout_and_snapshot;
         ] );
       ( "spec_validation",

@@ -85,8 +85,7 @@ let test_memory_bandwidth_throttles () =
      bandwidth the same burst completes sooner. *)
   let burst cfg =
     let mem = Memory.create cfg in
-    let addrs = List.init 64 (fun i -> (i * 4096, false)) in
-    Memory.access_burst mem ~now:0 ~addrs ~dependent:false
+    Memory.access_burst mem ~now:0 ~n:64 ~addr:(fun i -> i * 4096) ~is_write:(fun _ -> false)
   in
   let slow = burst Config.default in
   let fast = burst (Config.scale_bandwidth Config.default 8.0) in
@@ -100,14 +99,6 @@ let test_memory_conflict_eviction () =
   (* same set, different tag: evicted *)
   ignore (Memory.access mem ~now:200 ~addr:0 ~is_write:false);
   check Alcotest.int "three misses" 3 (Memory.stats mem).Memory.misses
-
-let test_memory_dependent_chain_slower () =
-  let run dependent =
-    let mem = Memory.create Config.default in
-    let addrs = List.init 16 (fun i -> (i * 4096, false)) in
-    Memory.access_burst mem ~now:0 ~addrs ~dependent
-  in
-  check Alcotest.bool "chain slower than burst" true (run true > run false)
 
 (* --- resource model --- *)
 
@@ -336,7 +327,6 @@ let () =
           Alcotest.test_case "hit/miss" `Quick test_memory_hit_miss;
           Alcotest.test_case "bandwidth throttles" `Quick test_memory_bandwidth_throttles;
           Alcotest.test_case "conflict eviction" `Quick test_memory_conflict_eviction;
-          Alcotest.test_case "dependent chain" `Quick test_memory_dependent_chain_slower;
         ] );
       ( "resource",
         [
