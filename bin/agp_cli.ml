@@ -450,7 +450,7 @@ let observe_cmd =
         Printf.printf "task lifecycle (dispatch-to-retire percentiles, cycles; %d unretired):\n"
           unfinished;
         print_endline (Obs.Lifecycle.render (Obs.Lifecycle.summarize spans));
-        let reg = Agp_hw.Accelerator.metrics_registry ~events report in
+        let reg = Agp_hw.Accelerator.metrics_registry ~spans report in
         Obs.Metrics.add (Obs.Metrics.counter reg "obs.events") (Obs.Sink.count sink);
         print_endline "metrics:";
         print_string (Obs.Metrics.to_text reg);

@@ -11,7 +11,7 @@ module Table = Agp_util.Table
 
 let () =
   let seed = 7 in
-  let road = Agp_graph.Generator.road ~seed ~width:80 ~height:50 in
+  let road = Agp_graph.Generator.road ~weighted:false ~seed ~width:80 ~height:50 in
   Printf.printf "road network: %d vertices, %d arcs, BFS depth %d\n" road.Agp_graph.Csr.n
     road.Agp_graph.Csr.m
     (Agp_graph.Bfs.diameter_from road 0);

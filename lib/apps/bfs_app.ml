@@ -8,7 +8,7 @@ type workload = {
 }
 
 let default_workload ~seed =
-  { graph = Agp_graph.Generator.road ~seed ~width:40 ~height:25; root = 0 }
+  { graph = Agp_graph.Generator.road ~weighted:false ~seed ~width:40 ~height:25; root = 0 }
 
 let workload_of_graph graph root = { graph; root }
 

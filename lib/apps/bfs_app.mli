@@ -10,7 +10,9 @@
       the level-synchronized schedule without barriers.
 
     Memory layout (Σ): ["row_ptr"], ["col"] (CSR) and ["level"]
-    initialized to {!Agp_graph.Bfs.infinity_level}. *)
+    initialized to {!Agp_graph.Bfs.infinity_level}.  No weight is read,
+    so a BFS workload's graph may be (and at every workload scale is)
+    the unweighted {!Agp_graph.Csr} form. *)
 
 type workload = {
   graph : Agp_graph.Csr.t;
@@ -18,7 +20,7 @@ type workload = {
 }
 
 val default_workload : seed:int -> workload
-(** A road-network graph (40x25 grid), root 0. *)
+(** An unweighted road-network graph (40x25 grid), root 0. *)
 
 val workload_of_graph : Agp_graph.Csr.t -> int -> workload
 

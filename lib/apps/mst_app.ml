@@ -7,7 +7,14 @@ type workload = { graph : Csr.t }
 
 let default_workload ~seed = { graph = Agp_graph.Generator.random ~seed ~n:400 ~m:1200 }
 
-let workload_of_graph graph = { graph }
+(* Kruskal's order is the weight order; on the unweighted form every
+   spanning tree would be minimal *)
+let require_weighted who (g : Csr.t) =
+  if not (Csr.weighted g) then invalid_arg (who ^ ": MST needs a weighted graph")
+
+let workload_of_graph graph =
+  require_weighted "Mst_app.workload_of_graph" graph;
+  { graph }
 
 let spec_speculative : Spec.t =
   let open Spec in
@@ -139,6 +146,7 @@ let make_run (w : workload) { edges; ea; eb; ew } =
   { App_instance.state; bindings; initial; check }
 
 let speculative w =
+  require_weighted "Mst_app.speculative" w.graph;
   let sorted = sort_edges w.graph in
   {
     App_instance.app_name = "SPEC-MST";

@@ -17,7 +17,10 @@ type workload = { graph : Agp_graph.Csr.t }
 val default_workload : seed:int -> workload
 
 val workload_of_graph : Agp_graph.Csr.t -> workload
+(** @raise Invalid_argument on an unweighted graph
+    ({!Agp_graph.Csr.weighted}). *)
 
 val speculative : workload -> App_instance.t
+(** @raise Invalid_argument on an unweighted graph. *)
 
 val spec_speculative : Agp_core.Spec.t

@@ -8,9 +8,16 @@ type workload = {
 }
 
 let default_workload ~seed =
-  { graph = Agp_graph.Generator.road ~seed ~width:30 ~height:20; root = 0 }
+  { graph = Agp_graph.Generator.road ~weighted:true ~seed ~width:30 ~height:20; root = 0 }
 
-let workload_of_graph graph root = { graph; root }
+(* the spec loads the weight column, so the unweighted form would only
+   fail later, as a bounds error inside a run *)
+let require_weighted who (g : Csr.t) =
+  if not (Csr.weighted g) then invalid_arg (who ^ ": SSSP needs a weighted graph")
+
+let workload_of_graph graph root =
+  require_weighted "Sssp_app.workload_of_graph" graph;
+  { graph; root }
 
 let spec_speculative : Spec.t =
   let open Spec in
@@ -104,6 +111,7 @@ let make_run (w : workload) =
   { App_instance.state; bindings = Spec.no_bindings; initial; check }
 
 let speculative w =
+  require_weighted "Sssp_app.speculative" w.graph;
   {
     App_instance.app_name = "SPEC-SSSP";
     spec = spec_speculative;

@@ -24,17 +24,17 @@ let scale_name = function
 
 let bfs_graph scale ~seed =
   match scale with
-  | Small -> Generator.road ~seed ~width:40 ~height:25
-  | Medium -> Generator.road ~seed ~width:150 ~height:100
+  | Small -> Generator.road ~weighted:false ~seed ~width:40 ~height:25
+  | Medium -> Generator.road ~weighted:false ~seed ~width:150 ~height:100
   (* large enough that the 64 KB CCI cache covers only a few percent of
      the working set — the bandwidth-bound regime of the paper's
      24M-node road network *)
-  | Default -> Generator.road ~seed ~width:350 ~height:220
+  | Default -> Generator.road ~weighted:false ~seed ~width:350 ~height:220
   (* paper-scale road graphs for the compiled engine: ~1M and ~4.2M
      nodes, built straight into CSR (the ROADMAP item-1 exit
      criterion) *)
-  | Large -> Generator.grid ~seed ~width:1024 ~height:1024
-  | Huge -> Generator.grid ~seed ~width:2048 ~height:2048
+  | Large -> Generator.grid ~weighted:false ~seed ~width:1024 ~height:1024
+  | Huge -> Generator.grid ~weighted:false ~seed ~width:2048 ~height:2048
 
 let spec_bfs scale ~seed = Agp_apps.Bfs_app.speculative { graph = bfs_graph scale ~seed; root = 0 }
 

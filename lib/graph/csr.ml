@@ -87,12 +87,22 @@ let of_edges ?(directed = false) ~n edges =
     edges;
   build ~who:"Csr.of_edges" ~directed ~n src dst weight
 
+let weighted g = Array.length g.weight > 0
+
 let degree g v = g.row_ptr.(v + 1) - g.row_ptr.(v)
 
+(* Every per-arc reader tests [weighted] once, then runs a loop that
+   reads the weight column or passes unit weights. *)
 let iter_neighbors g v f =
-  for i = g.row_ptr.(v) to g.row_ptr.(v + 1) - 1 do
-    f g.col.(i) g.weight.(i)
-  done
+  let lo = g.row_ptr.(v) and hi = g.row_ptr.(v + 1) - 1 in
+  if weighted g then
+    for i = lo to hi do
+      f g.col.(i) g.weight.(i)
+    done
+  else
+    for i = lo to hi do
+      f g.col.(i) 1
+    done
 
 let fold_neighbors g v f acc =
   let acc = ref acc in
@@ -100,10 +110,11 @@ let fold_neighbors g v f acc =
   !acc
 
 let edges g =
+  let weight = if weighted g then fun i -> g.weight.(i) else fun _ -> 1 in
   let out = ref [] in
   for v = g.n - 1 downto 0 do
     for i = g.row_ptr.(v + 1) - 1 downto g.row_ptr.(v) do
-      out := (v, g.col.(i), g.weight.(i)) :: !out
+      out := (v, g.col.(i), weight i) :: !out
     done
   done;
   !out
@@ -118,7 +129,15 @@ let max_degree g =
   done;
   !best
 
-let total_weight g = Array.fold_left ( + ) 0 (Array.sub g.weight 0 g.m)
+let total_weight g =
+  if weighted g then begin
+    let sum = ref 0 in
+    for i = 0 to g.m - 1 do
+      sum := !sum + g.weight.(i)
+    done;
+    !sum
+  end
+  else g.m
 
 let is_symmetric g =
   let has_edge u v w =
@@ -139,11 +158,15 @@ let validate g =
     in
     match check_mono 0 with
     | Error _ as e -> e
+    | Ok () when weighted g && Array.length g.weight < g.m ->
+        err "weight length %d < m %d" (Array.length g.weight) g.m
     | Ok () ->
+        (* an unweighted graph's unit weights are positive *)
+        let positive = if weighted g then fun i -> g.weight.(i) > 0 else fun _ -> true in
         let rec check_edges i =
           if i >= g.m then Ok ()
           else if g.col.(i) < 0 || g.col.(i) >= g.n then err "edge %d target out of range" i
-          else if g.weight.(i) <= 0 then err "edge %d weight not positive" i
+          else if not (positive i) then err "edge %d weight not positive" i
           else check_edges (i + 1)
         in
         check_edges 0

@@ -4,12 +4,12 @@ let imin (a : int) b = if a <= b then a else b
 
 let imax (a : int) b = if a >= b then a else b
 
-(* store arc [k] -> [dst] of weight [w] when the edge exists; the next
-   free arc *)
-let[@inline] put_arc col weight k dst w =
+(* store arc [k] -> [dst] of weight [w] when the edge exists (its
+   weight only when [weighted]); the next free arc *)
+let[@inline] put_arc ~weighted col weight k dst w =
   if w > 0 then begin
     col.(k) <- dst;
-    weight.(k) <- w;
+    if weighted then weight.(k) <- w;
     k + 1
   end
   else k
@@ -21,8 +21,9 @@ let[@inline] put_arc col weight k dst w =
    both ways, every adjacency in ascending target order, as
    Csr.of_edges would sort it.  A counting pass sizes the arrays; the
    fill pass then writes each vertex's arcs where the previous vertex's
-   ended, which is also its [row_ptr]. *)
-let lattice ~width ~height rw dw gw =
+   ended, which is also its [row_ptr].  Unweighted, the bytes still
+   decide which edges exist, but no weight array is made. *)
+let lattice ~weighted ~width ~height rw dw gw =
   let n = width * height in
   let edges = ref 0 in
   for v = 0 to n - 1 do
@@ -32,26 +33,33 @@ let lattice ~width ~height rw dw gw =
   done;
   let m = 2 * !edges in
   let row_ptr = Array.make (n + 1) 0 in
-  let col = Array.make (imax m 1) 0 and weight = Array.make (imax m 1) 0 in
+  let col = Array.make (imax m 1) 0 in
+  let weight = if weighted then Array.make (imax m 1) 0 else [||] in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
       let v = (y * width) + x in
       (* up-left, up, left, right, down, down-right *)
       let k = row_ptr.(v) in
       let k =
-        if x > 0 && y > 0 then put_arc col weight k (v - width - 1) (Bytes.get_uint8 gw (v - width - 1))
+        if x > 0 && y > 0 then
+          put_arc ~weighted col weight k (v - width - 1) (Bytes.get_uint8 gw (v - width - 1))
         else k
       in
-      let k = if y > 0 then put_arc col weight k (v - width) (Bytes.get_uint8 dw (v - width)) else k in
-      let k = if x > 0 then put_arc col weight k (v - 1) (Bytes.get_uint8 rw (v - 1)) else k in
-      let k = put_arc col weight k (v + 1) (Bytes.get_uint8 rw v) in
-      let k = put_arc col weight k (v + width) (Bytes.get_uint8 dw v) in
-      row_ptr.(v + 1) <- put_arc col weight k (v + width + 1) (Bytes.get_uint8 gw v)
+      let k =
+        if y > 0 then put_arc ~weighted col weight k (v - width) (Bytes.get_uint8 dw (v - width))
+        else k
+      in
+      let k =
+        if x > 0 then put_arc ~weighted col weight k (v - 1) (Bytes.get_uint8 rw (v - 1)) else k
+      in
+      let k = put_arc ~weighted col weight k (v + 1) (Bytes.get_uint8 rw v) in
+      let k = put_arc ~weighted col weight k (v + width) (Bytes.get_uint8 dw v) in
+      row_ptr.(v + 1) <- put_arc ~weighted col weight k (v + width + 1) (Bytes.get_uint8 gw v)
     done
   done;
   { Csr.n; m; row_ptr; col; weight }
 
-let road ~seed ~width ~height =
+let road ~weighted ~seed ~width ~height =
   let rng = Rng.create seed in
   let n = width * height in
   let rw = Bytes.make n '\000' and dw = Bytes.make n '\000' and gw = Bytes.make n '\000' in
@@ -68,30 +76,32 @@ let road ~seed ~width ~height =
         Bytes.set_uint8 gw v (Rng.int_in rng 2 14)
     done
   done;
-  lattice ~width ~height rw dw gw
+  lattice ~weighted ~width ~height rw dw gw
 
 (* Paper-scale road-network stand-in: a full 2-D grid (degree <= 4,
    diameter width+height-2), so multi-million-node graphs materialize in
    O(n) words.  Weights are drawn once per undirected edge, keeping the
-   graph symmetric like {!road}. *)
-let grid ~seed ~width ~height =
+   graph symmetric like {!road}.  Unweighted, every edge is there and no
+   weight is drawn. *)
+let grid ~weighted ~seed ~width ~height =
   if width <= 0 || height <= 0 then invalid_arg "Generator.grid: empty grid";
   let rng = Rng.create seed in
   let n = width * height in
   let rw = Bytes.make n '\000' and dw = Bytes.make n '\000' in
+  let draw () = if weighted then Rng.int_in rng 1 10 else 1 in
   (* every right edge in id order, then every down edge; a grid one
      vertex wide (high) still draws one right (down) weight *)
   for y = 0 to height - 1 do
     for x = 0 to width - 2 do
-      Bytes.set_uint8 rw ((y * width) + x) (Rng.int_in rng 1 10)
+      Bytes.set_uint8 rw ((y * width) + x) (draw ())
     done
   done;
-  if width = 1 then ignore (Rng.int_in rng 1 10);
+  if width = 1 then ignore (draw ());
   for v = 0 to n - width - 1 do
-    Bytes.set_uint8 dw v (Rng.int_in rng 1 10)
+    Bytes.set_uint8 dw v (draw ())
   done;
-  if height = 1 then ignore (Rng.int_in rng 1 10);
-  lattice ~width ~height rw dw (Bytes.make n '\000')
+  if height = 1 then ignore (draw ());
+  lattice ~weighted ~width ~height rw dw (Bytes.make n '\000')
 
 (* An open-addressing set of non-negative ints, sized for [cap]
    insertions at load <= 1/2: -1 marks an empty cell, probes are

@@ -12,21 +12,31 @@
     pass and one fill pass over them; the random graphs dedupe pairs in
     an int open-addressing set; and the {!Agp_util.Rng} draws allocate
     nothing.  Output is a pure function
-    of the arguments, pinned bit for bit by [test/golden/graphs.txt]. *)
+    of the arguments, pinned bit for bit by [test/golden/graphs.txt].
 
-val road : seed:int -> width:int -> height:int -> Csr.t
+    The lattices take [~weighted].  With [~weighted:false] they build
+    the unweighted {!Csr} form ([weight = \[||\]]) for workloads that
+    never read weights (BFS): no weight array is allocated or written,
+    and [row_ptr] and [col] are bit-identical to the [~weighted:true]
+    build of the same arguments. *)
+
+val road : weighted:bool -> seed:int -> width:int -> height:int -> Csr.t
 (** Planar road-network stand-in: a [width] x [height] grid where each
     node connects to its right/down neighbours, a fraction of diagonal
     shortcuts, and a small fraction of deleted edges (keeping the grid
     connected).  High diameter, degree 2-4, weights 1-10 — the regime in
-    which level-synchronized BFS pays one round per level. *)
+    which level-synchronized BFS pays one round per level.  An edge's
+    weight draw also decides whether it exists, so [~weighted:false]
+    makes every draw [~weighted:true] makes, in the same order, and
+    only skips storing the weights. *)
 
-val grid : seed:int -> width:int -> height:int -> Csr.t
+val grid : weighted:bool -> seed:int -> width:int -> height:int -> Csr.t
 (** Paper-scale road-network stand-in: the full [width] x [height]
     grid (degree <= 4, diameter [width+height-2], symmetric weights
     1-10) assembled directly into CSR arrays — no intermediate edge
     list, so multi-million-node graphs build in O(n) words.  Used by
-    the [large]/[huge] workload scales. *)
+    the [large]/[huge] workload scales.  Every edge exists whatever the
+    seed, so [~weighted:false] draws nothing. *)
 
 val random : seed:int -> n:int -> m:int -> Csr.t
 (** Erdős–Rényi-style multigraph-free random graph with at most [m]

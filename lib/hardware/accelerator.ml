@@ -1035,7 +1035,7 @@ let attribution_json attr =
             ] );
       ])
 
-let metrics_registry ?events (r : report) =
+let metrics_registry ?spans (r : report) =
   let reg = Metrics.create () in
   let c name v = Metrics.add (Metrics.counter reg name) v in
   let g name v = Metrics.set (Metrics.gauge reg name) v in
@@ -1058,21 +1058,19 @@ let metrics_registry ?events (r : report) =
   g "accel.sim_cycles_per_sec" r.sim_cycles_per_sec;
   g "accel.minor_words_per_cycle" r.minor_words_per_cycle;
   g "mem.hit_rate" r.mem_hit_rate;
-  begin
-    match events with
-    | None -> ()
-    | Some evs ->
-        let spans, _ = Lifecycle.spans evs in
-        ignore (Lifecycle.histogram reg ~name:"task.lifetime.cycles" spans)
-  end;
+  Option.iter
+    (fun spans -> ignore (Lifecycle.histogram reg ~name:"task.lifetime.cycles" spans))
+    spans;
   reg
 
 let obs_report ?(app = "unknown") ?events ?timeline ~config (r : report) =
+  (* one pass over the event list feeds both the lifecycle section and
+     the lifetime histogram *)
+  let spans = Option.map Lifecycle.spans events in
   let lifecycle =
-    match events with
+    match spans with
     | None -> []
-    | Some evs ->
-        let spans, unfinished = Lifecycle.spans evs in
+    | Some (spans, unfinished) ->
         [
           ( "lifecycle",
             Json.Obj
@@ -1099,7 +1097,7 @@ let obs_report ?(app = "unknown") ?events ?timeline ~config (r : report) =
   Report.v ~kind:"accelerator-run" ~app ~meta:(config_json config)
     ~sections:
       ([
-         ("metrics", Metrics.to_json (metrics_registry ?events r));
+         ("metrics", Metrics.to_json (metrics_registry ?spans:(Option.map fst spans) r));
          ("attribution", attribution_json r.attribution);
        ]
       @ lifecycle @ timeline_section)

@@ -83,12 +83,12 @@ val run :
     @raise Failure naming the first broken invariant, when the engine
     checks invariants ({!Agp_core.Engine.checked}). *)
 
-val metrics_registry :
-  ?events:(int * Agp_obs.Event.t) list -> report -> Agp_obs.Metrics.registry
+val metrics_registry : ?spans:Agp_obs.Lifecycle.span list -> report -> Agp_obs.Metrics.registry
 (** The canonical metrics view of a completed run: counters
     ([accel.cycles], [tasks.*], [mem.*]), gauges ([accel.utilization],
-    [accel.seconds], [mem.hit_rate]) and, when the captured event
-    stream is supplied, a [task.lifetime.cycles] latency histogram. *)
+    [accel.seconds], [mem.hit_rate]) and, when the task lifecycles of
+    the captured event stream are supplied ({!Agp_obs.Lifecycle.spans}),
+    a [task.lifetime.cycles] latency histogram. *)
 
 val obs_report :
   ?app:string ->

@@ -5,13 +5,19 @@
 
 module Stats = Agp_util.Stats
 
+(* Live samples sit oldest-first in a ring of two unboxed float arrays
+   ([ats] times, [vals] values): the oldest at [head], [n] of them.  The
+   ring doubles up to [max_samples] as it fills, so an idle window
+   holds little; pruning and the cap both drop from the old end, O(1)
+   amortized per observation. *)
 type t = {
   w_name : string;
   span_s : float;
   max_samples : int;
   mutex : Mutex.t;
-  (* newest-first (at, value); pruned lazily on observe/summary *)
-  mutable samples : (float * float) list;
+  mutable ats : float array;
+  mutable vals : float array;
+  mutable head : int;
   mutable n : int;
   mutable lifetime : int;
   mutable dropped : int;
@@ -24,12 +30,15 @@ let locked t f =
 let create ?(max_samples = 65536) ~span_s name =
   if span_s <= 0.0 then invalid_arg "Window.create: span_s must be positive";
   if max_samples < 1 then invalid_arg "Window.create: max_samples must be >= 1";
+  let cap = min max_samples 16 in
   {
     w_name = name;
     span_s;
     max_samples;
     mutex = Mutex.create ();
-    samples = [];
+    ats = Array.make cap 0.0;
+    vals = Array.make cap 0.0;
+    head = 0;
     n = 0;
     lifetime = 0;
     dropped = 0;
@@ -39,18 +48,27 @@ let name t = t.w_name
 
 let span_s t = t.span_s
 
-(* drop samples older than [now - span_s]; the list is newest-first so
-   everything after the first stale element is stale too *)
+(* ring slot of the [i]-th oldest live sample *)
+let slot t i = (t.head + i) mod Array.length t.ats
+
+let drop_oldest t =
+  t.head <- slot t 1;
+  t.n <- t.n - 1
+
+(* drop samples older than [now - span_s] from the old end *)
 let prune t ~now =
   let horizon = now -. t.span_s in
-  let rec keep acc kept = function
-    | [] -> (List.rev acc, kept)
-    | (at, _) :: _ when at < horizon -> (List.rev acc, kept)
-    | s :: rest -> keep (s :: acc) (kept + 1) rest
-  in
-  let live, kept = keep [] 0 t.samples in
-  t.samples <- live;
-  t.n <- kept
+  while t.n > 0 && t.ats.(t.head) < horizon do
+    drop_oldest t
+  done
+
+(* double the ring (up to [max_samples]), unrolling it oldest-first *)
+let grow t =
+  let cap = min t.max_samples (2 * Array.length t.ats) in
+  let unroll a = Array.init cap (fun i -> if i < t.n then a.(slot t i) else 0.0) in
+  t.ats <- unroll t.ats;
+  t.vals <- unroll t.vals;
+  t.head <- 0
 
 let observe t ~now v =
   locked t (fun () ->
@@ -58,15 +76,14 @@ let observe t ~now v =
       t.lifetime <- t.lifetime + 1;
       if t.n >= t.max_samples then begin
         (* cap memory under overload: drop the oldest live sample *)
-        let rec drop_last = function
-          | [] | [ _ ] -> []
-          | s :: rest -> s :: drop_last rest
-        in
-        t.samples <- drop_last t.samples;
+        drop_oldest t;
         t.dropped <- t.dropped + 1
       end
-      else t.n <- t.n + 1;
-      t.samples <- (now, v) :: t.samples)
+      else if t.n = Array.length t.ats then grow t;
+      let k = slot t t.n in
+      t.ats.(k) <- now;
+      t.vals.(k) <- v;
+      t.n <- t.n + 1)
 
 type summary = {
   s_name : string;
@@ -85,8 +102,10 @@ type summary = {
 let summary t ~now =
   locked t (fun () ->
       prune t ~now;
-      let vs = Array.of_list (List.map snd t.samples) in
-      let n = Array.length vs in
+      (* newest first: a float sum depends on its order, and the mean's
+         is pinned newest first *)
+      let n = t.n in
+      let vs = Array.init n (fun i -> t.vals.(slot t (n - 1 - i))) in
       let pct p = Stats.percentile_nearest vs p in
       {
         s_name = t.w_name;

@@ -103,6 +103,28 @@ let prop_mst_random =
       let g = Agp_graph.Generator.random ~seed ~n:40 ~m:100 in
       conforms ~workers:6 (Mst_app.speculative (Mst_app.workload_of_graph g)))
 
+(* --- weights --- *)
+
+(* SSSP and MST read weights, so both refuse the unweighted form when
+   the workload is made, not later inside a run *)
+let test_weighted_apps_reject_unweighted () =
+  let g = Agp_graph.Generator.road ~weighted:false ~seed:3 ~width:12 ~height:8 in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted an unweighted graph" name
+  in
+  rejects "Sssp_app.workload_of_graph" (fun () -> ignore (Sssp_app.workload_of_graph g 0));
+  rejects "Sssp_app.speculative" (fun () -> ignore (Sssp_app.speculative { graph = g; root = 0 }));
+  rejects "Mst_app.workload_of_graph" (fun () -> ignore (Mst_app.workload_of_graph g));
+  rejects "Mst_app.speculative" (fun () -> ignore (Mst_app.speculative { graph = g }));
+  (* BFS reads no weight: its default workload holds none and still
+     validates against the reference *)
+  let bfs = Bfs_app.default_workload ~seed:3 in
+  check Alcotest.bool "bfs default unweighted" false (Agp_graph.Csr.weighted bfs.Bfs_app.graph);
+  check ok_result "bfs on the unweighted form" (Ok ())
+    (sequential (Bfs_app.speculative bfs)).Backend.check
+
 (* --- DMR --- *)
 
 let dmr_small () = Dmr_app.workload_of_points (Agp_graph.Generator.points ~seed:31 ~n:80 ~span:100.0)
@@ -162,7 +184,7 @@ let prop_lu_random =
 (* --- multicore runtime (§4.4 pthread-style implementation) --- *)
 
 let test_parallel_runtime_bfs () =
-  let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0) in
+  let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:12 ~height:8) 0) in
   let res = parallel ~domains:4 app in
   Alcotest.(check bool) "did work" true (tasks_run res > 100);
   check ok_result "levels valid" (Ok ()) res.Backend.check
@@ -205,6 +227,11 @@ let () =
           Alcotest.test_case "runtime" `Quick test_mst_runtime;
           Alcotest.test_case "retries on conflict" `Quick test_mst_retries;
           qtest prop_mst_random;
+        ] );
+      ( "weights",
+        [
+          Alcotest.test_case "weighted apps reject unweighted" `Quick
+            test_weighted_apps_reject_unweighted;
         ] );
       ( "dmr",
         [

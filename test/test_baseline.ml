@@ -33,7 +33,7 @@ let test_cpu_model_more_work_more_time () =
   let bigger =
     Cpu_model.run
       (Agp_apps.Bfs_app.speculative
-         { graph = Agp_graph.Generator.road ~seed:42 ~width:80 ~height:50; root = 0 })
+         { graph = Agp_graph.Generator.road ~weighted:true ~seed:42 ~width:80 ~height:50; root = 0 })
   in
   check Alcotest.bool "bigger graph costs more" true
     (bigger.Cpu_model.seconds_1core > small.Cpu_model.seconds_1core)
@@ -44,7 +44,7 @@ let test_cpu_model_l1_behaviour () =
     (r.Cpu_model.l1_hit_rate > 0.1 && r.Cpu_model.l1_hit_rate <= 1.0)
 
 let test_opencl_rounds_follow_depth () =
-  let g = Agp_graph.Generator.road ~seed:3 ~width:30 ~height:10 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:30 ~height:10 in
   let depth = Agp_graph.Bfs.diameter_from g 0 in
   let r = Opencl_model.run_bfs g 0 in
   check Alcotest.int "one round per level" (depth + 1) r.Opencl_model.rounds;
@@ -55,7 +55,7 @@ let test_opencl_dominated_by_rounds () =
   (* Two graphs with equal vertex count: the deeper one must cost more
      (host round trips dominate on high-diameter inputs — the Table 1
      mechanism). *)
-  let deep = Agp_graph.Generator.road ~seed:4 ~width:300 ~height:2 in
+  let deep = Agp_graph.Generator.road ~weighted:true ~seed:4 ~width:300 ~height:2 in
   let shallow = Agp_graph.Generator.random ~seed:4 ~n:600 ~m:1800 in
   let rd = Opencl_model.run_bfs deep 0 and rs = Opencl_model.run_bfs shallow 0 in
   check Alcotest.bool "deep graph slower" true (rd.Opencl_model.seconds > rs.Opencl_model.seconds)

@@ -843,7 +843,7 @@ let test_sssp_minor_words_per_op () =
 
 (* --- BFS integration through both interpreters --- *)
 
-let small_graph () = Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8
+let small_graph () = Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:12 ~height:8
 
 let test_spec_bfs_sequential () =
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph (small_graph ()) 0) in

@@ -83,6 +83,12 @@ let test_workloads_all_valid () =
       | Error es -> Alcotest.failf "%s: %s" app.Agp_apps.App_instance.app_name (String.concat ";" es))
     (Workloads.all Workloads.Small ~seed:1)
 
+(* BFS reads no weights, so its workload graphs carry none *)
+let test_bfs_graph_unweighted () =
+  let g = Workloads.bfs_graph Workloads.Small ~seed:42 in
+  check Alcotest.bool "no weights" false (Agp_graph.Csr.weighted g);
+  check (Alcotest.array Alcotest.int) "empty column" [||] g.Agp_graph.Csr.weight
+
 let test_workloads_names_agree () =
   (* [all], [app_names] and [find] agree: the i-th name resolves to the
      i-th app of [all] *)
@@ -138,6 +144,7 @@ let () =
           Alcotest.test_case "resources" `Quick test_resources_shape;
           Alcotest.test_case "schedule diagram" `Quick test_schedule_diagram;
           Alcotest.test_case "workloads valid" `Quick test_workloads_all_valid;
+          Alcotest.test_case "bfs graphs unweighted" `Quick test_bfs_graph_unweighted;
           Alcotest.test_case "workload names agree" `Quick test_workloads_names_agree;
           Alcotest.test_case "scale parsing" `Quick test_scale_parse;
           Alcotest.test_case "amplification bfs" `Quick test_amplification_bfs;

@@ -43,6 +43,34 @@ let test_csr_validate () =
   let broken = { (triangle_graph ()) with Csr.m = 5 } in
   check Alcotest.bool "broken rejected" true (Result.is_error (Csr.validate broken))
 
+(* the unweighted form of a graph: same arcs, no weight column *)
+let unweighted (g : Csr.t) = { g with Csr.weight = [||] }
+
+let test_csr_unweighted_reads_unit () =
+  let g = triangle_graph () in
+  let u = unweighted g in
+  check Alcotest.bool "weighted" true (Csr.weighted g);
+  check Alcotest.bool "unweighted" false (Csr.weighted u);
+  check ok_result "validate accepts the empty column" (Ok ()) (Csr.validate u);
+  let unit = List.map (fun (s, d, _) -> (s, d, 1)) in
+  let triple = Alcotest.(list (triple int int int)) in
+  check triple "edges" (unit (Csr.edges g)) (Csr.edges u);
+  check triple "undirected edges" (unit (Csr.undirected_edges g)) (Csr.undirected_edges u);
+  let adj g = Csr.fold_neighbors g 0 (fun acc d w -> (d, w) :: acc) [] in
+  check Alcotest.(list (pair int int)) "fold_neighbors" [ (2, 1); (1, 1) ] (adj u);
+  let seen = ref [] in
+  Csr.iter_neighbors u 2 (fun d w -> seen := (d, w) :: !seen);
+  check Alcotest.(list (pair int int)) "iter_neighbors" [ (1, 1); (0, 1) ] !seen;
+  check Alcotest.int "total weight counts arcs" g.Csr.m (Csr.total_weight u);
+  check Alcotest.int "weighted total" 14 (Csr.total_weight g);
+  check Alcotest.bool "symmetric" true (Csr.is_symmetric u);
+  check Alcotest.bool "directed unweighted asymmetric" false
+    (Csr.is_symmetric (unweighted (Csr.of_edges ~directed:true ~n:2 [ (0, 1, 1) ])));
+  (* unit weights make every spanning tree minimal: n - 1 edges *)
+  check Alcotest.int "mst weight" 2 (Mst.kruskal u).Mst.weight;
+  check Alcotest.bool "short weight column rejected" true
+    (Result.is_error (Csr.validate { g with Csr.weight = [| 1 |] }))
+
 let test_csr_out_of_range () =
   Alcotest.check_raises "oob edge" (Invalid_argument "Csr.of_edges: vertex out of range")
     (fun () -> ignore (Csr.of_edges ~n:2 [ (0, 5, 1) ]))
@@ -162,32 +190,60 @@ let blocks_digest (m : Agp_sparse.Block_matrix.t) =
        (function None -> [ Float.nan ] | Some b -> Array.to_list b)
        (Array.to_list m.Agp_sparse.Block_matrix.blocks))
 
-(* golden/graphs.txt pins every generator's output bit for bit *)
-let test_generator_digests () =
+(* the rows of golden/graphs.txt: [(line, kind, a, b, seed, md5)] *)
+let golden_graph_rows () =
   match golden_file "graphs.txt" with
   | None -> Alcotest.fail "golden/graphs.txt not found"
   | Some path ->
       In_channel.with_open_text path In_channel.input_all
       |> String.split_on_char '\n'
       |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-      |> List.iter (fun l ->
+      |> List.map (fun l ->
              match String.split_on_char ' ' l with
              | [ kind; a; b; seed; md5 ] ->
-                 let a = int_of_string a and b = int_of_string b and seed = int_of_string seed in
-                 let got =
-                   match kind with
-                   | "road" -> csr_digest (Generator.road ~seed ~width:a ~height:b)
-                   | "grid" -> csr_digest (Generator.grid ~seed ~width:a ~height:b)
-                   | "random" -> csr_digest (Generator.random ~seed ~n:a ~m:b)
-                   | "rmat" -> csr_digest (Generator.rmat ~seed ~scale:a ~edge_factor:b)
-                   | "points" -> points_digest (Generator.points ~seed ~n:a ~span:(float_of_int b))
-                   | "lu" ->
-                       blocks_digest
-                         (Agp_sparse.Block_matrix.random_sparse ~seed ~nb:a ~bs:b ~density:0.3)
-                   | _ -> Alcotest.failf "unknown generator in %S" l
-                 in
-                 check Alcotest.string l md5 got
+                 (l, kind, int_of_string a, int_of_string b, int_of_string seed, md5)
              | _ -> Alcotest.failf "malformed graph digest line %S" l)
+
+(* golden/graphs.txt pins every generator's output bit for bit *)
+let test_generator_digests () =
+  List.iter
+    (fun (l, kind, a, b, seed, md5) ->
+      let got =
+        match kind with
+        | "road" -> csr_digest (Generator.road ~weighted:true ~seed ~width:a ~height:b)
+        | "grid" -> csr_digest (Generator.grid ~weighted:true ~seed ~width:a ~height:b)
+        | "random" -> csr_digest (Generator.random ~seed ~n:a ~m:b)
+        | "rmat" -> csr_digest (Generator.rmat ~seed ~scale:a ~edge_factor:b)
+        | "points" -> points_digest (Generator.points ~seed ~n:a ~span:(float_of_int b))
+        | "lu" ->
+            blocks_digest (Agp_sparse.Block_matrix.random_sparse ~seed ~nb:a ~bs:b ~density:0.3)
+        | _ -> Alcotest.failf "unknown generator in %S" l
+      in
+      check Alcotest.string l md5 got)
+    (golden_graph_rows ())
+
+(* every pinned lattice, built unweighted: the same row_ptr and col,
+   and no weight column *)
+let test_unweighted_lattices_match () =
+  let ints = Alcotest.(array int) in
+  List.iter
+    (fun (l, kind, a, b, seed, _) ->
+      let build =
+        match kind with
+        | "road" -> Some (fun weighted -> Generator.road ~weighted ~seed ~width:a ~height:b)
+        | "grid" -> Some (fun weighted -> Generator.grid ~weighted ~seed ~width:a ~height:b)
+        | _ -> None
+      in
+      Option.iter
+        (fun build ->
+          let w = build true and u = build false in
+          check Alcotest.int (l ^ " m") w.Csr.m u.Csr.m;
+          check ints (l ^ " row_ptr") w.Csr.row_ptr u.Csr.row_ptr;
+          check ints (l ^ " col") w.Csr.col u.Csr.col;
+          check ints (l ^ " weight") [||] u.Csr.weight;
+          check ok_result (l ^ " valid") (Ok ()) (Csr.validate u))
+        build)
+    (golden_graph_rows ())
 
 let test_backbone_kept_or_rejected () =
   Alcotest.check_raises "random m < n - 1"
@@ -204,7 +260,7 @@ let test_backbone_kept_or_rejected () =
     (Bfs.levels g 0)
 
 let test_road_connected () =
-  let g = Generator.road ~seed:1 ~width:20 ~height:15 in
+  let g = Generator.road ~weighted:true ~seed:1 ~width:20 ~height:15 in
   check ok_result "valid" (Ok ()) (Csr.validate g);
   let lv = Bfs.levels g 0 in
   Array.iteri
@@ -212,12 +268,12 @@ let test_road_connected () =
     lv
 
 let test_road_high_diameter () =
-  let g = Generator.road ~seed:2 ~width:40 ~height:40 in
+  let g = Generator.road ~weighted:true ~seed:2 ~width:40 ~height:40 in
   let d = Bfs.diameter_from g 0 in
   check Alcotest.bool "diameter at least width" true (d >= 40)
 
 let test_road_low_degree () =
-  let g = Generator.road ~seed:3 ~width:30 ~height:30 in
+  let g = Generator.road ~weighted:true ~seed:3 ~width:30 ~height:30 in
   check Alcotest.bool "road degree small" true (Csr.max_degree g <= 8)
 
 let test_random_connected () =
@@ -262,7 +318,7 @@ let test_bfs_histogram () =
     h
 
 let test_bfs_check_accepts_reference () =
-  let g = Generator.road ~seed:7 ~width:12 ~height:9 in
+  let g = Generator.road ~weighted:true ~seed:7 ~width:12 ~height:9 in
   check ok_result "reference accepted" (Ok ()) (Bfs.check_levels g 0 (Bfs.levels g 0))
 
 let test_bfs_check_rejects_wrong () =
@@ -294,7 +350,7 @@ let test_bellman_ford_matches_dijkstra () =
   check Alcotest.bool "worklist did work" true (tasks >= g.Csr.n)
 
 let test_sssp_check_accepts () =
-  let g = Generator.road ~seed:9 ~width:10 ~height:10 in
+  let g = Generator.road ~weighted:true ~seed:9 ~width:10 ~height:10 in
   check ok_result "certificate ok" (Ok ()) (Sssp.check_distances g 0 (Sssp.dijkstra g 0))
 
 let test_sssp_check_rejects () =
@@ -381,6 +437,7 @@ let () =
           Alcotest.test_case "directed" `Quick test_csr_directed;
           Alcotest.test_case "symmetry" `Quick test_csr_symmetric;
           Alcotest.test_case "validate" `Quick test_csr_validate;
+          Alcotest.test_case "unweighted reads unit weights" `Quick test_csr_unweighted_reads_unit;
           Alcotest.test_case "out of range" `Quick test_csr_out_of_range;
           Alcotest.test_case "undirected edges" `Quick test_csr_undirected_edges;
           Alcotest.test_case "of_arrays" `Quick test_csr_of_arrays;
@@ -394,6 +451,7 @@ let () =
           Alcotest.test_case "random connected" `Quick test_random_connected;
           Alcotest.test_case "rmat skewed" `Quick test_rmat_skewed;
           Alcotest.test_case "golden digests" `Quick test_generator_digests;
+          Alcotest.test_case "unweighted lattices match" `Quick test_unweighted_lattices_match;
           Alcotest.test_case "backbone kept or rejected" `Quick test_backbone_kept_or_rejected;
           qtest prop_generators_deterministic;
         ] );

@@ -134,7 +134,7 @@ let accel_check app =
   (report, run.App_instance.check ())
 
 let test_accel_bfs () =
-  let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0) in
+  let app = Bfs_app.speculative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:12 ~height:8) 0) in
   let report, result = accel_check app in
   check ok_result "levels valid" (Ok ()) result;
   check Alcotest.bool "took cycles" true (report.Accelerator.cycles > 100);
@@ -142,7 +142,7 @@ let test_accel_bfs () =
     (report.Accelerator.utilization > 0.0 && report.Accelerator.utilization <= 1.0)
 
 let test_accel_coor_bfs () =
-  let app = Bfs_app.coordinative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0) in
+  let app = Bfs_app.coordinative (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:12 ~height:8) 0) in
   let _, result = accel_check app in
   check ok_result "levels valid" (Ok ()) result
 
@@ -168,7 +168,7 @@ let test_accel_lu () =
 
 let test_accel_bandwidth_helps () =
   (* the working set must exceed the 64 KB cache or QPI never matters *)
-  let g = Agp_graph.Generator.road ~seed:4 ~width:60 ~height:60 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:4 ~width:60 ~height:60 in
   let time factor =
     let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
     let run = app.App_instance.fresh () in
@@ -183,7 +183,7 @@ let test_accel_bandwidth_helps () =
   check Alcotest.bool "8x qpi speeds up bfs" true (fast < base)
 
 let test_accel_more_pipelines_not_slower () =
-  let g = Agp_graph.Generator.road ~seed:5 ~width:16 ~height:10 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:5 ~width:16 ~height:10 in
   let time pipes =
     let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
     let run = app.App_instance.fresh () in
@@ -221,7 +221,7 @@ let prop_accel_matches_runtime_all_apps =
 let test_accel_lane_starvation_still_correct () =
   (* tiny lane budget: heavy stalling but never wrong answers or
      deadlock, thanks to the priority lane *)
-  let g = Agp_graph.Generator.road ~seed:8 ~width:14 ~height:9 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:8 ~width:14 ~height:9 in
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
   let run = app.App_instance.fresh () in
   let config = { Config.default with Config.rule_lanes = 2 } in
@@ -268,7 +268,7 @@ let test_accel_stalls_wait () =
     [ 1; 7; 42 ]
 
 let test_accel_deeper_window_still_correct () =
-  let g = Agp_graph.Generator.road ~seed:9 ~width:14 ~height:9 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:9 ~width:14 ~height:9 in
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
   let run = app.App_instance.fresh () in
   let config = { Config.default with Config.window_factor = 8 } in
@@ -301,7 +301,7 @@ let test_config_bandwidth_scaling () =
 let test_accel_matches_sequential_state () =
   (* The accelerator's committed memory must equal the sequential
      oracle's — the §4.1 correctness criterion, on the machine model. *)
-  let g = Agp_graph.Generator.road ~seed:6 ~width:10 ~height:10 in
+  let g = Agp_graph.Generator.road ~weighted:true ~seed:6 ~width:10 ~height:10 in
   let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
   let oracle = Agp_backend.Backend.(run sequential app) in
   let seq = Option.get oracle.Agp_backend.Backend.final in

@@ -168,7 +168,7 @@ let test_memory_events () =
 
 let small_app () =
   Bfs_app.speculative
-    (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~seed:3 ~width:12 ~height:8) 0)
+    (Bfs_app.workload_of_graph (Agp_graph.Generator.road ~weighted:true ~seed:3 ~width:12 ~height:8) 0)
 
 let observed_run ?config ?sink ?timeline () =
   let app = small_app () in
@@ -489,6 +489,90 @@ let test_window_cap_drops_oldest () =
   match Window.summary_json (Window.summary w ~now:6.0) with
   | Json.Obj kv -> check Alcotest.bool "summary json has p99" true (List.mem_assoc "p99" kv)
   | _ -> Alcotest.fail "summary_json not an object"
+
+(* The window as a plain newest-first list, pruned and capped by
+   rebuilding it: the reference the ring-buffered window must agree
+   with, summary field for summary field. *)
+module Naive_window = struct
+  type t = {
+    span : float;
+    cap : int;
+    mutable live : (float * float) list;
+    mutable lifetime : int;
+    mutable dropped : int;
+  }
+
+  let create ~cap ~span = { span; cap; live = []; lifetime = 0; dropped = 0 }
+
+  let prune t ~now = t.live <- List.filter (fun (at, _) -> not (at < now -. t.span)) t.live
+
+  let observe t ~now v =
+    prune t ~now;
+    t.lifetime <- t.lifetime + 1;
+    if List.length t.live >= t.cap then begin
+      t.live <- List.rev (List.tl (List.rev t.live));
+      t.dropped <- t.dropped + 1
+    end;
+    t.live <- (now, v) :: t.live
+
+  let summary t ~now name =
+    prune t ~now;
+    let vs = Array.of_list (List.map snd t.live) in
+    let n = Array.length vs in
+    let pct = Agp_util.Stats.percentile_nearest vs in
+    {
+      Window.s_name = name;
+      s_span_s = t.span;
+      s_count = n;
+      s_lifetime = t.lifetime;
+      s_dropped = t.dropped;
+      s_rate_per_sec = float_of_int n /. t.span;
+      s_mean = Agp_util.Stats.mean vs;
+      s_p50 = pct 50.0;
+      s_p90 = pct 90.0;
+      s_p99 = pct 99.0;
+      s_max = (if n = 0 then 0.0 else Agp_util.Stats.maximum vs);
+    }
+end
+
+(* random caps, spans, clock gaps (ties and jumps past the span
+   included) and values; a summary after some observations and at the
+   end *)
+let prop_window_matches_naive =
+  QCheck.Test.make ~name:"window agrees with a naive list model" ~count:300
+    QCheck.(
+      triple (int_range 1 12) (int_range 1 6)
+        (list_of_size Gen.(int_range 0 120)
+           (triple (int_range 0 8) (float_range (-50.0) 50.0) bool)))
+    (fun (cap, span, ops) ->
+      let span = float_of_int span in
+      let w = Window.create ~max_samples:cap ~span_s:span "w" in
+      let m = Naive_window.create ~cap ~span in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (gap, v, summarize) ->
+          (* half-second steps: samples land exactly on the horizon too *)
+          now := !now +. (float_of_int gap *. 0.5);
+          Window.observe w ~now:!now v;
+          Naive_window.observe m ~now:!now v;
+          (not summarize) || Window.summary w ~now:!now = Naive_window.summary m ~now:!now "w")
+        ops
+      && Window.summary w ~now:(!now +. 1.0) = Naive_window.summary m ~now:(!now +. 1.0) "w")
+
+(* observing costs O(1) amortized: 100,000 samples 1 ms apart into a
+   60 s window at the default cap take well under a second of CPU; a
+   window that rebuilds its sample list per observation takes minutes *)
+let test_window_observe_is_cheap () =
+  let w = Window.create ~span_s:60.0 "lat" in
+  let t0 = Sys.time () in
+  for i = 0 to 99_999 do
+    Window.observe w ~now:(float_of_int i *. 0.001) (float_of_int (i mod 97))
+  done;
+  let s = Window.summary w ~now:99.999 in
+  let cpu = Sys.time () -. t0 in
+  check Alcotest.int "live = last 60 s" 60_001 s.Window.s_count;
+  check Alcotest.int "lifetime" 100_000 s.Window.s_lifetime;
+  if cpu >= 2.0 then Alcotest.failf "100k observations took %.2f s of CPU" cpu
 
 (* --- telemetry / Prometheus exposition --- *)
 
@@ -980,6 +1064,8 @@ let () =
         [
           Alcotest.test_case "observe and prune" `Quick test_window_observe_and_prune;
           Alcotest.test_case "cap drops oldest" `Quick test_window_cap_drops_oldest;
+          Alcotest.test_case "observe is cheap" `Quick test_window_observe_is_cheap;
+          QCheck_alcotest.to_alcotest prop_window_matches_naive;
         ] );
       ( "telemetry",
         [
