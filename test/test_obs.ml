@@ -761,6 +761,129 @@ let test_lifecycle_summarize () =
       check Alcotest.int "json keyed by set" (List.length stats) (List.length kvs)
   | _ -> Alcotest.fail "lifecycle json is not an object"
 
+(* --- pinned observability outputs: golden/obs-digests.txt holds the
+   MD5 of each exporter's output on fixed inputs — the Chrome trace and
+   the task-lifecycle summary (JSON, table, lifetime histogram) of every
+   app at small scale, seed 42, full capture; the same for a hand-made
+   stream with the edge cases (a dispatch without a resume, a finish
+   while parked, events cut off at the front as a ring would, spans left
+   open); and a request trace with overlapping requests and a
+   zero-duration slice. --- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let golden_file name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat (Filename.concat "test" "golden") name ]
+
+let events_digest name events =
+  let spans, unfinished = Lifecycle.spans events in
+  let stats = Lifecycle.summarize spans in
+  let reg = Metrics.create () in
+  ignore (Lifecycle.histogram reg ~name:"task.lifetime.cycles" spans);
+  Printf.sprintf "%s events=%d unfinished=%d chrome=%s lifecycle_json=%s lifecycle_table=%s histogram=%s"
+    name (List.length events) unfinished
+    (md5 (Chrome_trace.to_string ~trace_name:name events))
+    (md5 (Json.to_string (Lifecycle.to_json stats)))
+    (md5 (Lifecycle.render stats))
+    (md5 (Metrics.to_text reg))
+
+let edge_events =
+  let d ts set pipe tid = (ts, Event.Task_dispatch { set; pipe; tid }) in
+  let f ts set pipe tid outcome = (ts, Event.Task_finish { set; pipe; tid; outcome }) in
+  let p ts set pipe tid = (ts, Event.Rendezvous_park { set; pipe; tid }) in
+  let r ts set tid = (ts, Event.Rendezvous_resume { set; tid }) in
+  [
+    (* tid 4's dispatch and tid 8's whole life fell off the front *)
+    p 0 "b" 0 4;
+    d 0 "a" 0 1;
+    d 1 "a" 1 2;
+    d 2 "b" 0 3;
+    d 2 "a" 1 5;
+    (2, Event.Cache_access { addr = 64; is_write = false; hit = false });
+    p 3 "b" 0 3;
+    f 3 "a" 0 8 Event.Commit;
+    (* redispatched without a resume: in the pipe, then parked *)
+    d 4 "a" 1 2;
+    p 4 "a" 1 5;
+    p 5 "a" 0 1;
+    (5, Event.Queue_full { set = "a"; pipe = 0 });
+    (5, Event.Link_transfer { bytes = 64; start = 5; finish = 30 });
+    (5, Event.Cache_access { addr = 64; is_write = false; hit = true });
+    r 5 "b" 9;
+    r 6 "b" 4;
+    d 7 "b" 0 3;
+    p 8 "b" 0 3;
+    d 8 "b" 1 4;
+    r 9 "a" 1;
+    (* finished while parked: the park stays open *)
+    f 9 "a" 1 5 Event.Abort;
+    (9, Event.Cache_access { addr = 128; is_write = true; hit = true });
+    f 10 "a" 1 2 Event.Abort;
+    (* issue-time stamps run ahead of the cycle *)
+    (12, Event.Cache_access { addr = 192; is_write = false; hit = false });
+    (8, Event.Cache_access { addr = 256; is_write = false; hit = true });
+    r 11 "b" 3;
+    d 12 "a" 0 1;
+    d 13 "b" 0 3;
+    f 14 "b" 1 4 Event.Commit;
+    f 15 "b" 0 3 Event.Retry;
+    d 16 "b" 1 6;
+    d 17 "a" 0 7;
+    p 18 "a" 0 7;
+    f 20 "a" 0 1 Event.Commit;
+    (20, Event.Queue_full { set = "b"; pipe = 1 });
+  ]
+
+let request_traces =
+  let span phase start dur =
+    {
+      Chrome_trace.rs_phase = phase;
+      rs_start_us = start;
+      rs_dur_us = dur;
+      rs_args = [ ("shard", Json.Int 0); ("batch", Json.Int 2) ];
+    }
+  in
+  [
+    { Chrome_trace.rt_id = "r1"; rt_spans = [ span "queue" 0 120; span "build" 120 0; span "execute" 130 400 ] };
+    (* overlaps r1, and lists its slices out of start order *)
+    { Chrome_trace.rt_id = "r2"; rt_spans = [ span "execute" 530 90; span "queue" 10 110; span "build" 120 0 ] };
+    { Chrome_trace.rt_id = "r3"; rt_spans = [ span "queue" 700 (-5); span "build" 700 30; span "execute" 730 0 ] };
+  ]
+
+let obs_digest_lines () =
+  let apps =
+    List.map
+      (fun (app : App_instance.t) ->
+        let sink = Sink.collect () in
+        let config = Agp_backend.Backend.derive_config app Config.default in
+        let r = app.App_instance.fresh () in
+        let _ =
+          Accelerator.run ~config ~sink ~spec:app.App_instance.spec
+            ~bindings:r.App_instance.bindings ~state:r.App_instance.state
+            ~initial:r.App_instance.initial ()
+        in
+        events_digest app.App_instance.app_name (Sink.events sink))
+      (Agp_exp.Workloads.all Agp_exp.Workloads.Small ~seed:42)
+  in
+  apps
+  @ [
+      events_digest "edges" edge_events;
+      Printf.sprintf "requests chrome=%s"
+        (md5 (Json.to_string (Chrome_trace.requests_to_json request_traces)));
+    ]
+
+let test_pinned_obs_digests () =
+  let want =
+    match golden_file "obs-digests.txt" with
+    | None -> Alcotest.fail "golden/obs-digests.txt not found"
+    | Some path ->
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  check Alcotest.(list string) "obs digests" want (obs_digest_lines ())
+
 (* --- interval timeline --- *)
 
 let test_timeline_sample_count () =
@@ -1105,6 +1228,8 @@ let () =
           Alcotest.test_case "span phase invariant" `Quick test_lifecycle_span_invariant;
           Alcotest.test_case "per-set summary" `Quick test_lifecycle_summarize;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "pinned obs digests" `Quick test_pinned_obs_digests ] );
       ( "timeline",
         [
           Alcotest.test_case "sample count" `Quick test_timeline_sample_count;
