@@ -423,7 +423,10 @@ let observe_cmd =
         let module Obs = Agp_obs in
         let sink = Obs.Sink.collect () in
         let timeline = Obs.Timeline.create ~interval () in
-        let config = Agp_hw.Config.scale_bandwidth Agp_hw.Config.default bw in
+        (* the accelerator `run`, `fig9` and serve simulate for this app *)
+        let config =
+          Backend.derive_config app (Agp_hw.Config.scale_bandwidth Agp_hw.Config.default bw)
+        in
         let r = app.fresh () in
         let report =
           Agp_hw.Accelerator.run ~config ~sink ~timeline ~spec:app.spec ~bindings:r.bindings

@@ -54,6 +54,10 @@ let liveness_failure = function
       Some (Printf.sprintf "step limit %d exceeded without quiescing" n)
   | _ -> None
 
+(* append one entry to an obs report's meta *)
+let stamp key value (r : Agp_obs.Report.t) =
+  { r with Agp_obs.Report.meta = r.Agp_obs.Report.meta @ [ (key, value) ] }
+
 let run ?(obs = false) ?request_id b (app : App_instance.t) =
   match b.supports app with
   | Error reason ->
@@ -64,19 +68,7 @@ let run ?(obs = false) ?request_id b (app : App_instance.t) =
          the archived artifact joins against trace spans and log lines *)
       match request_id with
       | None -> res
-      | Some id ->
-          {
-            res with
-            obs =
-              Option.map
-                (fun (r : Agp_obs.Report.t) ->
-                  {
-                    r with
-                    Agp_obs.Report.meta =
-                      r.Agp_obs.Report.meta @ [ ("request_id", Agp_obs.Json.String id) ];
-                  })
-                res.obs;
-          }
+      | Some id -> { res with obs = Option.map (stamp "request_id" (Agp_obs.Json.String id)) res.obs }
     end
 
 let supports_all (_ : App_instance.t) = Ok ()
@@ -172,7 +164,8 @@ let derive_config (app : App_instance.t) (base : Config.t) =
 
 (* Event capture for obs reports is ring-bounded so paper-scale runs
    (millions of tasks) can stay observable without holding the whole
-   event stream; lifecycle summaries tolerate a truncated prefix. *)
+   event stream; lifecycle summaries tolerate a truncated prefix, and
+   the report's meta carries [events_dropped]. *)
 let obs_ring_capacity = 262_144
 
 let simulator ?(config = Config.default) ?(auto_size = true) () =
@@ -197,10 +190,13 @@ let simulator ?(config = Config.default) ?(auto_size = true) () =
         in
         let obs_doc =
           if obs then
-            let events = Agp_obs.Sink.events sink in
+            (* the ring keeps only the run's tail: the report says how
+               many events its lifecycle section never saw *)
             Some
-              (Accelerator.obs_report ~app:app.App_instance.app_name ~events ?timeline ~config
-                 report)
+              (stamp "events_dropped"
+                 (Agp_obs.Json.Int (Agp_obs.Sink.dropped sink))
+                 (Accelerator.obs_report ~app:app.App_instance.app_name
+                    ~events:(Agp_obs.Sink.events sink) ?timeline ~config report))
           else None
         in
         {

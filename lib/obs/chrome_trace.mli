@@ -7,16 +7,18 @@
     identical):
 
     - pid 1 "task pipelines": one row per (set, pipeline); complete
-      ["X"] spans from dispatch to finish/park, instant queue-full
-      marks;
-    - pid 2 "rule engines": one row per task set; ["X"] spans from
-      rendezvous park to resume;
+      ["X"] spans for {!Lifecycle}'s occupancy intervals (dispatch to
+      finish/park/redispatch), instant queue-full marks;
+    - pid 2 "rule engines": one row per task set; ["X"] spans for its
+      rendezvous intervals (park to resume);
     - pid 3 "memory": QPI line transfers as ["X"] spans on the link
       row, cumulative hit/miss totals as ["C"] counter samples.
 
     Timestamps are simulator cycles written into the [ts]/[dur] fields
     (microseconds as far as the viewer is concerned — relative shape is
-    what matters).  Events are emitted sorted by [ts], metadata first. *)
+    what matters).  This module pairs no task events itself; both
+    exports go through one writer that emits the ["M"] rows first, then
+    the entries stable-sorted by [ts]. *)
 
 val to_json : ?trace_name:string -> (int * Event.t) list -> Json.t
 (** Spans still open when the stream ends are closed at the maximum

@@ -13,94 +13,141 @@ type span = {
   sp_outcome : Event.outcome;
 }
 
-(* A task id moves through: dispatched into a pipeline window, possibly
-   parked at a rendezvous (then resumed into a queue and re-dispatched),
-   and finally finished with an outcome.  Retries allocate a fresh tid,
-   so a finish is always terminal for its tid. *)
-type phase =
-  | In_pipe of int
-  | Parked of int
-  | Queued of int
+type kind =
+  | Occupancy
+  | Rendezvous
+  | Queue_wait
 
-type building = {
-  b_set : string;
-  b_first : int;
-  mutable b_phase : phase;
-  mutable b_queue : int;
-  mutable b_exec : int;
-  mutable b_rdv : int;
+type interval = {
+  kind : kind;
+  set : string;
+  pipe : int;
+  tid : int;
+  start : int;
+  stop : int;
+  ending : string;
 }
 
-let spans events =
-  let tbl = Hashtbl.create 256 in
-  let out = ref [] in
+(* One record per task id.  [occupied], [parked] and [queued] hold the
+   start of the task's open interval of each kind (-1 when none).
+   [first] is its first dispatch, or -1 while the task is untracked: a
+   ring capture can cut the dispatch off, and a task that finished
+   while parked keeps its open rendezvous. *)
+type task = {
+  t_set : string;
+  mutable t_pipe : int;
+  mutable first : int;
+  mutable occupied : int;
+  mutable parked : int;
+  mutable queued : int;
+  mutable q_wait : int;
+  mutable exec : int;
+  mutable rdv : int;
+}
+
+type t = { tasks : (int, task) Hashtbl.t; interval : interval -> unit; retired : span -> unit }
+
+let tracker ~interval ~retired = { tasks = Hashtbl.create 256; interval; retired }
+
+let task_of w tid set =
+  match Hashtbl.find_opt w.tasks tid with
+  | Some tk -> tk
+  | None ->
+      let tk =
+        {
+          t_set = set; t_pipe = 0; first = -1; occupied = -1; parked = -1; queued = -1;
+          q_wait = 0; exec = 0; rdv = 0;
+        }
+      in
+      Hashtbl.add w.tasks tid tk;
+      tk
+
+let emit w kind tid tk start stop ending =
+  w.interval { kind; set = tk.t_set; pipe = tk.t_pipe; tid; start; stop; ending }
+
+(* close the open pipeline occupancy, if any; its length *)
+let leave_pipe w tid tk ts ending =
+  if tk.occupied < 0 then 0
+  else begin
+    let start = tk.occupied in
+    tk.occupied <- -1;
+    emit w Occupancy tid tk start ts ending;
+    ts - start
+  end
+
+let feed w ts = function
+  | Event.Task_dispatch { set; pipe; tid } ->
+      let tk = task_of w tid set in
+      (* a dispatch without a resume restarts the execute segment *)
+      ignore (leave_pipe w tid tk ts "redispatch");
+      if tk.first < 0 then tk.first <- ts;
+      if tk.queued >= 0 then begin
+        emit w Queue_wait tid tk tk.queued ts "dispatch";
+        tk.q_wait <- tk.q_wait + (ts - tk.queued);
+        tk.queued <- -1
+      end;
+      tk.t_pipe <- pipe;
+      tk.occupied <- ts
+  | Event.Rendezvous_park { set; tid; _ } ->
+      let tk = task_of w tid set in
+      tk.exec <- tk.exec + leave_pipe w tid tk ts "park";
+      tk.parked <- ts
+  | Event.Rendezvous_resume { tid; _ } -> begin
+      match Hashtbl.find_opt w.tasks tid with
+      | Some tk when tk.parked >= 0 ->
+          emit w Rendezvous tid tk tk.parked ts "resume";
+          (* a task re-dispatched while parked waits in a pipe, not here *)
+          if tk.first >= 0 && tk.occupied < 0 then begin
+            tk.rdv <- tk.rdv + (ts - tk.parked);
+            tk.queued <- ts
+          end;
+          tk.parked <- -1
+      | Some _ | None -> ()
+    end
+  | Event.Task_finish { tid; outcome; _ } -> begin
+      match Hashtbl.find_opt w.tasks tid with
+      | None -> ()
+      | Some tk ->
+          let exec = tk.exec + leave_pipe w tid tk ts (Event.outcome_name outcome) in
+          (* a squashed activation's pipeline occupancy was wasted
+             work: the whole execute time is redo, not progress *)
+          let commit = outcome = Event.Commit in
+          if tk.first >= 0 then
+            w.retired
+              {
+                sp_set = tk.t_set;
+                sp_tid = tid;
+                sp_dispatched = tk.first;
+                sp_retired = ts;
+                sp_queue_wait = tk.q_wait;
+                sp_execute = (if commit then exec else 0);
+                sp_rdv_wait = tk.rdv;
+                sp_squash_redo = (if commit then 0 else exec);
+                sp_outcome = outcome;
+              };
+          if tk.parked >= 0 then tk.first <- -1 else Hashtbl.remove w.tasks tid
+    end
+  | Event.Queue_full _ | Event.Cache_access _ | Event.Link_transfer _ -> ()
+
+let unfinished w = Hashtbl.fold (fun _ tk n -> if tk.first >= 0 then n + 1 else n) w.tasks 0
+
+let close w ~at =
+  let open_tasks =
+    List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      (Hashtbl.fold (fun tid tk acc -> (tid, tk) :: acc) w.tasks [])
+  in
   List.iter
-    (fun (ts, ev) ->
-      match ev with
-      | Event.Task_dispatch { set; tid; _ } -> begin
-          match Hashtbl.find_opt tbl tid with
-          | None ->
-              Hashtbl.add tbl tid
-                { b_set = set; b_first = ts; b_phase = In_pipe ts; b_queue = 0; b_exec = 0; b_rdv = 0 }
-          | Some b -> begin
-              match b.b_phase with
-              | Queued q ->
-                  b.b_queue <- b.b_queue + (ts - q);
-                  b.b_phase <- In_pipe ts
-              | In_pipe _ | Parked _ ->
-                  (* defensive: a re-dispatch without a resume should not
-                     happen; restart the execute segment *)
-                  b.b_phase <- In_pipe ts
-            end
-        end
-      | Event.Rendezvous_park { tid; _ } -> begin
-          match Hashtbl.find_opt tbl tid with
-          | Some ({ b_phase = In_pipe since; _ } as b) ->
-              b.b_exec <- b.b_exec + (ts - since);
-              b.b_phase <- Parked ts
-          | Some _ | None -> ()
-        end
-      | Event.Rendezvous_resume { tid; _ } -> begin
-          match Hashtbl.find_opt tbl tid with
-          | Some ({ b_phase = Parked since; _ } as b) ->
-              b.b_rdv <- b.b_rdv + (ts - since);
-              b.b_phase <- Queued ts
-          | Some _ | None -> ()
-        end
-      | Event.Task_finish { tid; outcome; _ } -> begin
-          match Hashtbl.find_opt tbl tid with
-          | None -> ()
-          | Some b ->
-              Hashtbl.remove tbl tid;
-              let exec =
-                match b.b_phase with
-                | In_pipe since -> b.b_exec + (ts - since)
-                | Parked _ | Queued _ -> b.b_exec
-              in
-              (* a squashed activation's pipeline occupancy was wasted
-                 work: the whole execute time is redo, not progress *)
-              let execute, squash_redo =
-                match outcome with
-                | Event.Commit -> (exec, 0)
-                | Event.Abort | Event.Retry -> (0, exec)
-              in
-              out :=
-                {
-                  sp_set = b.b_set;
-                  sp_tid = tid;
-                  sp_dispatched = b.b_first;
-                  sp_retired = ts;
-                  sp_queue_wait = b.b_queue;
-                  sp_execute = execute;
-                  sp_rdv_wait = b.b_rdv;
-                  sp_squash_redo = squash_redo;
-                  sp_outcome = outcome;
-                }
-                :: !out
-        end
-      | Event.Queue_full _ | Event.Cache_access _ | Event.Link_transfer _ -> ())
-    events;
-  (List.rev !out, Hashtbl.length tbl)
+    (fun (tid, tk) -> if tk.occupied >= 0 then emit w Occupancy tid tk tk.occupied at "open")
+    open_tasks;
+  List.iter
+    (fun (tid, tk) -> if tk.parked >= 0 then emit w Rendezvous tid tk tk.parked at "open")
+    open_tasks
+
+let spans events =
+  let out = ref [] in
+  let w = tracker ~interval:ignore ~retired:(fun sp -> out := sp :: !out) in
+  List.iter (fun (ts, ev) -> feed w ts ev) events;
+  (List.rev !out, unfinished w)
 
 type set_stats = {
   ls_set : string;
@@ -119,38 +166,27 @@ type set_stats = {
 }
 
 let summarize spans =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun sp ->
-      let rows =
-        match Hashtbl.find_opt tbl sp.sp_set with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.add tbl sp.sp_set l;
-            order := sp.sp_set :: !order;
-            l
-      in
-      rows := sp :: !rows)
-    spans;
-  List.rev_map
+  (* latest first-retired set first *)
+  let sets =
+    List.fold_left (fun acc sp -> if List.mem sp.sp_set acc then acc else sp.sp_set :: acc) [] spans
+  in
+  List.map
     (fun set ->
-      let rows = List.rev !(Hashtbl.find tbl set) in
+      let rows = List.filter (fun sp -> sp.sp_set = set) spans in
       let durations =
         Array.of_list (List.map (fun sp -> float_of_int (sp.sp_retired - sp.sp_dispatched)) rows)
       in
+      let pct = Stats.percentiles durations in
       let total f = List.fold_left (fun acc sp -> acc + f sp) 0 rows in
+      let commits = List.length (List.filter (fun sp -> sp.sp_outcome = Event.Commit) rows) in
       {
         ls_set = set;
         ls_tasks = List.length rows;
-        ls_commits =
-          List.length (List.filter (fun sp -> sp.sp_outcome = Event.Commit) rows);
-        ls_squashes =
-          List.length (List.filter (fun sp -> sp.sp_outcome <> Event.Commit) rows);
-        ls_p50 = Stats.percentile durations 50.0;
-        ls_p90 = Stats.percentile durations 90.0;
-        ls_p99 = Stats.percentile durations 99.0;
+        ls_commits = commits;
+        ls_squashes = List.length rows - commits;
+        ls_p50 = pct 50.0;
+        ls_p90 = pct 90.0;
+        ls_p99 = pct 99.0;
         ls_mean = Stats.mean durations;
         ls_max = Stats.maximum durations;
         ls_queue_wait = total (fun sp -> sp.sp_queue_wait);
@@ -158,8 +194,7 @@ let summarize spans =
         ls_rdv_wait = total (fun sp -> sp.sp_rdv_wait);
         ls_squash_redo = total (fun sp -> sp.sp_squash_redo);
       })
-    !order
-  |> List.rev
+    sets
 
 let histogram reg ~name spans =
   let h =

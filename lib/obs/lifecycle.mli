@@ -1,16 +1,22 @@
-(** Task-lifecycle spans: reduce the accelerator's dispatch / park /
-    resume / finish event stream to one span per task activation,
-    decomposed into the four places a task's wall-clock goes —
-    queue-wait (resumed but waiting to re-enter a pipeline), execute
-    (occupying a pipeline window), rendezvous-wait (parked in a rule
-    lane) and squash-redo (execute time of activations that aborted or
-    retried, i.e. wasted work).
+(** Task lifecycles: the only code that pairs a task's dispatch, park,
+    resume and finish events.  One walk ({!feed}) turns the
+    accelerator's [(ts, event)] stream into closed {!interval}s and one
+    {!span} per finished activation; the Chrome trace draws the
+    intervals, the summary and the lifetime histogram reduce the spans.
 
-    The decomposition is exact: for every span,
-    [queue_wait + execute + rdv_wait + squash_redo = retired -
-    dispatched] — asserted in [test/test_obs.ml].  Retries allocate a
-    fresh task id, so each span describes one activation and a finish
-    is terminal. *)
+    A span splits its activation's wall-clock into queue-wait (resumed
+    but waiting to re-enter a pipeline), execute (occupying a pipeline
+    window), rendezvous-wait (parked in a rule lane) and squash-redo
+    (execute time of activations that aborted or retried, i.e. wasted
+    work), exactly: [queue_wait + execute + rdv_wait + squash_redo =
+    retired - dispatched] — asserted in [test/test_obs.ml].
+
+    A task's events form a suffix of dispatch (park resume dispatch)*
+    finish — a ring capture cuts the front off — and task ids are not
+    reused.  A task whose dispatch was cut off gets rendezvous
+    intervals but no span.  A dispatch without a resume closes the
+    occupancy as ["redispatch"] and restarts the execute segment; a
+    finish while parked ends the span and leaves the rendezvous open. *)
 
 type span = {
   sp_set : string;
@@ -23,6 +29,39 @@ type span = {
   sp_squash_redo : int;
   sp_outcome : Event.outcome;
 }
+
+type kind =
+  | Occupancy  (** in a pipeline window, from dispatch *)
+  | Rendezvous  (** parked in a rule lane, from park *)
+  | Queue_wait  (** resumed, waiting for a pipeline *)
+
+type interval = {
+  kind : kind;
+  set : string;
+  pipe : int;  (** the pipeline of the task's last dispatch *)
+  tid : int;
+  start : int;
+  stop : int;
+  ending : string;
+      (** what closed it: ["park"], ["redispatch"] or an outcome name
+          (occupancy), ["resume"] (rendezvous), ["dispatch"] (queue
+          wait), or ["open"] from {!close} *)
+}
+
+type t
+(** A walk in progress. *)
+
+val tracker : interval:(interval -> unit) -> retired:(span -> unit) -> t
+(** [interval] hears each interval as it closes, [retired] each span
+    as its task finishes. *)
+
+val feed : t -> int -> Event.t -> unit
+(** Advance the walk by one [(ts, event)]; non-task events are
+    ignored. *)
+
+val close : t -> at:int -> unit
+(** Close every interval still open at [at]: occupancies, then
+    rendezvous, each in ascending task id. *)
 
 val spans : (int * Event.t) list -> span list * int
 (** Build spans from a captured [(ts, event)] stream (as returned by
@@ -49,7 +88,8 @@ type set_stats = {
 }
 
 val summarize : span list -> set_stats list
-(** Per-task-set reduction, sets in first-retirement order. *)
+(** Per-task-set reduction; sets in reverse order of their first
+    retirement. *)
 
 val histogram : Metrics.registry -> name:string -> span list -> Metrics.histogram
 (** Register (or find) a latency histogram under [name] and feed every

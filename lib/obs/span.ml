@@ -11,55 +11,52 @@ type summary = {
 }
 
 (* Phases in first-recorded order; each phase accumulates raw durations
-   (newest first) so percentiles are exact, not histogram estimates.
-   Request counts are bounded by admission, so the raw series stays
-   small relative to the work it describes. *)
-type phase_cell = { name : string; mutable samples : float list; mutable n : int }
+   (newest first) so percentiles are exact, not histogram estimates,
+   plus a running count and sum so the mean costs O(1).  Request counts
+   are bounded by admission, so the raw series stays small relative to
+   the work it describes. *)
+type phase_cell = { name : string; mutable samples : float list; mutable n : int; mutable sum : float }
 
 type t = { mutex : Mutex.t; mutable phases : phase_cell list (* reverse order *) }
 
 let create () = { mutex = Mutex.create (); phases = [] }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let find_cell t phase = List.find_opt (fun c -> c.name = phase) t.phases
 
 let record t ~phase ms =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match find_cell t phase with
       | Some c ->
           c.samples <- ms :: c.samples;
-          c.n <- c.n + 1
-      | None -> t.phases <- { name = phase; samples = [ ms ]; n = 1 } :: t.phases)
+          c.n <- c.n + 1;
+          c.sum <- c.sum +. ms
+      | None -> t.phases <- { name = phase; samples = [ ms ]; n = 1; sum = ms } :: t.phases)
 
 let count t ~phase =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match find_cell t phase with
       | Some c -> c.n
       | None -> 0)
 
+let mean c = c.sum /. float_of_int c.n
+
 let summarize_cell c =
   let xs = Array.of_list c.samples in
+  let pct = Stats.percentiles xs in
   {
     sp_phase = c.name;
     sp_count = c.n;
-    sp_mean_ms = Stats.mean xs;
-    sp_p50_ms = Stats.percentile xs 50.0;
-    sp_p90_ms = Stats.percentile xs 90.0;
-    sp_p99_ms = Stats.percentile xs 99.0;
+    sp_mean_ms = mean c;
+    sp_p50_ms = pct 50.0;
+    sp_p90_ms = pct 90.0;
+    sp_p99_ms = pct 99.0;
     sp_max_ms = Stats.maximum xs;
   }
 
 let summarize t =
-  locked t (fun () -> List.rev_map summarize_cell t.phases)
+  Mutex.protect t.mutex (fun () -> List.rev_map summarize_cell t.phases)
 
-let mean_ms t ~phase =
-  locked t (fun () ->
-      match find_cell t phase with
-      | Some c when c.n > 0 -> Some (Stats.mean (Array.of_list c.samples))
-      | Some _ | None -> None)
+let mean_ms t ~phase = Mutex.protect t.mutex (fun () -> Option.map mean (find_cell t phase))
 
 let to_json summaries =
   Json.Obj

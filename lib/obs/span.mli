@@ -16,7 +16,7 @@ type summary = {
   sp_count : int;
   sp_mean_ms : float;
   sp_p50_ms : float;  (** exact percentiles over the raw durations,
-                          via {!Agp_util.Stats.percentile} *)
+                          via {!Agp_util.Stats.percentiles} *)
   sp_p90_ms : float;
   sp_p99_ms : float;
   sp_max_ms : float;
@@ -36,8 +36,9 @@ val summarize : t -> summary list
 (** Per-phase reduction, phases in first-recorded order. *)
 
 val mean_ms : t -> phase:string -> float option
-(** Mean of a single phase without summarizing the rest; [None] when the
-    phase has no samples (the server's retry-after hint reads this). *)
+(** Mean of a single phase, O(1) from a running sum and count; [None]
+    when the phase has no samples (the server's retry-after hint reads
+    this on every shed). *)
 
 val to_json : summary list -> Json.t
 (** Object keyed by phase:

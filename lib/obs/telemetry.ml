@@ -17,12 +17,8 @@ let create ?registry () =
 
 let registry t = t.registry
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let window t ?max_samples ~span_s name =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match List.find_opt (fun w -> Window.name w = name) t.windows with
       | Some w ->
           if Window.span_s w <> span_s then
@@ -34,7 +30,7 @@ let window t ?max_samples ~span_s name =
           t.windows <- w :: t.windows;
           w)
 
-let windows t = locked t (fun () -> List.rev t.windows)
+let windows t = Mutex.protect t.mutex (fun () -> List.rev t.windows)
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.  Registry names
    use dots ("serve.requests_total"); map anything illegal to '_'. *)

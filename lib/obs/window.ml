@@ -23,10 +23,6 @@ type t = {
   mutable dropped : int;
 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let create ?(max_samples = 65536) ~span_s name =
   if span_s <= 0.0 then invalid_arg "Window.create: span_s must be positive";
   if max_samples < 1 then invalid_arg "Window.create: max_samples must be >= 1";
@@ -71,7 +67,7 @@ let grow t =
   t.head <- 0
 
 let observe t ~now v =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       prune t ~now;
       t.lifetime <- t.lifetime + 1;
       if t.n >= t.max_samples then begin
@@ -100,13 +96,13 @@ type summary = {
 }
 
 let summary t ~now =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       prune t ~now;
       (* newest first: a float sum depends on its order, and the mean's
          is pinned newest first *)
       let n = t.n in
       let vs = Array.init n (fun i -> t.vals.(slot t (n - 1 - i))) in
-      let pct p = Stats.percentile_nearest vs p in
+      let pct = Stats.percentiles_nearest vs in
       {
         s_name = t.w_name;
         s_span_s = t.span_s;

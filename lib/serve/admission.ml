@@ -28,14 +28,10 @@ let create config =
     closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let tenant_load t tenant = Option.value ~default:0 (Hashtbl.find_opt t.tenants tenant)
 
 let submit t ~tenant x =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       if t.closed then Error Protocol.Draining
       else
         let load = tenant_load t tenant in
@@ -58,7 +54,7 @@ let submit t ~tenant x =
 
 let take_batch t ~max ~compatible =
   if max < 1 then invalid_arg "Admission.take_batch: max < 1";
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       while t.qlen = 0 && not t.closed do
         Condition.wait t.nonempty t.mutex
       done;
@@ -79,17 +75,17 @@ let take_batch t ~max ~compatible =
           List.rev !taken)
 
 let finish t ~tenant =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       (match Hashtbl.find_opt t.tenants tenant with
       | Some n when n > 1 -> Hashtbl.replace t.tenants tenant (n - 1)
       | Some _ -> Hashtbl.remove t.tenants tenant
       | None -> ());
       if t.inflight > 0 then t.inflight <- t.inflight - 1)
 
-let depth t = locked t (fun () -> t.qlen)
-let in_flight t = locked t (fun () -> t.inflight)
+let depth t = Mutex.protect t.mutex (fun () -> t.qlen)
+let in_flight t = Mutex.protect t.mutex (fun () -> t.inflight)
 
 let close t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)

@@ -55,8 +55,8 @@ val exit_code : verdict -> int
     3 liveness. *)
 
 type timing = {
-  queue_ms : float;  (** admission to batch pick-up *)
-  build_ms : float;  (** workload construction (amortized per batch) *)
+  queue_ms : float;  (** admission to execute start, less [build_ms] *)
+  build_ms : float;  (** workload construction, the batch's (shared) *)
   exec_ms : float;  (** substrate execution *)
 }
 

@@ -23,22 +23,35 @@ let compatible a b =
   && a.req.Protocol.scale = b.req.Protocol.scale
   && a.req.Protocol.seed = b.req.Protocol.seed
 
-let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.0
+type clock = {
+  submitted : float;
+  build_start : float;
+  build_end : float;
+  exec_start : float;
+  finished : float;
+}
+
+let timing c =
+  let ms a b = (b -. a) *. 1000.0 in
+  let build_ms = ms c.build_start c.build_end in
+  {
+    Protocol.queue_ms = ms c.submitted c.exec_start -. build_ms;
+    build_ms;
+    exec_ms = ms c.exec_start c.finished;
+  }
 
 let bad_request (job : job) message =
   Protocol.Error_reply
     { id = Some job.req.Protocol.id; kind = Protocol.Bad_request; message; line = None; col = None }
 
-let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
+(* Run one job on the built workload; its reply, given the timing *)
+let execute ~shard ~batch ~log app (job : job) =
   let req = job.req in
-  let t0 = Unix.gettimeofday () in
   match Backend.find req.Protocol.backend with
-  | Error e -> bad_request job e
+  | Error e -> fun _ -> bad_request job e
   | Ok b -> begin
       let want_obs = req.Protocol.obs && b.Backend.capabilities.Backend.obs_report in
-      let finish verdict (res : Backend.run_result option) =
-        let exec_ms = ms_since t0 in
-        Span.record spans ~phase:"execute" exec_ms;
+      let finish verdict (res : Backend.run_result option) timing =
         Protocol.Result
           {
             Protocol.out_id = req.Protocol.id;
@@ -48,20 +61,14 @@ let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
             tasks = Option.bind res (fun r -> r.Backend.tasks_run);
             batch;
             shard;
-            timing =
-              {
-                Protocol.queue_ms = (t0 -. job.submitted_at) *. 1000.0 -. build_ms;
-                build_ms;
-                exec_ms;
-              };
+            timing;
             report =
               Option.bind res (fun r ->
                   Option.map Agp_obs.Report.to_json r.Backend.obs);
           }
       in
       match Backend.run ~obs:want_obs ~request_id:req.Protocol.id b app with
-      | exception Backend.Unsupported { reason; _ } ->
-          finish (Protocol.Unsupported reason) None
+      | exception Backend.Unsupported { reason; _ } -> finish (Protocol.Unsupported reason) None
       | exception exn -> (
           match Backend.liveness_failure exn with
           | Some msg -> finish (Protocol.Liveness msg) None
@@ -69,14 +76,15 @@ let execute ~shard ~batch ~build_ms ~spans ~log app (job : job) =
               Log.error log ~req:req.Protocol.id
                 ~fields:[ ("backend", Agp_obs.Json.String b.Backend.name) ]
                 (Printf.sprintf "substrate crashed: %s" (Printexc.to_string exn));
-              Protocol.Error_reply
-                {
-                  id = Some req.Protocol.id;
-                  kind = Protocol.Internal;
-                  message = Printexc.to_string exn;
-                  line = None;
-                  col = None;
-                })
+              fun _ ->
+                Protocol.Error_reply
+                  {
+                    id = Some req.Protocol.id;
+                    kind = Protocol.Internal;
+                    message = Printexc.to_string exn;
+                    line = None;
+                    col = None;
+                  })
       | res ->
           let verdict =
             if not b.Backend.capabilities.Backend.validates then Protocol.Valid
@@ -94,37 +102,44 @@ let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
     | [] -> ()  (* closed and drained *)
     | jobs ->
         let head = List.hd jobs in
-        let t_build = Unix.gettimeofday () in
+        let build_start = Unix.gettimeofday () in
         let built =
           match Workloads.scale_of_string head.req.Protocol.scale with
           | Error e -> Error e
           | Ok scale ->
               Workloads.find head.req.Protocol.app scale ~seed:head.req.Protocol.seed
         in
-        let build_ms = ms_since t_build in
-        Span.record spans ~phase:"build" build_ms;
-        let t_built = t_build +. (build_ms /. 1000.0) in
+        let build_end = Unix.gettimeofday () in
         let batch = List.length jobs in
         List.iter
           (fun job ->
-            Span.record spans ~phase:"queue" ((t_build -. job.submitted_at) *. 1000.0);
-            let t_exec = Unix.gettimeofday () in
-            let response =
+            let exec_start = Unix.gettimeofday () in
+            let reply =
               match built with
-              | Error e -> bad_request job e  (* admission validated; defensive *)
-              | Ok app -> execute ~shard ~batch ~build_ms ~spans ~log app job
+              | Error e -> fun _ -> bad_request job e  (* admission validated; defensive *)
+              | Ok app -> execute ~shard ~batch ~log app job
             in
-            let t_done = Unix.gettimeofday () in
+            let clock =
+              {
+                submitted = job.submitted_at;
+                build_start;
+                build_end;
+                exec_start;
+                finished = Unix.gettimeofday ();
+              }
+            in
+            let timing = timing clock in
+            Span.record spans ~phase:"queue" timing.Protocol.queue_ms;
+            Span.record spans ~phase:"build" timing.Protocol.build_ms;
+            Span.record spans ~phase:"execute" timing.Protocol.exec_ms;
             (match tracer with
             | Some tr ->
-                (* the same three phases Span aggregates, but scoped to
-                   this request id for the Chrome trace *)
                 Tracer.record tr ~id:job.req.Protocol.id ~shard ~batch
                   ~phases:
                     [
-                      ("queue", job.submitted_at, t_build);
-                      ("build", t_build, t_built);
-                      ("execute", t_exec, t_done);
+                      ("queue", clock.submitted, clock.build_start);
+                      ("build", clock.build_start, clock.build_end);
+                      ("execute", clock.exec_start, clock.finished);
                     ]
             | None -> ());
             Log.debug log ~req:job.req.Protocol.id
@@ -132,10 +147,10 @@ let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
                 [
                   ("shard", Agp_obs.Json.Int shard);
                   ("batch", Agp_obs.Json.Int batch);
-                  ("ms", Agp_obs.Json.Float ((t_done -. job.submitted_at) *. 1000.0));
+                  ("ms", Agp_obs.Json.Float ((clock.finished -. clock.submitted) *. 1000.0));
                 ]
               "request executed";
-            on_complete job response)
+            on_complete job clock (reply timing))
           jobs;
         loop ()
   in

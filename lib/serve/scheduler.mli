@@ -21,6 +21,22 @@ type job = {
   respond : Protocol.response -> unit;  (** the connection's writer *)
 }
 
+(** The one timing record of a served request: [Unix.gettimeofday]
+    read once at each phase boundary.  The build is the batch's. *)
+type clock = {
+  submitted : float;  (** the job's [submitted_at] *)
+  build_start : float;
+  build_end : float;
+  exec_start : float;
+  finished : float;
+}
+
+val timing : clock -> Protocol.timing
+(** The request's phases in ms: [build_ms] the batch's build, [exec_ms]
+    this job's run, and [queue_ms] the rest of the wait from admission
+    to execute start — for a shard and, for the k-th job of a batch,
+    behind its k-1 siblings.  They sum to the latency. *)
+
 type config = {
   shards : int;
   max_batch : int;  (** max requests fused into one batch *)
@@ -37,17 +53,18 @@ val start :
   config ->
   spans:Agp_obs.Span.t ->
   admission:job Admission.t ->
-  on_complete:(job -> Protocol.response -> unit) ->
+  on_complete:(job -> clock -> Protocol.response -> unit) ->
   t
-(** Spawn the shard threads.  [on_complete job response] is called once
-    per job from the executing shard; the server uses it to send the
-    response, release the tenant quota and update counters.  The
-    [spans] collector receives per-request ["queue"] / ["build"] /
-    ["execute"] phases; when a [tracer] is given the same three phases
-    are also recorded against the request id for the Chrome trace, and
-    the request id is passed into {!Agp_backend.Backend.run} so obs
-    reports carry it in their meta.  [log] receives per-request debug
-    lines and substrate-crash errors, correlated by request id. *)
+(** Spawn the shard threads.  [on_complete job clock response] is
+    called once per job from the executing shard; the server uses it to
+    send the response, release the tenant quota and update its counters
+    and windows.  Every phase reported derives from [clock]: a Result's
+    [timing] and the ["queue"] / ["build"] / ["execute"] samples of
+    [spans] (one each per job) are {!timing}, and a [tracer] records
+    slices at the clock's boundaries.  The request id is passed into
+    {!Agp_backend.Backend.run} so obs reports carry it in their meta.
+    [log] receives per-request debug lines and substrate-crash errors,
+    correlated by request id. *)
 
 val join : t -> unit
 (** Wait for every shard to exit; returns once the admission queue has

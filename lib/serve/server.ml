@@ -60,19 +60,15 @@ type t = {
   w_exec : Window.t;
   started_at : float;
   mutex : Mutex.t;
-  mutable accepted : int;
-  mutable completed : int;
-  mutable shed : int;
-  mutable errors : int;
   mutable listening_fd : Unix.file_descr option;
   mutable listening : bool;
   mutable stopping : bool;
   mutable drained : bool;
 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+(* each count lives once, in its registry counter; the server lock
+   keeps a stats reply's four counts one snapshot *)
+let bump t c = Mutex.protect t.mutex (fun () -> Metrics.incr c)
 
 let window_span_s = 60.0
 
@@ -89,22 +85,19 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
         admission;
         scheduler =
           Scheduler.start ~log ?tracer config.scheduler ~spans ~admission
-            ~on_complete:(fun job resp ->
+            ~on_complete:(fun job clock resp ->
               let server = Lazy.force t in
               Admission.finish admission ~tenant:job.Scheduler.req.Protocol.tenant;
-              locked server (fun () ->
+              Mutex.protect server.mutex (fun () ->
                   match resp with
                   | Protocol.Result o ->
-                      server.completed <- server.completed + 1;
                       Metrics.incr server.m_completed;
-                      let now = Unix.gettimeofday () in
+                      let now = clock.Scheduler.finished in
                       Window.observe server.w_latency ~now
-                        ((now -. job.Scheduler.submitted_at) *. 1000.0);
+                        ((now -. clock.Scheduler.submitted) *. 1000.0);
                       Window.observe server.w_queue ~now o.Protocol.timing.Protocol.queue_ms;
                       Window.observe server.w_exec ~now o.Protocol.timing.Protocol.exec_ms
-                  | _ ->
-                      server.errors <- server.errors + 1;
-                      Metrics.incr server.m_errors);
+                  | _ -> Metrics.incr server.m_errors);
               (try job.Scheduler.respond resp with _ -> ()));
         spans;
         telemetry;
@@ -119,10 +112,6 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
         w_exec = Telemetry.window telemetry ~span_s:window_span_s "serve.exec_ms";
         started_at = Unix.gettimeofday ();
         mutex = Mutex.create ();
-        accepted = 0;
-        completed = 0;
-        shed = 0;
-        errors = 0;
         listening_fd = None;
         listening = false;
         stopping = false;
@@ -132,13 +121,13 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
   Lazy.force t
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       {
         Protocol.uptime_ms = (Unix.gettimeofday () -. t.started_at) *. 1000.0;
-        accepted = t.accepted;
-        completed = t.completed;
-        shed = t.shed;
-        errors = t.errors;
+        accepted = Metrics.count t.m_accepted;
+        completed = Metrics.count t.m_completed;
+        shed = Metrics.count t.m_shed;
+        errors = Metrics.count t.m_errors;
         depth = Admission.depth t.admission;
         in_flight = Admission.in_flight t.admission;
         spans = Span.summarize t.spans;
@@ -198,7 +187,7 @@ let validate_run (req : Protocol.run_request) =
       end
 
 let wake_accept_loop t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match t.listening_fd with
       | Some fd ->
           t.listening_fd <- None;
@@ -214,7 +203,7 @@ let wake_accept_loop t =
    thread returns from [listen] and the process exits. *)
 let drain t =
   let first =
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         if t.stopping then false
         else begin
           t.stopping <- true;
@@ -241,13 +230,13 @@ let drain t =
       end
     | None -> ());
     Log.info t.log
-      ~fields:[ ("completed", Json.Int (locked t (fun () -> t.completed))) ]
+      ~fields:[ ("completed", Json.Int (Metrics.count t.m_completed)) ]
       "drained";
-    locked t (fun () -> t.drained <- true)
+    Mutex.protect t.mutex (fun () -> t.drained <- true)
   end
   else
     (* second caller waits for the first to finish draining *)
-    while not (locked t (fun () -> t.drained)) do
+    while not (Mutex.protect t.mutex (fun () -> t.drained)) do
       Thread.yield ()
     done
 
@@ -258,9 +247,7 @@ let shutdown t =
 let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()) line =
   match Protocol.read_request line with
   | Error err ->
-      locked t (fun () ->
-          t.errors <- t.errors + 1;
-          Metrics.incr t.m_errors);
+      bump t t.m_errors;
       (match err with
       | Protocol.Error_reply { id; message; _ } -> Log.warn t.log ?req:id message
       | _ -> ());
@@ -268,9 +255,7 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
       `Continue
   | Ok (Protocol.Hello h) ->
       if h.Protocol.protocol <> Protocol.protocol_version then begin
-        locked t (fun () ->
-            t.errors <- t.errors + 1;
-            Metrics.incr t.m_errors);
+        bump t t.m_errors;
         Log.warn t.log
           ~fields:
             [
@@ -312,15 +297,13 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
   | Ok Protocol.Shutdown ->
       Log.info t.log "shutdown requested";
       drain t;
-      respond (Protocol.Shutdown_ack { completed = locked t (fun () -> t.completed) });
+      respond (Protocol.Shutdown_ack { completed = Metrics.count t.m_completed });
       wake_accept_loop t;
       `Shutdown
   | Ok (Protocol.Run req) -> begin
       match validate_run req with
       | Some err ->
-          locked t (fun () ->
-              t.errors <- t.errors + 1;
-              Metrics.incr t.m_errors);
+          bump t t.m_errors;
           (match err with
           | Protocol.Error_reply { message; _ } -> Log.warn t.log ~req:req.Protocol.id message
           | _ -> ());
@@ -339,9 +322,7 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
           in
           (match Admission.submit t.admission ~tenant:req.Protocol.tenant job with
           | Ok () ->
-              locked t (fun () ->
-                  t.accepted <- t.accepted + 1;
-                  Metrics.incr t.m_accepted);
+              bump t t.m_accepted;
               Log.debug t.log ~req:req.Protocol.id
                 ~fields:
                   [
@@ -352,9 +333,7 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
                 "request admitted";
               on_admit ()
           | Error reason ->
-              locked t (fun () ->
-                  t.shed <- t.shed + 1;
-                  Metrics.incr t.m_shed);
+              bump t t.m_shed;
               let reason_name =
                 match reason with
                 | Protocol.Queue_full _ -> "queue-full"
@@ -370,7 +349,7 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
           `Continue
     end
 
-let is_listening t = locked t (fun () -> t.listening)
+let is_listening t = Mutex.protect t.mutex (fun () -> t.listening)
 
 (* Per-connection loop: NDJSON in, NDJSON out.  Responses can arrive
    from shard threads at any time, so writes are serialized by a
@@ -440,23 +419,23 @@ let listen t ~addr =
         ("shards", Json.Int t.config.scheduler.Scheduler.shards);
       ]
     "listening";
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       t.listening_fd <- Some fd;
       t.listening <- true);
   let rec accept_loop () =
-    if locked t (fun () -> t.stopping) then ()
+    if Mutex.protect t.mutex (fun () -> t.stopping) then ()
     else
       match Unix.accept fd with
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
         ->
-          if locked t (fun () -> t.stopping) then () else accept_loop ()
+          if Mutex.protect t.mutex (fun () -> t.stopping) then () else accept_loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
       | cfd, _ ->
           ignore (Thread.create (fun () -> handle_conn t cfd) ());
           accept_loop ()
   in
   accept_loop ();
-  locked t (fun () -> t.listening <- false);
+  Mutex.protect t.mutex (fun () -> t.listening <- false);
   wake_accept_loop t;
   match addr with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())

@@ -1,10 +1,8 @@
 module Json = Agp_obs.Json
 module Chrome_trace = Agp_obs.Chrome_trace
 
-(* Collects per-request wall-clock phase spans from the shard threads
-   and writes one Chrome trace file when the daemon drains.  Times are
-   kept as epoch seconds until export, then rebased to the tracer's
-   creation time in microseconds. *)
+(* The capture: requests newest first, times rebased to microseconds
+   since [epoch] as they are recorded. *)
 
 type t = {
   dir : string;
@@ -18,24 +16,13 @@ type t = {
 
 let create ?(max_requests = 10_000) ~dir () =
   if max_requests < 1 then invalid_arg "Tracer.create: max_requests must be >= 1";
-  {
-    dir;
-    epoch = Unix.gettimeofday ();
-    max_requests;
-    mutex = Mutex.create ();
-    requests = [];
-    n = 0;
-    dropped = 0;
-  }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+  { dir; epoch = Unix.gettimeofday (); max_requests; mutex = Mutex.create (); requests = [];
+    n = 0; dropped = 0 }
 
 let us_of t at = int_of_float (Float.max 0.0 (at -. t.epoch) *. 1e6)
 
 let record t ~id ~shard ~batch ~phases =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       if t.n >= t.max_requests then t.dropped <- t.dropped + 1
       else begin
         let spans =
@@ -53,9 +40,9 @@ let record t ~id ~shard ~batch ~phases =
         t.n <- t.n + 1
       end)
 
-let request_count t = locked t (fun () -> t.n)
+let request_count t = Mutex.protect t.mutex (fun () -> t.n)
 
-let dropped t = locked t (fun () -> t.dropped)
+let dropped t = Mutex.protect t.mutex (fun () -> t.dropped)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
@@ -63,18 +50,13 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let path t = Filename.concat t.dir "serve-trace.json"
-
 let flush t =
-  let requests = locked t (fun () -> List.rev t.requests) in
+  let requests = Mutex.protect t.mutex (fun () -> List.rev t.requests) in
   let doc = Chrome_trace.requests_to_json ~trace_name:"agp-serve" requests in
-  let file = path t in
+  let file = Filename.concat t.dir "serve-trace.json" in
   try
     mkdir_p t.dir;
-    let oc = open_out file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    Out_channel.with_open_text file (fun oc ->
         output_string oc (Json.to_string doc);
         output_char oc '\n');
     Ok file

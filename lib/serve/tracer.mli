@@ -1,12 +1,16 @@
-(** Per-request Chrome trace collection for the serve daemon.
+(** Per-request Chrome trace capture for the serve daemon.
 
-    Shard threads {!record} each request's wall-clock phase spans
-    (queue / build / execute, as epoch-second intervals); {!flush}
-    writes the whole capture as one Trace Event Format file —
-    [<dir>/serve-trace.json] via
-    {!Agp_obs.Chrome_trace.requests_to_json} — when the daemon drains.
-    Timestamps are rebased to the tracer's creation time, in
-    microseconds, so the file opens directly in Perfetto. *)
+    This module is only the capture: a lock, a cap on the number of
+    requests, and the rebase of epoch seconds to microseconds since the
+    tracer's creation.  Shard threads {!record} each request's phase
+    slices at the boundaries of its {!Scheduler.clock} — queue from
+    admission to the batch's build start, build, and execute — so for
+    the k-th request of a batch the wait behind its siblings shows as
+    the gap between build and execute (the [queue_ms] of its response
+    counts it).  {!flush} hands the capture to
+    {!Agp_obs.Chrome_trace.requests_to_json} and writes
+    [<dir>/serve-trace.json] when the daemon drains; it opens directly
+    in Perfetto. *)
 
 type t
 
@@ -24,9 +28,6 @@ val record :
 val request_count : t -> int
 
 val dropped : t -> int
-
-val path : t -> string
-(** Where {!flush} writes. *)
 
 val flush : t -> (string, string) result
 (** Write the capture (creating [dir] if needed); returns the file

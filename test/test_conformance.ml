@@ -110,6 +110,21 @@ let test_obs_report_capability () =
   let seq = Backend.run ~obs:true Backend.sequential app in
   check Alcotest.bool "non-obs backend ignores ~obs" true (seq.Backend.obs = None)
 
+(* the simulator's report captures a ring of the run's last events and
+   says in its meta how many fell off the front *)
+let test_obs_report_coverage () =
+  let dropped scale =
+    let app = Workloads.spec_bfs scale ~seed:42 in
+    match (Backend.run ~obs:true (Backend.simulator ()) app).Backend.obs with
+    | None -> Alcotest.fail "no obs report under ~obs:true"
+    | Some doc -> (
+        match List.assoc_opt "events_dropped" doc.Agp_obs.Report.meta with
+        | Some (Agp_obs.Json.Int n) -> n
+        | _ -> Alcotest.fail "report meta lacks an integer events_dropped")
+  in
+  check Alcotest.int "small run fits the ring" 0 (dropped Workloads.Small);
+  check Alcotest.bool "medium spec-bfs overflows the ring" true (dropped Workloads.Medium > 0)
+
 (* --- registry lookup --- *)
 
 let test_registry_find () =
@@ -1332,6 +1347,31 @@ let test_cli_run_backend_and_golden_diff () =
       (sh "%s run spec-bfs --scale small --backend sequential --report %s" cli_exe tmp);
     check Alcotest.int "unsupported app/backend pair exits 1" 1
       (sh "%s run spec-dmr --scale small --backend opencl" cli_exe);
+    (* observe simulates the accelerator run --backend simulator does *)
+    let cycles cmd =
+      let out = Filename.temp_file "agp_out" ".txt" in
+      ignore (Sys.command (Printf.sprintf "%s >%s 2>/dev/null" cmd out));
+      let words =
+        In_channel.with_open_text out In_channel.input_all
+        |> String.map (fun c -> if c = '\n' then ' ' else c)
+        |> String.split_on_char ' '
+      in
+      Sys.remove out;
+      (* the first "<n> cycles" the command prints *)
+      let rec first = function
+        | n :: ("cycles" | "cycles,") :: _ when int_of_string_opt n <> None -> int_of_string n
+        | _ :: rest -> first rest
+        | [] -> Alcotest.failf "no cycle count printed by %s" cmd
+      in
+      first words
+    in
+    List.iter
+      (fun app ->
+        check Alcotest.int
+          (app ^ ": observe and run --backend simulator agree on cycles")
+          (cycles (Printf.sprintf "%s run %s --scale small --backend simulator" cli_exe app))
+          (cycles (Printf.sprintf "%s observe %s --scale small -o %s" cli_exe app tmp)))
+      Workloads.app_names;
     Sys.remove tmp
   end
 
@@ -1384,6 +1424,7 @@ let () =
           Alcotest.test_case "find and parameterized names" `Quick test_registry_find;
           Alcotest.test_case "timing models run uniformly" `Quick test_timing_models_run;
           Alcotest.test_case "obs report on request" `Quick test_obs_report_capability;
+          Alcotest.test_case "obs report states its coverage" `Quick test_obs_report_coverage;
         ] );
       ( "exceptions",
         [

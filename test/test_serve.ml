@@ -553,6 +553,95 @@ let test_request_trace_capture () =
   Sys.remove trace_file;
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* --- one count and one timing record per request --- *)
+
+(* a request that keeps the one shard busy while the next arrive *)
+let slow_run id =
+  Printf.sprintf
+    {|{"type":"run","id":"%s","tenant":"t","app":"spec-bfs","scale":"medium","backend":"simulator"}|}
+    id
+
+let result_of wait_for id =
+  match wait_for (function Protocol.Result o -> o.Protocol.out_id = id | _ -> false) with
+  | Some (Protocol.Result o) -> o
+  | _ -> Alcotest.failf "no result for %s" id
+
+let test_stats_counts_match_scrape () =
+  let config =
+    {
+      Server.admission = { Admission.queue_depth = 4; shed_watermark = 4; tenant_quota = 1 };
+      scheduler = { Scheduler.shards = 1; max_batch = 8 };
+    }
+  in
+  let t = Server.create ~config () in
+  let respond, wait_for, _ = collector () in
+  line (Server.handle_line t ~respond (slow_run "a"));
+  (* over the tenant's quota while "a" runs *)
+  line (Server.handle_line t ~respond (slow_run "b"));
+  line (Server.handle_line t ~respond {|{"type":"run","id":"c","app":"no-such-app"}|});
+  line (Server.handle_line t ~respond {|{"type":"run",|});
+  ignore (result_of wait_for "a");
+  let s = Server.stats t in
+  let text = Server.prometheus t in
+  let scraped name =
+    let prefix = name ^ " " in
+    match
+      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
+    with
+    | Some l -> int_of_string (String.sub l (String.length prefix) (String.length l - String.length prefix))
+    | None -> Alcotest.failf "scrape lacks %s" name
+  in
+  check Alcotest.int "accepted" 1 s.Protocol.accepted;
+  check Alcotest.int "shed" 1 s.Protocol.shed;
+  check Alcotest.int "errors" 2 s.Protocol.errors;
+  check Alcotest.int "completed" 1 s.Protocol.completed;
+  List.iter
+    (fun (name, n) -> check Alcotest.int (name ^ " = stats") n (scraped name))
+    [
+      ("serve_requests_accepted_total", s.Protocol.accepted);
+      ("serve_requests_shed_total", s.Protocol.shed);
+      ("serve_errors_total", s.Protocol.errors);
+      ("serve_requests_completed_total", s.Protocol.completed);
+    ];
+  Server.shutdown t
+
+let test_batch_queue_is_the_response_queue () =
+  let config =
+    { Server.default_config with Server.scheduler = { Scheduler.shards = 1; max_batch = 8 } }
+  in
+  let t = Server.create ~config () in
+  let respond, wait_for, _ = collector () in
+  let small id =
+    Printf.sprintf {|{"type":"run","id":"%s","app":"spec-bfs","scale":"small","seed":7}|} id
+  in
+  (* "b" and "c" queue together behind "a" and share one build *)
+  line (Server.handle_line t ~respond (slow_run "a"));
+  line (Server.handle_line t ~respond (small "b"));
+  line (Server.handle_line t ~respond (small "c"));
+  let a = result_of wait_for "a" and b = result_of wait_for "b" and c = result_of wait_for "c" in
+  check Alcotest.int "b batched" 2 b.Protocol.batch;
+  check Alcotest.int "c batched" 2 c.Protocol.batch;
+  let q (o : Protocol.outcome) = o.Protocol.timing.Protocol.queue_ms in
+  check Alcotest.bool "the second of the batch waited behind the first" true
+    (q c >= b.Protocol.timing.Protocol.exec_ms);
+  let s = Server.stats t in
+  match List.find_opt (fun sp -> sp.Agp_obs.Span.sp_phase = "queue") s.Protocol.spans with
+  | None -> Alcotest.fail "stats has no queue phase"
+  | Some sp ->
+      (* three samples: the median, the maximum and, from the mean, the
+         minimum are the three responses' queue_ms *)
+      check Alcotest.int "one queue sample per request" 3 sp.Agp_obs.Span.sp_count;
+      let open Agp_obs.Span in
+      let got =
+        [ (3.0 *. sp.sp_mean_ms) -. sp.sp_p50_ms -. sp.sp_max_ms; sp.sp_p50_ms; sp.sp_max_ms ]
+      in
+      check
+        Alcotest.(list (float 1e-6))
+        "stats queue samples = responses' queue_ms"
+        (List.sort compare [ q a; q b; q c ])
+        got;
+      Server.shutdown t
+
 (* --- loadgen percentile totality (satellite) --- *)
 
 let test_loadgen_percentile_tiny () =
@@ -691,6 +780,10 @@ let () =
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_request_drains;
           Alcotest.test_case "metrics exposition" `Quick test_metrics_request;
           Alcotest.test_case "request trace capture" `Quick test_request_trace_capture;
+          Alcotest.test_case "stats counts match the scrape" `Quick
+            test_stats_counts_match_scrape;
+          Alcotest.test_case "batch queue is the response queue" `Quick
+            test_batch_queue_is_the_response_queue;
         ] );
       ( "satellites",
         [

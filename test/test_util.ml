@@ -322,6 +322,48 @@ let test_stats_percentile_nearest () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "p < 0 accepted"
 
+(* one sorted copy serves every percentile, and sorting with
+   Float.compare reads the same values bit for bit as sorting with the
+   polymorphic compare did *)
+let test_stats_percentiles_one_sort () =
+  let reference ~nearest xs p =
+    let sorted = Array.copy xs in
+    Array.sort compare sorted;
+    let n = Array.length sorted in
+    if nearest then sorted.(max 1 (min n (int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)))) - 1)
+    else begin
+      let rank = p /. 100.0 *. float_of_int (n - 1) in
+      let lo = int_of_float (Float.floor rank) and hi = int_of_float (Float.ceil rank) in
+      if lo = hi then sorted.(lo)
+      else
+        let frac = rank -. float_of_int lo in
+        (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+    end
+  in
+  let st = Random.State.make [| 42 |] in
+  for n = 1 to 40 do
+    (* integers, repeats and signed zeros, as cycle and ms samples carry *)
+    let xs =
+      Array.init n (fun i ->
+          match i mod 4 with
+          | 0 -> float_of_int (Random.State.int st 50)
+          | 1 -> Random.State.float st 100.0
+          | 2 -> if Random.State.bool st then 0.0 else -0.0
+          | _ -> float_of_int (Random.State.int st 5))
+    in
+    let pct = Stats.percentiles xs and near = Stats.percentiles_nearest xs in
+    List.iter
+      (fun p ->
+        let same what a b =
+          check Alcotest.int64 (Printf.sprintf "n=%d %s p%g" n what p) (Int64.bits_of_float a)
+            (Int64.bits_of_float b)
+        in
+        same "interpolated" (reference ~nearest:false xs p) (pct p);
+        same "nearest" (reference ~nearest:true xs p) (near p);
+        same "percentile" (pct p) (Stats.percentile xs p))
+      [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ]
+  done
+
 (* --- Chart --- *)
 
 let test_sparkline_shape () =
@@ -410,6 +452,7 @@ let () =
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "percentile nearest-rank" `Quick test_stats_percentile_nearest;
+          Alcotest.test_case "percentiles share one sort" `Quick test_stats_percentiles_one_sort;
         ] );
       ( "chart",
         [
