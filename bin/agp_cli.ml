@@ -194,13 +194,6 @@ let trace_cmd =
     Term.(const run $ scale_arg $ seed_arg $ app_arg $ workers_arg $ ticks_arg)
 
 let run_cmd =
-  let workers_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Workers for the runtime backend / domains for the parallel backend.")
-  in
   let backend_arg =
     Arg.(
       value
@@ -208,8 +201,8 @@ let run_cmd =
       & info [ "backend"; "platform" ] ~docv:"B"
           ~doc:
             "Execution backend from the registry (list them with $(b,agp backends)): \
-             sequential, runtime[:workers], parallel[:domains], simulator (alias: fpga), \
-             cpu-1core, cpu-10core, opencl.")
+             sequential, runtime[:workers], simulator (alias: fpga), cpu-1core, cpu-10core, \
+             opencl.")
   in
   let bw_arg =
     Arg.(
@@ -233,12 +226,7 @@ let run_cmd =
             "Write a schema-versioned machine-readable run report (JSON) to $(docv) — the \
              artifact $(b,agp diff) compares.  Requires an obs-capable backend.")
   in
-  let resolve_backend name ~workers ~bw ~max_steps =
-    let name =
-      match (name, workers) with
-      | ("runtime" | "parallel"), Some n -> Printf.sprintf "%s:%d" name n
-      | _, _ -> name
-    in
+  let resolve_backend name ~bw ~max_steps =
     match Backend.find name with
     | Error _ as e -> e
     | Ok b ->
@@ -258,9 +246,7 @@ let run_cmd =
         if r.Agp_core.Semantics.steps > 0 then
           Printf.printf "  %d steps, peak %d running, peak %d parked, mean busy %.2f\n"
             r.Agp_core.Semantics.steps r.Agp_core.Semantics.max_concurrency
-            r.Agp_core.Semantics.max_waiting r.Agp_core.Semantics.avg_busy;
-        if r.Agp_core.Semantics.domains_used > 0 then
-          Printf.printf "  %d domains used\n" r.Agp_core.Semantics.domains_used
+            r.Agp_core.Semantics.max_waiting r.Agp_core.Semantics.avg_busy
     | Backend.Simulated r ->
         Printf.printf "  %d cycles, utilization %.1f%%, cache hit %.1f%%\n"
           r.Agp_hw.Accelerator.cycles
@@ -277,13 +263,13 @@ let run_cmd =
           r.Agp_baseline.Opencl_model.rounds r.Agp_baseline.Opencl_model.kernel_launches
           r.Agp_baseline.Opencl_model.bytes_moved
   in
-  let run scale seed name backend workers bw max_steps report_out =
+  let run scale seed name backend bw max_steps report_out =
     match find_app scale seed name with
     | Error e ->
         prerr_endline e;
         exit 1
     | Ok app -> begin
-        match resolve_backend backend ~workers ~bw ~max_steps with
+        match resolve_backend backend ~bw ~max_steps with
         | Error e ->
             prerr_endline e;
             exit 1
@@ -347,16 +333,15 @@ let run_cmd =
            `S Manpage.s_examples;
            `P "agp run spec-bfs --backend simulator --scale small --report r.json";
            `P "agp run spec-sssp --backend runtime:4";
-           `P "agp run coor-lu --backend parallel --workers 2";
          ])
     Term.(
-      const run $ scale_arg $ seed_arg $ app_arg $ backend_arg $ workers_arg $ bw_arg
-      $ max_steps_arg $ report_arg)
+      const run $ scale_arg $ seed_arg $ app_arg $ backend_arg $ bw_arg $ max_steps_arg
+      $ report_arg)
 
 let backends_cmd =
   let run () =
     let t =
-      Agp_util.Table.create [ "name"; "timed"; "parallel"; "obs"; "validates"; "description" ]
+      Agp_util.Table.create [ "name"; "timed"; "obs"; "validates"; "description" ]
     in
     let flag v = if v then "yes" else "-" in
     List.iter
@@ -366,15 +351,13 @@ let backends_cmd =
           [
             b.Backend.name;
             flag c.Backend.timed;
-            flag c.Backend.parallel;
             flag c.Backend.obs_report;
             flag c.Backend.validates;
             b.Backend.summary;
           ])
       Backend.all;
     Agp_util.Table.print t;
-    print_endline
-      "parameterized forms: runtime:<workers>, parallel:<domains>; `fpga` aliases `simulator`"
+    print_endline "parameterized form: runtime:<workers>; `fpga` aliases `simulator`"
   in
   Cmd.v
     (Cmd.info "backends"

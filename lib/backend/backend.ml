@@ -8,7 +8,6 @@ module Semantics = Agp_core.Semantics
 
 type capabilities = {
   timed : bool;
-  parallel : bool;
   obs_report : bool;
   validates : bool;
 }
@@ -82,13 +81,11 @@ let outcomes (s : Engine.stats) = s.Engine.committed + s.Engine.aborted + s.Engi
    the record is the entire substrate definition.  The conformance
    suite exercises this with a throwaway counting interpretation to
    keep the claim honest. *)
-let of_interpretation ~name ~summary
-    ?(capabilities =
-      { timed = false; parallel = true; obs_report = false; validates = true }) interp =
+let of_interpretation ~name ~summary interp =
   {
     name;
     summary;
-    capabilities;
+    capabilities = { timed = false; obs_report = false; validates = true };
     supports = supports_all;
     interp = Some interp;
     exec =
@@ -115,7 +112,6 @@ let sequential =
   of_interpretation ~name:"sequential"
     ~summary:
       "in-order oracle (Definition 4.3) — the semantics every other backend is judged against"
-    ~capabilities:{ timed = false; parallel = false; obs_report = false; validates = true }
     (Semantics.oracle ())
 
 let default_workers = 8
@@ -129,24 +125,14 @@ let runtime ?(workers = default_workers) ?max_steps () =
       (Printf.sprintf "aggressive software runtime (§4.4), %d abstract workers" workers)
     (Semantics.pipelined ~workers ?max_steps ())
 
-let parallel ?domains () =
-  let name =
-    match domains with
-    | None -> "parallel"
-    | Some n -> Printf.sprintf "parallel:%d" n
-  in
-  of_interpretation ~name
-    ~summary:"genuinely multicore OCaml-5-domains runtime (§4.4's pthread option)"
-    (Semantics.multicore ?domains ())
-
 let with_max_steps b n =
   match b.interp with
   | Some i -> begin
       match i.Semantics.policy with
       | Semantics.Workers { workers; max_steps = _ } ->
           let interp = { i with Semantics.policy = Semantics.Workers { workers; max_steps = n } } in
-          Ok (of_interpretation ~name:b.name ~summary:b.summary ~capabilities:b.capabilities interp)
-      | Semantics.Min_first _ | Semantics.Domains _ ->
+          Ok (of_interpretation ~name:b.name ~summary:b.summary interp)
+      | Semantics.Min_first _ ->
           Error (Printf.sprintf "backend %s has no step budget (not a worker-pool interpretation)" b.name)
     end
   | None ->
@@ -172,7 +158,7 @@ let simulator ?(config = Config.default) ?(auto_size = true) () =
   {
     name = "simulator";
     summary = "cycle-level model of the synthesized accelerator (Fig. 7)";
-    capabilities = { timed = true; parallel = true; obs_report = true; validates = true };
+    capabilities = { timed = true; obs_report = true; validates = true };
     supports = supports_all;
     interp = None;
     exec =
@@ -213,16 +199,15 @@ let simulator ?(config = Config.default) ?(auto_size = true) () =
   }
 
 let cpu_backend which =
-  let name, summary, is_parallel =
+  let name, summary =
     match which with
-    | `One -> ("cpu-1core", "Xeon 1-core timing model (§6.3): profiled sequential replay", false)
-    | `Ten ->
-        ("cpu-10core", "Xeon 10-core timing model (§6.3): aggressive-runtime makespan", true)
+    | `One -> ("cpu-1core", "Xeon 1-core timing model (§6.3): profiled sequential replay")
+    | `Ten -> ("cpu-10core", "Xeon 10-core timing model (§6.3): aggressive-runtime makespan")
   in
   {
     name;
     summary;
-    capabilities = { timed = true; parallel = is_parallel; obs_report = false; validates = false };
+    capabilities = { timed = true; obs_report = false; validates = false };
     supports = supports_all;
     interp = None;
     exec =
@@ -253,7 +238,7 @@ let opencl =
   {
     name = "opencl";
     summary = "round-based timing model of the Altera-OpenCL HLS baseline (Table 1)";
-    capabilities = { timed = true; parallel = true; obs_report = false; validates = false };
+    capabilities = { timed = true; obs_report = false; validates = false };
     interp = None;
     supports =
       (fun app ->
@@ -293,7 +278,7 @@ let opencl =
 
 (* --- registry --- *)
 
-let all = [ sequential; runtime (); parallel (); simulator (); cpu_1core; cpu_10core; opencl ]
+let all = [ sequential; runtime (); simulator (); cpu_1core; cpu_10core; opencl ]
 
 let names = List.map (fun b -> b.name) all
 
@@ -316,7 +301,6 @@ let levenshtein a b =
 let parameterized_form b =
   match b.name with
   | "runtime" -> Some "runtime:<workers>"
-  | "parallel" -> Some "parallel:<domains>"
   | _ -> None
 
 let unknown_backend_message name =
@@ -362,8 +346,6 @@ let find name =
   | [ "sequential" ] -> Ok sequential
   | [ "runtime" ] -> Ok (runtime ())
   | [ "runtime"; n ] -> Result.map (fun workers -> runtime ~workers ()) (count "runtime" n)
-  | [ "parallel" ] -> Ok (parallel ())
-  | [ "parallel"; n ] -> Result.map (fun domains -> parallel ~domains ()) (count "parallel" n)
   | [ "simulator" ] | [ "fpga" ] -> Ok (simulator ())
   | [ "cpu-1core" ] -> Ok cpu_1core
   | [ "cpu-10core" ] -> Ok cpu_10core

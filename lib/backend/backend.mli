@@ -3,11 +3,11 @@
     The paper's central promise is one specification, many substrates —
     debug in software, synthesize to FPGA.  A {!t} packages one
     substrate (the sequential oracle, the aggressive software runtime,
-    the OCaml-5-domains runtime, the cycle-level accelerator simulator,
-    or the CPU/OpenCL timing models) behind the single {!run} entry
-    point, which returns a uniform {!run_result}: the final-state
-    verdict, a timing figure in the shared timing universe, engine
-    statistics, and (on request) a schema-versioned {!Agp_obs.Report}.
+    the cycle-level accelerator simulator, or the CPU/OpenCL timing
+    models) behind the single {!run} entry point, which returns a
+    uniform {!run_result}: the final-state verdict, a timing figure in
+    the shared timing universe, engine statistics, and (on request) a
+    schema-versioned {!Agp_obs.Report}.
 
     The registry ({!all}, {!find}, {!names}) enumerates the substrates
     so that harnesses, the CLI and the bench iterate backends instead of
@@ -20,7 +20,6 @@ type capabilities = {
       (** produces [seconds] in the shared timing universe (the
           simulator and the CPU/OpenCL models; the software runtimes
           report steps, not time) *)
-  parallel : bool;  (** models or uses concurrent execution *)
   obs_report : bool;
       (** can emit a machine-readable {!Agp_obs.Report} when [run] is
           called with [~obs:true] *)
@@ -34,8 +33,8 @@ type capabilities = {
 (** The substrate's native report, carried alongside the uniform fields
     as a typed escape hatch for substrate-specific views (stall
     attribution, cache hit rates, makespan steps, ...).  Every
-    stepper-interpretation backend (sequential, runtime, parallel, and
-    any {!of_interpretation} substrate) shares the [Stepper] shape —
+    stepper-interpretation backend (sequential, runtime, and any
+    {!of_interpretation} substrate) shares the [Stepper] shape —
     one semantics, one report. *)
 type native =
   | Stepper of Agp_core.Semantics.report
@@ -101,17 +100,12 @@ val run : ?obs:bool -> ?request_id:string -> t -> Agp_apps.App_instance.t -> run
 (** {1 The registry} *)
 
 val of_interpretation :
-  name:string ->
-  summary:string ->
-  ?capabilities:capabilities ->
-  Agp_core.Semantics.interpretation ->
-  t
+  name:string -> summary:string -> Agp_core.Semantics.interpretation -> t
 (** Lift an interpretation record into a registry backend: execution is
     [Semantics.run] on a fresh instance, the native report is
-    [Stepper].  This is how {!sequential}, {!runtime} and {!parallel}
-    are built — a new software substrate is a record, not a module.
-    Default capabilities: untimed, parallel, no obs report,
-    validating. *)
+    [Stepper].  This is how {!sequential} and {!runtime} are built — a
+    new software substrate is a record, not a module.  Capabilities:
+    untimed, no obs report, validating. *)
 
 val sequential : t
 (** The in-order oracle (Definition 4.3) every other backend is judged
@@ -124,15 +118,10 @@ val runtime : ?workers:int -> ?max_steps:int -> unit -> t
     non-default count.  [max_steps] bounds the scheduler (default 1e8
     ticks); exceeding it raises [Agp_core.Semantics.Step_limit_exceeded]. *)
 
-val parallel : ?domains:int -> unit -> t
-(** The OCaml-5-domains runtime (§4.4's pthread option) — the
-    {!Agp_core.Semantics.multicore} interpretation.  Named
-    ["parallel"], or ["parallel:N"] for an explicit domain count. *)
-
 val with_max_steps : t -> int -> (t, string) result
 (** Rebuild a worker-pool backend with a different step budget (the
     CLI's [--max-steps]); [Error] for backends whose policy has no
-    budget (the oracle, domains, the simulator, timing models). *)
+    budget (the oracle, the simulator, timing models). *)
 
 val simulator : ?config:Agp_hw.Config.t -> ?auto_size:bool -> unit -> t
 (** The cycle-level accelerator model (Fig. 7) on [config] (default
@@ -153,19 +142,18 @@ val opencl : t
 
 val all : t list
 (** Default instances of every registered backend, in presentation
-    order: sequential, runtime, parallel, simulator, cpu-1core,
-    cpu-10core, opencl. *)
+    order: sequential, runtime, simulator, cpu-1core, cpu-10core,
+    opencl. *)
 
 val names : string list
 
 val find : string -> (t, string) result
 (** Resolve a backend by name.  Accepts the registry names, ["fpga"]
-    as an alias for ["simulator"], and parameterized forms
-    ["runtime:<workers>"] / ["parallel:<domains>"].  The error for an
-    unknown name is self-describing: it lists every registered backend
-    with its summary and parameterized form, plus a "did you mean"
-    suggestion for near-misses — [agp run] and the serve daemon print
-    it verbatim. *)
+    as an alias for ["simulator"], and the parameterized form
+    ["runtime:<workers>"].  The error for an unknown name is
+    self-describing: it lists every registered backend with its summary
+    and parameterized form, plus a "did you mean" suggestion for
+    near-misses — [agp run] and the serve daemon print it verbatim. *)
 
 val derive_config : Agp_apps.App_instance.t -> Agp_hw.Config.t -> Agp_hw.Config.t
 (** Specialize a simulator configuration to an app: the kernel MLP

@@ -58,16 +58,9 @@ let mutating backends =
   List.filter (fun (b : Backend.t) -> b.Backend.capabilities.Backend.validates) backends
 
 (* The matrix quantifies over the registry itself — every validating
-   backend in [Backend.all], plus pinned domain counts for the
-   nondeterministic substrate — so registering a backend opts it into
+   backend in [Backend.all] — so registering a backend opts it into
    conformance; there is no hand-maintained list to forget to update. *)
-let matrix_backends () =
-  mutating Backend.all
-  @ [
-      Backend.parallel ~domains:1 ();
-      Backend.parallel ~domains:2 ();
-      Backend.parallel ~domains:4 ();
-    ]
+let matrix_backends () = mutating Backend.all
 
 let missing_from rows =
   let covered = List.sort_uniq compare (List.map (fun r -> r.row_backend) rows) in

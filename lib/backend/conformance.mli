@@ -49,10 +49,10 @@ val mutating : Backend.t list -> Backend.t list
     the differential property quantifies over. *)
 
 val matrix_backends : unit -> Backend.t list
-(** The canonical backends-under-test set, derived from [Backend.all]
-    (every validating backend) plus pinned [parallel:1/2/4] instances.
-    Registering a validating backend opts it into conformance
-    automatically — there is no separate list to keep in sync. *)
+(** The canonical backends-under-test set: every validating backend of
+    [Backend.all].  Registering a validating backend opts it into
+    conformance automatically — there is no separate list to keep in
+    sync. *)
 
 val missing_from : row list -> Backend.t list
 (** Validating backends of [Backend.all] that appear in no row — the

@@ -1,7 +1,7 @@
 (* The ECA core: executes an {!Opcode.program} over flat int and float
    arrays.  Every interpretation of a specification runs on it — the
-   {!Semantics} policies (sequential oracle, worker-pool runtime,
-   domains) and the cycle simulator's timing shell in [agp_hw].
+   {!Semantics} policies (sequential oracle, worker-pool runtime) and
+   the cycle simulator's timing shell in [agp_hw].
 
    Task state comes in two parts, as in the paper's accelerator, where a
    queued task is its index and arguments in a queue bank and pipeline

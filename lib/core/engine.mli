@@ -4,10 +4,10 @@
     {!Opcode.program}.
 
     Every interpreter of a specification runs on this one core: the
-    {!Semantics} policies (sequential oracle, worker-pool runtime,
-    domains) schedule its tasks, and the cycle simulator in [agp_hw]
-    wraps its transitions in timing.  All semantics of §4 live here so
-    the interpreters cannot drift apart.
+    {!Semantics} policies (sequential oracle, worker-pool runtime)
+    schedule its tasks, and the cycle simulator in [agp_hw] wraps its
+    transitions in timing.  All semantics of §4 live here so the
+    interpreters cannot drift apart.
 
     A {!task} is an int: the id of its activation row.  Every task,
     pending ones included, holds a row (tid, set, status, index,

@@ -41,7 +41,6 @@ let null_hooks = { on_event = (fun ~tick:_ ~worker:_ _ _ -> ()) }
 type policy =
   | Min_first of { max_tasks : int }
   | Workers of { workers : int; max_steps : int }
-  | Domains of { domains : int option }
 
 type interpretation = {
   descr : string;
@@ -55,7 +54,6 @@ type report = {
   max_concurrency : int;
   max_waiting : int;
   avg_busy : float;
-  domains_used : int;
   stats : Engine.stats;
   prim_counts : (string * int) list;
 }
@@ -65,9 +63,6 @@ let oracle ?(max_tasks = 10_000_000) () =
 
 let pipelined ?(workers = 8) ?(max_steps = 100_000_000) () =
   { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; hooks = null_hooks }
-
-let multicore ?domains () =
-  { descr = "Semantics.multicore"; policy = Domains { domains }; hooks = null_hooks }
 
 let with_hooks interp hooks = { interp with hooks }
 
@@ -145,7 +140,6 @@ let run_min_first ~max_tasks ~hooks eng =
     max_concurrency = (if !tasks_run > 0 then 1 else 0);
     max_waiting = 0;
     avg_busy = (if !op_count > 0 then 1.0 else 0.0);
-    domains_used = 0;
     stats = Engine.stats eng;
     prim_counts = Engine.prim_counts eng;
   }
@@ -264,94 +258,6 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     max_waiting = !max_waiting;
     avg_busy =
       (if !steps = 0 then 0.0 else float_of_int !total_busy /. float_of_int !steps);
-    domains_used = 0;
-    stats = Engine.stats eng;
-    prim_counts = Engine.prim_counts eng;
-  }
-
-(* --- Domains: genuinely multicore, OCaml 5 domains over the shared
-   engine guarded by one lock.  Each domain repeatedly: take the lock,
-   acquire a task (resumed first), run it op-by-op under the lock until
-   it blocks or finishes, then release.  Holding the lock across a
-   whole task slice keeps engine invariants simple; parallelism across
-   domains comes from the slices interleaving at block/finish
-   boundaries and from the OS overlapping the lock-free tails.  Hooks
-   fire under the lock; [tick] is a global transition counter and
-   [worker] the domain number, so counting/profiling interpretations
-   observe a coherent stream even though the schedule is
-   nondeterministic. *)
-let run_domains ~descr ~domains ~hooks eng =
-  let n_domains =
-    match domains with
-    | Some n -> max 1 n
-    | None -> min 4 (Domain.recommended_domain_count ())
-  in
-  let hooked = hooked hooks in
-  let checked = Engine.checked eng in
-  let lock = Mutex.create () in
-  let resumable = fifo () in
-  let tasks_run = Atomic.make 0 in
-  let failure : exn option Atomic.t = Atomic.make None in
-  let ticks = ref 0 (* mutated under the lock only *) in
-  let worker wid () =
-    let fire task ev = hooks.on_event ~tick:!ticks ~worker:wid task ev in
-    let idle_spins = ref 0 in
-    let running = ref true in
-    while !running && Atomic.get failure = None do
-      Mutex.lock lock;
-      let resumed = resumable.qn > 0 in
-      let task = if resumed then fifo_pop resumable else Engine.pop_any eng in
-      if not (is_nil task) then begin
-        idle_spins := 0;
-        incr ticks;
-        if hooked then fire task (if resumed then Resumed else Acquired);
-        let rec slice () =
-          let pc = if hooked then Engine.task_pc eng task else 0 in
-          if checked then Engine.check_step eng task;
-          let rc = Engine.step eng task in
-          if checked then Engine.check_invariants eng;
-          incr ticks;
-          if hooked then fire task (step_event eng pc rc);
-          if rc < Engine.lc_blocked then slice ()
-          else begin
-            if rc > Engine.lc_blocked then Atomic.incr tasks_run;
-            Engine.resolve_pending eng;
-            Engine.resume_ready eng;
-            take_woken resumable eng
-          end
-        in
-        try slice () with e -> Atomic.set failure (Some e)
-      end
-      else if not (remaining (Engine.view eng)) then running := false
-      else begin
-        (* nothing runnable here: give the minimum-task machinery a
-           chance, then back off *)
-        Engine.resolve_pending eng;
-        Engine.resume_ready eng;
-        take_woken resumable eng;
-        incr idle_spins;
-        if !idle_spins > 1_000_000 && Engine.deadlocked eng then
-          Atomic.set failure (Some (Deadlock (descr ^ ": deadlock in rule resolution")))
-      end;
-      Mutex.unlock lock;
-      if is_nil task then Domain.cpu_relax ()
-    done
-  in
-  let spawned = List.init (n_domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  begin
-    match Atomic.get failure with
-    | Some e -> raise e
-    | None -> ()
-  end;
-  {
-    tasks_run = Atomic.get tasks_run;
-    steps = !ticks;
-    max_concurrency = 0;
-    max_waiting = 0;
-    avg_busy = 0.0;
-    domains_used = n_domains;
     stats = Engine.stats eng;
     prim_counts = Engine.prim_counts eng;
   }
@@ -361,7 +267,6 @@ let run_engine interp eng =
   | Min_first { max_tasks } -> run_min_first ~max_tasks ~hooks:interp.hooks eng
   | Workers { workers; max_steps } ->
       run_workers ~descr:interp.descr ~workers ~max_steps ~hooks:interp.hooks eng
-  | Domains { domains } -> run_domains ~descr:interp.descr ~domains ~hooks:interp.hooks eng
 
 let run ?(initial = []) interp sp bindings st =
   let eng = Engine.create sp bindings st in

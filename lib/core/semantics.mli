@@ -2,14 +2,13 @@
 
     The small-step ECA-rule stepper is the compiled core {!Engine}; this
     module is the {e single} driver loop around it, parameterized over
-    an {!interpretation} record: one of three scheduling {!policy}s
-    plus optional effect {!hooks}:
+    an {!interpretation} record: one of two deterministic scheduling
+    {!policy}s plus optional effect {!hooks}:
 
     - {!oracle} — always run the minimum active task to completion
       (Definition 4.3's well-order; the conformance reference).
     - {!pipelined} — a fixed pool of abstract workers, one operation per
       busy worker per tick; the aggressive software runtime of §4.4.
-    - {!multicore} — OCaml 5 domains over the shared engine.
 
     Adding a substrate means building a record, not writing a loop: the
     tracer is [pipelined] plus recording hooks, the CPU timing model is
@@ -42,14 +41,12 @@ type hooks = {
   on_event : tick:int -> worker:int -> Engine.task -> step_event -> unit;
       (** [tick] is the policy's time unit (scheduler tick for
           {!pipelined}, global transition count otherwise); [worker]
-          the abstract worker / domain id.  Under {!multicore} hooks
-          fire holding the engine lock — keep them short.  The task
-          handle is valid only during the call (task rows are
-          recycled); read it through [Engine.task_tid] and friends,
-          with the engine a hook gets by creating it and driving it
-          with {!run_engine}.  Interpretations
-          with {!null_hooks} (compared physically) build no events at
-          all. *)
+          the abstract worker id.  The task handle is valid only
+          during the call (task rows are recycled); read it through
+          [Engine.task_tid] and friends, with the engine a hook gets by
+          creating it and driving it with {!run_engine}.
+          Interpretations with {!null_hooks} (compared physically)
+          build no events at all. *)
 }
 
 val null_hooks : hooks
@@ -62,8 +59,6 @@ type policy =
   | Workers of { workers : int; max_steps : int }
       (** deterministic worker-pool interleaving, one op per busy
           worker per tick *)
-  | Domains of { domains : int option }
-      (** OCaml 5 domains; [None] picks [min 4 recommended] *)
 
 type interpretation = {
   descr : string;  (** prefix for error messages, e.g. ["Semantics.pipelined"] *)
@@ -74,10 +69,9 @@ type interpretation = {
 type report = {
   tasks_run : int;
   steps : int;  (** scheduler ticks ({!pipelined}) or transitions *)
-  max_concurrency : int;  (** peak busy workers (0 under {!multicore}) *)
+  max_concurrency : int;  (** peak busy workers *)
   max_waiting : int;  (** peak parked tasks (0 outside {!pipelined}) *)
   avg_busy : float;  (** mean busy workers per tick *)
-  domains_used : int;  (** 0 outside {!multicore} *)
   stats : Engine.stats;
   prim_counts : (string * int) list;
 }
@@ -91,10 +85,6 @@ val pipelined : ?workers:int -> ?max_steps:int -> unit -> interpretation
 (** Worker-pool runtime. Defaults: 8 workers, 100_000_000 steps.
     Raises {!Step_limit_exceeded} past the budget and {!Deadlock} when
     no task can make progress. *)
-
-val multicore : ?domains:int -> unit -> interpretation
-(** Domain-parallel runtime. Raises {!Deadlock} (from the losing
-    domain, re-raised on the caller) on rule-resolution deadlock. *)
 
 val with_hooks : interpretation -> hooks -> interpretation
 

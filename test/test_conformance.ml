@@ -24,8 +24,8 @@ let state_deterministic (app : App_instance.t) =
   List.mem app.App_instance.app_name [ "SPEC-BFS"; "COOR-BFS"; "SPEC-SSSP" ]
 
 (* The backends-under-test set is derived from the registry itself
-   (every validating backend plus pinned parallel:1/2/4 instances) —
-   registering a backend opts it into conformance automatically. *)
+   (every validating backend) — registering a backend opts it into
+   conformance automatically. *)
 let backends_under_test = Conformance.matrix_backends ()
 
 let test_matrix () =
@@ -131,7 +131,7 @@ let test_registry_find () =
   check
     Alcotest.(list string)
     "registry order"
-    [ "sequential"; "runtime"; "parallel"; "simulator"; "cpu-1core"; "cpu-10core"; "opencl" ]
+    [ "sequential"; "runtime"; "simulator"; "cpu-1core"; "cpu-10core"; "opencl" ]
     Backend.names;
   let name s =
     match Backend.find s with
@@ -140,7 +140,8 @@ let test_registry_find () =
   in
   check Alcotest.string "plain name" "runtime" (name "runtime");
   check Alcotest.string "fpga aliases simulator" "simulator" (name "fpga");
-  (* one cycle engine: the retired engine names are unknown backends *)
+  (* one cycle engine and no domains runtime: the retired engine names
+     are unknown backends *)
   List.iter
     (fun gone ->
       match Backend.find gone with
@@ -148,14 +149,13 @@ let test_registry_find () =
       | Error e ->
           check Alcotest.bool (gone ^ " is an unknown backend") true
             (Astring.String.is_prefix ~affix:"unknown backend" e))
-    [ "simulator:classic"; "simulator:compiled" ];
+    [ "simulator:classic"; "simulator:compiled"; "parallel"; "parallel:2" ];
   check Alcotest.string "parameterized workers" "runtime:3" (name "runtime:3");
-  check Alcotest.string "parameterized domains" "parallel:2" (name "parallel:2");
   List.iter
     (fun bad ->
       check Alcotest.bool (Printf.sprintf "%S rejected" bad) true
         (Result.is_error (Backend.find bad)))
-    [ "nosuch"; "runtime:0"; "runtime:-1"; "runtime:x"; "parallel:"; "simulator:4"; "" ]
+    [ "nosuch"; "runtime:0"; "runtime:-1"; "runtime:x"; "simulator:4"; "" ]
 
 (* --- pinned fingerprints: every app x seed on the oracle, the
    worker-pool runtime and the cycle simulator must reproduce the

@@ -664,7 +664,9 @@ let test_unknown_backend_message () =
         (fun needle ->
           check Alcotest.bool (Printf.sprintf "mentions %s" needle) true
             (Astring.String.is_infix ~affix:needle e))
-        [ "registered backends"; "simulator"; "runtime:<workers>"; "parallel:<domains>" ]
+        [ "registered backends"; "simulator"; "runtime:<workers>" ];
+      check Alcotest.bool "lists no parallel backend" false
+        (Astring.String.is_infix ~affix:"parallel" e)
 
 let test_unknown_backend_suggests () =
   match Backend.find "simulater" with
