@@ -309,8 +309,8 @@ let observability () =
   register "obs/sink-emit-ring" (fun () ->
       Agp_obs.Sink.emit ring ~ts:0 (Agp_obs.Event.Queue_full { set = "visit"; pipe = 0 }));
   register "obs/attribution-charge" (fun () ->
-      let a = Agp_obs.Attribution.create () in
-      Agp_obs.Attribution.charge a ~set:"visit" Agp_obs.Attribution.Busy 1)
+      let a = Agp_obs.Attribution.create [ "visit" ] in
+      Agp_obs.Attribution.charge a ~slot:0 Agp_obs.Attribution.Busy 1)
 
 (* --- backend registry: one app across every execution substrate --- *)
 
@@ -405,7 +405,7 @@ let ablations () =
         Agp_hw.Config.with_pipelines Agp_hw.Config.default [ ("visit", n); ("update", n) ]
       in
       let r =
-        Agp_hw.Accelerator.run ~config ~auto_size:false ~spec:app.Agp_apps.App_instance.spec
+        Agp_hw.Accelerator.run ~config ~spec:app.Agp_apps.App_instance.spec
           ~bindings:run.Agp_apps.App_instance.bindings ~state:run.Agp_apps.App_instance.state
           ~initial:run.Agp_apps.App_instance.initial ()
       in

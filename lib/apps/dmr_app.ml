@@ -5,8 +5,6 @@ module Refinement = Agp_geometry.Refinement
 
 type workload = { points : (float * float) array }
 
-let default_workload ~seed = { points = Agp_graph.Generator.points ~seed ~n:250 ~span:100.0 }
-
 let workload_of_points points = { points }
 
 let cavity_signature_width = 16

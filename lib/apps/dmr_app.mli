@@ -22,9 +22,6 @@ type workload = {
   points : (float * float) array;
 }
 
-val default_workload : seed:int -> workload
-(** 250 random points in a 100x100 box. *)
-
 val workload_of_points : (float * float) array -> workload
 
 val cavity_signature_width : int

@@ -5,9 +5,6 @@ module Dense_block = Agp_sparse.Dense_block
 
 type workload = { matrix : Block_matrix.t }
 
-let default_workload ~seed =
-  { matrix = Block_matrix.random_sparse ~seed ~nb:8 ~bs:8 ~density:0.3 }
-
 let sized_workload ~seed ~nb ~bs ~density =
   { matrix = Block_matrix.random_sparse ~seed ~nb ~bs ~density }
 

@@ -20,9 +20,6 @@ type workload = {
   matrix : Agp_sparse.Block_matrix.t;
 }
 
-val default_workload : seed:int -> workload
-(** 8x8 blocks of 8x8 doubles at 30% off-diagonal density. *)
-
 val sized_workload : seed:int -> nb:int -> bs:int -> density:float -> workload
 
 val coordinative : workload -> App_instance.t

@@ -5,8 +5,6 @@ module Union_find = Agp_util.Union_find
 
 type workload = { graph : Csr.t }
 
-let default_workload ~seed = { graph = Agp_graph.Generator.random ~seed ~n:400 ~m:1200 }
-
 (* Kruskal's order is the weight order; on the unweighted form every
    spanning tree would be minimal *)
 let require_weighted who (g : Csr.t) =

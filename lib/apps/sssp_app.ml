@@ -7,9 +7,6 @@ type workload = {
   root : int;
 }
 
-let default_workload ~seed =
-  { graph = Agp_graph.Generator.road ~weighted:true ~seed ~width:30 ~height:20; root = 0 }
-
 (* the spec loads the weight column, so the unweighted form would only
    fail later, as a bounds error inside a run *)
 let require_weighted who (g : Csr.t) =

@@ -14,8 +14,6 @@ type workload = {
   root : int;
 }
 
-val default_workload : seed:int -> workload
-
 val workload_of_graph : Agp_graph.Csr.t -> int -> workload
 (** @raise Invalid_argument on an unweighted graph
     ({!Agp_graph.Csr.weighted}). *)

@@ -154,7 +154,7 @@ let derive_config (app : App_instance.t) (base : Config.t) =
    the report's meta carries [events_dropped]. *)
 let obs_ring_capacity = 262_144
 
-let simulator ?(config = Config.default) ?(auto_size = true) () =
+let simulator ?(config = Config.default) () =
   {
     name = "simulator";
     summary = "cycle-level model of the synthesized accelerator (Fig. 7)";
@@ -170,7 +170,7 @@ let simulator ?(config = Config.default) ?(auto_size = true) () =
         in
         let timeline = if obs then Some (Agp_obs.Timeline.create ~interval:256 ()) else None in
         let report =
-          Accelerator.run ~config ~auto_size ~sink ?timeline
+          Accelerator.run ~config ~sink ?timeline
             ~spec:app.App_instance.spec ~bindings:r.App_instance.bindings
             ~state:r.App_instance.state ~initial:r.App_instance.initial ()
         in
@@ -278,7 +278,31 @@ let opencl =
 
 (* --- registry --- *)
 
-let all = [ sequential; runtime (); simulator (); cpu_1core; cpu_10core; opencl ]
+(* One entry per backend, in presentation order: the registry names
+   each backend once, with its aliases and, for a backend that takes a
+   count ("runtime:<workers>"), the count's name and the constructor. *)
+type entry = {
+  backend : t;
+  aliases : string list;
+  param : (string * (int -> t)) option;
+}
+
+let registry =
+  let plain backend = { backend; aliases = []; param = None } in
+  [
+    plain sequential;
+    {
+      backend = runtime ();
+      aliases = [];
+      param = Some ("workers", fun workers -> runtime ~workers ());
+    };
+    { backend = simulator (); aliases = [ "fpga" ]; param = None };
+    plain cpu_1core;
+    plain cpu_10core;
+    plain opencl;
+  ]
+
+let all = List.map (fun e -> e.backend) registry
 
 let names = List.map (fun b -> b.name) all
 
@@ -298,16 +322,16 @@ let levenshtein a b =
   done;
   prev.(m)
 
-let parameterized_form b =
-  match b.name with
-  | "runtime" -> Some "runtime:<workers>"
-  | _ -> None
+let form e =
+  match e.param with
+  | Some (what, _) -> Printf.sprintf "%s (also %s:<%s>)" e.backend.name e.backend.name what
+  | None -> e.backend.name
 
 let unknown_backend_message name =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf "unknown backend %S" name);
   let base = List.hd (String.split_on_char ':' name) in
-  let candidates = "fpga" :: names in
+  let candidates = List.concat_map (fun e -> e.aliases) registry @ names in
   let best =
     List.fold_left
       (fun acc c ->
@@ -322,34 +346,33 @@ let unknown_backend_message name =
       Buffer.add_string buf (Printf.sprintf " — did you mean %S?" c)
   | _ -> ());
   Buffer.add_string buf "\nregistered backends:\n";
-  List.iter
-    (fun b ->
-      let form =
-        match parameterized_form b with
-        | Some f -> Printf.sprintf "%s (also %s)" b.name f
-        | None -> b.name
-      in
-      Buffer.add_string buf (Printf.sprintf "  %-28s %s\n" form b.summary))
-    all;
-  Buffer.add_string buf "  fpga aliases simulator";
+  let width = List.fold_left (fun w e -> max w (String.length (form e))) 0 registry in
+  let lines =
+    List.map (fun e -> Printf.sprintf "  %-*s %s" width (form e) e.backend.summary) registry
+    @ List.concat_map
+        (fun e -> List.map (fun a -> Printf.sprintf "  %s aliases %s" a e.backend.name) e.aliases)
+        registry
+  in
+  Buffer.add_string buf (String.concat "\n" lines);
   Buffer.contents buf
 
 let find name =
-  let count what n =
-    match int_of_string_opt n with
-    | Some k when k > 0 -> Ok k
-    | Some _ | None ->
-        Error
-          (Printf.sprintf "%s wants a positive count, got %S (e.g. %s:4)" what n what)
-  in
+  let entry n = List.find_opt (fun e -> e.backend.name = n || List.mem n e.aliases) registry in
   match String.split_on_char ':' name with
-  | [ "sequential" ] -> Ok sequential
-  | [ "runtime" ] -> Ok (runtime ())
-  | [ "runtime"; n ] -> Result.map (fun workers -> runtime ~workers ()) (count "runtime" n)
-  | [ "simulator" ] | [ "fpga" ] -> Ok (simulator ())
-  | [ "cpu-1core" ] -> Ok cpu_1core
-  | [ "cpu-10core" ] -> Ok cpu_10core
-  | [ "opencl" ] -> Ok opencl
+  | [ n ] -> (
+      match entry n with
+      | Some e -> Ok e.backend
+      | None -> Error (unknown_backend_message name))
+  | [ n; count ] -> (
+      match entry n with
+      | Some { param = Some (_, make); backend; _ } -> (
+          match int_of_string_opt count with
+          | Some k when k > 0 -> Ok (make k)
+          | Some _ | None ->
+              Error
+                (Printf.sprintf "%s wants a positive count, got %S (e.g. %s:4)" backend.name count
+                   backend.name))
+      | _ -> Error (unknown_backend_message name))
   | _ -> Error (unknown_backend_message name)
 
 (* --- native accessors --- *)

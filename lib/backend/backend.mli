@@ -123,10 +123,10 @@ val with_max_steps : t -> int -> (t, string) result
     CLI's [--max-steps]); [Error] for backends whose policy has no
     budget (the oracle, the simulator, timing models). *)
 
-val simulator : ?config:Agp_hw.Config.t -> ?auto_size:bool -> unit -> t
+val simulator : ?config:Agp_hw.Config.t -> unit -> t
 (** The cycle-level accelerator model (Fig. 7) on [config] (default
     {!Agp_hw.Config.default}), with {!derive_config} applied per app.
-    [auto_size] as in {!Agp_hw.Accelerator.run}.  Its obs report is
+    Its obs report is
     built from a ring of the run's last 262,144 events; the report's
     meta says how many earlier events it lost as ["events_dropped"]. *)
 

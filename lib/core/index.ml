@@ -1,12 +1,8 @@
 type t = int array
 
-let root s = Array.make (max s 1) 0
-
 let of_array a = Array.copy a
 
 let to_array t = Array.copy t
-
-let width = Array.length
 
 let compare (a : t) (b : t) =
   let n = min (Array.length a) (Array.length b) in

@@ -10,15 +10,9 @@
 
 type t
 
-val root : int -> t
-(** [root s] is the all-zero index of width [s] (used for host-injected
-    initial tasks before any counter ticks). *)
-
 val of_array : int array -> t
 
 val to_array : t -> int array
-
-val width : t -> int
 
 val compare : t -> t -> int
 (** Lexicographic. *)

@@ -104,10 +104,6 @@ let task_set_slot t name =
   in
   loop 0 t.task_sets
 
-let find_task_set t name = List.find (fun ts -> ts.ts_name = name) t.task_sets
-
-let find_rule t name = List.find (fun r -> r.rule_name = name) t.rules
-
 let may_write t name =
   let rec writes = function
     | Store (a, _, _) -> a = name

@@ -166,10 +166,6 @@ val task_set_slot : t -> string -> int
 (** Declaration position of a task set (its well-order slot).
     @raise Not_found on unknown names. *)
 
-val find_task_set : t -> string -> task_set
-
-val find_rule : t -> string -> rule
-
 val may_write : t -> string -> bool
 (** [may_write t name]: whether a run of [t] can write the state array
     [name] — some [Store] names it, or [t] has a [Prim] anywhere, since

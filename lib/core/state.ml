@@ -44,11 +44,6 @@ let find t name = (entry t name).data
 
 let base t name = (entry t name).base
 
-let array_length t name =
-  match find t name with
-  | Ints a -> Array.length a
-  | Floats a -> Array.length a
-
 let check_bounds name len index =
   if index < 0 || index >= len then
     invalid_arg (Printf.sprintf "State: %s[%d] out of bounds (length %d)" name index len)

@@ -27,8 +27,6 @@ val add_float_array : t -> string -> float array -> unit
 
 val has_array : t -> string -> bool
 
-val array_length : t -> string -> int
-
 val base : t -> string -> int
 (** Byte address of the array's element 0.
     @raise Invalid_argument on an unknown name. *)

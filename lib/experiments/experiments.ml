@@ -86,38 +86,30 @@ type fig10_row = {
 
 let fig10 ?(scale = Workloads.Medium) ?(seed = 42) ?(factors = [ 1.0; 2.0; 4.0; 8.0 ]) () =
   List.concat_map
-    (fun make_app ->
-      let baseline = ref None in
-      List.map
-        (fun factor ->
-          let app = make_app () in
-          let config = Config.scale_bandwidth Config.default factor in
-          let hw = accelerate ~config app in
-          let base =
-            match !baseline with
-            | Some b -> b
-            | None ->
-                baseline := Some hw.Accelerator.seconds;
-                hw.Accelerator.seconds
-          in
-          {
-            app10 = app.App_instance.app_name;
-            factor;
-            speedup_over_1x = base /. hw.Accelerator.seconds;
-            utilization10 = hw.Accelerator.utilization;
-            aborted =
-              hw.Accelerator.engine_stats.Agp_core.Engine.aborted
-              + hw.Accelerator.engine_stats.Agp_core.Engine.retried;
-          })
-        factors)
-    [
-      (fun () -> Workloads.spec_bfs scale ~seed);
-      (fun () -> Workloads.coor_bfs scale ~seed);
-      (fun () -> Workloads.spec_sssp scale ~seed);
-      (fun () -> Workloads.spec_mst scale ~seed);
-      (fun () -> Workloads.spec_dmr scale ~seed);
-      (fun () -> Workloads.coor_lu scale ~seed);
-    ]
+    (fun app ->
+      (* each run takes a fresh instance of the one workload *)
+      let runs =
+        List.map
+          (fun factor ->
+            (factor, accelerate ~config:(Config.scale_bandwidth Config.default factor) app))
+          factors
+      in
+      match runs with
+      | [] -> []
+      | (_, base) :: _ ->
+          List.map
+            (fun (factor, hw) ->
+              {
+                app10 = app.App_instance.app_name;
+                factor;
+                speedup_over_1x = base.Accelerator.seconds /. hw.Accelerator.seconds;
+                utilization10 = hw.Accelerator.utilization;
+                aborted =
+                  hw.Accelerator.engine_stats.Agp_core.Engine.aborted
+                  + hw.Accelerator.engine_stats.Agp_core.Engine.retried;
+              })
+            runs)
+    (Workloads.all scale ~seed)
 
 let print_fig10 rows =
   let t = Table.create [ "app"; "QPI x"; "speedup"; "utilization"; "squashed tasks" ] in
@@ -204,8 +196,7 @@ type resource_row = {
   fits_device : bool;
 }
 
-let resources ?(seed = 42) () =
-  ignore seed;
+let resources () =
   let specs =
     [
       ("SPEC-BFS", Agp_apps.Bfs_app.spec_speculative);

@@ -63,7 +63,7 @@ type resource_row = {
   fits_device : bool;
 }
 
-val resources : ?seed:int -> unit -> resource_row list
+val resources : unit -> resource_row list
 
 val print_resources : resource_row list -> unit
 

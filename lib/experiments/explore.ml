@@ -60,7 +60,7 @@ let sweep ?(candidates = default_candidates) (app : App_instance.t) =
           stall = None;
         }
       else begin
-        let res = Backend.run (Backend.simulator ~config ~auto_size:false ()) app in
+        let res = Backend.run (Backend.simulator ~config ()) app in
         begin
           match res.Backend.check with
           | Ok () -> ()

@@ -158,10 +158,6 @@ let triangulate pts =
 
 let is_enclosure_vertex t v = List.mem v t.enclosure
 
-let touches_enclosure t tri =
-  let a, b, c = Mesh.vertices t.mesh tri in
-  is_enclosure_vertex t a || is_enclosure_vertex t b || is_enclosure_vertex t c
-
 let in_domain t (x, y) =
   let minx, miny, maxx, maxy = t.domain in
   x >= minx && x <= maxx && y >= miny && y <= maxy

@@ -37,9 +37,6 @@ val insert_point : Mesh.t -> hint:int -> Mesh.point -> (int * int list * int lis
 
 val is_enclosure_vertex : t -> int -> bool
 
-val touches_enclosure : t -> int -> bool
-(** True when the (live) triangle has a bounding-square corner vertex. *)
-
 val in_domain : t -> Mesh.point -> bool
 (** Point lies in the input-domain bounding box. *)
 

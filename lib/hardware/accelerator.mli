@@ -55,7 +55,6 @@ type report = {
 
 val run :
   ?config:Config.t ->
-  ?auto_size:bool ->
   ?sink:Agp_obs.Sink.t ->
   ?timeline:Agp_obs.Timeline.t ->
   spec:Agp_core.Spec.t ->
@@ -65,9 +64,8 @@ val run :
   unit ->
   report
 (** Simulate to quiescence, mutating [state] exactly as the software
-    runtimes would.  With [auto_size] (default true) the pipeline
-    replication is chosen by {!Resource.heuristic_pipelines} when the
-    configuration leaves it empty.  [sink] (default
+    runtimes would.  When the configuration leaves the pipeline
+    replication empty, {!Resource.heuristic_pipelines} chooses it.  [sink] (default
     {!Agp_obs.Sink.null}) captures the event stream; it is also
     threaded into the internal {!Memory}.  [timeline] (default absent)
     receives interval samples of utilization / occupancy / cache / link
@@ -81,7 +79,9 @@ val run :
     @raise Agp_core.Engine.Step_limit_exceeded when the run passes
     50,000,000 iterations of the cycle loop.
     @raise Failure naming the first broken invariant, when the engine
-    checks invariants ({!Agp_core.Engine.checked}). *)
+    checks invariants ({!Agp_core.Engine.checked}); the simulator then
+    also checks, after every scan, that each set's attribution sums to
+    [cycles x pipelines] so far. *)
 
 val metrics_registry : ?spans:Agp_obs.Lifecycle.span list -> report -> Agp_obs.Metrics.registry
 (** The canonical metrics view of a completed run: counters

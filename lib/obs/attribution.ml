@@ -10,6 +10,8 @@ type bucket =
 
 let buckets = [ Busy; Mem_stall; Rendezvous_stall; Queue_full; Squash_waste; Idle ]
 
+let n_buckets = List.length buckets
+
 let bucket_index = function
   | Busy -> 0
   | Mem_stall -> 1
@@ -26,61 +28,61 @@ let bucket_name = function
   | Squash_waste -> "squash-waste"
   | Idle -> "idle"
 
+(* one row of [n_buckets] cells per set, rows in creation order *)
 type t = {
-  tbl : (string, int array) Hashtbl.t;
-  mutable order : string list; (* reverse first-charge order *)
+  sets : string array;
+  cells : int array;
 }
 
-let create () = { tbl = Hashtbl.create 4; order = [] }
+let create sets =
+  let sets = Array.of_list sets in
+  { sets; cells = Array.make (Array.length sets * n_buckets) 0 }
 
-let row t set =
-  match Hashtbl.find_opt t.tbl set with
-  | Some r -> r
-  | None ->
-      let r = Array.make (List.length buckets) 0 in
-      Hashtbl.add t.tbl set r;
-      t.order <- set :: t.order;
-      r
+let cell slot b = (slot * n_buckets) + bucket_index b
 
-let charge t ~set bucket n =
+let charge t ~slot b n =
   if n < 0 then invalid_arg "Attribution.charge: negative amount";
-  let r = row t set in
-  let i = bucket_index bucket in
-  r.(i) <- r.(i) + n
+  let i = cell slot b in
+  t.cells.(i) <- t.cells.(i) + n
 
-let reclassify t ~set ~src ~dst n =
+let reclassify t ~slot ~src ~dst n =
   if n < 0 then invalid_arg "Attribution.reclassify: negative amount";
-  let r = row t set in
-  let si = bucket_index src and di = bucket_index dst in
-  let moved = min n r.(si) in
-  r.(si) <- r.(si) - moved;
-  r.(di) <- r.(di) + moved;
+  let si = cell slot src and di = cell slot dst in
+  let moved = min n t.cells.(si) in
+  t.cells.(si) <- t.cells.(si) - moved;
+  t.cells.(di) <- t.cells.(di) + moved;
   moved
 
-let get t ~set bucket =
-  match Hashtbl.find_opt t.tbl set with
-  | None -> 0
-  | Some r -> r.(bucket_index bucket)
+let set_total t ~slot =
+  let sum = ref 0 in
+  for i = slot * n_buckets to ((slot + 1) * n_buckets) - 1 do
+    sum := !sum + t.cells.(i)
+  done;
+  !sum
 
-let sets t = List.rev t.order
+let total t = Array.fold_left ( + ) 0 t.cells
+
+let bucket_total t b =
+  let sum = ref 0 in
+  for slot = 0 to Array.length t.sets - 1 do
+    sum := !sum + t.cells.(cell slot b)
+  done;
+  !sum
+
+let get t ~set b =
+  let rec find slot =
+    if slot = Array.length t.sets then 0
+    else if t.sets.(slot) = set then t.cells.(cell slot b)
+    else find (slot + 1)
+  in
+  find 0
 
 let per_set t =
-  List.map
-    (fun set ->
-      let r = Hashtbl.find t.tbl set in
-      (set, List.map (fun b -> (b, r.(bucket_index b))) buckets))
-    (sets t)
+  List.mapi
+    (fun slot set -> (set, List.map (fun b -> (b, t.cells.(cell slot b))) buckets))
+    (Array.to_list t.sets)
 
-let set_total t ~set =
-  match Hashtbl.find_opt t.tbl set with
-  | None -> 0
-  | Some r -> Array.fold_left ( + ) 0 r
-
-let total t = List.fold_left (fun acc set -> acc + set_total t ~set) 0 (sets t)
-
-let equal a b =
-  let pa = per_set a and pb = per_set b in
-  List.length pa = List.length pb && List.for_all2 ( = ) pa pb
+let equal a b = a.sets = b.sets && a.cells = b.cells
 
 type summary = {
   busy_frac : float;
@@ -93,12 +95,7 @@ type summary = {
 
 let summary t =
   let tot = total t in
-  let frac b =
-    if tot = 0 then 0.0
-    else
-      float_of_int (List.fold_left (fun acc set -> acc + get t ~set b) 0 (sets t))
-      /. float_of_int tot
-  in
+  let frac b = if tot = 0 then 0.0 else float_of_int (bucket_total t b) /. float_of_int tot in
   {
     busy_frac = frac Busy;
     mem_frac = frac Mem_stall;
@@ -121,20 +118,35 @@ let dominant_stall s =
 
 let render t =
   let tbl = Table.create ("task set" :: "pipe-cycles" :: List.map bucket_name buckets) in
-  let cell n tot =
+  let share n tot =
     if tot = 0 then string_of_int n
     else Printf.sprintf "%d (%.1f%%)" n (100.0 *. float_of_int n /. float_of_int tot)
   in
-  List.iter
-    (fun (set, bs) ->
-      let tot = set_total t ~set in
-      Table.add_row tbl
-        (set :: string_of_int tot :: List.map (fun (_, n) -> cell n tot) bs))
+  List.iteri
+    (fun slot (set, bs) ->
+      let tot = set_total t ~slot in
+      Table.add_row tbl (set :: string_of_int tot :: List.map (fun (_, n) -> share n tot) bs))
     (per_set t);
   let grand = total t in
   Table.add_row tbl
-    ("TOTAL" :: string_of_int grand
-    :: List.map
-         (fun b -> cell (List.fold_left (fun acc set -> acc + get t ~set b) 0 (sets t)) grand)
-         buckets);
+    ("TOTAL" :: string_of_int grand :: List.map (fun b -> share (bucket_total t b) grand) buckets);
   Table.render tbl
+
+let to_json t =
+  let s = summary t in
+  Json.Obj
+    (List.map
+       (fun (set, bs) -> (set, Json.Obj (List.map (fun (b, n) -> (bucket_name b, Json.Int n)) bs)))
+       (per_set t)
+    @ [
+        ( "summary",
+          Json.Obj
+            [
+              ("busy_frac", Json.Float s.busy_frac);
+              ("mem_stall_frac", Json.Float s.mem_frac);
+              ("rdv_stall_frac", Json.Float s.rendezvous_frac);
+              ("queue_full_frac", Json.Float s.queue_frac);
+              ("squash_frac", Json.Float s.squash_frac);
+              ("idle_frac", Json.Float s.idle_frac);
+            ] );
+      ])

@@ -35,22 +35,33 @@ val buckets : bucket list
 val bucket_name : bucket -> string
 
 type t
+(** A flat matrix of pipeline-cycles: one row of six buckets per task
+    set, its sets fixed at creation.  The one place the bucket layout
+    lives; the simulator charges it in place every scan. *)
 
-val create : unit -> t
+val create : string list -> t
+(** All-zero rows for the given sets, in that order.  A set's {e slot}
+    is its position in this list (for the simulator, the spec's
+    task-set order). *)
 
-val charge : t -> set:string -> bucket -> int -> unit
-(** Add [n] pipeline-cycles ([n >= 0]) to a bucket of a task set. *)
+val charge : t -> slot:int -> bucket -> int -> unit
+(** Add [n] pipeline-cycles ([n >= 0]) to a bucket of the set in
+    [slot]. *)
 
-val reclassify : t -> set:string -> src:bucket -> dst:bucket -> int -> int
+val reclassify : t -> slot:int -> src:bucket -> dst:bucket -> int -> int
 (** Move up to [n] cycles between buckets of one set, clamped to the
     source's balance; returns the amount actually moved. *)
 
+val set_total : t -> slot:int -> int
+(** Sum of one set's buckets — equals [cycles x pipelines of that set]
+    for a simulation charged up to [cycles]. *)
+
 val get : t -> set:string -> bucket -> int
+(** One bucket of the named set (0 for a set the matrix does not
+    hold). *)
 
 val per_set : t -> (string * (bucket * int) list) list
-(** Sets in first-charge order, each with all six buckets. *)
-
-val set_total : t -> set:string -> int
+(** Sets in creation order, each with all six buckets. *)
 
 val total : t -> int
 (** Sum over all sets and buckets — equals [cycles x total pipelines]
@@ -76,3 +87,8 @@ val dominant_stall : summary -> string * float
 val render : t -> string
 (** Aligned table: one row per set plus a totals row, each bucket as
     ["cycles (share%)"]. *)
+
+val to_json : t -> Json.t
+(** The run report's ["attribution"] section: one object per set,
+    keyed by {!bucket_name}, in creation order, then a ["summary"]
+    object of the {!summary} fractions. *)

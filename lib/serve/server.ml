@@ -61,7 +61,6 @@ type t = {
   started_at : float;
   mutex : Mutex.t;
   mutable listening_fd : Unix.file_descr option;
-  mutable listening : bool;
   mutable stopping : bool;
   mutable drained : bool;
 }
@@ -113,7 +112,6 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
         started_at = Unix.gettimeofday ();
         mutex = Mutex.create ();
         listening_fd = None;
-        listening = false;
         stopping = false;
         drained = false;
       }
@@ -349,8 +347,6 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
           `Continue
     end
 
-let is_listening t = Mutex.protect t.mutex (fun () -> t.listening)
-
 (* Per-connection loop: NDJSON in, NDJSON out.  Responses can arrive
    from shard threads at any time, so writes are serialized by a
    per-connection mutex; the connection is closed only once its admitted
@@ -419,9 +415,7 @@ let listen t ~addr =
         ("shards", Json.Int t.config.scheduler.Scheduler.shards);
       ]
     "listening";
-  Mutex.protect t.mutex (fun () ->
-      t.listening_fd <- Some fd;
-      t.listening <- true);
+  Mutex.protect t.mutex (fun () -> t.listening_fd <- Some fd);
   let rec accept_loop () =
     if Mutex.protect t.mutex (fun () -> t.stopping) then ()
     else
@@ -435,7 +429,6 @@ let listen t ~addr =
           accept_loop ()
   in
   accept_loop ();
-  Mutex.protect t.mutex (fun () -> t.listening <- false);
   wake_accept_loop t;
   match addr with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())

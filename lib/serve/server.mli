@@ -71,8 +71,6 @@ val shutdown : t -> unit
 (** Close admission, drain the shard pool and wake the accept loop.
     Idempotent, callable from any thread. *)
 
-val is_listening : t -> bool
-
 val listen : t -> addr:addr -> unit
 (** Bind, accept, and serve until {!shutdown} (or a [shutdown] request)
     — one thread per connection, blocking the caller.  Unix socket

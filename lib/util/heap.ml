@@ -50,8 +50,6 @@ let pop t =
     Some top
   end
 
-let peek t = if Vec.is_empty t.v then None else Some (Vec.get t.v 0)
-
 let of_array cmp a =
   let t = { cmp; v = Vec.of_array a } in
   for i = (Array.length a / 2) - 1 downto 0 do

@@ -14,8 +14,6 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
 
-val peek : 'a t -> 'a option
-
 val of_array : ('a -> 'a -> int) -> 'a array -> 'a t
 (** Heapify in O(n). *)
 

@@ -12,16 +12,23 @@ let add_row t row =
   let padded = row @ List.init (n - len) (fun _ -> "") in
   Vec.push t.rows padded
 
+(* display width in UTF-8 code points: every byte but a continuation
+   byte (0b10xxxxxx) starts one *)
+let length cell =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) cell;
+  !n
+
 let widths t =
   let n = List.length t.headers in
   let w = Array.make n 0 in
-  let measure row = List.iteri (fun i cell -> w.(i) <- max w.(i) (String.length cell)) row in
+  let measure row = List.iteri (fun i cell -> w.(i) <- max w.(i) (length cell)) row in
   measure t.headers;
   Vec.iter measure t.rows;
   w
 
 let render_row w row =
-  let cells = List.mapi (fun i cell -> Printf.sprintf "%-*s" w.(i) cell) row in
+  let cells = List.mapi (fun i cell -> cell ^ String.make (w.(i) - length cell) ' ') row in
   "| " ^ String.concat " | " cells ^ " |"
 
 let render t =

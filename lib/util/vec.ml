@@ -62,10 +62,6 @@ let fold f acc t =
   done;
   !acc
 
-let exists p t =
-  let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
-  loop 0
-
 let to_array t = Array.sub t.data 0 t.len
 
 let to_list t = Array.to_list (to_array t)

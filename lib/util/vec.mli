@@ -39,8 +39,6 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
-val exists : ('a -> bool) -> 'a t -> bool
-
 val to_array : 'a t -> 'a array
 
 val to_list : 'a t -> 'a list

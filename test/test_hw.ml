@@ -188,7 +188,7 @@ let test_accel_more_pipelines_not_slower () =
     let app = Bfs_app.speculative (Bfs_app.workload_of_graph g 0) in
     let run = app.App_instance.fresh () in
     let config = Config.with_pipelines Config.default pipes in
-    (Accelerator.run ~config ~auto_size:false ~spec:app.App_instance.spec
+    (Accelerator.run ~config ~spec:app.App_instance.spec
        ~bindings:run.App_instance.bindings ~state:run.App_instance.state
        ~initial:run.App_instance.initial ())
       .Accelerator.cycles

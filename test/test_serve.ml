@@ -668,6 +668,20 @@ let test_unknown_backend_message () =
       check Alcotest.bool "lists no parallel backend" false
         (Astring.String.is_infix ~affix:"parallel" e)
 
+let test_unknown_backend_columns () =
+  (* the longest form, "runtime (also runtime:<workers>)", sets the
+     column every summary starts in *)
+  match Backend.find "no-such-backend" with
+  | Ok _ -> Alcotest.fail "found a backend that should not exist"
+  | Error e ->
+      let lines = String.split_on_char '\n' e in
+      let column (b : Backend.t) =
+        List.find_map (fun l -> Astring.String.find_sub ~sub:b.Backend.summary l) lines
+      in
+      let columns = List.map column Backend.all in
+      check Alcotest.bool "every summary listed" true (List.for_all Option.is_some columns);
+      check Alcotest.int "one summary column" 1 (List.length (List.sort_uniq compare columns))
+
 let test_unknown_backend_suggests () =
   match Backend.find "simulater" with
   | Ok _ -> Alcotest.fail "typo resolved unexpectedly"
@@ -790,6 +804,7 @@ let () =
       ( "satellites",
         [
           Alcotest.test_case "unknown backend message" `Quick test_unknown_backend_message;
+          Alcotest.test_case "unknown backend columns" `Quick test_unknown_backend_columns;
           Alcotest.test_case "unknown backend suggestion" `Quick test_unknown_backend_suggests;
           Alcotest.test_case "version handshake" `Quick test_version_string;
         ] );

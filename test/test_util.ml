@@ -403,6 +403,19 @@ let test_table_too_many_cells () =
   Alcotest.check_raises "reject" (Invalid_argument "Table.add_row: too many cells") (fun () ->
       Table.add_row t [ "a"; "b" ])
 
+let test_table_multibyte () =
+  (* "—" and "§" are 3 and 2 bytes but one column each: every row of
+     the rendered table is the same number of code points wide *)
+  let t = Table.create [ "name"; "note" ] in
+  Table.add_row t [ "a—b"; "§4.4" ];
+  Table.add_row t [ "plain"; "ascii" ];
+  let lines = String.split_on_char '\n' (Table.render t) in
+  let code_points l =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 l
+  in
+  check Alcotest.(list int) "rows equally wide" [ 17; 17; 17; 17 ] (List.map code_points lines);
+  check Alcotest.string "multibyte row" "| a—b   | §4.4  |" (List.nth lines 2)
+
 let test_table_cells () =
   check Alcotest.string "float cell" "3.14" (Table.cell_float ~decimals:2 3.14159);
   check Alcotest.string "ratio cell" "1.90x" (Table.cell_ratio 1.9)
@@ -464,6 +477,7 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
+          Alcotest.test_case "multibyte cells" `Quick test_table_multibyte;
           Alcotest.test_case "cell formatting" `Quick test_table_cells;
         ] );
     ]
