@@ -225,7 +225,7 @@ let schedules () =
   print_string (Experiments.schedule_diagram ());
   register "fig2/bdfg-compile-all" (fun () ->
       List.iter
-        (fun sp -> ignore (Agp_dataflow.Bdfg.of_spec sp))
+        (fun sp -> ignore (Agp_dataflow.Bdfg.of_program (Agp_core.Opcode.compile sp)))
         [
           Agp_apps.Bfs_app.spec_speculative;
           Agp_apps.Sssp_app.spec_speculative;

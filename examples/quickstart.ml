@@ -95,7 +95,7 @@ let () =
   print_endline "parallel result equals the sequential oracle (correctness criterion of §4.1)";
 
   (* 4. compile to a Boolean dataflow graph *)
-  let bdfg = Agp_dataflow.Bdfg.of_spec spec in
+  let bdfg = Agp_dataflow.Bdfg.of_program (Agp_core.Opcode.compile spec) in
   Printf.printf "BDFG: %d actors, %d primitive pipeline stages\n"
     (Array.length bdfg.Agp_dataflow.Bdfg.actors)
     (Agp_dataflow.Bdfg.stage_count bdfg "claim");

@@ -94,7 +94,8 @@ type program = {
   code : inst array;
   source : Spec.op option array;
       (** the spec operation each pc was compiled from ([None] at the
-          shared commit pc) — what effect hooks report *)
+          shared commit pc) — what effect hooks report, and where
+          [Agp_dataflow.Bdfg.of_program] takes its actor labels *)
   entry : int array;  (** per task-set slot *)
   n_sets : int;
   set_names : string array;

@@ -8,8 +8,9 @@
     - {!Semantics.pipelined} — the aggressive software runtime (the
       "pure software runtime" of §4.4) with speculative/coordinative
       scheduling;
-    - [Agp_hw.Accelerator] — the cycle-level FPGA model, after
-      compilation to a Boolean dataflow graph ([Agp_dataflow]).
+    - [Agp_hw.Accelerator] — the cycle-level FPGA model, which runs the
+      same compiled program ({!Opcode}) and sizes its pipelines from
+      the Boolean dataflow graph viewed over it ([Agp_dataflow]).
 
     Task bodies are straight-line programs over a small typed expression
     language, with structured branching ([If] becomes a BDFG switch

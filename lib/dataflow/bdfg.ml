@@ -1,4 +1,5 @@
 module Spec = Agp_core.Spec
+module Opcode = Agp_core.Opcode
 module Vec = Agp_util.Vec
 
 type actor_kind =
@@ -36,95 +37,109 @@ type t = {
   edges : edge list;
 }
 
-type builder = {
-  acts : actor Vec.t;
-  mutable eds : edge list;
-}
+let expr_label : Spec.expr -> string = function
+  | Spec.Const v -> Format.asprintf "%a" Agp_core.Value.pp v
+  | Spec.Param i -> "$" ^ string_of_int i
+  | Spec.Var v -> v
+  | Spec.Binop _ -> "expr"
+  | Spec.Not _ -> "!expr"
+  | Spec.Neg _ -> "-expr"
 
-let new_actor b set kind label =
-  let a = { id = Vec.length b.acts; kind; set; label } in
-  Vec.push b.acts a;
-  a
+(* the label of the actor compiled from a pc's source op; the shared
+   commit pc has none *)
+let label : Spec.op option -> string = function
+  | None -> "commit"
+  | Some (Spec.Let (v, e)) -> v ^ " = " ^ expr_label e
+  | Some (Spec.Load (v, arr, _)) -> v ^ " <- " ^ arr
+  | Some (Spec.Store (arr, _, _)) -> arr ^ " <- store"
+  | Some (Spec.Push (target, _)) -> "push " ^ target
+  | Some (Spec.Push_iter (target, _, _, _, _)) -> "spawn* " ^ target
+  | Some (Spec.Alloc (h, rule, _)) -> h ^ " <- " ^ rule
+  | Some (Spec.Await (v, h)) -> v ^ " <- await " ^ h
+  | Some (Spec.Emit (l, _)) -> "emit " ^ l
+  | Some (Spec.Prim (_, name, _)) -> "prim " ^ name
+  | Some (Spec.If _) -> "switch"
+  | Some Spec.Abort -> "abort"
+  | Some Spec.Retry -> "retry"
 
-let connect b ?branch src dst = b.eds <- { src; dst; branch } :: b.eds
+let kind (p : Opcode.program) : Opcode.inst -> actor_kind = function
+  | I_let _ -> Compute
+  | I_load { arr; _ } -> Load_op p.array_names.(arr)
+  | I_store { arr; _ } -> Store_op p.array_names.(arr)
+  | I_push { set; _ } -> Spawn p.set_names.(set)
+  | I_push_iter { set; _ } -> Spawn_iter p.set_names.(set)
+  | I_alloc { rule; _ } -> Rule_alloc p.rules.(rule).r_name
+  | I_await _ -> Rendezvous
+  | I_emit { label; _ } -> Event p.labels.(label)
+  | I_if _ -> Switch
+  | I_prim { name; _ } -> Prim_op name
+  | I_commit -> Commit
+  | I_abort -> Squash
+  | I_retry -> Respawn
 
-let rec expr_label (e : Spec.expr) = Format.asprintf "%a" pp_expr_short e
+(* the pcs an instruction continues at, the then branch first *)
+let next_pcs : Opcode.inst -> (int * bool option) list = function
+  | I_let { next; _ } | I_load { next; _ } | I_store { next; _ } | I_push { next; _ }
+  | I_push_iter { next; _ } | I_alloc { next; _ } | I_await { next; _ } | I_emit { next; _ }
+  | I_prim { next; _ } ->
+      [ (next, None) ]
+  | I_if { then_pc; else_pc; _ } -> [ (then_pc, Some true); (else_pc, Some false) ]
+  | I_commit | I_abort | I_retry -> []
 
-and pp_expr_short fmt (e : Spec.expr) =
-  match e with
-  | Spec.Const v -> Agp_core.Value.pp fmt v
-  | Spec.Param i -> Format.fprintf fmt "$%d" i
-  | Spec.Var v -> Format.fprintf fmt "%s" v
-  | Spec.Binop (_, _, _) -> Format.fprintf fmt "expr"
-  | Spec.Not _ -> Format.fprintf fmt "!expr"
-  | Spec.Neg _ -> Format.fprintf fmt "-expr"
-
-(* Compile a body; [prev] is the (actor, branch) feeding the next op.
-   Returns the dangling outputs that reach the end of the list (i.e.
-   fall through to Commit). *)
-let rec compile_body b set prev ops =
-  match ops with
-  | [] -> [ prev ]
-  | op :: rest -> begin
-      let pa, pbr = prev in
-      let simple kind label =
-        let a = new_actor b set kind label in
-        connect b ?branch:pbr pa.id a.id;
-        compile_body b set (a, None) rest
+let of_program (p : Opcode.program) =
+  let acts = Vec.create () and eds = ref [] in
+  let add set kind label ins =
+    let id = Vec.length acts in
+    Vec.push acts { id; kind; set; label };
+    List.iter (fun (src, branch) -> eds := { src; dst = id; branch } :: !eds) ins;
+    id
+  in
+  let n = Array.length p.code in
+  Array.iteri
+    (fun s entry ->
+      let set = p.set_names.(s) in
+      (* in-edges per pc reachable from the entry; a pc's out-edges are
+         counted when its first in-edge is *)
+      let indeg = Array.make n 0 in
+      let rec count pc =
+        List.iter
+          (fun (q, _) ->
+            indeg.(q) <- indeg.(q) + 1;
+            if indeg.(q) = 1 then count q)
+          (next_pcs p.code.(pc))
       in
-      match op with
-      | Spec.Let (v, e) -> simple Compute (v ^ " = " ^ expr_label e)
-      | Spec.Load (v, arr, _) -> simple (Load_op arr) (v ^ " <- " ^ arr)
-      | Spec.Store (arr, _, _) -> simple (Store_op arr) (arr ^ " <- store")
-      | Spec.Push (target, _) -> simple (Spawn target) ("push " ^ target)
-      | Spec.Push_iter (target, _, _, _, _) -> simple (Spawn_iter target) ("spawn* " ^ target)
-      | Spec.Alloc (h, rule, _) -> simple (Rule_alloc rule) (h ^ " <- " ^ rule)
-      | Spec.Await (v, h) -> simple Rendezvous (v ^ " <- await " ^ h)
-      | Spec.Emit (l, _) -> simple (Event l) ("emit " ^ l)
-      | Spec.Prim (_, name, _) -> simple (Prim_op name) ("prim " ^ name)
-      | Spec.Abort ->
-          let a = new_actor b set Squash "abort" in
-          connect b ?branch:pbr pa.id a.id;
-          []
-      | Spec.Retry ->
-          let a = new_actor b set Respawn "retry" in
-          connect b ?branch:pbr pa.id a.id;
-          []
-      | Spec.If (_, then_ops, else_ops) ->
-          let sw = new_actor b set Switch "switch" in
-          connect b ?branch:pbr pa.id sw.id;
-          let then_ends = compile_body b set (sw, Some true) then_ops in
-          let else_ends = compile_body b set (sw, Some false) else_ops in
-          let ends = then_ends @ else_ends in
-          begin
-            match ends with
-            | [] -> [] (* both branches sink *)
-            | [ single ] -> compile_body b set single rest
-            | _ :: _ :: _ ->
-                let mg = new_actor b set Merge "merge" in
-                List.iter (fun (a, br) -> connect b ?branch:br a.id mg.id) ends;
-                compile_body b set (mg, None) rest
-          end
-    end
-
-let of_spec (sp : Spec.t) =
-  let b = { acts = Vec.create (); eds = [] } in
-  List.iter
-    (fun ts ->
-      let set = ts.Spec.ts_name in
-      let entry = new_actor b set Entry (set ^ " queue") in
-      let ends = compile_body b set (entry, None) ts.Spec.body in
-      match ends with
-      | [] -> ()
-      | ends ->
-          let commit = new_actor b set Commit "commit" in
-          List.iter (fun (a, br) -> connect b ?branch:br a.id commit.id) ends)
-    sp.Spec.task_sets;
-  { actors = Vec.to_array b.acts; edges = List.rev b.eds }
+      count entry;
+      (* Depth-first over edges: a pc's actor is made when its last
+         in-edge is taken, behind a merge when several edges join there.
+         The commit actor waits until the rest of the set is built. *)
+      let arrived = Array.make n [] and commit = ref [] in
+      let rec walk = function
+        | [] -> ()
+        | (pc, src, branch) :: rest when List.length arrived.(pc) + 1 < indeg.(pc) ->
+            arrived.(pc) <- (src, branch) :: arrived.(pc);
+            walk rest
+        | (pc, src, branch) :: rest -> (
+            let ins =
+              match List.rev ((src, branch) :: arrived.(pc)) with
+              | [ _ ] as ins -> ins
+              | ins -> [ (add set Merge "merge" ins, None) ]
+            in
+            match p.code.(pc) with
+            | I_commit ->
+                commit := ins;
+                walk rest
+            | inst ->
+                let a = add set (kind p inst) (label p.source.(pc)) ins in
+                walk (List.map (fun (q, branch) -> (q, a, branch)) (next_pcs inst) @ rest))
+      in
+      walk [ (entry, add set Entry (set ^ " queue") [], None) ];
+      if !commit <> [] then ignore (add set Commit (label None) !commit))
+    p.entry;
+  { actors = Vec.to_array acts; edges = List.rev !eds }
 
 let actors_of_set t set =
-  (* actor ids are allocated in pipeline order during compilation *)
-  Array.to_list (Array.of_seq (Seq.filter (fun a -> a.set = set) (Array.to_seq t.actors)))
+  (* actor ids are allocated in pipeline order *)
+  List.filter (fun a -> a.set = set) (Array.to_list t.actors)
 
 let is_primitive a =
   match a.kind with
@@ -136,24 +151,11 @@ let is_primitive a =
 let stage_count t set = List.length (List.filter is_primitive (actors_of_set t set))
 
 let depth t set =
-  (* ids are allocated in topological order within a body, so one
-     forward sweep computes the longest path *)
-  let actors = actors_of_set t set in
-  let dist = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let here = Option.value ~default:1 (Hashtbl.find_opt dist a.id) in
-      List.iter
-        (fun e ->
-          if e.src = a.id then begin
-            let cur = Option.value ~default:0 (Hashtbl.find_opt dist e.dst) in
-            if here + 1 > cur then Hashtbl.replace dist e.dst (here + 1)
-          end)
-        t.edges)
-    actors;
-  List.fold_left
-    (fun acc a -> max acc (Option.value ~default:1 (Hashtbl.find_opt dist a.id)))
-    1 actors
+  (* edges are listed in the order of their targets' ids, a topological
+     order, so one sweep over them computes every longest path *)
+  let dist = Array.make (Array.length t.actors) 1 in
+  List.iter (fun e -> dist.(e.dst) <- max dist.(e.dst) (dist.(e.src) + 1)) t.edges;
+  List.fold_left (fun acc a -> max acc dist.(a.id)) 1 (actors_of_set t set)
 
 let successors t id =
   List.filter_map

@@ -2,14 +2,15 @@
     between the task/rule abstraction and the FPGA templates (§5.1,
     Buck's token-flow model).
 
-    Each task set compiles to one subgraph: an entry actor fed by the
-    set's task queue, a chain of primitive-operation actors following
-    the body, switch actors for conditionals and rendezvous (the
-    boolean-controlled actors that make the graph a BDFG), and sinks
-    for commit/squash.  Control dependence is encoded as data
-    dependence on the boolean token steering each switch — there is no
-    centralized controller, which is the property that lets the
-    hardware model execute tasks as freely-flowing tokens. *)
+    A view of the op array the ECA core runs ({!Agp_core.Opcode}): per
+    task set, an entry actor fed by the set's task queue, one actor per
+    reachable instruction — switch actors for conditionals and
+    rendezvous (the boolean-controlled actors that make the graph a
+    BDFG) — and sinks for commit/squash.  Control dependence is
+    encoded as data dependence on the boolean token steering each
+    switch — there is no centralized controller, which is the property
+    that lets the hardware model execute tasks as freely-flowing
+    tokens. *)
 
 type actor_kind =
   | Entry  (** pops task tokens from the set's queue *)
@@ -45,14 +46,15 @@ type edge = {
 
 type t = {
   actors : actor array;
-  edges : edge list;
+  edges : edge list;  (** in the order of their [dst] ids *)
 }
 
-val of_spec : Agp_core.Spec.t -> t
-(** Compile every task set's body.  The translation is the systematic
-    one described in §5.1: queues from for-all/for-each constructs,
-    rule constructors and rendezvous inserted as primitive
-    operations. *)
+val of_program : Agp_core.Opcode.program -> t
+(** Per task set: one [Entry]; one actor per pc reachable from the
+    set's entry, its kind from the instruction, its label from the pc's
+    [source]; one [Merge] per join pc, so a join of k paths is one
+    k-input [Merge].  Ids follow a topological order, then branches
+    before else branches, the set's [Commit] last. *)
 
 val actors_of_set : t -> string -> actor list
 (** In pipeline order (a topological order of the subgraph). *)

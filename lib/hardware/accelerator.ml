@@ -508,10 +508,10 @@ let simulate ?(config = Config.default) ?(sink = Sink.null) ?timeline ~spec ~bin
     else config
   in
   let wall_start = Unix.gettimeofday () in
-  let graph = Bdfg.of_spec spec in
   let en = Engine.create spec bindings state in
   let v = Engine.view en in
   let prog = Engine.program en in
+  let graph = Bdfg.of_program prog in
   let n_sets = prog.Opcode.n_sets in
   let mem = Memory.create ~sink cfg in
   let arr_base = Engine.array_bases en in

@@ -81,21 +81,18 @@ type breakdown = {
 let pipeline_cost g set =
   List.fold_left (fun acc a -> add acc (actor_cost a.Bdfg.kind)) zero (Bdfg.actors_of_set g set)
 
-let breakdown (sp : Spec.t) (cfg : Config.t) =
-  let g = Bdfg.of_spec sp in
-  let pipelines =
+(* one instance of each set's pipeline, priced from the compiled spec *)
+let set_costs (sp : Spec.t) =
+  let g = Bdfg.of_program (Agp_core.Opcode.compile sp) in
+  List.map (fun ts -> (ts.Spec.ts_name, pipeline_cost g ts.Spec.ts_name)) sp.Spec.task_sets
+
+let breakdown_of (sp : Spec.t) costs (cfg : Config.t) =
+  let pipelines, queues =
     List.fold_left
-      (fun acc ts ->
-        let set = ts.Spec.ts_name in
-        add acc (scale (Config.pipeline_count cfg set) (pipeline_cost g set)))
-      zero sp.Spec.task_sets
-  in
-  let queues =
-    List.fold_left
-      (fun acc ts ->
-        let ports = Config.pipeline_count cfg ts.Spec.ts_name in
-        add acc (queue_cost ~banks:cfg.Config.queue_banks ~ports))
-      zero sp.Spec.task_sets
+      (fun (p, q) (set, c) ->
+        let n = Config.pipeline_count cfg set in
+        (add p (scale n c), add q (queue_cost ~banks:cfg.Config.queue_banks ~ports:n)))
+      (zero, zero) costs
   in
   let lanes_per_rule =
     match sp.Spec.rules with
@@ -115,6 +112,8 @@ let breakdown (sp : Spec.t) (cfg : Config.t) =
        else float_of_int rule_engines.registers /. float_of_int total.registers);
   }
 
+let breakdown sp cfg = breakdown_of sp (set_costs sp) cfg
+
 let fits b =
   b.total.alms <= stratix_v.alms
   && b.total.registers <= stratix_v.registers
@@ -122,15 +121,10 @@ let fits b =
   && b.total.dsps <= stratix_v.dsps
 
 let heuristic_pipelines (sp : Spec.t) ~max_per_set =
-  let sets = List.map (fun ts -> ts.Spec.ts_name) sp.Spec.task_sets in
+  let costs = set_costs sp in
   let rec grow n =
-    if n >= max_per_set then n
-    else begin
-      let cfg =
-        Config.with_pipelines Config.default (List.map (fun s -> (s, n + 1)) sets)
-      in
-      if fits (breakdown sp cfg) then grow (n + 1) else n
-    end
+    let cfg = Config.with_pipelines Config.default (List.map (fun (s, _) -> (s, n + 1)) costs) in
+    if n < max_per_set && fits (breakdown_of sp costs cfg) then grow (n + 1) else n
   in
   let n = max 1 (grow 1) in
-  List.map (fun s -> (s, n)) sets
+  List.map (fun (s, _) -> (s, n)) costs

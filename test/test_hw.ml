@@ -17,6 +17,8 @@ let ok_result = Alcotest.result Alcotest.unit Alcotest.string
 
 (* --- BDFG --- *)
 
+let graph sp = Bdfg.of_program (Agp_core.Opcode.compile sp)
+
 let all_specs =
   [
     Bfs_app.spec_speculative;
@@ -30,14 +32,14 @@ let all_specs =
 let test_bdfg_compiles_all () =
   List.iter
     (fun sp ->
-      let g = Bdfg.of_spec sp in
+      let g = graph sp in
       match Bdfg.validate g with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" sp.Agp_core.Spec.spec_name e)
     all_specs
 
 let test_bdfg_structure_bfs () =
-  let g = Bdfg.of_spec Bfs_app.spec_speculative in
+  let g = graph Bfs_app.spec_speculative in
   let update = Bdfg.actors_of_set g "update" in
   let has kind = List.exists (fun a -> a.Bdfg.kind = kind) update in
   check Alcotest.bool "has entry" true (has Bdfg.Entry);
@@ -49,7 +51,7 @@ let test_bdfg_structure_bfs () =
   check Alcotest.bool "stage count positive" true (Bdfg.stage_count g "update" > 5)
 
 let test_bdfg_switch_branches () =
-  let g = Bdfg.of_spec Bfs_app.spec_speculative in
+  let g = graph Bfs_app.spec_speculative in
   let switches =
     List.filter (fun a -> a.Bdfg.kind = Bdfg.Switch) (Bdfg.actors_of_set g "update")
   in
@@ -62,7 +64,7 @@ let test_bdfg_switch_branches () =
     switches
 
 let test_bdfg_dot () =
-  let g = Bdfg.of_spec Lu_app.spec_coordinative in
+  let g = graph Lu_app.spec_coordinative in
   let dot = Bdfg.to_dot g in
   check Alcotest.bool "digraph" true (String.length dot > 50);
   check Alcotest.bool "has cluster" true
