@@ -306,6 +306,11 @@ let all = List.map (fun e -> e.backend) registry
 
 let names = List.map (fun b -> b.name) all
 
+let aliases = List.concat_map (fun e -> List.map (fun a -> (a, e.backend.name)) e.aliases) registry
+
+let parameterized =
+  List.filter_map (fun e -> Option.map (fun (what, _) -> (e.backend.name, what)) e.param) registry
+
 (* Edit distance for the "did you mean" hint on a misspelled backend
    name; the candidate set is a handful of short names, so the O(nm)
    table is free. *)
@@ -331,7 +336,7 @@ let unknown_backend_message name =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf "unknown backend %S" name);
   let base = List.hd (String.split_on_char ':' name) in
-  let candidates = List.concat_map (fun e -> e.aliases) registry @ names in
+  let candidates = List.map fst aliases @ names in
   let best =
     List.fold_left
       (fun acc c ->
@@ -349,9 +354,7 @@ let unknown_backend_message name =
   let width = List.fold_left (fun w e -> max w (String.length (form e))) 0 registry in
   let lines =
     List.map (fun e -> Printf.sprintf "  %-*s %s" width (form e) e.backend.summary) registry
-    @ List.concat_map
-        (fun e -> List.map (fun a -> Printf.sprintf "  %s aliases %s" a e.backend.name) e.aliases)
-        registry
+    @ List.map (fun (a, name) -> Printf.sprintf "  %s aliases %s" a name) aliases
   in
   Buffer.add_string buf (String.concat "\n" lines);
   Buffer.contents buf

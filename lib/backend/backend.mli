@@ -147,6 +147,13 @@ val all : t list
 
 val names : string list
 
+val aliases : (string * string) list
+(** [(alias, name)] for every alias {!find} accepts, e.g. [("fpga", "simulator")]. *)
+
+val parameterized : (string * string) list
+(** [(name, count)] for every backend {!find} also accepts as
+    ["name:<count>"], e.g. [("runtime", "workers")]. *)
+
 val find : string -> (t, string) result
 (** Resolve a backend by name.  Accepts the registry names, ["fpga"]
     as an alias for ["simulator"], and the parameterized form

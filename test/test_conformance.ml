@@ -1323,7 +1323,28 @@ let test_cli_run_backend_and_golden_diff () =
   else begin
     let tmp = Filename.temp_file "agp_run" ".json" in
     let sh fmt = Printf.ksprintf (fun s -> Sys.command (s ^ " >/dev/null 2>&1")) fmt in
+    (* a command's stdout *)
+    let output cmd =
+      let out = Filename.temp_file "agp_out" ".txt" in
+      ignore (Sys.command (Printf.sprintf "%s >%s 2>/dev/null" cmd out));
+      let s = In_channel.with_open_text out In_channel.input_all in
+      Sys.remove out;
+      s
+    in
     check Alcotest.int "agp backends exits 0" 0 (sh "%s backends" cli_exe);
+    (* the listing's footer follows the registry: every alias and
+       parameterized form *)
+    let footer =
+      match List.rev (String.split_on_char '\n' (String.trim (output (cli_exe ^ " backends")))) with
+      | last :: _ -> last
+      | [] -> ""
+    in
+    List.iter
+      (fun form ->
+        check Alcotest.bool ("backends footer names " ^ form) true
+          (Astring.String.is_infix ~affix:form footer))
+      (List.map (fun (n, what) -> Printf.sprintf "%s:<%s>" n what) Backend.parameterized
+      @ List.map (fun (a, n) -> Printf.sprintf "`%s` aliases `%s`" a n) Backend.aliases);
     check Alcotest.int "agp run --backend simulator --report exits 0" 0
       (sh "%s run spec-bfs --scale small --backend simulator --report %s" cli_exe tmp);
     let golden = golden_file "spec-bfs-small.report.json" in
@@ -1349,14 +1370,9 @@ let test_cli_run_backend_and_golden_diff () =
       (sh "%s run spec-dmr --scale small --backend opencl" cli_exe);
     (* observe simulates the accelerator run --backend simulator does *)
     let cycles cmd =
-      let out = Filename.temp_file "agp_out" ".txt" in
-      ignore (Sys.command (Printf.sprintf "%s >%s 2>/dev/null" cmd out));
       let words =
-        In_channel.with_open_text out In_channel.input_all
-        |> String.map (fun c -> if c = '\n' then ' ' else c)
-        |> String.split_on_char ' '
+        output cmd |> String.map (fun c -> if c = '\n' then ' ' else c) |> String.split_on_char ' '
       in
-      Sys.remove out;
       (* the first "<n> cycles" the command prints *)
       let rec first = function
         | n :: ("cycles" | "cycles,") :: _ when int_of_string_opt n <> None -> int_of_string n
