@@ -75,6 +75,45 @@ let test_trace_entry_cap () =
   check (Alcotest.result Alcotest.unit Alcotest.string) "execution still completes" (Ok ())
     (r.App_instance.check ())
 
+(* --- pinned CLI output: `agp trace` for every app (small scale, seed
+   42, default workers and ticks) must reproduce golden/trace.txt byte
+   for byte, so the timeline and summary survive any change to how the
+   runtime is observed. --- *)
+
+let cli_exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "agp_cli.exe"
+
+(* cwd is _build/default/test under dune runtest; the repo root when
+   launched by hand *)
+let golden_file name =
+  List.find_opt Sys.file_exists
+    [ Filename.concat "golden" name; Filename.concat (Filename.concat "test" "golden") name ]
+
+let test_trace_golden () =
+  if not (Sys.file_exists cli_exe) then ()
+  else
+    match golden_file "trace.txt" with
+    | None -> Alcotest.fail "golden/trace.txt not found"
+    | Some path ->
+        let pinned =
+          In_channel.with_open_text path In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (fun l -> not (String.length l > 0 && l.[0] = '#'))
+          |> String.concat "\n"
+        in
+        let traced app =
+          let out = Filename.temp_file "agp_trace" ".txt" in
+          let rc =
+            Sys.command
+              (Printf.sprintf "%s trace %s --scale small --seed 42 >%s 2>/dev/null" cli_exe app out)
+          in
+          let s = In_channel.with_open_text out In_channel.input_all in
+          Sys.remove out;
+          check Alcotest.int ("agp trace " ^ app ^ " exits 0") 0 rc;
+          Printf.sprintf "== %s\n%s" app s
+        in
+        let apps = [ "spec-bfs"; "coor-bfs"; "spec-sssp"; "spec-mst"; "spec-dmr"; "coor-lu" ] in
+        check Alcotest.string "agp trace output" pinned (String.concat "" (List.map traced apps))
+
 (* --- explorer --- *)
 
 let test_explore_lu () =
@@ -124,6 +163,7 @@ let () =
           Alcotest.test_case "timeline renders" `Quick test_trace_timeline_renders;
           Alcotest.test_case "op descriptors" `Quick test_trace_op_descriptors;
           Alcotest.test_case "entry cap" `Quick test_trace_entry_cap;
+          Alcotest.test_case "golden output" `Quick test_trace_golden;
         ] );
       ( "explore",
         [
