@@ -216,7 +216,9 @@ let resources () =
                 ] ))
           rows));
   register "resources/heuristic-sizing" (fun () ->
-      ignore (Agp_hw.Resource.heuristic_pipelines Agp_apps.Bfs_app.spec_speculative ~max_per_set:8))
+      let sp = Agp_apps.Bfs_app.spec_speculative in
+      let g = Agp_dataflow.Bdfg.of_program (Agp_core.Opcode.compile sp) in
+      ignore (Agp_hw.Resource.heuristic_pipelines sp g ~max_per_set:8))
 
 (* --- Figure 2(b) --- *)
 

@@ -76,23 +76,64 @@ let outcomes (s : Engine.stats) = s.Engine.committed + s.Engine.aborted + s.Engi
 
 (* --- the execution paths --- *)
 
+(* Event capture for obs reports is ring-bounded so paper-scale runs
+   (millions of tasks) can stay observable without holding the whole
+   event stream; lifecycle summaries tolerate a truncated prefix, and
+   the report's meta carries [events_dropped]. *)
+let obs_ring_capacity = 262_144
+
+(* A stepper run's report: the engine's counters and the policy's, and
+   the lifecycle of the ring's events, timed in the policy's ticks. *)
+let stepper_obs_report ~backend ~app sink (r : Semantics.report) =
+  let module M = Agp_obs.Metrics in
+  let spans, unfinished = Agp_obs.Lifecycle.spans (Agp_obs.Sink.events sink) in
+  let reg = M.create () in
+  let c name v = M.add (M.counter reg name) v in
+  let es = r.Semantics.stats in
+  c "tasks.activated" es.Engine.activated;
+  c "tasks.committed" es.Engine.committed;
+  c "tasks.aborted" es.Engine.aborted;
+  c "tasks.retried" es.Engine.retried;
+  c "tasks.ops_executed" es.Engine.ops_executed;
+  c "semantics.steps" r.Semantics.steps;
+  c "semantics.max_concurrency" r.Semantics.max_concurrency;
+  c "semantics.max_waiting" r.Semantics.max_waiting;
+  M.set (M.gauge reg "semantics.avg_busy") r.Semantics.avg_busy;
+  ignore (Agp_obs.Lifecycle.histogram reg ~name:"task.lifetime.ticks" spans);
+  Agp_obs.Report.v ~kind:"stepper-run" ~app
+    ~meta:
+      [
+        ("backend", Agp_obs.Json.String backend);
+        ("events_dropped", Agp_obs.Json.Int (Agp_obs.Sink.dropped sink));
+      ]
+    ~sections:
+      [
+        ("metrics", M.to_json reg);
+        ("lifecycle", Agp_obs.Lifecycle.section spans ~unfinished);
+      ]
+    ()
+
 (* A stepper backend is an interpretation record lifted into the
    registry: execution is always [Semantics.run] on a fresh instance —
    the record is the entire substrate definition.  The conformance
    suite exercises this with a throwaway counting interpretation to
-   keep the claim honest. *)
+   keep the claim honest.  Under [~obs] a ring sink takes the place of
+   the record's own. *)
 let of_interpretation ~name ~summary interp =
   {
     name;
     summary;
-    capabilities = { timed = false; obs_report = false; validates = true };
+    capabilities = { timed = false; obs_report = true; validates = true };
     supports = supports_all;
     interp = Some interp;
     exec =
-      (fun ~obs:_ app ->
+      (fun ~obs app ->
         let r = app.App_instance.fresh () in
+        let sink =
+          if obs then Agp_obs.Sink.ring ~capacity:obs_ring_capacity else interp.Semantics.sink
+        in
         let report =
-          Semantics.run ~initial:r.App_instance.initial interp app.App_instance.spec
+          Semantics.run ~sink ~initial:r.App_instance.initial interp app.App_instance.spec
             r.App_instance.bindings r.App_instance.state
         in
         {
@@ -102,7 +143,10 @@ let of_interpretation ~name ~summary interp =
           seconds = None;
           tasks_run = Some report.Semantics.tasks_run;
           engine_stats = Some report.Semantics.stats;
-          obs = None;
+          obs =
+            (if obs then
+               Some (stepper_obs_report ~backend:name ~app:app.App_instance.app_name sink report)
+             else None);
           native = Stepper report;
           final = Some r;
         });
@@ -147,12 +191,6 @@ let derive_config (app : App_instance.t) (base : Config.t) =
         (fun (name, flops) -> (name, max 2 (flops / app.App_instance.fpga_ilp)))
         app.App_instance.kernel_flops;
   }
-
-(* Event capture for obs reports is ring-bounded so paper-scale runs
-   (millions of tasks) can stay observable without holding the whole
-   event stream; lifecycle summaries tolerate a truncated prefix, and
-   the report's meta carries [events_dropped]. *)
-let obs_ring_capacity = 262_144
 
 let simulator ?(config = Config.default) () =
   {

@@ -70,7 +70,7 @@ type t = {
           needs a graph substrate); call through {!run}, which checks *)
   interp : Agp_core.Semantics.interpretation option;
       (** for stepper backends, the interpretation record that {e is}
-          the substrate — scheduling policy plus effect hooks; [None]
+          the substrate — scheduling policy plus event sink; [None]
           for the simulator and the timing models *)
   exec : obs:bool -> Agp_apps.App_instance.t -> run_result;
       (** implementation hook — call {!run}, not this *)
@@ -105,7 +105,12 @@ val of_interpretation :
     [Semantics.run] on a fresh instance, the native report is
     [Stepper].  This is how {!sequential} and {!runtime} are built — a
     new software substrate is a record, not a module.  Capabilities:
-    untimed, no obs report, validating. *)
+    untimed, obs report, validating.  Under [~obs:true] the run's task
+    events go to a ring of the last 262,144 (in place of the record's
+    own sink), and the report ([kind] ["stepper-run"]) holds the engine
+    and policy counters under ["metrics"] and the ring's ["lifecycle"],
+    timed in the policy's ticks; its meta says how many events the ring
+    lost as ["events_dropped"]. *)
 
 val sequential : t
 (** The in-order oracle (Definition 4.3) every other backend is judged

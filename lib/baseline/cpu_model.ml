@@ -70,9 +70,9 @@ let replay_access p c addr =
   end
 
 (* The 1-core time is a timing shell on the ECA core, as the simulator
-   is: the oracle interpretation drives the engine, and a hook replays
-   each access as its op retires, a load or store from the engine's
-   view, a prim's from the state's access stream. *)
+   is: the oracle interpretation drives the engine, and its step
+   observer replays each access as its op retires, a load or store from
+   the engine's view, a prim's from the state's access stream. *)
 let run ?(params = default_params) (app : App_instance.t) =
   let p = params in
   (* --- sequential profiled run: the oracle interpretation --- *)
@@ -90,24 +90,18 @@ let run ?(params = default_params) (app : App_instance.t) =
       llc = Array.make (p.llc_bytes / 64) (-1);
     }
   in
-  let hooks =
-    {
-      Semantics.on_event =
-        (fun ~tick:_ ~worker:_ _ ev ->
-          match ev with
-          | Semantics.Executed (Spec.Load _ | Spec.Store _) ->
-              replay_access p c (bases.(v.Engine.touched_arr) + (8 * v.Engine.touched_idx))
-          | Semantics.Executed (Spec.Prim _) ->
-              for i = 0 to State.trace_length st - 1 do
-                replay_access p c (State.trace_addr st i)
-              done;
-              State.clear_trace st
-          | _ -> ());
-    }
+  let on_step rc =
+    if rc = Engine.lc_load || rc = Engine.lc_store then
+      replay_access p c (bases.(v.Engine.touched_arr) + (8 * v.Engine.touched_idx))
+    else if rc = Engine.lc_prim then begin
+      for i = 0 to State.trace_length st - 1 do
+        replay_access p c (State.trace_addr st i)
+      done;
+      State.clear_trace st
+    end
   in
   let seq_report =
-    State.with_tracing st (fun () ->
-        Semantics.run_engine (Semantics.with_hooks (Semantics.oracle ()) hooks) en)
+    State.with_tracing st (fun () -> Semantics.run_engine ~on_step (Semantics.oracle ()) en)
   in
   let accesses = c.l1_hits + c.llc_hits + c.dram in
   let stats = seq_report.Semantics.stats in

@@ -252,11 +252,6 @@ type lev = {
   le_tg : int array;
 }
 
-type outcome =
-  | Committed_task
-  | Aborted_task
-  | Retried_task
-
 type stats = {
   mutable activated : int;
   mutable committed : int;
@@ -405,7 +400,7 @@ let[@inline] set_pc en fm pc = en.fr.((fm * en.fs) + f_pc) <- pc
 (* --- value helpers ---
 
    The binop table and the cold raisers live in {!Binop}, shared with
-   the reference evaluator [Interp]; the local tag constants above are
+   the reference evaluator ([test/interp.ml]); the local tag constants above are
    the same encoding (asserted below) and stay literal so ocamlopt keeps
    propagating them as immediates in the hot tag checks. *)
 
@@ -919,7 +914,7 @@ let clause_matches (c : Opcode.cclause) ~kind ~set ~label =
 
 (* evaluate a clause condition against the current event context;
    out-of-range probes make the clause not match, any other evaluation
-   error propagates (as Interp.eval_cond_strict) *)
+   error propagates (as [eval_cond_strict] in [test/interp.ml]) *)
 let clause_holds en inst (c : Opcode.cclause) =
   match eval en nil_task (-1) inst c.Opcode.c_cond with
   | () ->
@@ -1289,14 +1284,12 @@ let lc_aborted = 7
 
 let lc_retried = 8
 
-let outcome_of_class rc =
-  if rc = lc_committed then Committed_task
-  else if rc = lc_aborted then Aborted_task
-  else Retried_task
+let outcome_of_class rc : Agp_obs.Event.outcome =
+  if rc = lc_committed then Commit else if rc = lc_aborted then Abort else Retry
 
 (* A finished task gives back its instances and its frame, then its
    row.  The row keeps its tid, set and index until a later activation
-   takes it, so a hook can still read them. *)
+   takes it, so a shell can still read them for the step's event. *)
 let finish en tk rc =
   let b = tk * en.ts in
   let fm = en.tr.(b + o_frame) in

@@ -15,7 +15,7 @@
     registers, handles, await state), bound when it is popped and given
     back when it finishes.  Rows are recycled, so a task handle is
     valid from the activation that makes it until, after the step that
-    finishes it, a later activation takes its row: a shell or hook may
+    finishes it, a later activation takes its row: a shell may
     still read a finished task's tid, set and index right after that
     step.  Functions that may have no task to return give {!nil_task}
     instead of an option.  Outside a prim call and a counted rule's
@@ -56,11 +56,6 @@ val nil_task : task
 (** The "no task" sentinel. *)
 
 val is_nil : task -> bool
-
-type outcome =
-  | Committed_task
-  | Aborted_task
-  | Retried_task
 
 type stats = {
   mutable activated : int;
@@ -198,7 +193,7 @@ val lc_aborted : int
 
 val lc_retried : int
 
-val outcome_of_class : int -> outcome
+val outcome_of_class : int -> Agp_obs.Event.outcome
 (** For a finished class ([> lc_blocked]). *)
 
 val step : t -> task -> int

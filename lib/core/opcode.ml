@@ -11,7 +11,8 @@
 
    The compiler only restructures data: evaluation semantics (numeric
    promotion, error strings, out-of-range clause probes) are those of
-   the spec language, as the reference evaluator {!Interp} states them. *)
+   the spec language, as the test suite's reference evaluator
+   ([test/interp.ml]) states them. *)
 
 (* Postfix expression bytecode.  E_param/E_reg appear only in task-body
    expressions; E_cparam/E_cfield/E_earlier/E_later/E_overlap only in

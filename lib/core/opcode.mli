@@ -12,7 +12,8 @@
 
     The compiler changes representation only: evaluation semantics
     (numeric promotion, division checks, error strings, out-of-range
-    clause probes) are those of the reference evaluator {!Interp}.
+    clause probes) are those of the test suite's reference evaluator
+    ([test/interp.ml]).
 
     It also precomputes a listener table: for every event the core can
     fire (activated(set), reached(set, label), min_changed), the rules
@@ -94,8 +95,8 @@ type program = {
   code : inst array;
   source : Spec.op option array;
       (** the spec operation each pc was compiled from ([None] at the
-          shared commit pc) — what effect hooks report, and where
-          [Agp_dataflow.Bdfg.of_program] takes its actor labels *)
+          shared commit pc) — where [Agp_dataflow.Bdfg.of_program]
+          takes its actor labels *)
   entry : int array;  (** per task-set slot *)
   n_sets : int;
   set_names : string array;

@@ -3,10 +3,10 @@
    The small-step ECA-rule semantics lives in {!Engine}.  This module is
    the single driver around it, parameterized over an {!interpretation}
    record: a {!policy} (which scheduling discipline feeds tasks to the
-   stepper) plus {!hooks} (effect observers fired at every lifecycle
-   transition).  A substrate is a record, not a reimplementation: a new
-   backend (tracing, profiling, counting, future cost-model evaluators)
-   is an interpretation record away.
+   stepper) plus the sink its task events go to.  A substrate is a
+   record, not a reimplementation: a new backend (tracing, profiling,
+   counting, future cost-model evaluators) is an interpretation record
+   away.
 
    The loops read the engine's counters as fields of its
    {!Engine.view}, fetched once per run, and test a task handle for
@@ -27,16 +27,8 @@ let () =
     | Step_limit_exceeded n -> Some (Printf.sprintf "Agp_core.Semantics.Step_limit_exceeded(%d)" n)
     | _ -> None)
 
-type step_event =
-  | Acquired
-  | Resumed
-  | Executed of Spec.op
-  | Blocked_on of string
-  | Finished of Engine.outcome
-
-type hooks = { on_event : tick:int -> worker:int -> Engine.task -> step_event -> unit }
-
-let null_hooks = { on_event = (fun ~tick:_ ~worker:_ _ _ -> ()) }
+module Sink = Agp_obs.Sink
+module Event = Agp_obs.Event
 
 type policy =
   | Min_first of { max_tasks : int }
@@ -45,7 +37,7 @@ type policy =
 type interpretation = {
   descr : string;
   policy : policy;
-  hooks : hooks;
+  sink : Sink.t;
 }
 
 type report = {
@@ -59,27 +51,60 @@ type report = {
 }
 
 let oracle ?(max_tasks = 10_000_000) () =
-  { descr = "Semantics.oracle"; policy = Min_first { max_tasks }; hooks = null_hooks }
+  { descr = "Semantics.oracle"; policy = Min_first { max_tasks }; sink = Sink.null }
 
 let pipelined ?(workers = 8) ?(max_steps = 100_000_000) () =
-  { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; hooks = null_hooks }
-
-let with_hooks interp hooks = { interp with hooks }
+  { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; sink = Sink.null }
 
 let with_descr interp descr = { interp with descr }
 
-(* Effect hooks fire only when the interpretation has some: with the
-   null hooks the loops build no [Executed] block and make no call. *)
-let hooked hooks = hooks != null_hooks
+type hooks = { on_event : tick:int -> worker:int -> int -> Event.t -> unit }
 
-(* What a step's latency class means to the hooks; [pc] is the task's
-   program counter before the step. *)
-let step_event eng pc rc =
-  let prog = Engine.program eng in
-  match prog.Opcode.source.(pc), prog.Opcode.code.(pc) with
-  | Some op, _ when rc < Engine.lc_blocked -> Executed op
-  | _, Opcode.I_await { handle_name; _ } when rc = Engine.lc_blocked -> Blocked_on handle_name
-  | _ -> Finished (Engine.outcome_of_class rc)
+let with_hooks interp h =
+  let tap ~ts ev =
+    match ev with
+    | Event.Task_dispatch { pipe; tid; _ }
+    | Event.Rendezvous_park { pipe; tid; _ }
+    | Event.Task_finish { pipe; tid; _ } ->
+        h.on_event ~tick:ts ~worker:pipe tid ev
+    | Event.Rendezvous_resume { tid; _ } -> h.on_event ~tick:ts ~worker:(-1) tid ev
+    | Event.Queue_full _ | Event.Cache_access _ | Event.Link_transfer _ -> ()
+  in
+  { interp with sink = Sink.tap tap }
+
+(* The sentinel step observer: a loop calls [on_step] only when it is
+   not this one (compared physically, once per run). *)
+let no_step (_ : int) = ()
+
+(* --- task events.  The loops call these only when the sink is
+   enabled, so a null-sink run builds no event and makes no call. *)
+
+let set_name eng tk = (Engine.program eng).Opcode.set_names.(Engine.task_set eng tk)
+
+let dispatched sink eng ~ts ~worker tk =
+  Sink.emit sink ~ts
+    (Event.Task_dispatch
+       {
+         set = set_name eng tk;
+         pipe = worker;
+         tid = Engine.task_tid eng tk;
+         index = Index.to_array (Engine.task_index eng tk);
+       })
+
+(* the task parked ([rc = lc_blocked]) or finished *)
+let left sink eng ~ts ~worker tk rc =
+  let set = set_name eng tk and tid = Engine.task_tid eng tk in
+  Sink.emit sink ~ts
+    (if rc = Engine.lc_blocked then Event.Rendezvous_park { set; pipe = worker; tid }
+     else Event.Task_finish { set; pipe = worker; tid; outcome = Engine.outcome_of_class rc })
+
+(* the tasks the last [Engine.resume_ready] woke *)
+let resumed sink eng ~ts =
+  for i = 0 to (Engine.view eng).Engine.resumed - 1 do
+    let tk = Engine.resumed_get eng i in
+    Sink.emit sink ~ts
+      (Event.Rendezvous_resume { set = set_name eng tk; tid = Engine.task_tid eng tk })
+  done
 
 let imax (a : int) b = if a >= b then a else b
 
@@ -89,38 +114,38 @@ let[@inline] is_nil (tk : Engine.task) = (tk :> int) < 0
 let[@inline] remaining (v : Engine.view) = v.running > 0 || v.parked > 0 || v.pending > 0
 
 (* --- Min_first: Definition 4.3, always run the minimum active task to
-   completion, with hooks at every transition. *)
-let run_min_first ~max_tasks ~hooks eng =
+   completion, on worker 0, stamping events with the transition count. *)
+let run_min_first ~max_tasks ~sink ~on_step eng =
   let v = Engine.view eng in
-  let hooked = hooked hooks in
+  let traced = Sink.enabled sink and stepped = on_step != no_step in
   let checked = Engine.checked eng in
   let tasks_run = ref 0 in
   let op_count = ref 0 in
-  let fire task ev = hooks.on_event ~tick:!op_count ~worker:0 task ev in
   let rec drive task =
-    let pc = if hooked then Engine.task_pc eng task else 0 in
     if checked then Engine.check_step eng task;
     let rc = Engine.step eng task in
     if checked then Engine.check_invariants eng;
     incr op_count;
-    if hooked then fire task (step_event eng pc rc);
+    if stepped then on_step rc;
     if rc < Engine.lc_blocked then drive task
-    else if rc > Engine.lc_blocked then Engine.resolve_pending eng
     else begin
+      if traced then left sink eng ~ts:!op_count ~worker:0 task rc;
       Engine.resolve_pending eng;
-      Engine.resume_ready eng;
-      if v.Engine.resumed = 0 then
-        raise
-          (Deadlock
-             (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
-                (Index.to_string (Engine.task_index eng task))
-                (Engine.task_set eng task)));
-      (* the running task is minimal, so it is what wakes *)
-      if hooked then
-        for i = 0 to v.Engine.resumed - 1 do
-          fire (Engine.resumed_get eng i) Resumed
-        done;
-      drive task
+      if rc = Engine.lc_blocked then begin
+        Engine.resume_ready eng;
+        if v.Engine.resumed = 0 then
+          raise
+            (Deadlock
+               (Printf.sprintf "Engine: sequential deadlock at task %s of set %d"
+                  (Index.to_string (Engine.task_index eng task))
+                  (Engine.task_set eng task)));
+        (* the running task is minimal, so it is what wakes *)
+        if traced then begin
+          resumed sink eng ~ts:!op_count;
+          dispatched sink eng ~ts:!op_count ~worker:0 task
+        end;
+        drive task
+      end
     end
   in
   let rec loop () =
@@ -128,7 +153,7 @@ let run_min_first ~max_tasks ~hooks eng =
     let task = Engine.pop_min eng in
     if not (is_nil task) then begin
       incr tasks_run;
-      if hooked then fire task Acquired;
+      if traced then dispatched sink eng ~ts:!op_count ~worker:0 task;
       drive task;
       loop ()
     end
@@ -173,21 +198,21 @@ let fifo_pop f =
   tk
 
 (* queue the tasks [Engine.resume_ready] just woke *)
-let take_woken q eng =
+let take_woken q eng ~traced sink ~ts =
   for i = 0 to (Engine.view eng).Engine.resumed - 1 do
     fifo_push q (Engine.resumed_get eng i)
-  done
+  done;
+  if traced then resumed sink eng ~ts
 
 (* --- Workers: the aggressive software runtime of §4.4.  A fixed pool
    of abstract workers, deterministic op-by-op interleaving; resumed
    tasks take slot priority over fresh pops (they are already deep in
-   the pipeline).  Trace capture is this policy plus recording hooks —
-   the hooks observe and never steer, so a traced run keeps the same
-   schedule as an untraced one. *)
-let run_workers ~descr ~workers ~max_steps ~hooks eng =
+   the pipeline).  The sink observes and never steers, so a traced run
+   keeps the same schedule as an untraced one. *)
+let run_workers ~descr ~workers ~max_steps ~sink ~on_step eng =
   if workers < 1 then invalid_arg (descr ^ ": workers must be positive");
   let v = Engine.view eng in
-  let hooked = hooked hooks in
+  let traced = Sink.enabled sink and stepped = on_step != no_step in
   let checked = Engine.checked eng in
   let slots = Array.make workers Engine.nil_task in
   let resumable = fifo () in
@@ -196,7 +221,6 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
   let max_concurrency = ref 0 in
   let total_busy = ref 0 in
   let max_waiting = ref 0 in
-  let fire w task ev = hooks.on_event ~tick:!steps ~worker:w task ev in
   while remaining v do
     incr steps;
     if !steps > max_steps then raise (Step_limit_exceeded max_steps);
@@ -206,12 +230,12 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
       if is_nil slots.(w) then begin
         if resumable.qn > 0 then begin
           let task = fifo_pop resumable in
-          if hooked then fire w task Resumed;
+          if traced then dispatched sink eng ~ts:!steps ~worker:w task;
           slots.(w) <- task
         end
         else if v.Engine.pending > 0 then begin
           let task = Engine.pop_any eng in
-          if hooked then fire w task Acquired;
+          if traced then dispatched sink eng ~ts:!steps ~worker:w task;
           slots.(w) <- task
         end
       end;
@@ -223,13 +247,13 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     for w = 0 to workers - 1 do
       let task = slots.(w) in
       if not (is_nil task) then begin
-        let pc = if hooked then Engine.task_pc eng task else 0 in
         if checked then Engine.check_step eng task;
         let rc = Engine.step eng task in
         if checked then Engine.check_invariants eng;
         progressed := true;
-        if hooked then fire w task (step_event eng pc rc);
+        if stepped then on_step rc;
         if rc >= Engine.lc_blocked then begin
+          if traced then left sink eng ~ts:!steps ~worker:w task rc;
           if rc > Engine.lc_blocked then incr tasks_run;
           slots.(w) <- Engine.nil_task;
           Engine.resolve_pending eng
@@ -239,14 +263,14 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     max_waiting := imax !max_waiting v.Engine.parked;
     (* Wake tasks whose rendezvous resolved. *)
     Engine.resume_ready eng;
-    if v.Engine.resumed > 0 then take_woken resumable eng;
+    if v.Engine.resumed > 0 then take_woken resumable eng ~traced sink ~ts:!steps;
     if (not !progressed) && resumable.qn = 0 then begin
       (* Nothing ran and nothing woke: either only parked tasks remain
          (give the minimum-task machinery a chance) or the spec is
          deadlocked. *)
       Engine.resolve_pending eng;
       Engine.resume_ready eng;
-      take_woken resumable eng;
+      take_woken resumable eng ~traced sink ~ts:!steps;
       if v.Engine.resumed = 0 && Engine.deadlocked eng then
         raise (Deadlock (descr ^ ": deadlock — a rule lacks a viable exit path"))
     end
@@ -262,13 +286,14 @@ let run_workers ~descr ~workers ~max_steps ~hooks eng =
     prim_counts = Engine.prim_counts eng;
   }
 
-let run_engine interp eng =
+let run_engine ?sink ?(on_step = no_step) interp eng =
+  let sink = Option.value sink ~default:interp.sink in
   match interp.policy with
-  | Min_first { max_tasks } -> run_min_first ~max_tasks ~hooks:interp.hooks eng
+  | Min_first { max_tasks } -> run_min_first ~max_tasks ~sink ~on_step eng
   | Workers { workers; max_steps } ->
-      run_workers ~descr:interp.descr ~workers ~max_steps ~hooks:interp.hooks eng
+      run_workers ~descr:interp.descr ~workers ~max_steps ~sink ~on_step eng
 
-let run ?(initial = []) interp sp bindings st =
+let run ?sink ?on_step ?(initial = []) interp sp bindings st =
   let eng = Engine.create sp bindings st in
   List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
-  run_engine interp eng
+  run_engine ?sink ?on_step interp eng

@@ -3,17 +3,26 @@
     The small-step ECA-rule stepper is the compiled core {!Engine}; this
     module is the {e single} driver loop around it, parameterized over
     an {!interpretation} record: one of two deterministic scheduling
-    {!policy}s plus optional effect {!hooks}:
+    {!policy}s plus the {!Agp_obs.Sink} that observes it:
 
     - {!oracle} — always run the minimum active task to completion
       (Definition 4.3's well-order; the conformance reference).
     - {!pipelined} — a fixed pool of abstract workers, one operation per
       busy worker per tick; the aggressive software runtime of §4.4.
 
-    Adding a substrate means building a record, not writing a loop: the
-    tracer is [pipelined] plus recording hooks, the CPU timing model is
-    [oracle] plus a hook replaying each retired access through its cache
-    (then [pipelined] for its makespan), and a test-only
+    Both policies emit the simulator's task events into the sink —
+    [Task_dispatch], [Rendezvous_park], [Rendezvous_resume] and
+    [Task_finish] — stamped with the tick (scheduler tick for
+    {!pipelined}, global transition count for {!oracle}) and with the
+    worker as the [pipe], so [Lifecycle], its report section and the
+    Chrome trace read a runtime run as they read a simulated one.  The
+    sink observes and never steers, and with {!Agp_obs.Sink.null} the
+    loops build no event at all.
+
+    Adding a substrate means building a record, not writing a loop:
+    [Trace] is [pipelined] plus a tap sink, the CPU timing model is
+    [oracle] plus a step observer replaying each retired access through
+    its cache (then [pipelined] for its makespan), and a test-only
     interpretation is a few lines (see the conformance suite). *)
 
 (** Typed liveness failures, raised by {!Engine} itself.  These are the
@@ -27,30 +36,6 @@ exception Deadlock of string
 
 exception Step_limit_exceeded of int
 
-(** {1 Effect hooks} *)
-
-(** One lifecycle transition of one task under the stepper. *)
-type step_event =
-  | Acquired  (** scheduled for the first time, or re-popped fresh *)
-  | Resumed  (** woken from a rendezvous and rescheduled *)
-  | Executed of Spec.op  (** one operation retired *)
-  | Blocked_on of string  (** parked awaiting the named handle *)
-  | Finished of Engine.outcome  (** frame completed *)
-
-type hooks = {
-  on_event : tick:int -> worker:int -> Engine.task -> step_event -> unit;
-      (** [tick] is the policy's time unit (scheduler tick for
-          {!pipelined}, global transition count otherwise); [worker]
-          the abstract worker id.  The task handle is valid only
-          during the call (task rows are recycled); read it through
-          [Engine.task_tid] and friends, with the engine a hook gets by
-          creating it and driving it with {!run_engine}.
-          Interpretations with {!null_hooks} (compared physically)
-          build no events at all. *)
-}
-
-val null_hooks : hooks
-
 (** {1 Interpretations} *)
 
 type policy =
@@ -63,7 +48,7 @@ type policy =
 type interpretation = {
   descr : string;  (** prefix for error messages, e.g. ["Semantics.pipelined"] *)
   policy : policy;
-  hooks : hooks;
+  sink : Agp_obs.Sink.t;  (** where the run's task events go; {!Agp_obs.Sink.null} by default *)
 }
 
 type report = {
@@ -86,11 +71,11 @@ val pipelined : ?workers:int -> ?max_steps:int -> unit -> interpretation
     Raises {!Step_limit_exceeded} past the budget and {!Deadlock} when
     no task can make progress. *)
 
-val with_hooks : interpretation -> hooks -> interpretation
-
 val with_descr : interpretation -> string -> interpretation
 
 val run :
+  ?sink:Agp_obs.Sink.t ->
+  ?on_step:(int -> unit) ->
   ?initial:(string * Value.t list) list ->
   interpretation ->
   Spec.t ->
@@ -99,8 +84,28 @@ val run :
   report
 (** [run interp spec bindings state] builds an engine, pushes the
     initial tasks, and drives it to completion under [interp]'s policy,
-    firing [interp]'s hooks at every transition. *)
+    emitting its task events into [sink] (default: [interp.sink]).
+    [on_step] hears the latency class of every {!Engine.step} (the
+    [Engine.lc_*] constants) right after it returns and before the step's
+    event is emitted; a load or store left what it touched in the
+    engine's view. *)
 
-val run_engine : interpretation -> Engine.t -> report
+val run_engine :
+  ?sink:Agp_obs.Sink.t -> ?on_step:(int -> unit) -> interpretation -> Engine.t -> report
 (** [run_engine interp eng] drives an engine whose initial tasks are
     already pushed to completion, as {!run} does. *)
+
+(** {1 Callback shim}
+
+    Kept for the benchmark harness, which counts a traced run's events
+    through it; new code passes a sink. *)
+
+type hooks = {
+  on_event : tick:int -> worker:int -> int -> Agp_obs.Event.t -> unit;
+      (** called with the event's timestamp, its worker ([-1] for a
+          resume, which has none) and its task id *)
+}
+
+val with_hooks : interpretation -> hooks -> interpretation
+(** The interpretation with a {!Agp_obs.Sink.tap} sink that calls
+    [on_event] on every task event. *)

@@ -1,131 +1,85 @@
-type event_kind =
-  | Started
-  | Executed of string
-  | Blocked_at of string
-  | Resumed of bool
-  | Committed
-  | Aborted
-  | Retried
-
-type entry = {
-  tick : int;
-  worker : int;
-  tid : int;
-  set_name : string;
-  index : string;
-  kind : event_kind;
-}
+module Sink = Agp_obs.Sink
+module Event = Agp_obs.Event
+module Lifecycle = Agp_obs.Lifecycle
 
 type t = {
-  entries : entry list;
+  occupancy : (Lifecycle.interval * string) list;
   report : Semantics.report;
 }
 
-let op_descriptor (op : Spec.op) =
-  match op with
-  | Spec.Let (v, _) -> "let " ^ v
-  | Spec.Load (v, arr, _) -> Printf.sprintf "%s <- %s" v arr
-  | Spec.Store (arr, _, _) -> "store " ^ arr
-  | Spec.Push (set, _) -> "push " ^ set
-  | Spec.Push_iter (set, _, _, _, _) -> "spawn* " ^ set
-  | Spec.Alloc (_, rule, _) -> "alloc " ^ rule
-  | Spec.Await (_, h) -> "await " ^ h
-  | Spec.Emit (l, _) -> "emit " ^ l
-  | Spec.If (_, _, _) -> "switch"
-  | Spec.Abort -> "abort"
-  | Spec.Retry -> "retry"
-  | Spec.Prim (_, name, _) -> "prim " ^ name
-
-(* Tracing is the {!Semantics.pipelined} interpretation plus recording
-   hooks: the scheduler is the very loop an untraced [pipelined] run
-   uses, so a traced execution has the same schedule as an untraced one
-   by construction, not by keeping two copies of the loop in sync. *)
+(* Tracing is the {!Semantics.pipelined} interpretation plus a tap sink:
+   the scheduler is the very loop an untraced [pipelined] run uses, so
+   a traced execution has the same schedule as an untraced one by
+   construction.  The recording budget counts what a per-op log would
+   hold — one entry per dispatch and one per retired op, the latter
+   through the step observer, which runs before the step's event — so
+   the summary covers the same prefix of the run at any budget. *)
 let run ?(initial = []) ?(workers = 4) ?(max_entries = 100_000) sp bindings st =
-  let entries = ref [] in
-  let n_entries = ref 0 in
-  let set_name slot = (List.nth sp.Spec.task_sets slot).Spec.ts_name in
-  let eng = Engine.create sp bindings st in
-  List.iter (fun (set, payload) -> Engine.push_initial eng set payload) initial;
-  let record tick worker (task : Engine.task) kind =
-    if !n_entries < max_entries then begin
-      incr n_entries;
-      entries :=
-        {
-          tick;
-          worker;
-          tid = Engine.task_tid eng task;
-          set_name = set_name (Engine.task_set eng task);
-          index = Index.to_string (Engine.task_index eng task);
-          kind;
-        }
-        :: !entries
+  let entries = ref 0 and last = ref 0 in
+  let index = Hashtbl.create 256 in
+  let occupancy = ref [] in
+  let walk =
+    Lifecycle.tracker ~retired:ignore ~interval:(fun iv ->
+        if iv.Lifecycle.kind = Lifecycle.Occupancy then
+          occupancy := (iv, Hashtbl.find index iv.Lifecycle.tid) :: !occupancy)
+  in
+  let record ~ts ev =
+    (match ev with
+    | Event.Task_dispatch { tid; index = ix; _ } ->
+        incr entries;
+        if !entries <= max_entries then
+          Hashtbl.replace index tid (Index.to_string (Index.of_array ix))
+    | _ -> ());
+    if !entries <= max_entries then begin
+      last := ts;
+      Lifecycle.feed walk ts ev
     end
   in
-  let hooks =
-    {
-      Semantics.on_event =
-        (fun ~tick ~worker task ev ->
-          match ev with
-          | Semantics.Acquired -> record tick worker task Started
-          | Semantics.Resumed ->
-              (* the rendezvous verdict the wake bound into the frame *)
-              let verdict =
-                match Engine.task_var eng task "ok" with
-                | Some (Value.Bool b) -> b
-                | Some _ | None -> true
-              in
-              record tick worker task (Resumed verdict)
-          | Semantics.Executed op -> record tick worker task (Executed (op_descriptor op))
-          | Semantics.Blocked_on h -> record tick worker task (Blocked_at h)
-          | Semantics.Finished outcome ->
-              record tick worker task
-                (match outcome with
-                | Engine.Committed_task -> Committed
-                | Engine.Aborted_task -> Aborted
-                | Engine.Retried_task -> Retried));
-    }
-  in
   let interp =
-    Semantics.with_descr
-      (Semantics.with_hooks (Semantics.pipelined ~workers ~max_steps:50_000_000 ()) hooks)
-      "Trace.run"
+    Semantics.with_descr (Semantics.pipelined ~workers ~max_steps:50_000_000 ()) "Trace.run"
   in
-  let report = Semantics.run_engine interp eng in
-  { entries = List.rev !entries; report }
+  let report =
+    Semantics.run ~sink:(Sink.tap record) ~on_step:(fun _ -> incr entries) ~initial interp sp
+      bindings st
+  in
+  Lifecycle.close walk ~at:!last;
+  { occupancy = List.rev !occupancy; report }
 
 let render_timeline ?(max_ticks = 60) t =
   let workers =
-    1 + List.fold_left (fun acc e -> max acc e.worker) 0 t.entries
+    1 + List.fold_left (fun acc ((iv : Lifecycle.interval), _) -> max acc iv.pipe) 0 t.occupancy
   in
+  let cells = Array.make_matrix workers (max 0 max_ticks + 1) "." in
+  List.iter
+    (fun ((iv : Lifecycle.interval), index) ->
+      for tick = max 1 iv.start to min max_ticks iv.stop do
+        cells.(iv.pipe).(tick) <- index
+      done;
+      if iv.stop >= 1 && iv.stop <= max_ticks then
+        cells.(iv.pipe).(iv.stop) <-
+          (match iv.ending with "park" -> "~" | "abort" | "retry" -> "*" | _ -> index))
+    t.occupancy;
   let buf = Buffer.create 1024 in
-  let cell_of w tick =
-    let here = List.filter (fun e -> e.worker = w && e.tick = tick) t.entries in
-    match List.rev here with
-    | [] -> "."
-    | e :: _ -> begin
-        match e.kind with
-        | Aborted | Retried -> "*"
-        | Blocked_at _ -> "~"
-        | Started | Executed _ | Resumed _ | Committed -> e.index
-      end
-  in
   for w = 0 to workers - 1 do
     Buffer.add_string buf (Printf.sprintf "w%d: " w);
     for tick = 1 to max_ticks do
-      Buffer.add_string buf (Printf.sprintf "%-8s" (cell_of w tick))
+      Buffer.add_string buf (Printf.sprintf "%-8s" cells.(w).(tick))
     done;
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
 
 let summarize t =
-  let sets = List.sort_uniq compare (List.map (fun e -> e.set_name) t.entries) in
+  let sets =
+    List.sort_uniq compare (List.map (fun ((iv : Lifecycle.interval), _) -> iv.set) t.occupancy)
+  in
   List.map
     (fun set ->
-      let of_kind p = List.length (List.filter (fun e -> e.set_name = set && p e.kind) t.entries) in
-      ( set,
-        of_kind (fun k -> k = Committed),
-        of_kind (fun k -> k = Aborted),
-        of_kind (fun k -> k = Retried),
-        of_kind (function Blocked_at _ -> true | _ -> false) ))
+      let ending e =
+        List.length
+          (List.filter
+             (fun ((iv : Lifecycle.interval), _) -> iv.set = set && iv.ending = e)
+             t.occupancy)
+      in
+      (set, ending "commit", ending "abort", ending "retry", ending "park"))
     sets

@@ -3,31 +3,17 @@
     programmers debug applications").
 
     Runs a specification exactly like {!Semantics.pipelined} (same
-    worker model, same schedule) while recording every task lifecycle
-    transition, and renders the recording as a per-worker timeline plus
-    a per-task-set summary — making collisions, squashes and rendezvous
-    stalls visible before any hardware is generated. *)
-
-type event_kind =
-  | Started
-  | Executed of string  (** op descriptor, e.g. ["load level"] *)
-  | Blocked_at of string  (** rendezvous handle *)
-  | Resumed of bool  (** rule verdict *)
-  | Committed
-  | Aborted
-  | Retried
-
-type entry = {
-  tick : int;
-  worker : int;
-  tid : int;
-  set_name : string;
-  index : string;  (** rendered well-order index *)
-  kind : event_kind;
-}
+    worker model, same schedule) with a tap sink on its task events,
+    pairs them through {!Agp_obs.Lifecycle}, and renders the worker
+    occupancies as a per-worker timeline plus a per-task-set summary —
+    making collisions, squashes and rendezvous stalls visible before
+    any hardware is generated. *)
 
 type t = {
-  entries : entry list;  (** chronological *)
+  occupancy : (Agp_obs.Lifecycle.interval * string) list;
+      (** every time a task held a worker ([pipe]), from its dispatch to
+          its park or finish ([ending]), with the task's rendered
+          well-order index; in closing order *)
   report : Semantics.report;
 }
 
@@ -39,10 +25,9 @@ val run :
   Spec.bindings ->
   State.t ->
   t
-(** Traced execution (default 4 workers; recording stops after
-    [max_entries] (default 100k) while execution continues). *)
-
-val op_descriptor : Spec.op -> string
+(** Traced execution (default 4 workers).  Recording stops after
+    [max_entries] (default 100k) entries while execution continues;
+    a dispatch and each retired operation count one entry. *)
 
 val render_timeline : ?max_ticks:int -> t -> string
 (** ASCII worker-per-row timeline of the first [max_ticks] (default 60)

@@ -209,7 +209,8 @@ let resources () =
   in
   List.map
     (fun (name, sp) ->
-      let pipes = Resource.heuristic_pipelines sp ~max_per_set:8 in
+      let g = Agp_dataflow.Bdfg.of_program (Agp_core.Opcode.compile sp) in
+      let pipes = Resource.heuristic_pipelines sp g ~max_per_set:8 in
       let cfg = Config.with_pipelines Config.default pipes in
       let b = Resource.breakdown sp cfg in
       {

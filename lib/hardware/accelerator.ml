@@ -19,6 +19,7 @@ module Engine = Agp_core.Engine
 module Spec = Agp_core.Spec
 module State = Agp_core.State
 module Opcode = Agp_core.Opcode
+module Index = Agp_core.Index
 module Bdfg = Agp_dataflow.Bdfg
 module Vec = Agp_util.Vec
 module Sink = Agp_obs.Sink
@@ -502,16 +503,16 @@ let check_charged attr (spec : Spec.t) width ~upto =
 
 let simulate ?(config = Config.default) ?(sink = Sink.null) ?timeline ~spec ~bindings ~state
     ~initial () =
-  let cfg =
-    if config.Config.pipelines = [] then
-      Config.with_pipelines config (Resource.heuristic_pipelines spec ~max_per_set:8)
-    else config
-  in
   let wall_start = Unix.gettimeofday () in
   let en = Engine.create spec bindings state in
   let v = Engine.view en in
   let prog = Engine.program en in
   let graph = Bdfg.of_program prog in
+  let cfg =
+    if config.Config.pipelines = [] then
+      Config.with_pipelines config (Resource.heuristic_pipelines spec graph ~max_per_set:8)
+    else config
+  in
   let n_sets = prog.Opcode.n_sets in
   let mem = Memory.create ~sink cfg in
   let arr_base = Engine.array_bases en in
@@ -589,7 +590,13 @@ let simulate ?(config = Config.default) ?(sink = Sink.null) ?timeline ~spec ~bin
   let dispatch p tk ~now =
     if instrumented then
       Sink.emit sink ~ts:now
-        (Event.Task_dispatch { set = p.set_name; pipe = p.id; tid = Engine.task_tid en tk })
+        (Event.Task_dispatch
+           {
+             set = p.set_name;
+             pipe = p.id;
+             tid = Engine.task_tid en tk;
+             index = Index.to_array (Engine.task_index en tk);
+           })
   in
   (* the allocator reserves a priority lane for the minimum uncommitted
      task (the liveness argument of §4.2.1 under finite rule lanes) *)
@@ -677,15 +684,7 @@ let simulate ?(config = Config.default) ?(sink = Sink.null) ?timeline ~spec ~bin
         if instrumented then
           Sink.emit sink ~ts:now
             (Event.Task_finish
-               {
-                 set = p.set_name;
-                 pipe = p.id;
-                 tid;
-                 outcome =
-                   (if rc = Engine.lc_committed then Event.Commit
-                    else if rc = Engine.lc_aborted then Event.Abort
-                    else Event.Retry);
-               })
+               { set = p.set_name; pipe = p.id; tid; outcome = Engine.outcome_of_class rc })
       end;
       release cal p s;
       any_finish := true
@@ -1023,13 +1022,7 @@ let obs_report ?(app = "unknown") ?events ?timeline ~config (r : report) =
   let lifecycle =
     match spans with
     | None -> []
-    | Some (spans, unfinished) ->
-        [
-          ( "lifecycle",
-            Json.Obj
-              (("unfinished", Json.Int unfinished)
-              :: [ ("sets", Lifecycle.to_json (Lifecycle.summarize spans)) ]) );
-        ]
+    | Some (spans, unfinished) -> [ ("lifecycle", Lifecycle.section spans ~unfinished) ]
   in
   let timeline_section =
     match timeline with

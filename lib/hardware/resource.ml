@@ -81,9 +81,8 @@ type breakdown = {
 let pipeline_cost g set =
   List.fold_left (fun acc a -> add acc (actor_cost a.Bdfg.kind)) zero (Bdfg.actors_of_set g set)
 
-(* one instance of each set's pipeline, priced from the compiled spec *)
-let set_costs (sp : Spec.t) =
-  let g = Bdfg.of_program (Agp_core.Opcode.compile sp) in
+(* one instance of each set's pipeline, priced from its dataflow graph *)
+let set_costs (sp : Spec.t) g =
   List.map (fun ts -> (ts.Spec.ts_name, pipeline_cost g ts.Spec.ts_name)) sp.Spec.task_sets
 
 let breakdown_of (sp : Spec.t) costs (cfg : Config.t) =
@@ -112,7 +111,8 @@ let breakdown_of (sp : Spec.t) costs (cfg : Config.t) =
        else float_of_int rule_engines.registers /. float_of_int total.registers);
   }
 
-let breakdown sp cfg = breakdown_of sp (set_costs sp) cfg
+let breakdown sp cfg =
+  breakdown_of sp (set_costs sp (Bdfg.of_program (Agp_core.Opcode.compile sp))) cfg
 
 let fits b =
   b.total.alms <= stratix_v.alms
@@ -120,8 +120,8 @@ let fits b =
   && b.total.brams <= stratix_v.brams
   && b.total.dsps <= stratix_v.dsps
 
-let heuristic_pipelines (sp : Spec.t) ~max_per_set =
-  let costs = set_costs sp in
+let heuristic_pipelines (sp : Spec.t) g ~max_per_set =
+  let costs = set_costs sp g in
   let rec grow n =
     let cfg = Config.with_pipelines Config.default (List.map (fun (s, _) -> (s, n + 1)) costs) in
     if n < max_per_set && fits (breakdown_of sp costs cfg) then grow (n + 1) else n

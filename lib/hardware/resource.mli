@@ -40,8 +40,12 @@ val rule_engine_cost : Agp_core.Spec.t -> lanes_per_rule:int -> cost
 val breakdown : Agp_core.Spec.t -> Config.t -> breakdown
 (** Resource use of a full accelerator under the given configuration. *)
 
-val heuristic_pipelines : Agp_core.Spec.t -> max_per_set:int -> (string * int) list
-(** Uniformly replicate every task set's pipeline until the next
-    replica would exceed the device budget (capped per set). *)
+val heuristic_pipelines :
+  Agp_core.Spec.t -> Agp_dataflow.Bdfg.t -> max_per_set:int -> (string * int) list
+(** [heuristic_pipelines spec g] uniformly replicates every task set's
+    pipeline until the next replica would exceed the device budget
+    (capped per set).  [g] is the spec's graph, [Bdfg.of_program] of its
+    compiled program, so a caller that already holds the program (the
+    simulator, through [Engine.program]) does not compile it again. *)
 
 val fits : breakdown -> bool

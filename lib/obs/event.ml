@@ -4,7 +4,7 @@ type outcome =
   | Retry
 
 type t =
-  | Task_dispatch of { set : string; pipe : int; tid : int }
+  | Task_dispatch of { set : string; pipe : int; tid : int; index : int array }
   | Task_finish of { set : string; pipe : int; tid : int; outcome : outcome }
   | Rendezvous_park of { set : string; pipe : int; tid : int }
   | Rendezvous_resume of { set : string; tid : int }

@@ -1,8 +1,10 @@
-(** The structured event taxonomy of the hardware simulator.
+(** The structured event taxonomy of every stepper.
 
-    One constructor per observable micro-architectural happening; the
-    producer stamps each event with a cycle timestamp when it emits into
-    a {!Sink}.  Events carry enough identity ([set], [pipe], [tid]) for
+    One constructor per observable happening; the producer stamps each
+    event with a timestamp when it emits into a {!Sink}.  The simulator
+    emits all of them, stamped in cycles; the software runtimes emit
+    the four task events, stamped in scheduler ticks, with the worker
+    as the [pipe].  Events carry enough identity ([set], [pipe], [tid]) for
     an exporter to reconstruct per-row timelines. *)
 
 type outcome =
@@ -11,9 +13,10 @@ type outcome =
   | Retry
 
 type t =
-  | Task_dispatch of { set : string; pipe : int; tid : int }
+  | Task_dispatch of { set : string; pipe : int; tid : int; index : int array }
       (** a task entered a pipeline's reorder window (fresh issue or
-          rendezvous wake-up) *)
+          rendezvous wake-up); [index] is its well-order index, one slot
+          per task set *)
   | Task_finish of { set : string; pipe : int; tid : int; outcome : outcome }
       (** the task left the pipeline by committing, aborting or being
           retried *)

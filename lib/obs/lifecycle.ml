@@ -76,7 +76,7 @@ let leave_pipe w tid tk ts ending =
   end
 
 let feed w ts = function
-  | Event.Task_dispatch { set; pipe; tid } ->
+  | Event.Task_dispatch { set; pipe; tid; _ } ->
       let tk = task_of w tid set in
       (* a dispatch without a resume restarts the execute segment *)
       ignore (leave_pipe w tid tk ts "redispatch");
@@ -224,6 +224,9 @@ let to_json stats =
                ("squash_redo", Json.Int s.ls_squash_redo);
              ] ))
        stats)
+
+let section spans ~unfinished =
+  Json.Obj [ ("unfinished", Json.Int unfinished); ("sets", to_json (summarize spans)) ]
 
 let render stats =
   let t =

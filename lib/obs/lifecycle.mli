@@ -1,8 +1,9 @@
 (** Task lifecycles: the only code that pairs a task's dispatch, park,
-    resume and finish events.  One walk ({!feed}) turns the
-    accelerator's [(ts, event)] stream into closed {!interval}s and one
-    {!span} per finished activation; the Chrome trace draws the
-    intervals, the summary and the lifetime histogram reduce the spans.
+    resume and finish events.  One walk ({!feed}) turns a stepper's
+    [(ts, event)] stream (the accelerator's or a software runtime's)
+    into closed {!interval}s and one {!span} per finished activation;
+    the Chrome trace and [agp trace] draw the intervals, the summary
+    and the lifetime histogram reduce the spans.
 
     A span splits its activation's wall-clock into queue-wait (resumed
     but waiting to re-enter a pipeline), execute (occupying a pipeline
@@ -97,6 +98,10 @@ val histogram : Metrics.registry -> name:string -> span list -> Metrics.histogra
 
 val to_json : set_stats list -> Json.t
 (** Object keyed by task set. *)
+
+val section : span list -> unfinished:int -> Json.t
+(** A run report's ["lifecycle"] section: [unfinished] and the
+    {!to_json} of {!summarize} under ["sets"]. *)
 
 val render : set_stats list -> string
 (** Aligned table, one row per task set. *)

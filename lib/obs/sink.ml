@@ -8,10 +8,16 @@ type ring = {
   mutable total : int;
 }
 
+type tap = {
+  f : ts:int -> Event.t -> unit;
+  mutable seen : int;
+}
+
 type t =
   | Null
   | Ring of ring
   | Collect of (int * Event.t) Vec.t
+  | Tap of tap
 
 let null = Null
 
@@ -21,9 +27,11 @@ let ring ~capacity =
 
 let collect () = Collect (Vec.create ())
 
+let tap f = Tap { f; seen = 0 }
+
 let enabled = function
   | Null -> false
-  | Ring _ | Collect _ -> true
+  | Ring _ | Collect _ | Tap _ -> true
 
 let emit t ~ts ev =
   match t with
@@ -34,9 +42,12 @@ let emit t ~ts ev =
       if r.len < r.cap then r.len <- r.len + 1;
       r.total <- r.total + 1
   | Collect v -> Vec.push v (ts, ev)
+  | Tap t ->
+      t.seen <- t.seen + 1;
+      t.f ~ts ev
 
 let events = function
-  | Null -> []
+  | Null | Tap _ -> []
   | Ring r ->
       List.init r.len (fun k ->
           match r.data.((r.next - r.len + k + r.cap) mod r.cap) with
@@ -48,9 +59,10 @@ let count = function
   | Null -> 0
   | Ring r -> r.total
   | Collect v -> Vec.length v
+  | Tap t -> t.seen
 
 let dropped = function
-  | Null | Collect _ -> 0
+  | Null | Collect _ | Tap _ -> 0
   | Ring r -> r.total - r.len
 
 let clear = function
@@ -61,3 +73,4 @@ let clear = function
       r.next <- 0;
       r.total <- 0
   | Collect v -> Vec.clear v
+  | Tap t -> t.seen <- 0

@@ -1,13 +1,15 @@
 (** Event sinks: where instrumented components send {!Event.t}s.
 
-    Three flavours:
+    Four flavours:
     - {!null} drops everything and reports itself disabled, so
       instrumentation sites can guard on {!enabled} and cost one branch
       when observation is off;
     - {!ring} keeps the most recent [capacity] events (older ones are
       overwritten and counted as {!dropped}) — bounded capture for
       always-on monitoring;
-    - {!collect} keeps every event — full capture for trace export.
+    - {!collect} keeps every event — full capture for trace export;
+    - {!tap} hands each event to a function as it is emitted and keeps
+      none — a consumer that folds the stream as it runs.
 
     Producers must emit with non-decreasing [ts] per component, but the
     merged stream is not globally sorted (the memory model timestamps
@@ -23,6 +25,10 @@ val ring : capacity:int -> t
 
 val collect : unit -> t
 
+val tap : (ts:int -> Event.t -> unit) -> t
+(** Calls the function on every event, synchronously, in emission
+    order. *)
+
 val enabled : t -> bool
 (** [false] only for {!null}.  Guard event construction with this so a
     disabled run allocates nothing. *)
@@ -31,7 +37,7 @@ val emit : t -> ts:int -> Event.t -> unit
 
 val events : t -> (int * Event.t) list
 (** Captured [(ts, event)] pairs, oldest first (for a ring, the
-    surviving window). *)
+    surviving window; none for a tap). *)
 
 val count : t -> int
 (** Total events ever emitted (including ones a ring overwrote). *)

@@ -107,8 +107,14 @@ let test_obs_report_capability () =
       | Error e -> Alcotest.failf "backend obs report does not reparse: %s" e));
   let res' = Backend.run sim app in
   check Alcotest.bool "no report unless asked" true (res'.Backend.obs = None);
-  let seq = Backend.run ~obs:true Backend.sequential app in
-  check Alcotest.bool "non-obs backend ignores ~obs" true (seq.Backend.obs = None)
+  let runtime = Backend.run ~obs:true (Backend.runtime ~workers:8 ()) app in
+  (match runtime.Backend.obs with
+  | Some doc ->
+      check Alcotest.bool "runtime report has a lifecycle section" true
+        (List.mem_assoc "lifecycle" doc.Agp_obs.Report.sections)
+  | None -> Alcotest.fail "obs-capable runtime returned no report under ~obs:true");
+  let cpu = Backend.run ~obs:true Backend.cpu_1core app in
+  check Alcotest.bool "non-obs backend ignores ~obs" true (cpu.Backend.obs = None)
 
 (* the simulator's report captures a ring of the run's last events and
    says in its meta how many fell off the front *)
@@ -380,7 +386,7 @@ module Event = Agp_obs.Event
 let render_event buf (ts, ev) =
   let pf fmt = Printf.bprintf buf fmt in
   match ev with
-  | Event.Task_dispatch { set; pipe; tid } -> pf "%d dispatch %s %d %d\n" ts set pipe tid
+  | Event.Task_dispatch { set; pipe; tid; _ } -> pf "%d dispatch %s %d %d\n" ts set pipe tid
   | Event.Task_finish { set; pipe; tid; outcome } ->
       pf "%d finish %s %d %d %s\n" ts set pipe tid (Event.outcome_name outcome)
   | Event.Rendezvous_park { set; pipe; tid } -> pf "%d park %s %d %d\n" ts set pipe tid
@@ -963,28 +969,110 @@ let test_counting_interpretation () =
   let app = Workloads.spec_bfs Workloads.Small ~seed:7 in
   let events = ref 0 in
   let finished = ref 0 in
-  let hooks =
-    {
-      Semantics.on_event =
-        (fun ~tick:_ ~worker:_ _ ev ->
-          incr events;
-          match ev with
-          | Semantics.Finished _ -> incr finished
-          | _ -> ());
-    }
+  let count ~ts:_ ev =
+    incr events;
+    match ev with
+    | Event.Task_finish _ -> incr finished
+    | _ -> ()
   in
   let counting =
     Backend.of_interpretation ~name:"counting"
-      ~summary:"test-only counting interpretation (hooks over the pipelined policy)"
-      (Semantics.with_hooks (Semantics.pipelined ~workers:3 ()) hooks)
+      ~summary:"test-only counting interpretation (a tap sink over the pipelined policy)"
+      { (Semantics.pipelined ~workers:3 ()) with Semantics.sink = Sink.tap count }
   in
   (match Conformance.check ~state_equiv:true counting app with
   | Ok () -> ()
   | Error f ->
       Alcotest.failf "counting interpretation does not conform: %s"
         (Conformance.failure_to_string f));
-  check Alcotest.bool "hooks observed the run" true (!events > 0);
-  check Alcotest.bool "hooks saw task completions" true (!finished > 0)
+  check Alcotest.bool "the sink observed the run" true (!events > 0);
+  check Alcotest.bool "the sink saw task completions" true (!finished > 0)
+
+(* --- the software runtimes' task events.  Observing must not steer: a
+   collect-sink run is the null-sink run, bit for bit.  And the stream
+   reads as the simulator's does: the Chrome trace draws one row per
+   worker, and Lifecycle's outcomes add up to the engine's counters. --- *)
+
+let with_sink sink interp =
+  Backend.of_interpretation ~name:"observed" ~summary:"test-only interpretation with a sink"
+    { interp with Semantics.sink }
+
+let test_runtime_sink_keeps_run () =
+  List.iter
+    (fun (app : App_instance.t) ->
+      let name = app.App_instance.app_name in
+      let sink = Sink.collect () in
+      let bare = Backend.run (Backend.runtime ~workers:3 ()) app in
+      let seen = Backend.run (with_sink sink (Semantics.pipelined ~workers:3 ())) app in
+      check Alcotest.string (name ^ ": steps and counters") (fingerprint bare) (fingerprint seen);
+      (match (bare.Backend.final, seen.Backend.final) with
+      | Some b, Some s ->
+          check (Alcotest.list Alcotest.string) (name ^ ": final state") []
+            (State.diff b.App_instance.state s.App_instance.state)
+      | _ -> Alcotest.fail "a stepper run keeps its instance");
+      check Alcotest.bool (name ^ ": events captured") true (Sink.count sink > 0);
+      match
+        Conformance.check ~state_equiv:(state_deterministic app)
+          (with_sink (Sink.collect ()) (Semantics.pipelined ~workers:3 ()))
+          app
+      with
+      | Ok () -> ()
+      | Error f -> Alcotest.failf "%s: observed runtime does not conform: %s" name
+                     (Conformance.failure_to_string f))
+    (Workloads.all Workloads.Small ~seed:7)
+
+let test_runtime_chrome_trace_rows () =
+  let app = Workloads.spec_sssp Workloads.Small ~seed:42 in
+  let sink = Sink.collect () in
+  ignore (Backend.run (with_sink sink (Semantics.pipelined ~workers:4 ())) app);
+  let module J = Agp_obs.Json in
+  (* the thread names of the "task pipelines" process (pid 1) *)
+  let row = function
+    | J.Obj kv when List.assoc_opt "name" kv = Some (J.String "thread_name")
+                    && List.assoc_opt "pid" kv = Some (J.Int 1) -> (
+        match List.assoc_opt "args" kv with
+        | Some (J.Obj [ ("name", J.String name) ]) -> Some name
+        | _ -> None)
+    | _ -> None
+  in
+  let rows =
+    match Agp_obs.Chrome_trace.to_json (Sink.events sink) with
+    | J.Obj kv -> (
+        match List.assoc_opt "traceEvents" kv with
+        | Some (J.List evs) -> List.filter_map row evs
+        | _ -> Alcotest.fail "no traceEvents list")
+    | _ -> Alcotest.fail "trace is not an object"
+  in
+  check (Alcotest.list Alcotest.string) "one pipeline row per worker"
+    [ "relax/0"; "relax/1"; "relax/2"; "relax/3" ] rows
+
+let test_runtime_lifecycle_counts () =
+  List.iter
+    (fun (app : App_instance.t) ->
+      List.iter
+        (fun interp ->
+          let name = app.App_instance.app_name ^ " " ^ interp.Semantics.descr in
+          let sink = Sink.collect () in
+          let res = Backend.run (with_sink sink interp) app in
+          let stats = Option.get res.Backend.engine_stats in
+          let spans, unfinished = Agp_obs.Lifecycle.spans (Sink.events sink) in
+          let outcomes o =
+            List.length (List.filter (fun sp -> sp.Agp_obs.Lifecycle.sp_outcome = o) spans)
+          in
+          let per_set f =
+            List.fold_left (fun acc s -> acc + f s) 0 (Agp_obs.Lifecycle.summarize spans)
+          in
+          check Alcotest.int (name ^ ": every task retired") 0 unfinished;
+          check Alcotest.int (name ^ ": commits") stats.Engine.committed (outcomes Event.Commit);
+          check Alcotest.int (name ^ ": aborts") stats.Engine.aborted (outcomes Event.Abort);
+          check Alcotest.int (name ^ ": retries") stats.Engine.retried (outcomes Event.Retry);
+          check Alcotest.int (name ^ ": per-set commits") stats.Engine.committed
+            (per_set (fun s -> s.Agp_obs.Lifecycle.ls_commits));
+          check Alcotest.int (name ^ ": per-set squashes")
+            (stats.Engine.aborted + stats.Engine.retried)
+            (per_set (fun s -> s.Agp_obs.Lifecycle.ls_squashes)))
+        [ Semantics.oracle (); Semantics.pipelined ~workers:4 () ])
+    (Workloads.all Workloads.Small ~seed:42)
 
 (* --- typed liveness exceptions (satellite: no more stringly Failure) --- *)
 
@@ -1365,7 +1453,14 @@ let test_cli_run_backend_and_golden_diff () =
     check Alcotest.int "retired simulator:classic is an unknown backend" 1
       (sh "%s run spec-bfs --scale small --backend simulator:classic" cli_exe);
     check Alcotest.int "report on non-obs backend exits 1" 1
-      (sh "%s run spec-bfs --scale small --backend sequential --report %s" cli_exe tmp);
+      (sh "%s run spec-bfs --scale small --backend cpu-1core --report %s" cli_exe tmp);
+    check Alcotest.int "runtime --report exits 0" 0
+      (sh "%s run coor-bfs --scale small --backend runtime:8 --report %s" cli_exe tmp);
+    (match Agp_obs.Report.of_string (In_channel.with_open_text tmp In_channel.input_all) with
+    | Ok doc ->
+        check Alcotest.bool "runtime report has a lifecycle section" true
+          (List.mem_assoc "lifecycle" doc.Agp_obs.Report.sections)
+    | Error e -> Alcotest.failf "runtime report does not parse: %s" e);
     check Alcotest.int "unsupported app/backend pair exits 1" 1
       (sh "%s run spec-dmr --scale small --backend opencl" cli_exe);
     (* observe simulates the accelerator run --backend simulator does *)
@@ -1414,6 +1509,12 @@ let () =
           qtest test_compiled_positions;
           Alcotest.test_case "fast shapes fall back to the evaluator" `Quick
             test_fast_shape_fallbacks;
+          Alcotest.test_case "a sink does not steer the runtime" `Quick
+            test_runtime_sink_keeps_run;
+          Alcotest.test_case "runtime chrome trace: one row per worker" `Quick
+            test_runtime_chrome_trace_rows;
+          Alcotest.test_case "runtime lifecycle outcomes equal engine stats" `Quick
+            test_runtime_lifecycle_counts;
           Alcotest.test_case "a substrate is an interpretation record" `Quick
             test_counting_interpretation;
           qtest test_deadlock_typed;

@@ -189,7 +189,7 @@ let bdfg_lines () =
         | Error e -> Alcotest.fail e
       in
       let g = graph sp in
-      let pipes = Resource.heuristic_pipelines sp ~max_per_set:8 in
+      let pipes = Resource.heuristic_pipelines sp g ~max_per_set:8 in
       let t = (Resource.breakdown sp (Config.with_pipelines Config.default pipes)).Resource.total in
       Printf.sprintf "%s dot=%s pipelines=%s total=%d/%d/%d/%d" name
         (Digest.to_hex (Digest.string (Bdfg.to_dot g)))

@@ -111,7 +111,10 @@ let test_resource_breakdown () =
     (b.Resource.register_share_rules > 0.01 && b.Resource.register_share_rules < 0.25)
 
 let test_resource_heuristic_replicates () =
-  let pipes = Resource.heuristic_pipelines Bfs_app.spec_speculative ~max_per_set:8 in
+  let sp = Bfs_app.spec_speculative in
+  let pipes =
+    Resource.heuristic_pipelines sp (Bdfg.of_program (Agp_core.Opcode.compile sp)) ~max_per_set:8
+  in
   List.iter (fun (_, n) -> check Alcotest.bool "replicated" true (n >= 2)) pipes;
   let cfg = Config.with_pipelines Config.default pipes in
   check Alcotest.bool "still fits" true (Resource.fits (Resource.breakdown Bfs_app.spec_speculative cfg))

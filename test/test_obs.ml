@@ -789,7 +789,7 @@ let events_digest name events =
     (md5 (Metrics.to_text reg))
 
 let edge_events =
-  let d ts set pipe tid = (ts, Event.Task_dispatch { set; pipe; tid }) in
+  let d ts set pipe tid = (ts, Event.Task_dispatch { set; pipe; tid; index = [||] }) in
   let f ts set pipe tid outcome = (ts, Event.Task_finish { set; pipe; tid; outcome }) in
   let p ts set pipe tid = (ts, Event.Rendezvous_park { set; pipe; tid }) in
   let r ts set tid = (ts, Event.Rendezvous_resume { set; tid }) in

@@ -24,14 +24,24 @@ let test_trace_produces_valid_result () =
 
 let test_trace_records_lifecycle () =
   let _, _, t = traced_bfs () in
-  let has p = List.exists (fun e -> p e.Trace.kind) t.Trace.entries in
-  check Alcotest.bool "starts recorded" true (has (fun k -> k = Trace.Started));
-  check Alcotest.bool "commits recorded" true (has (fun k -> k = Trace.Committed));
-  check Alcotest.bool "aborts recorded" true (has (fun k -> k = Trace.Aborted));
-  check Alcotest.bool "rendezvous blocks recorded" true
-    (has (function Trace.Blocked_at _ -> true | _ -> false));
-  check Alcotest.bool "ops recorded" true
-    (has (function Trace.Executed _ -> true | _ -> false))
+  let has ending =
+    List.exists
+      (fun ((iv : Agp_obs.Lifecycle.interval), _) -> iv.ending = ending)
+      t.Trace.occupancy
+  in
+  check Alcotest.bool "occupancies recorded" true (t.Trace.occupancy <> []);
+  check Alcotest.bool "commits recorded" true (has "commit");
+  check Alcotest.bool "aborts recorded" true (has "abort");
+  check Alcotest.bool "rendezvous blocks recorded" true (has "park");
+  check Alcotest.bool "occupancies span ops" true
+    (List.exists
+       (fun ((iv : Agp_obs.Lifecycle.interval), _) -> iv.stop > iv.start)
+       t.Trace.occupancy);
+  List.iter
+    (fun ((iv : Agp_obs.Lifecycle.interval), index) ->
+      check Alcotest.bool "worker in range" true (iv.pipe >= 0 && iv.pipe < 4);
+      check Alcotest.bool "index rendered" true (index <> "" && index.[0] = '{'))
+    t.Trace.occupancy
 
 let test_trace_summary_consistent_with_stats () =
   let _, _, t = traced_bfs () in
@@ -59,11 +69,6 @@ let test_trace_timeline_renders () =
   check Alcotest.bool "one row per worker" true
     (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' s)) = 4)
 
-let test_trace_op_descriptors () =
-  check Alcotest.string "load" "v <- arr" (Trace.op_descriptor (Spec.Load ("v", "arr", Spec.int 0)));
-  check Alcotest.string "await" "await h" (Trace.op_descriptor (Spec.Await ("ok", "h")));
-  check Alcotest.string "prim" "prim f" (Trace.op_descriptor (Spec.Prim ([], "f", [])))
-
 let test_trace_entry_cap () =
   let app = Workloads.spec_bfs Workloads.Small ~seed:42 in
   let r = app.App_instance.fresh () in
@@ -71,7 +76,14 @@ let test_trace_entry_cap () =
     Trace.run ~initial:r.App_instance.initial ~workers:4 ~max_entries:50 app.App_instance.spec
       r.App_instance.bindings r.App_instance.state
   in
-  check Alcotest.int "capped" 50 (List.length t.Trace.entries);
+  (* 50 entries (a dispatch or a retired op each) hold fewer than 50
+     occupancies, and every one of them began inside the budget *)
+  let n = List.length t.Trace.occupancy in
+  check Alcotest.bool "capped" true (n > 0 && n < 50);
+  check Alcotest.bool "recording stopped early" true
+    (List.for_all
+       (fun ((iv : Agp_obs.Lifecycle.interval), _) -> iv.stop < t.Trace.report.Semantics.steps)
+       t.Trace.occupancy);
   check (Alcotest.result Alcotest.unit Alcotest.string) "execution still completes" (Ok ())
     (r.App_instance.check ())
 
@@ -161,7 +173,6 @@ let () =
           Alcotest.test_case "summary matches stats" `Quick test_trace_summary_consistent_with_stats;
           Alcotest.test_case "schedule unperturbed" `Quick test_trace_same_schedule_as_runtime;
           Alcotest.test_case "timeline renders" `Quick test_trace_timeline_renders;
-          Alcotest.test_case "op descriptors" `Quick test_trace_op_descriptors;
           Alcotest.test_case "entry cap" `Quick test_trace_entry_cap;
           Alcotest.test_case "golden output" `Quick test_trace_golden;
         ] );
