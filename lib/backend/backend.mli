@@ -21,8 +21,8 @@ type capabilities = {
           simulator and the CPU/OpenCL models; the software runtimes
           report steps, not time) *)
   obs_report : bool;
-      (** can emit a machine-readable {!Agp_obs.Report} when [run] is
-          called with [~obs:true] *)
+      (** emits its events into an enabled sink handed to {!run} and
+          attaches a machine-readable {!Agp_obs.Report} *)
   validates : bool;
       (** state-mutating: executes the real semantics on a fresh
           instance, so [check] is a substrate verdict and [final] holds
@@ -54,7 +54,8 @@ type run_result = {
           the substrate counts tasks *)
   engine_stats : Agp_core.Engine.stats option;
   obs : Agp_obs.Report.t option;
-      (** present when run with [~obs:true] on an [obs_report] backend *)
+      (** present when run with an enabled sink on an [obs_report]
+          backend *)
   native : native;
   final : Agp_apps.App_instance.run option;
       (** the executed instance (state + check), for differential
@@ -72,7 +73,7 @@ type t = {
       (** for stepper backends, the interpretation record that {e is}
           the substrate — scheduling policy plus event sink; [None]
           for the simulator and the timing models *)
-  exec : obs:bool -> Agp_apps.App_instance.t -> run_result;
+  exec : sink:Agp_obs.Sink.t -> Agp_apps.App_instance.t -> run_result;
       (** implementation hook — call {!run}, not this *)
 }
 
@@ -85,11 +86,20 @@ val liveness_failure : exn -> string option
     serve daemon to a [liveness] verdict, the conformance harness to a
     [Liveness] failure. *)
 
-val run : ?obs:bool -> ?request_id:string -> t -> Agp_apps.App_instance.t -> run_result
+val obs_ring_capacity : int
+(** 262,144: the ring ([Agp_obs.Sink.ring ~capacity:obs_ring_capacity])
+    that [agp run --report], [agp observe] and the serve daemon hand
+    {!run}.  A run that emits more keeps its tail, and its report says
+    how many events it lost as ["events_dropped"]. *)
+
+val run :
+  ?sink:Agp_obs.Sink.t -> ?request_id:string -> t -> Agp_apps.App_instance.t -> run_result
 (** The single entry point: execute [app] on the backend, on a fresh
-    instance.  [obs] (default false) asks obs-capable backends to
-    capture the full event stream / timeline and attach a run report.
-    [request_id] (set by the serve scheduler) is stamped into the
+    instance.  When [sink] (default {!Agp_obs.Sink.null}) is enabled,
+    an obs-capable backend emits the run's events into it and attaches
+    a run report built from {!Agp_obs.Sink.events} (for a tap, which
+    keeps none, a report without task lifecycles); its meta carries
+    the sink's ["events_dropped"].  [request_id] (set by the serve scheduler) is stamped into the
     report's meta as ["request_id"], correlating the archived artifact
     with the daemon's trace spans and log lines.
     @raise Unsupported when [supports] rejects the app.
@@ -105,12 +115,11 @@ val of_interpretation :
     [Semantics.run] on a fresh instance, the native report is
     [Stepper].  This is how {!sequential} and {!runtime} are built — a
     new software substrate is a record, not a module.  Capabilities:
-    untimed, obs report, validating.  Under [~obs:true] the run's task
-    events go to a ring of the last 262,144 (in place of the record's
-    own sink), and the report ([kind] ["stepper-run"]) holds the engine
-    and policy counters under ["metrics"] and the ring's ["lifecycle"],
-    timed in the policy's ticks; its meta says how many events the ring
-    lost as ["events_dropped"]. *)
+    untimed, obs report, validating.  An enabled sink handed to {!run}
+    takes the place of the record's own, and the report ([kind]
+    ["stepper-run"]) holds the engine and policy counters under
+    ["metrics"] and the sink's ["lifecycle"], timed in the policy's
+    ticks. *)
 
 val sequential : t
 (** The in-order oracle (Definition 4.3) every other backend is judged
@@ -131,9 +140,9 @@ val with_max_steps : t -> int -> (t, string) result
 val simulator : ?config:Agp_hw.Config.t -> unit -> t
 (** The cycle-level accelerator model (Fig. 7) on [config] (default
     {!Agp_hw.Config.default}), with {!derive_config} applied per app.
-    Its obs report is
-    built from a ring of the run's last 262,144 events; the report's
-    meta says how many earlier events it lost as ["events_dropped"]. *)
+    With an enabled sink it also samples a timeline every 256 cycles,
+    and its report is {!Agp_hw.Accelerator.obs_report} of the sink's
+    events and that timeline. *)
 
 val cpu_1core : t
 val cpu_10core : t

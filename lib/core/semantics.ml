@@ -56,8 +56,6 @@ let oracle ?(max_tasks = 10_000_000) () =
 let pipelined ?(workers = 8) ?(max_steps = 100_000_000) () =
   { descr = "Semantics.pipelined"; policy = Workers { workers; max_steps }; sink = Sink.null }
 
-let with_descr interp descr = { interp with descr }
-
 type hooks = { on_event : tick:int -> worker:int -> int -> Event.t -> unit }
 
 let with_hooks interp h =

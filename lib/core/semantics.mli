@@ -20,10 +20,11 @@
     loops build no event at all.
 
     Adding a substrate means building a record, not writing a loop:
-    [Trace] is [pipelined] plus a tap sink, the CPU timing model is
-    [oracle] plus a step observer replaying each retired access through
-    its cache (then [pipelined] for its makespan), and a test-only
-    interpretation is a few lines (see the conformance suite). *)
+    [agp trace] is [pipelined] plus {!Agp_obs.Worker_trace}'s tap sink
+    (handed to [Backend.run] in place of the record's own), the CPU
+    timing model is [oracle] plus a step observer replaying each retired
+    access through its cache (then [pipelined] for its makespan), and a
+    test-only interpretation is a few lines (see the conformance suite). *)
 
 (** Typed liveness failures, raised by {!Engine} itself.  These are the
     {e same} exception constructors as [Engine.Deadlock] /
@@ -70,8 +71,6 @@ val pipelined : ?workers:int -> ?max_steps:int -> unit -> interpretation
 (** Worker-pool runtime. Defaults: 8 workers, 100_000_000 steps.
     Raises {!Step_limit_exceeded} past the budget and {!Deadlock} when
     no task can make progress. *)
-
-val with_descr : interpretation -> string -> interpretation
 
 val run :
   ?sink:Agp_obs.Sink.t ->

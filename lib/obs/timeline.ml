@@ -102,17 +102,6 @@ let samples t = List.rev t.rev_samples
 
 let sample_count t = t.n_samples
 
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "cycle,in_flight,pending,utilization,cache_hit_rate,link_bytes,link_util\n";
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%.6f,%.6f,%d,%.6f\n" s.s_cycle s.s_in_flight s.s_pending
-           s.s_utilization s.s_hit_rate s.s_link_bytes s.s_link_util))
-    (samples t);
-  Buffer.contents buf
-
 let sample_json s =
   Json.Obj
     [

@@ -65,10 +65,6 @@ val samples : t -> sample list
 
 val sample_count : t -> int
 
-val to_csv : t -> string
-(** Header + one row per sample:
-    [cycle,in_flight,pending,utilization,cache_hit_rate,link_bytes,link_util]. *)
-
 val to_json : t -> Json.t
 (** [{"interval"; "samples": [...]}] with one object per sample. *)
 

@@ -67,7 +67,11 @@ let execute ~shard ~batch ~log app (job : job) =
                   Option.map Agp_obs.Report.to_json r.Backend.obs);
           }
       in
-      match Backend.run ~obs:want_obs ~request_id:req.Protocol.id b app with
+      let sink =
+        if want_obs then Agp_obs.Sink.ring ~capacity:Backend.obs_ring_capacity
+        else Agp_obs.Sink.null
+      in
+      match Backend.run ~sink ~request_id:req.Protocol.id b app with
       | exception Backend.Unsupported { reason; _ } -> finish (Protocol.Unsupported reason) None
       | exception exn -> (
           match Backend.liveness_failure exn with
