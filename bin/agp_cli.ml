@@ -622,20 +622,11 @@ let serve_cmd =
           ("tenant_quota", Agp_obs.Json.Int tenant_quota);
         ]
       "agp-serve starting";
-    (match Serve.Server.listen server ~addr with
+    match Serve.Server.listen server ~addr with
     | () -> ()
     | exception Unix.Unix_error (e, fn, _) ->
         Printf.eprintf "serve: %s failed: %s\n" fn (Unix.error_message e);
-        exit 1);
-    let s = Serve.Server.stats server in
-    Agp_obs.Log.info log
-      ~fields:
-        [
-          ("completed", Agp_obs.Json.Int s.Serve.Protocol.completed);
-          ("shed", Agp_obs.Json.Int s.Serve.Protocol.shed);
-          ("errors", Agp_obs.Json.Int s.Serve.Protocol.errors);
-        ]
-      "agp-serve drained"
+        exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -692,8 +683,9 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Scrape a running $(b,agp serve) daemon's live telemetry as Prometheus text \
-          exposition: cumulative counters and histograms since boot plus rolling-window \
-          p50/p90/p99 (last 60 s) for request latency, queueing and execution."
+          exposition: request counters since boot, queue-depth, in-flight and uptime \
+          gauges, and four rolling windows (p50/p90/p99 over the last 60 s, lifetime \
+          count) for request latency, queueing, workload build and execution."
        ~man:
          [
            `S Manpage.s_examples;

@@ -51,4 +51,4 @@ type request_trace = {
 val requests_to_json : ?trace_name:string -> request_trace list -> Json.t
 (** Complete ["X"] slices sorted by start time, metadata first; every
     slice carries [cat = "request"] and an [args.request] id so it
-    joins against [Obs.Log] lines and {!Span} phase records. *)
+    joins against [Obs.Log] lines. *)

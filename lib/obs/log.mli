@@ -3,7 +3,7 @@
     Every emitted line is one JSON object:
     [{"ts":<epoch s>,"level":"info","msg":"...","req":"r12",...}] —
     [req] carries the serve request id so daemon log lines join against
-    per-request trace spans and {!Span} phase records.  Lines are
+    per-request trace spans.  Lines are
     written under a mutex and flushed whole, so concurrent shard
     threads never interleave partial lines.
 

@@ -1,36 +1,6 @@
-(* Live telemetry surface: one metrics registry plus a set of rolling
-   windows, rendered as Prometheus text exposition (v0.0.4).  The
-   registry answers "since boot", the windows answer "right now". *)
-
-type t = {
-  registry : Metrics.registry;
-  mutex : Mutex.t;
-  mutable windows : Window.t list; (* reverse creation order *)
-}
-
-let create ?registry () =
-  {
-    registry = (match registry with Some r -> r | None -> Metrics.create ());
-    mutex = Mutex.create ();
-    windows = [];
-  }
-
-let registry t = t.registry
-
-let window t ?max_samples ~span_s name =
-  Mutex.protect t.mutex (fun () ->
-      match List.find_opt (fun w -> Window.name w = name) t.windows with
-      | Some w ->
-          if Window.span_s w <> span_s then
-            invalid_arg
-              (Printf.sprintf "Telemetry.window: %S re-registered with different span" name);
-          w
-      | None ->
-          let w = Window.create ?max_samples ~span_s name in
-          t.windows <- w :: t.windows;
-          w)
-
-let windows t = Mutex.protect t.mutex (fun () -> List.rev t.windows)
+(* Prometheus text exposition (v0.0.4) of one metrics registry plus a
+   list of rolling windows.  The registry answers "since boot", the
+   windows answer "right now". *)
 
 (* Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.  Registry names
    use dots ("serve.requests_total"); map anything illegal to '_'. *)
@@ -89,19 +59,8 @@ let add_window buf ~now w =
   Buffer.add_string buf
     (Printf.sprintf "# TYPE %s_window_max gauge\n%s_window_max %s\n" n n (fnum s.Window.s_max))
 
-let to_prometheus t ~now =
+let to_prometheus registry windows ~now =
   let buf = Buffer.create 1024 in
-  List.iter (add_metric buf) (Metrics.export t.registry);
-  List.iter (add_window buf ~now) (windows t);
+  List.iter (add_metric buf) (Metrics.export registry);
+  List.iter (add_window buf ~now) windows;
   Buffer.contents buf
-
-let to_json t ~now =
-  Json.Obj
-    [
-      ("metrics", Metrics.to_json t.registry);
-      ( "windows",
-        Json.Obj
-          (List.map
-             (fun w -> (Window.name w, Window.summary_json (Window.summary w ~now)))
-             (windows t)) );
-    ]

@@ -116,18 +116,3 @@ let summary t ~now =
         s_p99 = pct 99.0;
         s_max = (if n = 0 then 0.0 else Stats.maximum vs);
       })
-
-let summary_json s =
-  Json.Obj
-    [
-      ("window_s", Json.Float s.s_span_s);
-      ("count", Json.Int s.s_count);
-      ("lifetime", Json.Int s.s_lifetime);
-      ("dropped", Json.Int s.s_dropped);
-      ("rate_per_sec", Json.Float s.s_rate_per_sec);
-      ("mean", Json.Float s.s_mean);
-      ("p50", Json.Float s.s_p50);
-      ("p90", Json.Float s.s_p90);
-      ("p99", Json.Float s.s_p99);
-      ("max", Json.Float s.s_max);
-    ]

@@ -46,5 +46,3 @@ val summary : t -> now:float -> summary
 (** Prune to [now] and summarize.  Percentiles are nearest-rank
     ({!Agp_util.Stats.percentile_nearest}): total on the empty window
     (all zeros) and p99 equals the max at small sample counts. *)
-
-val summary_json : summary -> Json.t

@@ -156,8 +156,8 @@ let tally_response t resp =
   | Protocol.Error_reply { id; _ } ->
       Option.iter settle id;
       t.failed <- t.failed + 1
-  | Protocol.Hello_ack _ | Protocol.Stats_reply _ | Protocol.Metrics_reply _
-  | Protocol.Pong | Protocol.Shutdown_ack _ ->
+  | Protocol.Hello_ack _ | Protocol.Metrics_reply _ | Protocol.Pong | Protocol.Shutdown_ack _
+    ->
       ());
   Mutex.unlock t.tm
 

@@ -1,8 +1,9 @@
 module Json = Agp_obs.Json
-module Span = Agp_obs.Span
 
-(* v2: metrics request/reply (Prometheus text exposition). *)
-let protocol_version = 2
+(* v2: metrics request/reply (Prometheus text exposition).
+   v3: the stats request/reply is gone; the metrics scrape is the
+   daemon's only live view. *)
+let protocol_version = 3
 
 type hello = { client : string; version : string; protocol : int }
 
@@ -19,7 +20,6 @@ type run_request = {
 type request =
   | Hello of hello
   | Run of run_request
-  | Stats
   | Metrics
   | Ping
   | Shutdown
@@ -57,22 +57,10 @@ type shed_reason =
 
 type error_kind = Parse | Bad_request | Incompatible | Internal
 
-type stats = {
-  uptime_ms : float;
-  accepted : int;
-  completed : int;
-  shed : int;
-  errors : int;
-  depth : int;
-  in_flight : int;
-  spans : Span.summary list;
-}
-
 type response =
   | Hello_ack of { server : string; version : string; protocol : int; schema : int }
   | Result of outcome
   | Overloaded of { id : string; reason : shed_reason; retry_after_ms : float }
-  | Stats_reply of stats
   | Metrics_reply of { text : string }
   | Pong
   | Shutdown_ack of { completed : int }
@@ -111,7 +99,6 @@ let request_to_json = function
           ("backend", Json.String r.backend);
           ("obs", Json.Bool r.obs);
         ]
-  | Stats -> Json.Obj [ ("type", Json.String "stats") ]
   | Metrics -> Json.Obj [ ("type", Json.String "metrics") ]
   | Ping -> Json.Obj [ ("type", Json.String "ping") ]
   | Shutdown -> Json.Obj [ ("type", Json.String "shutdown") ]
@@ -181,19 +168,6 @@ let response_to_json = function
              shed_fields o.reason;
              [ ("retry_after_ms", Json.Float o.retry_after_ms) ];
            ])
-  | Stats_reply s ->
-      Json.Obj
-        [
-          ("type", Json.String "stats");
-          ("uptime_ms", Json.Float s.uptime_ms);
-          ("accepted", Json.Int s.accepted);
-          ("completed", Json.Int s.completed);
-          ("shed", Json.Int s.shed);
-          ("errors", Json.Int s.errors);
-          ("depth", Json.Int s.depth);
-          ("in_flight", Json.Int s.in_flight);
-          ("spans", Span.to_json s.spans);
-        ]
   | Metrics_reply m ->
       Json.Obj [ ("type", Json.String "metrics"); ("text", Json.String m.text) ]
   | Pong -> Json.Obj [ ("type", Json.String "pong") ]
@@ -239,7 +213,7 @@ let bool_default j k d =
 
 let request_of_json j =
   match Option.bind (Json.member "type" j) Json.to_str with
-  | None -> Error "request needs a string \"type\" field (hello|run|stats|metrics|ping|shutdown)"
+  | None -> Error "request needs a string \"type\" field (hello|run|metrics|ping|shutdown)"
   | Some "hello" ->
       let* protocol = int_field j "protocol" in
       Ok
@@ -263,7 +237,6 @@ let request_of_json j =
              backend = str_default j "backend" "simulator";
              obs = bool_default j "obs" false;
            })
-  | Some "stats" -> Ok Stats
   | Some "metrics" -> Ok Metrics
   | Some "ping" -> Ok Ping
   | Some "shutdown" -> Ok Shutdown
@@ -342,22 +315,6 @@ let response_of_json j =
       let* reason = shed_of_json j in
       let* retry_after_ms = float_field j "retry_after_ms" in
       Ok (Overloaded { id; reason; retry_after_ms })
-  | Some "stats" ->
-      let* uptime_ms = float_field j "uptime_ms" in
-      let* accepted = int_field j "accepted" in
-      let* completed = int_field j "completed" in
-      let* shed = int_field j "shed" in
-      let* errors = int_field j "errors" in
-      let* depth = int_field j "depth" in
-      let* in_flight = int_field j "in_flight" in
-      let* spans =
-        match Json.member "spans" j with
-        | Some sj -> Span.of_json sj
-        | None -> Ok []
-      in
-      Ok
-        (Stats_reply
-           { uptime_ms; accepted; completed; shed; errors; depth; in_flight; spans })
   | Some "metrics" ->
       let* text = str_field j "text" in
       Ok (Metrics_reply { text })

@@ -16,7 +16,9 @@ module Json = Agp_obs.Json
 
 val protocol_version : int
 (** v2: added the [metrics] request/reply pair (Prometheus text
-    exposition of the daemon's live telemetry). *)
+    exposition of the daemon's live telemetry).  v3: removed the
+    [stats] request/reply; the [metrics] scrape is the only live view
+    of the daemon. *)
 
 (** {1 Requests} *)
 
@@ -35,7 +37,6 @@ type run_request = {
 type request =
   | Hello of hello
   | Run of run_request
-  | Stats  (** snapshot of server counters and request-level spans *)
   | Metrics
       (** Prometheus text exposition of the daemon's registry and
           rolling windows ({!Agp_obs.Telemetry}) *)
@@ -83,22 +84,10 @@ type error_kind =
   | Incompatible  (** protocol version mismatch at handshake *)
   | Internal  (** substrate crash — the daemon survives it *)
 
-type stats = {
-  uptime_ms : float;
-  accepted : int;
-  completed : int;
-  shed : int;
-  errors : int;
-  depth : int;  (** current admission-queue depth *)
-  in_flight : int;  (** admitted but not yet finished *)
-  spans : Agp_obs.Span.summary list;
-}
-
 type response =
   | Hello_ack of { server : string; version : string; protocol : int; schema : int }
   | Result of outcome
   | Overloaded of { id : string; reason : shed_reason; retry_after_ms : float }
-  | Stats_reply of stats
   | Metrics_reply of { text : string }
       (** Prometheus exposition; transported as one JSON string so the
           wire stays line-delimited *)

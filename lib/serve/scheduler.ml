@@ -1,6 +1,5 @@
 module Backend = Agp_backend.Backend
 module Workloads = Agp_exp.Workloads
-module Span = Agp_obs.Span
 module Log = Agp_obs.Log
 
 type job = {
@@ -100,7 +99,7 @@ let execute ~shard ~batch ~log app (job : job) =
           finish verdict (Some res)
     end
 
-let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
+let shard_loop config ~log ~tracer ~admission ~on_complete shard =
   let rec loop () =
     match Admission.take_batch admission ~max:config.max_batch ~compatible with
     | [] -> ()  (* closed and drained *)
@@ -132,10 +131,6 @@ let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
                 finished = Unix.gettimeofday ();
               }
             in
-            let timing = timing clock in
-            Span.record spans ~phase:"queue" timing.Protocol.queue_ms;
-            Span.record spans ~phase:"build" timing.Protocol.build_ms;
-            Span.record spans ~phase:"execute" timing.Protocol.exec_ms;
             (match tracer with
             | Some tr ->
                 Tracer.record tr ~id:job.req.Protocol.id ~shard ~batch
@@ -154,20 +149,20 @@ let shard_loop config ~spans ~log ~tracer ~admission ~on_complete shard =
                   ("ms", Agp_obs.Json.Float ((clock.finished -. clock.submitted) *. 1000.0));
                 ]
               "request executed";
-            on_complete job clock (reply timing))
+            on_complete job clock (reply (timing clock)))
           jobs;
         loop ()
   in
   loop ()
 
-let start ?(log = Log.null) ?tracer config ~spans ~admission ~on_complete =
+let start ?(log = Log.null) ?tracer config ~admission ~on_complete =
   let shards = max 1 config.shards in
   let config = { shards; max_batch = max 1 config.max_batch } in
   {
     threads =
       List.init shards (fun i ->
           Thread.create
-            (fun () -> shard_loop config ~spans ~log ~tracer ~admission ~on_complete i)
+            (fun () -> shard_loop config ~log ~tracer ~admission ~on_complete i)
             ());
   }
 

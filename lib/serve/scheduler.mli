@@ -51,7 +51,6 @@ val start :
   ?log:Agp_obs.Log.t ->
   ?tracer:Tracer.t ->
   config ->
-  spans:Agp_obs.Span.t ->
   admission:job Admission.t ->
   on_complete:(job -> clock -> Protocol.response -> unit) ->
   t
@@ -59,9 +58,8 @@ val start :
     called once per job from the executing shard; the server uses it to
     send the response, release the tenant quota and update its counters
     and windows.  Every phase reported derives from [clock]: a Result's
-    [timing] and the ["queue"] / ["build"] / ["execute"] samples of
-    [spans] (one each per job) are {!timing}, and a [tracer] records
-    slices at the clock's boundaries.  The request id is passed into
+    [timing] is {!timing}, and a [tracer] records slices at the clock's
+    boundaries.  The request id is passed into
     {!Agp_backend.Backend.run} so obs reports carry it in their meta.
     [log] receives per-request debug lines and substrate-crash errors,
     correlated by request id. *)

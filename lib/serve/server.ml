@@ -1,6 +1,5 @@
 module Backend = Agp_backend.Backend
 module Workloads = Agp_exp.Workloads
-module Span = Agp_obs.Span
 module Log = Agp_obs.Log
 module Json = Agp_obs.Json
 module Metrics = Agp_obs.Metrics
@@ -47,8 +46,7 @@ type t = {
   config : config;
   admission : Scheduler.job Admission.t;
   scheduler : Scheduler.t;
-  spans : Span.t;
-  telemetry : Telemetry.t;
+  registry : Metrics.registry;
   log : Log.t;
   tracer : Tracer.t option;
   m_accepted : Metrics.counter;
@@ -57,7 +55,10 @@ type t = {
   m_errors : Metrics.counter;
   w_latency : Window.t;
   w_queue : Window.t;
+  w_build : Window.t;
   w_exec : Window.t;
+  mutable exec_sum_ms : float;  (* every reply's exec_ms, for retry_after_ms *)
+  mutable exec_count : int;
   started_at : float;
   mutex : Mutex.t;
   mutable listening_fd : Unix.file_descr option;
@@ -65,17 +66,16 @@ type t = {
   mutable drained : bool;
 }
 
-(* each count lives once, in its registry counter; the server lock
-   keeps a stats reply's four counts one snapshot *)
+(* each count lives once, in its registry counter, bumped under the
+   server lock *)
 let bump t c = Mutex.protect t.mutex (fun () -> Metrics.incr c)
 
 let window_span_s = 60.0
 
 let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
   let admission = Admission.create config.admission in
-  let spans = Span.create () in
-  let telemetry = Telemetry.create () in
-  let reg = Telemetry.registry telemetry in
+  let reg = Metrics.create () in
+  let window name = Window.create ~span_s:window_span_s name in
   let tracer = Option.map (fun dir -> Tracer.create ~dir ()) trace_dir in
   let rec t =
     lazy
@@ -83,32 +83,38 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
         config;
         admission;
         scheduler =
-          Scheduler.start ~log ?tracer config.scheduler ~spans ~admission
+          Scheduler.start ~log ?tracer config.scheduler ~admission
             ~on_complete:(fun job clock resp ->
               let server = Lazy.force t in
+              let timing = Scheduler.timing clock in
               Admission.finish admission ~tenant:job.Scheduler.req.Protocol.tenant;
               Mutex.protect server.mutex (fun () ->
+                  server.exec_sum_ms <- server.exec_sum_ms +. timing.Protocol.exec_ms;
+                  server.exec_count <- server.exec_count + 1;
                   match resp with
-                  | Protocol.Result o ->
+                  | Protocol.Result _ ->
                       Metrics.incr server.m_completed;
                       let now = clock.Scheduler.finished in
                       Window.observe server.w_latency ~now
                         ((now -. clock.Scheduler.submitted) *. 1000.0);
-                      Window.observe server.w_queue ~now o.Protocol.timing.Protocol.queue_ms;
-                      Window.observe server.w_exec ~now o.Protocol.timing.Protocol.exec_ms
+                      Window.observe server.w_queue ~now timing.Protocol.queue_ms;
+                      Window.observe server.w_build ~now timing.Protocol.build_ms;
+                      Window.observe server.w_exec ~now timing.Protocol.exec_ms
                   | _ -> Metrics.incr server.m_errors);
               (try job.Scheduler.respond resp with _ -> ()));
-        spans;
-        telemetry;
+        registry = reg;
         log;
         tracer;
         m_accepted = Metrics.counter reg "serve.requests_accepted_total";
         m_completed = Metrics.counter reg "serve.requests_completed_total";
         m_shed = Metrics.counter reg "serve.requests_shed_total";
         m_errors = Metrics.counter reg "serve.errors_total";
-        w_latency = Telemetry.window telemetry ~span_s:window_span_s "serve.latency_ms";
-        w_queue = Telemetry.window telemetry ~span_s:window_span_s "serve.queue_ms";
-        w_exec = Telemetry.window telemetry ~span_s:window_span_s "serve.exec_ms";
+        w_latency = window "serve.latency_ms";
+        w_queue = window "serve.queue_ms";
+        w_build = window "serve.build_ms";
+        w_exec = window "serve.exec_ms";
+        exec_sum_ms = 0.0;
+        exec_count = 0;
         started_at = Unix.gettimeofday ();
         mutex = Mutex.create ();
         listening_fd = None;
@@ -118,39 +124,26 @@ let create ?(config = default_config) ?(log = Log.null) ?trace_dir () =
   in
   Lazy.force t
 
-let stats t =
-  Mutex.protect t.mutex (fun () ->
-      {
-        Protocol.uptime_ms = (Unix.gettimeofday () -. t.started_at) *. 1000.0;
-        accepted = Metrics.count t.m_accepted;
-        completed = Metrics.count t.m_completed;
-        shed = Metrics.count t.m_shed;
-        errors = Metrics.count t.m_errors;
-        depth = Admission.depth t.admission;
-        in_flight = Admission.in_flight t.admission;
-        spans = Span.summarize t.spans;
-      })
-
-let telemetry t = t.telemetry
-
 let tracer t = t.tracer
 
 (* Point-in-time gauges are set at scrape time; counters and windows
    are maintained continuously by the admission/completion paths. *)
 let prometheus t =
   let now = Unix.gettimeofday () in
-  let reg = Telemetry.registry t.telemetry in
+  let reg = t.registry in
   Metrics.set (Metrics.gauge reg "serve.queue_depth") (float_of_int (Admission.depth t.admission));
   Metrics.set (Metrics.gauge reg "serve.in_flight") (float_of_int (Admission.in_flight t.admission));
   Metrics.set (Metrics.gauge reg "serve.uptime_seconds") (now -. t.started_at);
-  Telemetry.to_prometheus t.telemetry ~now
+  Telemetry.to_prometheus reg [ t.w_exec; t.w_queue; t.w_latency; t.w_build ] ~now
 
 (* How long a shed client should back off before retrying: the queue
-   ahead of it, costed at the observed mean execution time per shard.
-   Before any execution has been observed, a small constant. *)
+   ahead of it, costed at the lifetime mean execution time of every
+   reply per shard.  Before any execution has been observed, a small
+   constant. *)
 let retry_after_ms t =
   let mean =
-    Option.value ~default:25.0 (Span.mean_ms t.spans ~phase:"execute")
+    Mutex.protect t.mutex (fun () ->
+        if t.exec_count = 0 then 25.0 else t.exec_sum_ms /. float_of_int t.exec_count)
   in
   let shards = max 1 t.config.scheduler.Scheduler.shards in
   Float.max 1.0 (mean *. float_of_int (Admission.depth t.admission + 1) /. float_of_int shards)
@@ -228,7 +221,10 @@ let drain t =
       end
     | None -> ());
     Log.info t.log
-      ~fields:[ ("completed", Json.Int (Metrics.count t.m_completed)) ]
+      ~fields:
+        (List.map
+           (fun (name, c) -> (name, Json.Int (Metrics.count c)))
+           [ ("completed", t.m_completed); ("shed", t.m_shed); ("errors", t.m_errors) ])
       "drained";
     Mutex.protect t.mutex (fun () -> t.drained <- true)
   end
@@ -285,9 +281,6 @@ let handle_line t ~respond ?(on_admit = fun () -> ()) ?(on_settle = fun () -> ()
       `Continue
   | Ok Protocol.Ping ->
       respond Protocol.Pong;
-      `Continue
-  | Ok Protocol.Stats ->
-      respond (Protocol.Stats_reply (stats t));
       `Continue
   | Ok Protocol.Metrics ->
       respond (Protocol.Metrics_reply { text = prometheus t });

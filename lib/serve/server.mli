@@ -43,7 +43,7 @@ val create : ?config:config -> ?log:Agp_obs.Log.t -> ?trace_dir:string -> unit -
 val handle_line : t -> respond:(Protocol.response -> unit) -> ?on_admit:(unit -> unit) ->
   ?on_settle:(unit -> unit) -> string -> [ `Continue | `Shutdown ]
 (** Process one request line; [respond] is called synchronously for
-    immediate replies (errors, sheds, pong, stats, hello) and later —
+    immediate replies (errors, sheds, pong, metrics, hello) and later —
     from a shard thread — for admitted run results.  [on_admit] fires
     when a run request is admitted, [on_settle] when its (single)
     response has been delivered; the socket layer uses the pair to keep
@@ -51,19 +51,14 @@ val handle_line : t -> respond:(Protocol.response -> unit) -> ?on_admit:(unit ->
     [`Shutdown] means a shutdown request was served: the daemon has
     stopped admitting, drained, and replied. *)
 
-val stats : t -> Protocol.stats
-
-val telemetry : t -> Agp_obs.Telemetry.t
-(** The daemon's live registry + rolling windows:
+val prometheus : t -> string
+(** The daemon's only live view, as Prometheus text exposition — the
+    [metrics] protocol reply and the body behind [agp stats]:
     [serve.requests_{accepted,completed,shed}_total] / [serve.errors_total]
     counters, [serve.{queue_depth,in_flight,uptime_seconds}] gauges
-    (set at scrape time), and 60 s windows [serve.latency_ms] /
-    [serve.queue_ms] / [serve.exec_ms]. *)
-
-val prometheus : t -> string
-(** Refresh the point-in-time gauges and render the whole surface as
-    Prometheus text exposition — the [metrics] protocol reply and the
-    body behind [agp stats]. *)
+    (refreshed at each scrape), and 60 s windows [serve.latency_ms] /
+    [serve.queue_ms] / [serve.build_ms] / [serve.exec_ms], one sample
+    per completed request. *)
 
 val tracer : t -> Tracer.t option
 

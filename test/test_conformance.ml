@@ -410,10 +410,9 @@ let sim_run ?(miss_latency = Agp_hw.Config.default.Agp_hw.Config.miss_latency)
     ~state:r.App_instance.state ~initial:r.App_instance.initial ()
 
 let event_digest ?miss_latency ?rule_lanes (app : App_instance.t) =
-  let sink = Sink.collect () in
-  let rep = sim_run ?miss_latency ?rule_lanes ~sink app in
   let buf = Buffer.create (1 lsl 20) in
-  List.iter (render_event buf) (Sink.events sink);
+  let sink = Sink.tap (fun ~ts ev -> render_event buf (ts, ev)) in
+  let rep = sim_run ?miss_latency ?rule_lanes ~sink app in
   Printf.sprintf "cycles=%d events=%d md5=%s" rep.Accelerator.cycles (Sink.count sink)
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 

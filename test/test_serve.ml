@@ -31,7 +31,6 @@ let all_requests =
   [
     Protocol.Hello { Protocol.client = "t"; version = "0.0"; protocol = 1 };
     Protocol.Run sample_run;
-    Protocol.Stats;
     Protocol.Metrics;
     Protocol.Ping;
     Protocol.Shutdown;
@@ -78,28 +77,6 @@ let all_responses =
         retry_after_ms = 10.0;
       };
     Protocol.Overloaded { id = "r4"; reason = Protocol.Draining; retry_after_ms = 1.0 };
-    Protocol.Stats_reply
-      {
-        Protocol.uptime_ms = 12.5;
-        accepted = 10;
-        completed = 8;
-        shed = 1;
-        errors = 1;
-        depth = 1;
-        in_flight = 2;
-        spans =
-          [
-            {
-              Agp_obs.Span.sp_phase = "execute";
-              sp_count = 8;
-              sp_mean_ms = 3.0;
-              sp_p50_ms = 2.5;
-              sp_p90_ms = 5.0;
-              sp_p99_ms = 6.0;
-              sp_max_ms = 6.5;
-            };
-          ];
-      };
     Protocol.Metrics_reply
       { text = "# TYPE serve_requests_total counter\nserve_requests_total 3\n" };
     Protocol.Pong;
@@ -297,13 +274,24 @@ let collector () =
 
 let line json = check Alcotest.bool "continue" true (json = `Continue)
 
+(* A sample's value, as rendered, in the daemon's Prometheus scrape *)
+let scraped t name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' (Server.prometheus t))
+  with
+  | Some l -> String.sub l (String.length prefix) (String.length l - String.length prefix)
+  | None -> Alcotest.failf "scrape lacks %s" name
+
+let scraped_int t name = int_of_string (scraped t name)
+
 let test_ping_and_hello () =
   let t = Server.create () in
   let respond, _, all = collector () in
   line (Server.handle_line t ~respond {|{"type":"ping"}|});
   line
     (Server.handle_line t ~respond
-       {|{"type":"hello","client":"t","version":"0","protocol":2}|});
+       {|{"type":"hello","client":"t","version":"0","protocol":3}|});
   line
     (Server.handle_line t ~respond
        {|{"type":"hello","client":"t","version":"0","protocol":99}|});
@@ -313,6 +301,19 @@ let test_ping_and_hello () =
       check Alcotest.int "schema" Agp_obs.Report.schema_version ack.schema;
       check Alcotest.bool "incompatible" true (e.kind = Protocol.Incompatible)
   | _ -> Alcotest.fail "unexpected response sequence");
+  Server.shutdown t
+
+let test_stats_request_removed () =
+  let t = Server.create () in
+  let respond, _, all = collector () in
+  line (Server.handle_line t ~respond {|{"type":"stats"}|});
+  line (Server.handle_line t ~respond {|{"type":"ping"}|});
+  (match all () with
+  | [ Protocol.Error_reply e; Protocol.Pong ] ->
+      check Alcotest.bool "typed bad request" true (e.kind = Protocol.Bad_request);
+      check Alcotest.string "names the type" {|unknown request type "stats"|} e.message
+  | _ -> Alcotest.fail "expected a bad-request reply, then pong");
+  check Alcotest.int "error counted" 1 (scraped_int t "serve_errors_total");
   Server.shutdown t
 
 let test_bad_run_requests () =
@@ -334,9 +335,8 @@ let test_bad_run_requests () =
       check Alcotest.bool "obs on timing model refused" true
         (c.kind = Protocol.Bad_request)
   | _ -> Alcotest.fail "expected three bad-request replies");
-  let s = Server.stats t in
-  check Alcotest.int "errors counted" 3 s.Protocol.errors;
-  check Alcotest.int "nothing accepted" 0 s.Protocol.accepted;
+  check Alcotest.int "errors counted" 3 (scraped_int t "serve_errors_total");
+  check Alcotest.int "nothing accepted" 0 (scraped_int t "serve_requests_accepted_total");
   Server.shutdown t
 
 let test_run_to_completion () =
@@ -362,9 +362,8 @@ let test_run_to_completion () =
         end
       | None -> ())
   | _ -> Alcotest.fail "no result for admitted request");
-  let s = Server.stats t in
-  check Alcotest.int "completed" 1 s.Protocol.completed;
-  check Alcotest.int "in_flight settles" 0 s.Protocol.in_flight;
+  check Alcotest.int "completed" 1 (scraped_int t "serve_requests_completed_total");
+  check Alcotest.int "in_flight settles" 0 (scraped_int t "serve_in_flight");
   Server.shutdown t
 
 let test_watermark_zero_sheds_everything () =
@@ -383,8 +382,7 @@ let test_watermark_zero_sheds_everything () =
       check Alcotest.string "id echoed" "s1" id;
       check Alcotest.bool "retry hint positive" true (retry_after_ms > 0.0)
   | _ -> Alcotest.fail "expected a typed Overloaded shed");
-  let s = Server.stats t in
-  check Alcotest.int "shed counted" 1 s.Protocol.shed;
+  check Alcotest.int "shed counted" 1 (scraped_int t "serve_requests_shed_total");
   Server.shutdown t
 
 let test_shutdown_request_drains () =
@@ -436,6 +434,7 @@ let test_metrics_request () =
       has "# TYPE serve_latency_ms summary\n" "latency window";
       has "serve_latency_ms_count 1\n" "latency window saw the request";
       has "serve_latency_ms{quantile=\"0.99\"}" "latency p99 line";
+      has "serve_build_ms_count 1\n" "build window saw the request";
       has "serve_exec_ms_count 1\n" "exec window saw the request"
   | _ -> Alcotest.fail "expected a single Metrics_reply");
   (* the same exposition backs agp stats via Server.prometheus *)
@@ -581,27 +580,13 @@ let test_stats_counts_match_scrape () =
   line (Server.handle_line t ~respond {|{"type":"run","id":"c","app":"no-such-app"}|});
   line (Server.handle_line t ~respond {|{"type":"run",|});
   ignore (result_of wait_for "a");
-  let s = Server.stats t in
-  let text = Server.prometheus t in
-  let scraped name =
-    let prefix = name ^ " " in
-    match
-      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' text)
-    with
-    | Some l -> int_of_string (String.sub l (String.length prefix) (String.length l - String.length prefix))
-    | None -> Alcotest.failf "scrape lacks %s" name
-  in
-  check Alcotest.int "accepted" 1 s.Protocol.accepted;
-  check Alcotest.int "shed" 1 s.Protocol.shed;
-  check Alcotest.int "errors" 2 s.Protocol.errors;
-  check Alcotest.int "completed" 1 s.Protocol.completed;
   List.iter
-    (fun (name, n) -> check Alcotest.int (name ^ " = stats") n (scraped name))
+    (fun (name, n) -> check Alcotest.int name n (scraped_int t name))
     [
-      ("serve_requests_accepted_total", s.Protocol.accepted);
-      ("serve_requests_shed_total", s.Protocol.shed);
-      ("serve_errors_total", s.Protocol.errors);
-      ("serve_requests_completed_total", s.Protocol.completed);
+      ("serve_requests_accepted_total", 1);
+      ("serve_requests_shed_total", 1);
+      ("serve_errors_total", 2);
+      ("serve_requests_completed_total", 1);
     ];
   Server.shutdown t
 
@@ -624,23 +609,17 @@ let test_batch_queue_is_the_response_queue () =
   let q (o : Protocol.outcome) = o.Protocol.timing.Protocol.queue_ms in
   check Alcotest.bool "the second of the batch waited behind the first" true
     (q c >= b.Protocol.timing.Protocol.exec_ms);
-  let s = Server.stats t in
-  match List.find_opt (fun sp -> sp.Agp_obs.Span.sp_phase = "queue") s.Protocol.spans with
-  | None -> Alcotest.fail "stats has no queue phase"
-  | Some sp ->
-      (* three samples: the median, the maximum and, from the mean, the
-         minimum are the three responses' queue_ms *)
-      check Alcotest.int "one queue sample per request" 3 sp.Agp_obs.Span.sp_count;
-      let open Agp_obs.Span in
-      let got =
-        [ (3.0 *. sp.sp_mean_ms) -. sp.sp_p50_ms -. sp.sp_max_ms; sp.sp_p50_ms; sp.sp_max_ms ]
-      in
-      check
-        Alcotest.(list (float 1e-6))
-        "stats queue samples = responses' queue_ms"
-        (List.sort compare [ q a; q b; q c ])
-        got;
-      Server.shutdown t
+  (* one queue sample per response: of three, the window's p50 and max
+     are the middle and the largest queue_ms, at the scrape's %g *)
+  check Alcotest.int "one queue sample per request" 3 (scraped_int t "serve_queue_ms_count");
+  let sorted = List.sort compare [ q a; q b; q c ] in
+  let g v = Printf.sprintf "%g" v in
+  let scraped_g name = g (float_of_string (scraped t name)) in
+  check Alcotest.string "p50 is the middle response queue_ms" (g (List.nth sorted 1))
+    (scraped_g {|serve_queue_ms{quantile="0.5"}|});
+  check Alcotest.string "max is the largest response queue_ms" (g (List.nth sorted 2))
+    (scraped_g "serve_queue_ms_window_max");
+  Server.shutdown t
 
 (* --- loadgen percentile totality (satellite) --- *)
 
@@ -696,7 +675,7 @@ let test_version_string () =
   let respond, _, all = collector () in
   line
     (Server.handle_line t ~respond
-       {|{"type":"hello","client":"t","version":"0","protocol":2}|});
+       {|{"type":"hello","client":"t","version":"0","protocol":3}|});
   (match all () with
   | [ Protocol.Hello_ack ack ] ->
       check Alcotest.string "daemon version is the compiled-in one"
@@ -790,6 +769,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "ping and hello" `Quick test_ping_and_hello;
+          Alcotest.test_case "stats request removed" `Quick test_stats_request_removed;
           Alcotest.test_case "bad run requests" `Quick test_bad_run_requests;
           Alcotest.test_case "run to completion" `Quick test_run_to_completion;
           Alcotest.test_case "watermark zero sheds" `Quick test_watermark_zero_sheds_everything;
