@@ -4,9 +4,10 @@
     by pc; every instruction embeds the pc of its continuation, so a
     task never walks a list, and {!Engine.create} compiles each pc once
     into a closure that executes it.  Expressions and rule conditions
-    become postfix bytecode evaluated over preallocated scratch stacks,
-    the engine's fallback for the expression shapes its closures do not
-    specialize.  Variables, handles,
+    become postfix bytecode evaluated over preallocated scratch stacks:
+    the engine runs it for every rule condition, for every operand
+    shape its op closures do not read inline, and for every tag their
+    inline reads do not take.  Variables, handles,
     state arrays, event labels and prim names are all interned to dense
     integer ids so the engine's hot state can live in flat int arrays.
 

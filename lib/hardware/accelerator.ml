@@ -185,7 +185,7 @@ let calendar_create ~n_pipes ~n_sets ~slots =
   done;
   c
 
-let file_wheel c s =
+let[@inline] file_wheel c s =
   let b = c.sl_ready.(s) land wheel_mask in
   let h = (c.sl_pipe.(s) lsl wheel_bits) lor b in
   c.sl_next.(s) <- c.wheel.(h);
@@ -193,7 +193,7 @@ let file_wheel c s =
   c.due.(b) <- c.due.(b) + 1
 
 (* file slot [s] by its ready cycle; [now] is the current cycle *)
-let file c s ~now =
+let[@inline] file c s ~now =
   let r = c.sl_ready.(s) in
   if r - now < wheel_size then file_wheel c s
   else begin
@@ -219,7 +219,7 @@ let migrate c ~now =
   done;
   c.far_n <- !kept
 
-let admit c p tk ~ready ~e ~now =
+let[@inline] admit c p tk ~ready ~e ~now =
   if c.free < 0 then grow_pool c;
   let s = c.free in
   c.free <- c.sl_next.(s);
@@ -236,7 +236,7 @@ let admit c p tk ~ready ~e ~now =
   c.live <- c.live + 1;
   file c s ~now
 
-let release c p s =
+let[@inline] release c p s =
   c.sl_task.(s) <- Engine.nil_task;
   c.sl_next.(s) <- c.free;
   c.free <- s;

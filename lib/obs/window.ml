@@ -40,10 +40,6 @@ let create ?(max_samples = 65536) ~span_s name =
     dropped = 0;
   }
 
-let name t = t.w_name
-
-let span_s t = t.span_s
-
 (* ring slot of the [i]-th oldest live sample *)
 let slot t i = (t.head + i) mod Array.length t.ats
 
@@ -83,12 +79,10 @@ let observe t ~now v =
 
 type summary = {
   s_name : string;
-  s_span_s : float;
   s_count : int;
   s_lifetime : int;
   s_dropped : int;
   s_rate_per_sec : float;
-  s_mean : float;
   s_p50 : float;
   s_p90 : float;
   s_p99 : float;
@@ -98,19 +92,15 @@ type summary = {
 let summary t ~now =
   Mutex.protect t.mutex (fun () ->
       prune t ~now;
-      (* newest first: a float sum depends on its order, and the mean's
-         is pinned newest first *)
       let n = t.n in
-      let vs = Array.init n (fun i -> t.vals.(slot t (n - 1 - i))) in
+      let vs = Array.init n (fun i -> t.vals.(slot t i)) in
       let pct = Stats.percentiles_nearest vs in
       {
         s_name = t.w_name;
-        s_span_s = t.span_s;
         s_count = n;
         s_lifetime = t.lifetime;
         s_dropped = t.dropped;
         s_rate_per_sec = float_of_int n /. t.span_s;
-        s_mean = Stats.mean vs;
         s_p50 = pct 50.0;
         s_p90 = pct 90.0;
         s_p99 = pct 99.0;

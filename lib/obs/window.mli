@@ -20,22 +20,16 @@ val create : ?max_samples:int -> span_s:float -> string -> t
     in [s_dropped] rather than growing without bound.
     @raise Invalid_argument if [span_s <= 0] or [max_samples < 1]. *)
 
-val name : t -> string
-
-val span_s : t -> float
-
 val observe : t -> now:float -> float -> unit
 (** [observe t ~now v] records sample [v] at time [now] (seconds, any
     monotone-enough epoch — serve passes [Unix.gettimeofday]). *)
 
 type summary = {
   s_name : string;
-  s_span_s : float;
   s_count : int;  (** live samples inside the window *)
   s_lifetime : int;  (** observations ever, incl. expired and dropped *)
   s_dropped : int;  (** live samples evicted by the [max_samples] cap *)
-  s_rate_per_sec : float;  (** [s_count / s_span_s] — arrival rate *)
-  s_mean : float;
+  s_rate_per_sec : float;  (** [s_count] over the window's span — arrival rate *)
   s_p50 : float;
   s_p90 : float;
   s_p99 : float;
