@@ -18,5 +18,6 @@ type t = {
 }
 
 let add_input spec state name a =
-  Agp_core.State.add_int_array state name
-    (if Agp_core.Spec.may_write spec name then Array.copy a else a)
+  if Agp_core.Spec.may_write spec name then
+    Agp_core.State.add_int_array state name (Agp_util.Packed.to_array a)
+  else Agp_core.State.add_packed_array state name a

@@ -19,8 +19,9 @@ type t = {
   fresh : unit -> run;
       (** a new instance of the same workload.  Bindings, side
           structures and every array the spec can write are its own;
-          a workload array the spec can only read is shared with the
-          workload and with every other run of it (see {!add_input}) *)
+          a workload array the spec can only read is shared, packed and
+          read-only, with the workload and with every other run of it
+          (see {!add_input}) *)
   kernel_flops : (string * int) list;
       (** arithmetic work per [Prim] invocation, used by both platform
           models: the FPGA charges [flops / fpga_ilp] pipeline cycles,
@@ -47,8 +48,11 @@ type t = {
           [None] for mesh/matrix substrates *)
 }
 
-val add_input : Agp_core.Spec.t -> Agp_core.State.t -> string -> int array -> unit
-(** [add_input spec state name a] registers the workload array [a] as
-    [name] in a fresh run's [state].  The run borrows [a] itself when
-    {!Agp_core.Spec.may_write} says [spec] cannot write [name]; it gets
-    a copy otherwise, so a run never changes its workload. *)
+val add_input : Agp_core.Spec.t -> Agp_core.State.t -> string -> Agp_util.Packed.t -> unit
+(** [add_input spec state name a] registers the packed workload array
+    [a] as [name] in a fresh run's [state].  When
+    {!Agp_core.Spec.may_write} says [spec] cannot write [name], the run
+    borrows [a] itself, read-only ({!Agp_core.State.add_packed_array});
+    otherwise it gets a fresh [int array] of the same elements, which
+    its stores and prims may change.  Either way a run never changes
+    its workload. *)

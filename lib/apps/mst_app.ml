@@ -2,6 +2,7 @@ open Agp_core
 module Csr = Agp_graph.Csr
 module Mst = Agp_graph.Mst
 module Union_find = Agp_util.Union_find
+module Packed = Agp_util.Packed
 
 type workload = { graph : Csr.t }
 
@@ -85,25 +86,26 @@ let spec_speculative : Spec.t =
    workload *)
 type sorted = {
   edges : (int * int * int) array;
-  ea : int array;
-  eb : int array;
-  ew : int array;
+  ea : Packed.t;
+  eb : Packed.t;
+  ew : Packed.t;
 }
 
 let sort_edges g =
   let edges = Mst.sorted_edges g in
+  let column f = Packed.of_array (Array.map f edges) in
   {
     edges;
-    ea = Array.map (fun (u, _, _) -> u) edges;
-    eb = Array.map (fun (_, v, _) -> v) edges;
-    ew = Array.map (fun (_, _, wt) -> wt) edges;
+    ea = column (fun (u, _, _) -> u);
+    eb = column (fun (_, v, _) -> v);
+    ew = column (fun (_, _, wt) -> wt);
   }
 
 let make_run (w : workload) { edges; ea; eb; ew } =
   let g = w.graph in
   let n_edges = Array.length edges in
   let state = State.create () in
-  (* the prims make every array writable, so these are copies *)
+  (* the prims make every array writable, so these are int copies *)
   App_instance.add_input spec_speculative state "ea" ea;
   App_instance.add_input spec_speculative state "eb" eb;
   App_instance.add_input spec_speculative state "ew" ew;

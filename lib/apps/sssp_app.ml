@@ -93,7 +93,7 @@ let make_run (w : workload) =
   State.add_int_array state "dist" dist;
   let initial =
     (* host seeds one relax per out-edge of the root *)
-    let lo = g.Csr.row_ptr.(w.root) and hi = g.Csr.row_ptr.(w.root + 1) in
+    let lo = Csr.row_start g w.root and hi = Csr.row_start g (w.root + 1) in
     List.init (hi - lo) (fun i -> ("relax", [ Value.Int (lo + i); Value.Int 0 ]))
   in
   let check () =

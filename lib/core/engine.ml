@@ -79,6 +79,7 @@
    into cycles. *)
 
 module Vec = Agp_util.Vec
+module Packed = Agp_util.Packed
 
 exception Deadlock of string
 
@@ -1606,18 +1607,24 @@ let store_type_err en arr tg =
        (Binop.vstr tg en.st_i.(0) en.st_f.(0))
        en.prog.Opcode.array_names.(arr))
 
-(* a state array, resolved once per engine *)
+let read_only_err en arr =
+  invalid_arg ("State: " ^ en.prog.Opcode.array_names.(arr) ^ " is read-only")
+
+(* a state array, resolved once per engine; a packed one with its
+   element count *)
 type arr =
   | A_int of int array
   | A_float of float array
+  | A_packed of Packed.t * int
   | A_missing
 
 let resolve_array st name =
   if not (State.has_array st name) then A_missing
   else
-    match State.int_array st name with
-    | a -> A_int a
-    | exception Invalid_argument _ -> A_float (State.float_array st name)
+    match State.data st name with
+    | State.Ints a -> A_int a
+    | State.Floats a -> A_float a
+    | State.Packed a -> A_packed (a, Packed.length a)
 
 (* every op but the commit counts as executed *)
 let[@inline] count_op en = en.stats.ops_executed <- en.stats.ops_executed + 1
@@ -1628,6 +1635,19 @@ let[@inline] load_int en (a : int array) arr dst next fm i =
   if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
   let q = (fm * en.nr) + dst in
   en.fr_i.(q) <- a.(i);
+  en.fr_tg.(q) <- tg_int;
+  set_pc en fm next;
+  en.v.touched_arr <- arr;
+  en.v.touched_idx <- i;
+  lc_load
+
+(* the rest of a load of element [i] of packed array [a], [len]
+   elements long, into register [dst]: the same check and error as an
+   int array's, then the 32-bit read inline *)
+let[@inline] load_packed en (a : Packed.t) len arr dst next fm i =
+  if i < 0 || i >= len then bounds_err en arr i len;
+  let q = (fm * en.nr) + dst in
+  en.fr_i.(q) <- Int32.to_int (Packed.get32 a (4 * i));
   en.fr_tg.(q) <- tg_int;
   set_pc en fm next;
   en.v.touched_arr <- arr;
@@ -1707,6 +1727,19 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
           fun tk fm ->
             count_op en;
             load_int en a arr dst next fm (slow tk fm)
+      | A_packed (a, len), O_param (i, k) ->
+          fun tk fm ->
+            count_op en;
+            load_packed en a len arr dst next fm (param_plus en tk fm i k addr)
+      | A_packed (a, len), O_reg (r, k) ->
+          fun tk fm ->
+            count_op en;
+            load_packed en a len arr dst next fm (reg_plus en tk fm r k addr)
+      | A_packed (a, len), O_other ->
+          let slow = int_expr en addr in
+          fun tk fm ->
+            count_op en;
+            load_packed en a len arr dst next fm (slow tk fm)
       | data, _ ->
           let slow = int_expr en addr in
           fun tk fm ->
@@ -1719,7 +1752,7 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
                   let q = (fm * en.nr) + dst in
                   en.fr_f.(q) <- a.(i);
                   en.fr_tg.(q) <- tg_float
-              | A_int _ | A_missing -> array_missing en arr
+              | A_int _ | A_packed _ | A_missing -> array_missing en arr
             end;
             set_pc en fm next;
             en.v.touched_arr <- arr;
@@ -1773,6 +1806,7 @@ let compile_op en (op : Opcode.inst) : task -> int -> int =
                   if tg = tg_bool then store_type_err en arr tg;
                   if i < 0 || i >= Array.length a then bounds_err en arr i (Array.length a);
                   a.(i) <- (if tg = tg_int then float_of_int en.st_i.(0) else en.st_f.(0))
+              | A_packed _ -> read_only_err en arr
               | A_int _ | A_missing -> array_missing en arr
             end;
             set_pc en fm next;

@@ -1,8 +1,10 @@
 module Vec = Agp_util.Vec
+module Packed = Agp_util.Packed
 
 type data =
   | Ints of int array
   | Floats of float array
+  | Packed of Packed.t
 
 type entry = {
   data : data;
@@ -22,7 +24,7 @@ let create () =
     trace = Vec.create () }
 
 (* arrays occupy consecutive 8-byte-per-element ranges in registration
-   order *)
+   order, whatever their host width *)
 let add t name data len =
   if Hashtbl.mem t.arrays name then invalid_arg ("State: duplicate array " ^ name);
   Hashtbl.add t.arrays name { data; base = t.bytes };
@@ -33,6 +35,8 @@ let add_int_array t name a = add t name (Ints a) (Array.length a)
 
 let add_float_array t name a = add t name (Floats a) (Array.length a)
 
+let add_packed_array t name a = add t name (Packed a) (Packed.length a)
+
 let has_array t name = Hashtbl.mem t.arrays name
 
 let entry t name =
@@ -40,7 +44,7 @@ let entry t name =
   | e -> e
   | exception Not_found -> invalid_arg ("State: unknown array " ^ name)
 
-let find t name = (entry t name).data
+let data t name = (entry t name).data
 
 let base t name = (entry t name).base
 
@@ -49,16 +53,21 @@ let check_bounds name len index =
     invalid_arg (Printf.sprintf "State: %s[%d] out of bounds (length %d)" name index len)
 
 let read t name index =
-  match find t name with
+  match data t name with
   | Ints a ->
       check_bounds name (Array.length a) index;
       Value.Int a.(index)
   | Floats a ->
       check_bounds name (Array.length a) index;
       Value.Float a.(index)
+  | Packed a ->
+      check_bounds name (Packed.length a) index;
+      Value.Int (Packed.get a index)
+
+let read_only name = invalid_arg ("State: " ^ name ^ " is read-only")
 
 let write t name index v =
-  match (find t name, v) with
+  match (data t name, v) with
   | Ints a, Value.Int n ->
       check_bounds name (Array.length a) index;
       a.(index) <- n
@@ -71,20 +80,22 @@ let write t name index v =
   | Ints _, (Value.Float _ | Value.Bool _) | Floats _, Value.Bool _ ->
       invalid_arg
         (Printf.sprintf "State: type mismatch writing %s to %s" (Value.to_string v) name)
+  | Packed _, _ -> read_only name
 
 let touch t name index is_write =
   if t.tracing then
     Vec.push t.trace ((((entry t name).base + (8 * index)) lsl 1) lor if is_write then 1 else 0)
 
 let int_array t name =
-  match find t name with
+  match data t name with
   | Ints a -> a
+  | Packed _ -> read_only name
   | Floats _ -> invalid_arg ("State: " ^ name ^ " is not an int array")
 
 let float_array t name =
-  match find t name with
+  match data t name with
   | Floats a -> a
-  | Ints _ -> invalid_arg ("State: " ^ name ^ " is not a float array")
+  | Ints _ | Packed _ -> invalid_arg ("State: " ^ name ^ " is not a float array")
 
 let trace_length t = Vec.length t.trace
 
@@ -107,9 +118,10 @@ let snapshot t =
   let s = create () in
   Vec.iter
     (fun name ->
-      match find t name with
+      match data t name with
       | Ints a -> add_int_array s name (Array.copy a)
-      | Floats a -> add_float_array s name (Array.copy a))
+      | Floats a -> add_float_array s name (Array.copy a)
+      | Packed a -> add_packed_array s name a)
     t.order;
   s
 
@@ -118,10 +130,11 @@ let equal_content a b =
   names a = names b
   && List.for_all
        (fun name ->
-         match (find a name, find b name) with
+         match (data a name, data b name) with
          | Ints x, Ints y -> x = y
          | Floats x, Floats y -> x = y
-         | Ints _, Floats _ | Floats _, Ints _ -> false)
+         | Packed x, Packed y -> x = y
+         | (Ints _ | Floats _ | Packed _), _ -> false)
        (names a)
 
 let diff a b =
@@ -132,7 +145,7 @@ let diff a b =
   List.iter
     (fun name ->
       if Hashtbl.mem b.arrays name then begin
-        match (find a name, find b name) with
+        match (data a name, data b name) with
         | Ints x, Ints y ->
             if Array.length x <> Array.length y then say "%s: length differs" name
             else
@@ -143,7 +156,14 @@ let diff a b =
               Array.iteri
                 (fun i v -> if v <> y.(i) then say "%s[%d]: %g vs %g" name i v y.(i))
                 x
-        | Ints _, Floats _ | Floats _, Ints _ -> say "%s: kind differs" name
+        | Packed x, Packed y ->
+            if Packed.length x <> Packed.length y then say "%s: length differs" name
+            else
+              for i = 0 to Packed.length x - 1 do
+                let u = Packed.get x i and v = Packed.get y i in
+                if u <> v then say "%s[%d]: %d vs %d" name i u v
+              done
+        | (Ints _ | Floats _ | Packed _), _ -> say "%s: kind differs" name
       end)
     (names a);
   List.rev !out

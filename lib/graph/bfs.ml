@@ -38,26 +38,20 @@ let check_levels (g : Csr.t) root given =
     let rec check v =
       if v >= g.n then Ok ()
       else begin
-        let reached_ref = reference.(v) <> infinity_level in
-        let reached_giv = given.(v) <> infinity_level in
-        if reached_ref <> reached_giv then err "vertex %d reachability mismatch" v
+        let lv = given.(v) in
+        let reached_giv = lv <> infinity_level in
+        if reference.(v) <> infinity_level <> reached_giv then
+          err "vertex %d reachability mismatch" v
         else begin
-          let edge_ok =
-            Csr.fold_neighbors g v
-              (fun acc dst _ ->
-                acc
-                && (given.(dst) = infinity_level
-                   || given.(v) = infinity_level
-                   || abs (given.(dst) - given.(v)) <= 1))
-              true
-          in
-          if not edge_ok then err "edge slack violated at vertex %d" v
-          else if reached_giv && v <> root then begin
-            let has_parent =
-              Csr.fold_neighbors g v (fun acc dst _ -> acc || given.(dst) = given.(v) - 1) false
-            in
-            if has_parent then check (v + 1) else err "vertex %d has no parent" v
-          end
+          (* one pass over the arcs: every reached neighbour within one
+             level, and one a level up *)
+          let edge_ok = ref true and has_parent = ref false in
+          Csr.iter_neighbors g v (fun dst _ ->
+              let ld = given.(dst) in
+              if ld <> infinity_level && reached_giv && abs (ld - lv) > 1 then edge_ok := false;
+              if ld = lv - 1 then has_parent := true);
+          if not !edge_ok then err "edge slack violated at vertex %d" v
+          else if reached_giv && v <> root && not !has_parent then err "vertex %d has no parent" v
           else check (v + 1)
         end
       end

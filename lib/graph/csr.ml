@@ -1,23 +1,46 @@
+module Packed = Agp_util.Packed
+
 type t = {
   n : int;
   m : int;
-  row_ptr : int array;
-  col : int array;
-  weight : int array;
+  row_ptr : Packed.t;
+  col : Packed.t;
+  weight : Packed.t;
 }
+
+let require_fits ~who ~n ~m =
+  if n >= 0x8000_0000 then invalid_arg (Printf.sprintf "%s: %d vertices do not fit in 32 bits" who n);
+  if m >= 0x8000_0000 then invalid_arg (Printf.sprintf "%s: %d arcs do not fit in 32 bits" who m)
+
+(* element [i] of a column, read inline ({!Packed.get} is a call, and
+   these are the references' per-arc reads); past the guard, [4 * i]
+   cannot wrap and the primitive checks the rest *)
+let[@inline] at a i =
+  if i lsr 60 <> 0 then invalid_arg "index out of bounds";
+  Int32.to_int (Packed.get32 a (4 * i))
+
+(* element [i] of a column, written inline: [build] writes only vertex
+   ids and weights it has checked *)
+let[@inline] put a i x = Packed.set32 a (4 * i) (Int32.of_int x)
 
 (* The one CSR builder.  Stored arcs are counting-sorted by target, then
    stably by source, so every adjacency comes out in ascending target
-   order in O(n + m) words; a last pass orders the arcs of a repeated
-   target by weight, which costs only the repeats. *)
+   order in O(n + m) words, written packed once per arc; the arcs of a
+   repeated target are ordered by weight as they are placed, which
+   costs only the repeats. *)
 let build ~who ~directed ~n src dst weight =
   let k = Array.length src in
   if Array.length dst <> k || Array.length weight <> k then invalid_arg (who ^ ": length mismatch");
-  for i = 0 to k - 1 do
-    let u = src.(i) and v = dst.(i) in
-    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (who ^ ": vertex out of range")
-  done;
   let m = if directed then k else 2 * k in
+  require_fits ~who ~n ~m;
+  let lightest = ref 0 and heaviest = ref 0 in
+  for i = 0 to k - 1 do
+    let u = src.(i) and v = dst.(i) and w = weight.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then invalid_arg (who ^ ": vertex out of range");
+    if w < !lightest then lightest := w else if w > !heaviest then heaviest := w
+  done;
+  if not (Packed.fits !lightest && Packed.fits !heaviest) then
+    invalid_arg (who ^ ": weight does not fit in 32 bits");
   (* by_col.(t) .. by_col.(t+1)-1: the arcs into t; row_ptr likewise out
      of each source *)
   let by_col = Array.make (n + 1) 0 in
@@ -47,31 +70,30 @@ let build ~who ~directed ~n src dst weight =
     place src.(i) dst.(i) weight.(i);
     if not directed then place dst.(i) src.(i) weight.(i)
   done;
-  let col = Array.make (max m 1) 0 in
-  let wt = Array.make (max m 1) 0 in
+  let col = Packed.create (max m 1) in
+  let wt = Packed.create (max m 1) in
   Array.blit row_ptr 0 cursor 0 n;
+  (* [last.(s)]: the target of the arc last placed out of [s].  A
+     repeated target's arcs sit just before its next slot, so a repeat
+     is inserted among them by weight as it arrives, stably *)
+  let last = Array.make n (-1) in
   for t = 0 to n - 1 do
     for p = by_col.(t) to by_col.(t + 1) - 1 do
-      let s = in_src.(p) in
+      let s = in_src.(p) and w = in_w.(p) in
       let slot = cursor.(s) in
-      col.(slot) <- t;
-      wt.(slot) <- in_w.(p);
+      let j = ref slot in
+      if last.(s) = t then
+        while !j > row_ptr.(s) && at col (!j - 1) = t && at wt (!j - 1) > w do
+          put wt !j (at wt (!j - 1));
+          decr j
+        done;
+      put col slot t;
+      put wt !j w;
+      last.(s) <- t;
       cursor.(s) <- slot + 1
     done
   done;
-  for v = 0 to n - 1 do
-    let lo = row_ptr.(v) in
-    for i = lo + 1 to row_ptr.(v + 1) - 1 do
-      let c = col.(i) and w = wt.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && col.(!j) = c && wt.(!j) > w do
-        wt.(!j + 1) <- wt.(!j);
-        decr j
-      done;
-      wt.(!j + 1) <- w
-    done
-  done;
-  { n; m; row_ptr; col; weight = wt }
+  { n; m; row_ptr = Packed.of_array row_ptr; col; weight = wt }
 
 let of_arrays ?(directed = false) ~n src dst weight =
   build ~who:"Csr.of_arrays" ~directed ~n src dst weight
@@ -87,21 +109,23 @@ let of_edges ?(directed = false) ~n edges =
     edges;
   build ~who:"Csr.of_edges" ~directed ~n src dst weight
 
-let weighted g = Array.length g.weight > 0
+let[@inline] weighted g = Packed.length g.weight > 0
 
-let degree g v = g.row_ptr.(v + 1) - g.row_ptr.(v)
+let[@inline] row_start g v = at g.row_ptr v
+
+let degree g v = row_start g (v + 1) - row_start g v
 
 (* Every per-arc reader tests [weighted] once, then runs a loop that
    reads the weight column or passes unit weights. *)
 let iter_neighbors g v f =
-  let lo = g.row_ptr.(v) and hi = g.row_ptr.(v + 1) - 1 in
+  let lo = row_start g v and hi = row_start g (v + 1) - 1 in
   if weighted g then
     for i = lo to hi do
-      f g.col.(i) g.weight.(i)
+      f (at g.col i) (at g.weight i)
     done
   else
     for i = lo to hi do
-      f g.col.(i) 1
+      f (at g.col i) 1
     done
 
 let fold_neighbors g v f acc =
@@ -110,11 +134,11 @@ let fold_neighbors g v f acc =
   !acc
 
 let edges g =
-  let weight = if weighted g then fun i -> g.weight.(i) else fun _ -> 1 in
+  let weight = if weighted g then fun i -> at g.weight i else fun _ -> 1 in
   let out = ref [] in
   for v = g.n - 1 downto 0 do
-    for i = g.row_ptr.(v + 1) - 1 downto g.row_ptr.(v) do
-      out := (v, g.col.(i), weight i) :: !out
+    for i = row_start g (v + 1) - 1 downto row_start g v do
+      out := (v, at g.col i, weight i) :: !out
     done
   done;
   !out
@@ -133,7 +157,7 @@ let total_weight g =
   if weighted g then begin
     let sum = ref 0 in
     for i = 0 to g.m - 1 do
-      sum := !sum + g.weight.(i)
+      sum := !sum + at g.weight i
     done;
     !sum
   end
@@ -147,25 +171,25 @@ let is_symmetric g =
 
 let validate g =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if Array.length g.row_ptr <> g.n + 1 then err "row_ptr length %d <> n+1" (Array.length g.row_ptr)
-  else if g.row_ptr.(0) <> 0 then err "row_ptr.(0) <> 0"
-  else if g.row_ptr.(g.n) <> g.m then err "row_ptr.(n) %d <> m %d" g.row_ptr.(g.n) g.m
+  if Packed.length g.row_ptr <> g.n + 1 then err "row_ptr length %d <> n+1" (Packed.length g.row_ptr)
+  else if row_start g 0 <> 0 then err "row_ptr.(0) <> 0"
+  else if row_start g g.n <> g.m then err "row_ptr.(n) %d <> m %d" (row_start g g.n) g.m
   else begin
     let rec check_mono v =
       if v >= g.n then Ok ()
-      else if g.row_ptr.(v + 1) < g.row_ptr.(v) then err "row_ptr not monotone at %d" v
+      else if row_start g (v + 1) < row_start g v then err "row_ptr not monotone at %d" v
       else check_mono (v + 1)
     in
     match check_mono 0 with
     | Error _ as e -> e
-    | Ok () when weighted g && Array.length g.weight < g.m ->
-        err "weight length %d < m %d" (Array.length g.weight) g.m
+    | Ok () when weighted g && Packed.length g.weight < g.m ->
+        err "weight length %d < m %d" (Packed.length g.weight) g.m
     | Ok () ->
         (* an unweighted graph's unit weights are positive *)
-        let positive = if weighted g then fun i -> g.weight.(i) > 0 else fun _ -> true in
+        let positive = if weighted g then fun i -> at g.weight i > 0 else fun _ -> true in
         let rec check_edges i =
           if i >= g.m then Ok ()
-          else if g.col.(i) < 0 || g.col.(i) >= g.n then err "edge %d target out of range" i
+          else if at g.col i < 0 || at g.col i >= g.n then err "edge %d target out of range" i
           else if not (positive i) then err "edge %d weight not positive" i
           else check_edges (i + 1)
         in

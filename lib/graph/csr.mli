@@ -3,25 +3,38 @@
     The canonical in-memory graph layout for all graph workloads: a
     vertex-indexed offset array into packed adjacency and weight arrays.
     This is also exactly the layout the accelerator models read through
-    the simulated memory system, so the same arrays back both the
-    software references and the hardware simulation. *)
+    the simulated memory system: a run borrows these columns read-only
+    (see [Agp_apps.App_instance.add_input]), so the same arrays back
+    both the software references and the hardware simulation.
+
+    Every column is an {!Agp_util.Packed} array, 32 bits per element,
+    half the words of an [int array].  So a graph has fewer than 2{^31}
+    vertices and fewer than 2{^31} arcs, and every weight fits in a
+    signed 32-bit int: each constructor here and in [Generator] raises
+    [Invalid_argument] otherwise, before it allocates the graph. *)
 
 type t = {
   n : int;  (** number of vertices *)
   m : int;  (** number of directed edges stored *)
-  row_ptr : int array;  (** length [n+1]; edges of [v] are [row_ptr.(v) .. row_ptr.(v+1)-1] *)
-  col : int array;  (** length [m]; target vertex per edge slot *)
-  weight : int array;
+  row_ptr : Agp_util.Packed.t;  (** length [n+1]; edges of [v] are [row_ptr.(v) .. row_ptr.(v+1)-1] *)
+  col : Agp_util.Packed.t;  (** length [m] (1 when [m = 0]); target vertex per edge slot *)
+  weight : Agp_util.Packed.t;
       (** positive edge weights, one per edge slot (at least [m] long), or
-          [\[||\]] for an unweighted graph *)
+          {!Agp_util.Packed.empty} for an unweighted graph *)
 }
+
+val require_fits : who:string -> n:int -> m:int -> unit
+(** Raises [Invalid_argument] (naming [who]) when [n] vertices or [m]
+    arcs do not fit in the 32-bit columns, i.e. either is 2{^31} or
+    more.  The generators call it before they allocate. *)
 
 val of_edges : ?directed:bool -> n:int -> (int * int * int) list -> t
 (** [of_edges ~n edges] builds a graph over vertices [0..n-1] from
     [(src, dst, weight)] triples.  When [directed] is [false] (default)
     each edge is stored in both directions.  Each adjacency is sorted
     by (target, weight).  Raises [Invalid_argument] on a vertex outside
-    [0..n-1]. *)
+    [0..n-1], on a weight outside the signed 32-bit range and as
+    {!require_fits} does. *)
 
 val of_arrays : ?directed:bool -> n:int -> int array -> int array -> int array -> t
 (** [of_arrays ~n src dst weight] is {!of_edges} over the triples
@@ -29,8 +42,13 @@ val of_arrays : ?directed:bool -> n:int -> int array -> int array -> int array -
     [Invalid_argument] when the arrays differ in length. *)
 
 val weighted : t -> bool
-(** False for the unweighted form ([weight = \[||\]]).  Code that needs
-    real weights (SSSP, MST) rejects an unweighted graph with this. *)
+(** False for the unweighted form ([weight] of length 0).  Code that
+    needs real weights (SSSP, MST) rejects an unweighted graph with
+    this. *)
+
+val row_start : t -> int -> int
+(** [row_start g v] is [row_ptr.(v)], the first arc slot of [v];
+    [row_start g (v + 1)] is one past its last. *)
 
 val degree : t -> int -> int
 

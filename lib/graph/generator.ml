@@ -1,15 +1,20 @@
 module Rng = Agp_util.Rng
+module Packed = Agp_util.Packed
 
 let imin (a : int) b = if a <= b then a else b
 
 let imax (a : int) b = if a >= b then a else b
 
+(* element [k] of a column, written inline: [x] is a vertex id, an arc
+   offset or a byte, which [lattice] has bounded by [Csr.require_fits] *)
+let[@inline] put a k x = Packed.set32 a (4 * k) (Int32.of_int x)
+
 (* store arc [k] -> [dst] of weight [w] when the edge exists (its
    weight only when [weighted]); the next free arc *)
 let[@inline] put_arc ~weighted col weight k dst w =
   if w > 0 then begin
-    col.(k) <- dst;
-    if weighted then weight.(k) <- w;
+    put col k dst;
+    if weighted then put weight k w;
     k + 1
   end
   else k
@@ -23,7 +28,7 @@ let[@inline] put_arc ~weighted col weight k dst w =
    fill pass then writes each vertex's arcs where the previous vertex's
    ended, which is also its [row_ptr].  Unweighted, the bytes still
    decide which edges exist, but no weight array is made. *)
-let lattice ~weighted ~width ~height rw dw gw =
+let lattice ~who ~weighted ~width ~height rw dw gw =
   let n = width * height in
   let edges = ref 0 in
   for v = 0 to n - 1 do
@@ -32,14 +37,16 @@ let lattice ~weighted ~width ~height rw dw gw =
     if Bytes.get_uint8 gw v > 0 then incr edges
   done;
   let m = 2 * !edges in
-  let row_ptr = Array.make (n + 1) 0 in
-  let col = Array.make (imax m 1) 0 in
-  let weight = if weighted then Array.make (imax m 1) 0 else [||] in
+  Csr.require_fits ~who ~n ~m;
+  let row_ptr = Packed.create (n + 1) in
+  let col = Packed.create (imax m 1) in
+  let weight = if weighted then Packed.create (imax m 1) else Packed.empty in
+  let next = ref 0 in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
       let v = (y * width) + x in
       (* up-left, up, left, right, down, down-right *)
-      let k = row_ptr.(v) in
+      let k = !next in
       let k =
         if x > 0 && y > 0 then
           put_arc ~weighted col weight k (v - width - 1) (Bytes.get_uint8 gw (v - width - 1))
@@ -54,7 +61,8 @@ let lattice ~weighted ~width ~height rw dw gw =
       in
       let k = put_arc ~weighted col weight k (v + 1) (Bytes.get_uint8 rw v) in
       let k = put_arc ~weighted col weight k (v + width) (Bytes.get_uint8 dw v) in
-      row_ptr.(v + 1) <- put_arc ~weighted col weight k (v + width + 1) (Bytes.get_uint8 gw v)
+      next := put_arc ~weighted col weight k (v + width + 1) (Bytes.get_uint8 gw v);
+      put row_ptr (v + 1) !next
     done
   done;
   { Csr.n; m; row_ptr; col; weight }
@@ -62,6 +70,7 @@ let lattice ~weighted ~width ~height rw dw gw =
 let road ~weighted ~seed ~width ~height =
   let rng = Rng.create seed in
   let n = width * height in
+  Csr.require_fits ~who:"Generator.road" ~n ~m:0;
   let rw = Bytes.make n '\000' and dw = Bytes.make n '\000' and gw = Bytes.make n '\000' in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
@@ -76,7 +85,7 @@ let road ~weighted ~seed ~width ~height =
         Bytes.set_uint8 gw v (Rng.int_in rng 2 14)
     done
   done;
-  lattice ~weighted ~width ~height rw dw gw
+  lattice ~who:"Generator.road" ~weighted ~width ~height rw dw gw
 
 (* Paper-scale road-network stand-in: a full 2-D grid (degree <= 4,
    diameter width+height-2), so multi-million-node graphs materialize in
@@ -85,8 +94,10 @@ let road ~weighted ~seed ~width ~height =
    weight is drawn. *)
 let grid ~weighted ~seed ~width ~height =
   if width <= 0 || height <= 0 then invalid_arg "Generator.grid: empty grid";
-  let rng = Rng.create seed in
   let n = width * height in
+  Csr.require_fits ~who:"Generator.grid" ~n
+    ~m:(2 * ((height * (width - 1)) + (width * (height - 1))));
+  let rng = Rng.create seed in
   let rw = Bytes.make n '\000' and dw = Bytes.make n '\000' in
   let draw () = if weighted then Rng.int_in rng 1 10 else 1 in
   (* every right edge in id order, then every down edge; a grid one
@@ -101,7 +112,7 @@ let grid ~weighted ~seed ~width ~height =
     Bytes.set_uint8 dw v (draw ())
   done;
   if height = 1 then ignore (draw ());
-  lattice ~weighted ~width ~height rw dw (Bytes.make n '\000')
+  lattice ~who:"Generator.grid" ~weighted ~width ~height rw dw (Bytes.make n '\000')
 
 (* An open-addressing set of non-negative ints, sized for [cap]
    insertions at load <= 1/2: -1 marks an empty cell, probes are
@@ -175,6 +186,7 @@ let backbone_plus rng ~n ~m ~tries sample =
 
 let random ~seed ~n ~m =
   if m < n - 1 then invalid_arg "Generator.random: m < n - 1 cannot hold the spanning backbone";
+  Csr.require_fits ~who:"Generator.random" ~n ~m:(2 * m);
   let rng = Rng.create seed in
   (* Oversample then dedup; good enough for sparse graphs. *)
   backbone_plus rng ~n ~m ~tries:(2 * imax 0 (m - imax 0 (n - 1))) (fun us vs k ->
@@ -186,6 +198,7 @@ let rmat ~seed ~scale ~edge_factor =
   let rng = Rng.create seed in
   let n = 1 lsl scale in
   let target = edge_factor * n in
+  Csr.require_fits ~who:"Generator.rmat" ~n ~m:(2 * target);
   let a = 0.57 and b = 0.19 and c = 0.19 in
   let sample us vs k =
     us.(k) <- 0;

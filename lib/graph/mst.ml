@@ -15,26 +15,21 @@ let edge_order ((u1, v1, w1) : int * int * int) ((u2, v2, w2) : int * int * int)
   else if v1 > v2 then 1
   else 0
 
-(* the stored edges with [src <= dst], read straight off the CSR arrays
-   (unit weights when the graph is unweighted, as {!Csr.edges} reads
-   them) *)
+(* the stored edges with [src <= dst], in adjacency order (unit
+   weights when the graph is unweighted, as {!Csr.edges} reads them) *)
 let undirected_array (g : Csr.t) =
-  let weight = if Csr.weighted g then fun i -> g.weight.(i) else fun _ -> 1 in
   let k = ref 0 in
   for u = 0 to g.n - 1 do
-    for i = g.row_ptr.(u) to g.row_ptr.(u + 1) - 1 do
-      if u <= g.col.(i) then incr k
-    done
+    Csr.iter_neighbors g u (fun v _ -> if u <= v then incr k)
   done;
   let arr = Array.make !k (0, 0, 0) in
   k := 0;
   for u = 0 to g.n - 1 do
-    for i = g.row_ptr.(u) to g.row_ptr.(u + 1) - 1 do
-      if u <= g.col.(i) then begin
-        arr.(!k) <- (u, g.col.(i), weight i);
-        incr k
-      end
-    done
+    Csr.iter_neighbors g u (fun v w ->
+        if u <= v then begin
+          arr.(!k) <- (u, v, w);
+          incr k
+        end)
   done;
   arr
 

@@ -55,22 +55,18 @@ let check_distances (g : Csr.t) root d =
     let rec check v =
       if v >= g.n then Ok ()
       else begin
-        let relaxed =
-          Csr.fold_neighbors g v
-            (fun acc dst w -> acc && (d.(v) = unreachable || d.(dst) <= d.(v) + w))
-            true
-        in
-        if not relaxed then err "edge out of vertex %d not relaxed" v
-        else if v <> root && d.(v) <> unreachable then begin
-          let tight =
-            Csr.fold_neighbors g v
-              (fun acc dst w -> acc || (d.(dst) <> unreachable && d.(dst) + w = d.(v)))
-              false
-          in
-          (* The graph is symmetric, so an incoming tight edge appears as an
-             outgoing edge of [v]. *)
-          if tight then check (v + 1) else err "vertex %d has no tight predecessor" v
-        end
+        (* one pass over the arcs: every one relaxed, and one tight.  The
+           graph is symmetric, so an incoming tight edge appears as an
+           outgoing edge of [v]. *)
+        let dv = d.(v) in
+        let relaxed = ref true and tight = ref false in
+        Csr.iter_neighbors g v (fun dst w ->
+            let dd = d.(dst) in
+            if dv <> unreachable && dd > dv + w then relaxed := false;
+            if dd <> unreachable && dd + w = dv then tight := true);
+        if not !relaxed then err "edge out of vertex %d not relaxed" v
+        else if v <> root && dv <> unreachable && not !tight then
+          err "vertex %d has no tight predecessor" v
         else check (v + 1)
       end
     in

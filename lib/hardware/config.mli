@@ -16,9 +16,18 @@ type t = {
       (** replication per task set; empty = 1 each (the resource
           heuristic of §6.3 fills this in) *)
   rule_lanes : int;  (** lanes across the rule engines (256) *)
-  mlp : int;  (** memory-level parallelism of a prim's access burst (4) *)
+  mlp : int;
+      (** memory-level parallelism of a prim's access burst (4).  Derived
+          per app: [Agp_backend.Backend.derive_config] overwrites it with
+          the app's [fpga_mlp] before every backend run, so {!default}'s
+          value reaches only a direct [Accelerator.run] *)
   prim_latency : (string * int) list;
-      (** per-kernel pipeline occupancy in cycles (default 4) *)
+      (** per-kernel pipeline occupancy in cycles (default 4 for a kernel
+          not listed).  Derived per app, like [mlp]:
+          [Agp_backend.Backend.derive_config] replaces the list with one
+          entry per kernel of the app's [kernel_flops] ([flops / fpga_ilp],
+          at least 2), so {!default}'s empty list reaches only a direct
+          [Accelerator.run] *)
   queue_banks : int;  (** banks per multi-bank task queue (8) *)
   window_factor : int;
       (** in-flight tasks per pipeline as a multiple of its stage count

@@ -13,6 +13,7 @@ module Semantics = Agp_core.Semantics
 module Spec = Agp_core.Spec
 module Value = Agp_core.Value
 module State = Agp_core.State
+module Packed = Agp_util.Packed
 
 (* Result-deterministic apps: the committed state is a function of the
    input alone (unique BFS levels; SSSP distances on distinct random
@@ -681,10 +682,13 @@ let positions =
     P_let;
     P_load "ia";
     P_load "fa";
+    P_load "pa";
     P_store_addr "ia";
     P_store_addr "fa";
+    P_store_addr "pa";
     P_store_value "ia";
     P_store_value "fa";
+    P_store_value "pa";
     P_if;
     P_push;
     P_iter_lo;
@@ -707,11 +711,13 @@ let position_str = function
   | P_alloc -> "alloc argument"
   | P_emit -> "emit field"
 
-(* an int array [ia] and a float array [fa] *)
+(* an int array [ia], a float array [fa] and [pa], a read-only packed
+   copy of [ia] *)
 let position_state () =
   let st = State.create () in
   State.add_int_array st "ia" [| 10; 11; 12; 13 |];
   State.add_float_array st "fa" [| 0.5; 1.5; 2.5; 3.5 |];
+  State.add_packed_array st "pa" (Packed.of_array [| 10; 11; 12; 13 |]);
   st
 
 let int_of_value = function
@@ -948,17 +954,27 @@ let position_case_str (e, payload, va, vb) =
     (String.concat "; " (List.map Value.to_string payload))
     (Value.to_string va) (Value.to_string vb)
 
+(* a load from the packed copy reads what a load from [ia] reads: the
+   same register value, or the same error but for the array's name *)
+let packed_load_mismatch ((e, payload, va, vb) as case) =
+  let from_ia = compiled_outcome (P_load "ia") e payload va vb in
+  let from_pa = compiled_outcome (P_load "pa") e payload va vb in
+  if from_ia = String.concat "State: ia[" (Astring.String.cuts ~sep:"State: pa[" from_pa) then []
+  else
+    [ Printf.sprintf "%s, as a load:\nfrom ia %s\nfrom pa %s" (position_case_str case) from_ia from_pa ]
+
 let position_mismatches ((e, payload, va, vb) as case) =
-  List.filter_map
-    (fun pos ->
-      let want = reference_outcome pos e payload va vb in
-      let got = compiled_outcome pos e payload va vb in
-      if want = got then None
-      else
-        Some
-          (Printf.sprintf "%s, as %s:\nreference %s\ncompiled  %s" (position_case_str case)
-             (position_str pos) want got))
-    positions
+  packed_load_mismatch case
+  @ List.filter_map
+      (fun pos ->
+        let want = reference_outcome pos e payload va vb in
+        let got = compiled_outcome pos e payload va vb in
+        if want = got then None
+        else
+          Some
+            (Printf.sprintf "%s, as %s:\nreference %s\ncompiled  %s" (position_case_str case)
+               (position_str pos) want got))
+      positions
 
 (* mostly ints, so that the fast paths run as well as the fallbacks *)
 let int_heavy_gen =
@@ -1400,7 +1416,19 @@ let test_engine_invariants_hold () =
 module Csr = Agp_graph.Csr
 
 let copy_graph (g : Csr.t) =
-  { g with Csr.row_ptr = Array.copy g.Csr.row_ptr; col = Array.copy g.col; weight = Array.copy g.weight }
+  let copy a = Packed.of_array (Packed.to_array a) in
+  { g with Csr.row_ptr = copy g.Csr.row_ptr; col = copy g.col; weight = copy g.weight }
+
+(* [name] in [st] is the packed array [a] itself, lent read-only *)
+let lent st name a =
+  match State.data st name with
+  | State.Packed p -> p == a
+  | State.Ints _ | State.Floats _ -> false
+
+let is_int_array st name =
+  match State.data st name with
+  | State.Ints _ -> true
+  | State.Packed _ | State.Floats _ -> false
 
 let test_runs_leave_workload_unchanged () =
   List.iter
@@ -1433,7 +1461,9 @@ let test_borrowing_follows_the_spec () =
   let bfs = Workloads.spec_bfs Workloads.Small ~seed:7 in
   let g, _ = Option.get bfs.App_instance.graph_source in
   let st = (bfs.App_instance.fresh ()).App_instance.state in
-  check Alcotest.bool "SPEC-BFS borrows col" true (State.int_array st "col" == g.Csr.col);
+  check Alcotest.bool "SPEC-BFS borrows col" true (lent st "col" g.Csr.col);
+  Alcotest.check_raises "a borrowed column has no int handle"
+    (Invalid_argument "State: col is read-only") (fun () -> ignore (State.int_array st "col"));
   check Alcotest.bool "SPEC-BFS gets its own level" false
     (State.int_array st "level" == State.int_array (bfs.App_instance.fresh ()).App_instance.state "level");
   let mst = Workloads.spec_mst Workloads.Small ~seed:7 in
@@ -1461,7 +1491,7 @@ let test_borrowing_follows_the_spec () =
   in
   check Alcotest.bool "the writer may write col" true (Spec.may_write writer "col");
   check Alcotest.bool "the writer only reads row_ptr" false (Spec.may_write writer "row_ptr");
-  let col_before = Array.copy g.Csr.col in
+  let graph_before = copy_graph g in
   let fresh () =
     let state = State.create () in
     App_instance.add_input writer state "row_ptr" g.Csr.row_ptr;
@@ -1478,8 +1508,10 @@ let test_borrowing_follows_the_spec () =
     }
   in
   let st = (fresh ()).App_instance.state in
-  check Alcotest.bool "the writer borrows row_ptr" true (State.int_array st "row_ptr" == g.Csr.row_ptr);
-  check Alcotest.bool "the writer gets its own col" false (State.int_array st "col" == g.Csr.col);
+  check Alcotest.bool "the writer borrows row_ptr" true (lent st "row_ptr" g.Csr.row_ptr);
+  check Alcotest.bool "the writer gets an int copy of col" true (is_int_array st "col");
+  check (Alcotest.array Alcotest.int) "the copy holds col" (Packed.to_array g.Csr.col)
+    (State.int_array st "col");
   let app = { bfs with App_instance.app_name = "COL-WRITER"; spec = writer; fresh; graph_source = None } in
   List.iter
     (fun b ->
@@ -1487,7 +1519,7 @@ let test_borrowing_follows_the_spec () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "col-writer on %s: %s" b.Backend.name e)
     [ Backend.sequential; Backend.runtime ~workers:4 (); Backend.simulator () ];
-  check Alcotest.bool "the workload's col is unchanged" true (col_before = g.Csr.col)
+  check Alcotest.bool "the workload's packed graph is unchanged" true (graph_before = g)
 
 let test_conformance_classifies_liveness () =
   (* a backend that diverges must be classified Liveness, not Crash *)

@@ -170,6 +170,53 @@ let test_state_layout_and_snapshot () =
   check Alcotest.bool "snapshot isolated" false (State.equal_content st snap);
   check Alcotest.bool "diff reports" true (List.length (State.diff st snap) = 1)
 
+(* a packed array reads as ints, is laid out 8 bytes per element like
+   any other, refuses every write and int handle, and is compared and
+   diffed by its elements *)
+let test_state_packed () =
+  let module Packed = Agp_util.Packed in
+  let p = Packed.of_array [| 7; -3; 2_000_000_000 |] in
+  let st = State.create () in
+  State.add_int_array st "a" [| 0; 0 |];
+  State.add_packed_array st "p" p;
+  State.add_int_array st "b" [| 0 |];
+  check Alcotest.int "p after a" 16 (State.base st "p");
+  check Alcotest.int "b 8 bytes per element after p" 40 (State.base st "b");
+  check Alcotest.bool "read" true (Value.equal (Value.Int (-3)) (State.read st "p" 1));
+  check Alcotest.bool "read 32-bit" true (Value.equal (Value.Int 2_000_000_000) (State.read st "p" 2));
+  Alcotest.check_raises "read oob" (Invalid_argument "State: p[3] out of bounds (length 3)")
+    (fun () -> ignore (State.read st "p" 3));
+  let read_only = Invalid_argument "State: p is read-only" in
+  Alcotest.check_raises "write" read_only (fun () -> State.write st "p" 0 (Value.Int 1));
+  Alcotest.check_raises "int_array" read_only (fun () -> ignore (State.int_array st "p"));
+  Alcotest.check_raises "float_array" (Invalid_argument "State: p is not a float array") (fun () ->
+      ignore (State.float_array st "p"));
+  check Alcotest.bool "data is the array itself" true
+    (match State.data st "p" with State.Packed q -> q == p | State.Ints _ | State.Floats _ -> false);
+  let snap = State.snapshot st in
+  check Alcotest.bool "snapshot equal" true (State.equal_content st snap);
+  check Alcotest.bool "snapshot shares the read-only array" true
+    (match State.data snap "p" with State.Packed q -> q == p | State.Ints _ | State.Floats _ -> false);
+  let other ints =
+    let s = State.create () in
+    State.add_int_array s "a" [| 0; 0 |];
+    State.add_packed_array s "p" (Packed.of_array ints);
+    State.add_int_array s "b" [| 0 |];
+    s
+  in
+  check Alcotest.bool "equal by elements" true (State.equal_content st (other [| 7; -3; 2_000_000_000 |]));
+  check Alcotest.bool "an element differs" false (State.equal_content st (other [| 7; 3; 2_000_000_000 |]));
+  check (Alcotest.list Alcotest.string) "diff names the element" [ "p[1]: -3 vs 3" ]
+    (State.diff st (other [| 7; 3; 2_000_000_000 |]));
+  check (Alcotest.list Alcotest.string) "diff names the length" [ "p: length differs" ]
+    (State.diff st (other [| 7 |]));
+  let ints = State.create () in
+  State.add_int_array ints "a" [| 0; 0 |];
+  State.add_int_array ints "p" [| 7; -3; 2_000_000_000 |];
+  State.add_int_array ints "b" [| 0 |];
+  check Alcotest.bool "an int copy is another kind" false (State.equal_content st ints);
+  check (Alcotest.list Alcotest.string) "diff names the kind" [ "p: kind differs" ] (State.diff st ints)
+
 (* --- Spec validation --- *)
 
 let trivial_set ?(body = []) name arity : Spec.task_set =
@@ -1148,6 +1195,7 @@ let () =
           Alcotest.test_case "warm stream allocates nothing" `Quick
             test_state_trace_allocates_nothing;
           Alcotest.test_case "layout and snapshot" `Quick test_state_layout_and_snapshot;
+          Alcotest.test_case "packed arrays" `Quick test_state_packed;
         ] );
       ( "spec_validation",
         [

@@ -87,7 +87,7 @@ let test_workloads_all_valid () =
 let test_bfs_graph_unweighted () =
   let g = Workloads.bfs_graph Workloads.Small ~seed:42 in
   check Alcotest.bool "no weights" false (Agp_graph.Csr.weighted g);
-  check (Alcotest.array Alcotest.int) "empty column" [||] g.Agp_graph.Csr.weight
+  check (Alcotest.array Alcotest.int) "empty column" [||] (Agp_util.Packed.to_array g.Agp_graph.Csr.weight)
 
 let test_workloads_names_agree () =
   (* [all], [app_names] and [find] agree: the i-th name resolves to the

@@ -1,6 +1,7 @@
 (* Unit and property tests for the graph substrate. *)
 
 open Agp_graph
+module Packed = Agp_util.Packed
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -44,7 +45,7 @@ let test_csr_validate () =
   check Alcotest.bool "broken rejected" true (Result.is_error (Csr.validate broken))
 
 (* the unweighted form of a graph: same arcs, no weight column *)
-let unweighted (g : Csr.t) = { g with Csr.weight = [||] }
+let unweighted (g : Csr.t) = { g with Csr.weight = Packed.empty }
 
 let test_csr_unweighted_reads_unit () =
   let g = triangle_graph () in
@@ -69,7 +70,7 @@ let test_csr_unweighted_reads_unit () =
   (* unit weights make every spanning tree minimal: n - 1 edges *)
   check Alcotest.int "mst weight" 2 (Mst.kruskal u).Mst.weight;
   check Alcotest.bool "short weight column rejected" true
-    (Result.is_error (Csr.validate { g with Csr.weight = [| 1 |] }))
+    (Result.is_error (Csr.validate { g with Csr.weight = Packed.of_array [| 1 |] }))
 
 let test_csr_out_of_range () =
   Alcotest.check_raises "oob edge" (Invalid_argument "Csr.of_edges: vertex out of range")
@@ -78,6 +79,49 @@ let test_csr_out_of_range () =
 let test_csr_undirected_edges () =
   let g = triangle_graph () in
   check Alcotest.int "3 undirected edges" 3 (List.length (Csr.undirected_edges g))
+
+(* [f] raises [Invalid_argument] for a count or weight past 32 bits *)
+let raises_past_32_bits name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+      check Alcotest.bool (name ^ ": " ^ msg) true (Astring.String.is_infix ~affix:"fit in 32 bits" msg)
+
+let test_csr_32_bit_range () =
+  let big = 1 lsl 31 in
+  raises_past_32_bits "of_edges n" (fun () -> Csr.of_edges ~n:big []);
+  raises_past_32_bits "of_arrays n" (fun () -> Csr.of_arrays ~n:big [||] [||] [||]);
+  List.iter
+    (fun w ->
+      raises_past_32_bits (Printf.sprintf "of_edges weight %d" w) (fun () ->
+          Csr.of_edges ~n:2 [ (0, 1, 1); (1, 0, w) ]);
+      raises_past_32_bits (Printf.sprintf "of_arrays weight %d" w) (fun () ->
+          Csr.of_arrays ~directed:true ~n:2 [| 0; 1 |] [| 1; 0 |] [| 1; w |]))
+    [ big; -big - 1; max_int ];
+  (* the arc count of a constructor is 2^31 only with 2^30 input edges;
+     the check behind it is the generators' *)
+  raises_past_32_bits "arc count" (fun () -> Csr.require_fits ~who:"test" ~n:2 ~m:big);
+  Csr.require_fits ~who:"test" ~n:(big - 1) ~m:(big - 1);
+  let g = Csr.of_edges ~n:2 [ (0, 1, big - 1) ] in
+  check Alcotest.int "the largest weight kept" (big - 1) (Csr.total_weight g / 2)
+
+(* A graph's columns are packed: the medium road graph (seed 42) takes
+   at most half the words of the same columns as int arrays, plus a
+   few headers and the record *)
+let test_csr_packed_footprint () =
+  List.iter
+    (fun weighted ->
+      let g = Generator.road ~weighted ~seed:42 ~width:150 ~height:100 in
+      let ints =
+        Obj.reachable_words
+          (Obj.repr (Packed.to_array g.Csr.row_ptr, Packed.to_array g.col, Packed.to_array g.weight))
+      in
+      let words = Obj.reachable_words (Obj.repr g) in
+      check Alcotest.bool
+        (Printf.sprintf "weighted %b: %d words, %d as int arrays" weighted words ints)
+        true
+        (words <= (ints / 2) + 16))
+    [ true; false ]
 
 (* The list-and-sort CSR construction the builder replaced, kept as the
    oracle for {!Csr.of_edges}: double undirected edges, bucket by
@@ -118,7 +162,7 @@ let oracle_of_edges ?(directed = false) ~n edges =
         weight.(lo + i) <- w)
       slice
   done;
-  { Csr.n; m; row_ptr; col; weight }
+  { Csr.n; m; row_ptr = Packed.of_array row_ptr; col = Packed.of_array col; weight = Packed.of_array weight }
 
 (* Random edge lists over a few vertices, so repeated pairs are common;
    every non-empty list also gets a self-loop and a repeat of its first
@@ -173,7 +217,7 @@ let csr_digest (g : Csr.t) =
           Buffer.add_char b ' ')
         a;
       Buffer.add_char b '\n')
-    [ g.row_ptr; g.col; g.weight ];
+    (List.map Packed.to_array [ g.row_ptr; g.col; g.weight ]);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* the other generators that draw from Rng: floats in hex, so the
@@ -238,12 +282,25 @@ let test_unweighted_lattices_match () =
         (fun build ->
           let w = build true and u = build false in
           check Alcotest.int (l ^ " m") w.Csr.m u.Csr.m;
-          check ints (l ^ " row_ptr") w.Csr.row_ptr u.Csr.row_ptr;
-          check ints (l ^ " col") w.Csr.col u.Csr.col;
-          check ints (l ^ " weight") [||] u.Csr.weight;
+          check ints (l ^ " row_ptr") (Packed.to_array w.Csr.row_ptr) (Packed.to_array u.Csr.row_ptr);
+          check ints (l ^ " col") (Packed.to_array w.Csr.col) (Packed.to_array u.Csr.col);
+          check ints (l ^ " weight") [||] (Packed.to_array u.Csr.weight);
           check ok_result (l ^ " valid") (Ok ()) (Csr.validate u))
         build)
     (golden_graph_rows ())
+
+(* every generator refuses a vertex or arc count of 2^31 or more before
+   it allocates the graph *)
+let test_generators_32_bit_range () =
+  let w = 1 lsl 16 in
+  raises_past_32_bits "road n" (fun () -> Generator.road ~weighted:true ~seed:1 ~width:w ~height:(w / 2));
+  raises_past_32_bits "grid n" (fun () -> Generator.grid ~weighted:true ~seed:1 ~width:w ~height:(w / 2));
+  raises_past_32_bits "grid arcs" (fun () ->
+      Generator.grid ~weighted:false ~seed:1 ~width:w ~height:(w / 4));
+  raises_past_32_bits "random n" (fun () -> Generator.random ~seed:1 ~n:(1 lsl 31) ~m:(1 lsl 31));
+  raises_past_32_bits "random arcs" (fun () -> Generator.random ~seed:1 ~n:10 ~m:(1 lsl 30));
+  raises_past_32_bits "rmat n" (fun () -> Generator.rmat ~seed:1 ~scale:31 ~edge_factor:1);
+  raises_past_32_bits "rmat arcs" (fun () -> Generator.rmat ~seed:1 ~scale:20 ~edge_factor:1024)
 
 let test_backbone_kept_or_rejected () =
   Alcotest.check_raises "random m < n - 1"
@@ -441,6 +498,8 @@ let () =
           Alcotest.test_case "out of range" `Quick test_csr_out_of_range;
           Alcotest.test_case "undirected edges" `Quick test_csr_undirected_edges;
           Alcotest.test_case "of_arrays" `Quick test_csr_of_arrays;
+          Alcotest.test_case "32-bit range" `Quick test_csr_32_bit_range;
+          Alcotest.test_case "packed footprint" `Quick test_csr_packed_footprint;
           qtest prop_of_edges_matches_oracle;
         ] );
       ( "generator",
@@ -453,6 +512,7 @@ let () =
           Alcotest.test_case "golden digests" `Quick test_generator_digests;
           Alcotest.test_case "unweighted lattices match" `Quick test_unweighted_lattices_match;
           Alcotest.test_case "backbone kept or rejected" `Quick test_backbone_kept_or_rejected;
+          Alcotest.test_case "32-bit range" `Quick test_generators_32_bit_range;
           qtest prop_generators_deterministic;
         ] );
       ( "bfs",

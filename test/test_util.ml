@@ -197,6 +197,45 @@ let prop_vec_roundtrip =
     QCheck.(array small_int)
     (fun a -> Vec.to_array (Vec.of_array a) = a)
 
+(* --- Packed --- *)
+
+let int32_range = QCheck.int_range (-0x8000_0000) 0x7FFF_FFFF
+
+let prop_packed_roundtrip =
+  QCheck.Test.make ~name:"packed of_array/to_array roundtrip" ~count:200
+    QCheck.(array (oneof [ small_signed_int; int32_range; oneofl [ -0x8000_0000; 0x7FFF_FFFF ] ]))
+    (fun a ->
+      let p = Packed.of_array a in
+      Packed.length p = Array.length a
+      && Packed.to_array p = a
+      && List.for_all (fun i -> Packed.get p i = a.(i)) (List.init (Array.length a) Fun.id))
+
+let test_packed_range () =
+  let p = Packed.create 3 in
+  check (Alcotest.array Alcotest.int) "create makes zeros" [| 0; 0; 0 |] (Packed.to_array p);
+  Packed.set p 0 0x7FFF_FFFF;
+  Packed.set p 1 (-0x8000_0000);
+  Packed.set p 2 (-1);
+  check (Alcotest.array Alcotest.int) "both ends and -1 kept" [| 0x7FFF_FFFF; -0x8000_0000; -1 |]
+    (Packed.to_array p);
+  let out_of_range = Invalid_argument "Packed: value out of the 32-bit range" in
+  List.iter
+    (fun x ->
+      Alcotest.check_raises (Printf.sprintf "set %d" x) out_of_range (fun () -> Packed.set p 0 x);
+      Alcotest.check_raises (Printf.sprintf "of_array %d" x) out_of_range (fun () ->
+          ignore (Packed.of_array [| 1; x |])))
+    [ 0x8000_0000; -0x8000_0001; max_int; min_int ];
+  check (Alcotest.array Alcotest.int) "a refused write changes nothing"
+    [| 0x7FFF_FFFF; -0x8000_0000; -1 |] (Packed.to_array p);
+  let oob = Invalid_argument "index out of bounds" in
+  Alcotest.check_raises "get past the end" oob (fun () -> ignore (Packed.get p 3));
+  Alcotest.check_raises "get below 0" oob (fun () -> ignore (Packed.get p (-1)));
+  Alcotest.check_raises "get far past the end" oob (fun () -> ignore (Packed.get p (1 lsl 61)));
+  Alcotest.check_raises "set past the end" oob (fun () -> Packed.set p 3 0);
+  check Alcotest.int "empty" 0 (Packed.length Packed.empty);
+  check Alcotest.bool "equality is by content" true (Packed.of_array [| 1; 2 |] = Packed.of_array [| 1; 2 |]);
+  check Alcotest.bool "and length" false (Packed.of_array [| 1 |] = Packed.of_array [| 1; 0 |])
+
 let prop_vec_fold_sum =
   QCheck.Test.make ~name:"vec fold equals array fold" ~count:200
     QCheck.(array small_int)
@@ -446,6 +485,11 @@ let () =
           Alcotest.test_case "sort" `Quick test_vec_sort;
           qtest prop_vec_roundtrip;
           qtest prop_vec_fold_sum;
+        ] );
+      ( "packed",
+        [
+          qtest prop_packed_roundtrip;
+          Alcotest.test_case "32-bit range and bounds" `Quick test_packed_range;
         ] );
       ( "heap",
         [
